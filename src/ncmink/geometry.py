@@ -211,6 +211,8 @@ def causal_via_weyl(chi_p, chi_q, params, cfg, use_krein_pairing=False):
     signature = DEFAULT_FRAME.signature
     total = 0.0j
     err = 0.0
+    evals = 0
+    converged = True
     for a in range(4):
         for b in range(4):
             weight = signature[a] if a == b else 0.0
@@ -229,9 +231,11 @@ def causal_via_weyl(chi_p, chi_q, params, cfg, use_krein_pairing=False):
                 )
             total += weight * np.log(complex(tau.value))
             err += abs(weight) * (prod.phase_error + tau.error_estimate)
+            evals += tau.evals
+            converged = converged and tau.converged
     scale = 4.0 * math.pi / constants.kappa_sq
     value = (-1j * scale * total).real
-    return QuadratureResult(value, scale * err, Method.REDUCED2D, 0, True)
+    return QuadratureResult(value, scale * err, Method.REDUCED2D, evals, converged)
 
 
 def second_moment_omega(f, g, params, cfg):

@@ -7,17 +7,16 @@ Every form treated here is an 8-dimensional double integral
 with f, g finite sums of covector-weighted normalized Gaussians and K one of
 the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
 
-* ``gaussian_pair_reduce`` / ``bilinear_form``: analytic dimension reduction
-  to a 2D integral plus adaptive panel quadrature.  The relative coordinate
+* ``gaussian_pair_reduce`` / ``bilinear_form``: analytic reduction to a 1D
+  integral plus adaptive panel quadrature.  The relative coordinate
   y = x - x' carries a Gaussian of combined width b = a1 a2 / (a1 + a2)
-  centered at the center difference d, and the angular average of the
-  displaced Gaussian over the 2-sphere has the closed form
-  exp(-b (r^2 + R^2)) sinh(2 b r R) / (2 b r R) with R the spatial part of d.
-  What remains is a 2D integral over (t, r); in null coordinates u = t - r,
-  v = t + r the light-cone kernel is constant on each quadrant and the log
-  kernel splits as ln|u| + ln|v|, so placing panel edges exactly on u = 0 and
-  v = 0 isolates the integrable singularities on panel boundaries where a
-  graded subdivision converges quickly.
+  centered at the center difference (delta, R-vector), and its angular
+  average over the 2-sphere is exp(-b (r^2 + R^2)) sinh(2 b r R) / (2 b r R).
+  Both kernels depend on (t, r) only through t - r and t + r, so the average
+  over the relative time t ~ N(delta, 1/(2b)) is closed-form too: erfc
+  differences for the light cone, the noncentral chi-square log moment for
+  the log kernel.  What remains is an analytic integrand in r, integrated
+  with GL15/GL7 panels over the Gaussian tail window around R.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  Sample streams are
   counter-based (Philox keyed per block), so results are bit-identical for a
@@ -81,7 +80,8 @@ class QuadratureResult:
     """Value with an error estimate and provenance.
 
     For MC8D the estimate is a 95% confidence half-width; for REDUCED2D it
-    is the heuristic sum of per-panel differences between embedded rules.
+    is the sum of per-panel differences between the 15- and the 7-node
+    Gauss-Legendre rules.
     ANALYTIC results carry error 0.
     """
 
@@ -120,101 +120,87 @@ def _radial_factor(b, R, r):
     return np.where(small, series, direct)
 
 
-def _weight_uv(b, delta, R, u, v):
-    """Reduced 2D weight in null coordinates, including the 1/2 Jacobian."""
-    t = 0.5 * (u + v)
-    r = 0.5 * (v - u)
-    w = (0.5 * b / math.pi) * np.exp(-b * (t - delta) ** 2) * _radial_factor(b, R, r)
-    return np.where(r > 0.0, w, 0.0)
+# psi(1/2 + j) = -gamma - 2 ln 2 + sum_{i<j} 1/(1/2 + i) (A&S 6.3.4) and ln j!
+# for the Poisson series; 128 terms cover means up to 40.5 to below 1e-25.
+_POISSON_TERMS = 128
+_PSI_HALF = -0.5772156649015329 - 2.0 * math.log(2.0) + np.concatenate(
+    [[0.0], np.cumsum(1.0 / (0.5 + np.arange(_POISSON_TERMS - 1)))]
+)
+_LOG_FACTORIAL = np.array([math.lgamma(j + 1.0) for j in range(_POISSON_TERMS)])
+# E ln|1 + eps Z| = -sum_k (2k-1)!! eps^{2k} / (2k), k = 1..30: asymptotic,
+# with its smallest omitted term below 1e-18 once |mu|/sigma >= 9.
+_ASYMPTOTIC_CUT = 9.0
+_ASYMPTOTIC_COEFFS = np.concatenate(
+    [[0.0], [-math.prod(range(1, 2 * k, 2)) / (2.0 * k) for k in range(1, 31)]]
+)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _kernel_uv(kind, u, v):
-    if kind is KernelKind.LIGHTCONE:
-        return np.where(u * v > 0.0, np.sign(u), 0.0)
-    if kind is KernelKind.LOGABS:
-        return np.log(np.abs(u)) + np.log(np.abs(v))
-    return np.ones(np.broadcast_shapes(np.shape(u), np.shape(v)))
+def _log_moment(mu, sigma):
+    """L(mu) = E ln|mu + sigma Z| for a standard normal Z, elementwise in mu.
 
-
-def _eval_panels(kind, b, delta, R, u0, u1, v0, v1, order):
-    """Tensor Gauss-Legendre values of all panels at once; shape (npanels,)."""
-    x, w = _gl_unit(order)
-    U = u0[:, None] + (u1 - u0)[:, None] * x
-    V = v0[:, None] + (v1 - v0)[:, None] * x
-    uu = U[:, :, None]
-    vv = V[:, None, :]
-    vals = _weight_uv(b, delta, R, uu, vv) * _kernel_uv(kind, uu, vv)
-    return (u1 - u0) * (v1 - v0) * np.einsum("mij,i,j->m", vals, w, w)
-
-
-def _initial_edges(lo, hi, target):
-    """Segment [lo, hi] into roughly target-sized panels, pinning 0 if inside."""
-    anchors = [lo, hi]
-    if lo < 0.0 < hi:
-        anchors.insert(1, 0.0)
-    edges = []
-    for a, c in zip(anchors[:-1], anchors[1:]):
-        n = min(12, max(1, int(math.ceil((c - a) / target))))
-        edges.extend(a + (c - a) * k / n for k in range(n))
-    edges.append(hi)
-    return np.array(edges)
-
-
-def _split_panels(u0, u1, v0, v1):
-    """Children of a panel set; panels on a singular line grade toward it.
-
-    An edge exactly at 0 marks an integrable log singularity of the LOGABS
-    kernel; halving only in the singular direction produces the geometric
-    grading that restores fast convergence.  Midpoint edges preserve the
-    exact 0 anchors, so the test stays exact under repeated splitting.
+    (mu + sigma Z)^2 / sigma^2 is noncentral chi-square with one degree of
+    freedom and noncentrality mu^2 / sigma^2, whose log moment is the
+    Poisson mixture ln 2 + sum_j Pois(j; mu^2 / 2 sigma^2) psi(1/2 + j).
+    Far from the origin the asymptotic series in (sigma / mu)^2 is used.
     """
-    out = ([], [], [], [])
-    for a0, a1, b0, b1 in zip(u0, u1, v0, v1):
-        on_u = a0 == 0.0 or a1 == 0.0
-        on_v = b0 == 0.0 or b1 == 0.0
-        am, bm = 0.5 * (a0 + a1), 0.5 * (b0 + b1)
-        if on_u and not on_v and (a1 - a0) > 1e-3 * (b1 - b0):
-            kids = [(a0, am, b0, b1), (am, a1, b0, b1)]
-        elif on_v and not on_u and (b1 - b0) > 1e-3 * (a1 - a0):
-            kids = [(a0, a1, b0, bm), (a0, a1, bm, b1)]
-        else:
-            kids = [
-                (a0, am, b0, bm),
-                (a0, am, bm, b1),
-                (am, a1, b0, bm),
-                (am, a1, bm, b1),
-            ]
-        for k, col in enumerate(out):
-            col.extend(kid[k] for kid in kids)
-    return tuple(np.array(col) for col in out)
+    ratio = np.abs(mu) / sigma
+    out = np.empty_like(ratio)
+    far = ratio >= _ASYMPTOTIC_CUT
+    series = np.vander((sigma / mu[far]) ** 2, len(_ASYMPTOTIC_COEFFS), increasing=True)
+    out[far] = np.log(np.abs(mu[far])) + series @ _ASYMPTOTIC_COEFFS
+    m = 0.5 * ratio[~far, None] ** 2
+    w = np.exp(np.arange(_POISSON_TERMS) * np.log(np.maximum(m, 1e-300)) - m - _LOG_FACTORIAL)
+    # normalizing by the weight sum cancels the rounding of -m and ln j!
+    mix = (w @ _PSI_HALF) / w.sum(axis=1)
+    out[~far] = math.log(sigma) + 0.5 * (math.log(2.0) + mix)
+    return out
 
 
-def _reduce_2d(kind, b, delta, R, cfg):
-    """Adaptive panel quadrature of the reduced pair integral."""
-    hw = math.sqrt(_TAIL_EXPONENT / b)
-    t_lo, t_hi = delta - hw, delta + hw
-    r_lo, r_hi = max(0.0, R - hw), R + hw
-    target = 0.75 * hw
-    ue = _initial_edges(t_lo - r_hi, t_hi - r_lo, target)
-    ve = _initial_edges(t_lo + r_lo, t_hi + r_hi, target)
-    uu0, vv0 = np.meshgrid(ue[:-1], ve[:-1], indexing="ij")
-    uu1, vv1 = np.meshgrid(ue[1:], ve[1:], indexing="ij")
-    u0, u1 = uu0.ravel(), uu1.ravel()
-    v0, v1 = vv0.ravel(), vv1.ravel()
-    # Panels entirely below the diagonal v = u have r <= 0 and vanish.
-    keep = v1 > u0
-    u0, u1, v0, v1 = u0[keep], u1[keep], v0[keep], v1[keep]
+def _time_averaged_kernel(kind, b, delta, r):
+    """Kernel averaged over the relative time t ~ N(delta, 1/(2b)) at radius r.
 
-    def rules(a0, a1, c0, c1):
-        coarse = _eval_panels(kind, b, delta, R, a0, a1, c0, c1, 7)
-        fine = _eval_panels(kind, b, delta, R, a0, a1, c0, c1, 15)
+    Both kernels depend on (t, r) through t - r and t + r only: the light
+    cone kernel is sgn(t) on |t| > r and the log kernel is
+    ln|t - r| + ln|t + r|, so the Gaussian time average is closed-form.
+    """
+    if kind is KernelKind.LIGHTCONE:
+        e = _erfc(math.sqrt(b) * np.concatenate([r - delta, r + delta])).astype(float)
+        return 0.5 * (e[: len(r)] - e[len(r) :])
+    if kind is KernelKind.LOGABS:
+        sigma = math.sqrt(0.5 / b)
+        both = _log_moment(np.concatenate([delta - r, delta + r]), sigma)
+        return both[: len(r)] + both[len(r) :]
+    return np.ones_like(r)
+
+
+def _refine(integrand, x0, x1, cfg, evals_per_node=1):
+    """Adaptive GL15/GL7 panel refinement of a vectorized 1D integrand.
+
+    Each panel is integrated with the 15- and the 7-node Gauss-Legendre
+    rule; their difference is the panel's error estimate.  Every round
+    halves the worst eighth of the panels (at least one, at most 512) until
+    the summed estimate meets max(abs_tol, rel_tol |value|), which marks
+    the result converged, or the eval budget is spent.  Each node costs
+    ``evals_per_node`` evals.  Returns (value, error, evals, converged).
+    """
+
+    def rules(a0, a1):
+        xs7, w7 = _gl_unit(7)
+        xs15, w15 = _gl_unit(15)
+        width = a1 - a0
+        nodes = a0[:, None] + width[:, None] * np.concatenate([xs7, xs15])
+        vals = integrand(nodes.ravel()).reshape(len(a0), -1)
+        f7, f15 = vals[:, :7], vals[:, 7:]
+        coarse = width * (f7 @ w7)
+        fine = width * (f15 @ w15)
         return fine, np.abs(fine - coarse)
 
-    values, errors = rules(u0, u1, v0, v1)
-    evals = len(u0) * (49 + 225)
+    values, errors = rules(x0, x1)
+    evals = len(x0) * 22 * evals_per_node
     converged = False
     for _ in range(_MAX_ROUNDS):
-        total = float(values.sum())
+        total = complex(values.sum())
         toterr = float(errors.sum())
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         if toterr <= tol:
@@ -223,26 +209,43 @@ def _reduce_2d(kind, b, delta, R, cfg):
         if evals >= cfg.max_evals:
             break
         order = np.argsort(errors)[::-1]
-        cum = np.cumsum(errors[order])
-        n_refine = int(np.searchsorted(cum, 0.9 * toterr)) + 1
-        n_refine = min(max(n_refine, 1), 512, len(order))
+        n_refine = min(max(1, len(order) // 8), 512)
         chosen = order[:n_refine]
-        keep_mask = np.ones(len(values), dtype=bool)
-        keep_mask[chosen] = False
-        c0, c1, d0, d1 = _split_panels(u0[chosen], u1[chosen], v0[chosen], v1[chosen])
-        new_vals, new_errs = rules(c0, c1, d0, d1)
-        evals += len(c0) * (49 + 225)
-        u0 = np.concatenate([u0[keep_mask], c0])
-        u1 = np.concatenate([u1[keep_mask], c1])
-        v0 = np.concatenate([v0[keep_mask], d0])
-        v1 = np.concatenate([v1[keep_mask], d1])
-        values = np.concatenate([values[keep_mask], new_vals])
-        errors = np.concatenate([errors[keep_mask], new_errs])
-    return float(values.sum()), float(errors.sum()), evals, converged
+        keep = np.ones(len(values), dtype=bool)
+        keep[chosen] = False
+        mids = 0.5 * (x0[chosen] + x1[chosen])
+        c0 = np.concatenate([x0[chosen], mids])
+        c1 = np.concatenate([mids, x1[chosen]])
+        new_vals, new_errs = rules(c0, c1)
+        evals += len(c0) * 22 * evals_per_node
+        x0 = np.concatenate([x0[keep], c0])
+        x1 = np.concatenate([x1[keep], c1])
+        values = np.concatenate([values[keep], new_vals])
+        errors = np.concatenate([errors[keep], new_errs])
+    return values.sum(), float(errors.sum()), evals, converged
+
+
+def _reduce_2d(kind, b, delta, R, cfg):
+    """Pair integral: sqrt(b/pi) rho(r) times the time-averaged kernel, over r.
+
+    Starts from 4 panels on the radial tail window [max(0, R - hw), R + hw].
+    The name predates the closed-form time integral; the benchmark's tracer
+    (``perfbench/tracer.py``) wraps this function by name, so it is kept.
+    """
+    hw = math.sqrt(_TAIL_EXPONENT / b)
+    norm = math.sqrt(b / math.pi)
+
+    def integrand(r):
+        return norm * _radial_factor(b, R, r) * _time_averaged_kernel(kind, b, delta, r)
+
+    edges = np.linspace(max(0.0, R - hw), R + hw, 5)
+    value, err, evals, converged = _refine(integrand, edges[:-1], edges[1:], cfg)
+    return float(value), err, evals, converged
 
 
 @lru_cache(maxsize=100_000)
 def _pair_cached(kind_value, b, delta, R, rel_tol, abs_tol, max_evals):
+    """Process-wide memo of ``_reduce_2d``; ``perfbench/`` uses it by name."""
     cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol, max_evals=max_evals)
     return _reduce_2d(KernelKind(kind_value), b, delta, R, cfg)
 
@@ -458,46 +461,9 @@ def momentum_form(f, g, cfg, contraction=None):
     freq = float(np.max(np.abs(dt) + sep))
     n0 = min(4096, max(24, int(2.0 * freq * p_max / math.pi) + 1))
     edges = np.linspace(0.0, p_max, n0 + 1)
-    x0, x1 = edges[:-1], edges[1:]
-
-    def rules(a0, a1):
-        xs7, w7 = _gl_unit(7)
-        xs15, w15 = _gl_unit(15)
-        width = a1 - a0
-        p7 = (a0[:, None] + width[:, None] * xs7).ravel()
-        p15 = (a0[:, None] + width[:, None] * xs15).ravel()
-        f7 = _momentum_integrand(p7, coef, cpair, dt, sep).reshape(len(a0), -1)
-        f15 = _momentum_integrand(p15, coef, cpair, dt, sep).reshape(len(a0), -1)
-        coarse = width * (f7 @ w7)
-        fine = width * (f15 @ w15)
-        return fine, np.abs(fine - coarse)
-
-    values, errors = rules(x0, x1)
-    evals = n0 * 22 * len(coef)
-    converged = False
-    for _ in range(_MAX_ROUNDS):
-        total = complex(values.sum())
-        toterr = float(errors.sum())
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if toterr <= tol:
-            converged = True
-            break
-        if evals >= cfg.max_evals:
-            break
-        order = np.argsort(errors)[::-1]
-        n_refine = min(max(1, len(order) // 8), 512)
-        chosen = order[:n_refine]
-        keep = np.ones(len(values), dtype=bool)
-        keep[chosen] = False
-        mids = 0.5 * (x0[chosen] + x1[chosen])
-        c0 = np.concatenate([x0[chosen], mids])
-        c1 = np.concatenate([mids, x1[chosen]])
-        new_vals, new_errs = rules(c0, c1)
-        evals += len(c0) * 22 * len(coef)
-        x0 = np.concatenate([x0[keep], c0])
-        x1 = np.concatenate([x1[keep], c1])
-        values = np.concatenate([values[keep], new_vals])
-        errors = np.concatenate([errors[keep], new_errs])
-    value = complex(values.sum()) / (8.0 * math.pi**2)
-    err = float(errors.sum()) / (8.0 * math.pi**2)
-    return QuadratureResult(value, err, Method.REDUCED2D, evals, converged)
+    total, err, evals, converged = _refine(
+        lambda P: _momentum_integrand(P, coef, cpair, dt, sep),
+        edges[:-1], edges[1:], cfg, evals_per_node=len(coef),
+    )
+    scale = 8.0 * math.pi**2
+    return QuadratureResult(complex(total) / scale, err / scale, Method.REDUCED2D, evals, converged)

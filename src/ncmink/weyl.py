@@ -10,14 +10,15 @@ where the pairing s is either the plain symplectic form sigma or its
 Krein-twisted version sigma(., J.): the twisted pairing is the one under
 which the regularized state is positive, the plain one drives the causal
 functional.  :class:`WeylCalculus` fixes that choice once, caches sigma
-values per smearing pair and tracks the accumulated phase uncertainty
-coming from the quadrature error of each sigma evaluation.
+values per smearing pair and tracks the provenance of the product phases:
+the accumulated quadrature error, evals and convergence of every sigma
+evaluation that went into an element.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .integrate import Method, QuadratureResult
 from .state import dm_bilinear, krein_J, mu2, sigma
@@ -38,22 +39,28 @@ class WeylElement:
 
     ``terms`` maps canonicalized smearings to complex coefficients (stored
     as a sorted tuple of pairs so elements hash and compare by value);
-    ``phase_error`` is the accumulated uncertainty of all product phases
-    that went into the element.
+    ``phase_error``, ``phase_evals`` and ``phase_converged`` are the
+    accumulated uncertainty, quadrature evals and convergence of all
+    product phases that went into the element.
     """
 
     terms: tuple
     phase_error: float = 0.0
+    phase_evals: int = 0
+    phase_converged: bool = True
 
     @classmethod
-    def from_dict(cls, coeffs, phase_error=0.0):
+    def from_dict(cls, coeffs, phase_error=0.0, phase_evals=0, phase_converged=True):
         kept = tuple(
             sorted(
                 ((f, complex(c)) for f, c in coeffs.items() if c != 0.0),
                 key=lambda item: _smearing_key(item[0]),
             )
         )
-        return cls(kept, phase_error)
+        return cls(kept, phase_error, phase_evals, phase_converged)
+
+    def _provenance(self):
+        return self.phase_error, self.phase_evals, self.phase_converged
 
     @classmethod
     def generator(cls, f, coefficient=1.0):
@@ -70,12 +77,17 @@ class WeylElement:
         coeffs = self.coefficients()
         for f, c in other.terms:
             coeffs[f] = coeffs.get(f, 0.0) + c
-        return WeylElement.from_dict(coeffs, self.phase_error + other.phase_error)
+        return WeylElement.from_dict(
+            coeffs,
+            self.phase_error + other.phase_error,
+            self.phase_evals + other.phase_evals,
+            self.phase_converged and other.phase_converged,
+        )
 
     def __rmul__(self, scalar):
         scalar = complex(scalar)
         return WeylElement.from_dict(
-            {f: scalar * c for f, c in self.terms}, self.phase_error
+            {f: scalar * c for f, c in self.terms}, *self._provenance()
         )
 
     def __sub__(self, other):
@@ -84,7 +96,7 @@ class WeylElement:
     def star(self):
         """Involution: smearings negated, coefficients conjugated."""
         return WeylElement.from_dict(
-            {-f: c.conjugate() for f, c in self.terms}, self.phase_error
+            {-f: c.conjugate() for f, c in self.terms}, *self._provenance()
         )
 
 
@@ -106,32 +118,35 @@ class WeylCalculus:
         self._mu2_cache = {}
 
     def sigma_value(self, f, g):
-        """Cached pairing value with its quadrature error."""
+        """Cached pairing value as a :class:`QuadratureResult`."""
         kf, kg = _smearing_key(f), _smearing_key(g)
         if kf == kg:
-            return 0.0, 0.0
+            return QuadratureResult(0.0, 0.0, Method.ANALYTIC, 0, True)
         swap = kf > kg
         key = (kg, kf) if swap else (kf, kg)
         if key not in self._sigma_cache:
             a, b = (g, f) if swap else (f, g)
             second = krein_J(b, self.u) if self.pairing == "krein" else b
-            r = sigma(a, second, self.constants, self.cfg)
-            self._sigma_cache[key] = (r.value, r.error_estimate)
-        value, err = self._sigma_cache[key]
-        return (-value if swap else value), err
+            self._sigma_cache[key] = sigma(a, second, self.constants, self.cfg)
+        r = self._sigma_cache[key]
+        return replace(r, value=-r.value) if swap else r
 
     def mul(self, A, B):
         """Bilinear extension of W(f) W(g) = W(f+g) exp[-(i/2) s(f,g)]."""
         coeffs = {}
         phase_err = A.phase_error + B.phase_error
+        evals = A.phase_evals + B.phase_evals
+        converged = A.phase_converged and B.phase_converged
         for f, a in A.terms:
             for g, b in B.terms:
-                s, err = self.sigma_value(f, g)
-                coeff = a * b * cmath.exp(-0.5j * s)
+                s = self.sigma_value(f, g)
+                coeff = a * b * cmath.exp(-0.5j * s.value)
                 h = f + g
                 coeffs[h] = coeffs.get(h, 0.0) + coeff
-                phase_err += abs(a * b) * 0.5 * err
-        return WeylElement.from_dict(coeffs, phase_err)
+                phase_err += abs(a * b) * 0.5 * s.error_estimate
+                evals += s.evals
+                converged = converged and s.converged
+        return WeylElement.from_dict(coeffs, phase_err, evals, converged)
 
     def star(self, A):
         return A.star()
@@ -144,16 +159,7 @@ class WeylCalculus:
 
     def eval_omega(self, A, params):
         """The quasi-free state: sum_k alpha_k exp[i mu1(f_k) - mu2(f_k,f_k)/2]."""
-        total = 0.0j
-        err = A.phase_error
-        converged = True
-        for f, c in A.terms:
-            m = self._mu2_diag(f, params)
-            w = cmath.exp(1j * moment1(f) - 0.5 * m.value.real)
-            total += c * w
-            err += abs(c) * abs(w) * 0.5 * m.error_estimate
-            converged = converged and m.converged
-        return QuadratureResult(total, err, Method.REDUCED2D, 0, converged)
+        return self._evaluate(A, lambda f: self._mu2_diag(f, params))
 
     def eval_tau(self, A, params):
         """The non-positive functional built on Delta directly (no J twist).
@@ -162,13 +168,22 @@ class WeylCalculus:
         that is what makes tau the physically sensible functional for the
         geometric observables.
         """
+        return self._evaluate(A, lambda f: dm_bilinear(f, f, params, self.cfg))
+
+    @staticmethod
+    def _evaluate(A, second_moment):
+        """sum_k alpha_k exp[i mu1(f_k) - second_moment(f_k).real / 2].
+
+        Error, evals and convergence combine the phase provenance of A with
+        those of every second-moment result used.
+        """
         total = 0.0j
-        err = A.phase_error
-        converged = True
+        err, evals, converged = A._provenance()
         for f, c in A.terms:
-            d = dm_bilinear(f, f, params, self.cfg)
-            w = cmath.exp(1j * moment1(f) - 0.5 * d.value.real)
+            m = second_moment(f)
+            w = cmath.exp(1j * moment1(f) - 0.5 * m.value.real)
             total += c * w
-            err += abs(c) * abs(w) * 0.5 * d.error_estimate
-            converged = converged and d.converged
-        return QuadratureResult(total, err, Method.REDUCED2D, 0, converged)
+            err += abs(c) * abs(w) * 0.5 * m.error_estimate
+            evals += m.evals
+            converged = converged and m.converged
+        return QuadratureResult(total, err, Method.REDUCED2D, evals, converged)

@@ -138,16 +138,19 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
 
 
 def test_starved_budget_exits_nonconverged(capsys, tmp_path):
-    config = {"quadrature": {"rel_tol": 1e-14, "abs_tol": 1e-16, "max_evals": 2000}}
+    quadrature = {"rel_tol": 1e-14, "abs_tol": 1e-16, "max_evals": 100}
     path = tmp_path / "starved.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps({"quadrature": quadrature}))
     code, out, _ = run_cli(
         capsys,
         "--config", str(path), "--format", "json",
         "distance", "--p", "0,1,0,0", "--q", "0,0,0,0", "--width", "50",
     )
     assert code == 3
-    assert json.loads(out)["result"]["converged"] is False
+    result = json.loads(out)["result"]
+    assert result["converged"] is False
+    tol = max(quadrature["abs_tol"], quadrature["rel_tol"] * abs(result["total"]))
+    assert result["error"] > tol
 
 
 def test_verify_suite_exit_codes(capsys):

@@ -255,6 +255,16 @@ def test_causal_via_weyl_coincident_is_zero(cfg, params):
     assert causal_via_weyl(bump, bump, params, cfg).value == 0.0
 
 
+def test_causal_via_weyl_reports_sigma_provenance(cfg, params):
+    chi_p = GaussianBump((0.8, 0.2, 0, 0), 60.0)
+    chi_q = GaussianBump((0, 0, 0, 0), 60.0)
+    ok = causal_via_weyl(chi_p, chi_q, params, cfg)
+    assert ok.converged
+    assert ok.evals > 0
+    starved = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_evals=100)
+    assert not causal_via_weyl(chi_p, chi_q, params, starved).converged
+
+
 def test_classify_causal_bands():
     assert classify_causal(0.0, 1e-6) == "spacelike"
     assert classify_causal(1.0 - 1e-7, 1e-6) == "future"

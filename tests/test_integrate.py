@@ -35,13 +35,63 @@ def test_constant_kernel_is_exact():
 
 
 def test_constant_normalization_through_panels(tight_cfg):
-    """The 2D weight must integrate to 1; checked without the analytic shortcut."""
+    """The reduced pair weight must integrate to 1; checked without the analytic shortcut."""
     from ncmink.integrate import _reduce_2d
 
     for b, delta, radius in [(5000.0, 0.0, 0.0), (50.0, 0.7, 1.3), (8.0, -0.4, 0.1)]:
         value, err, _, converged = _reduce_2d(KernelKind.CONSTANT, b, delta, radius, tight_cfg)
         assert converged
         assert value == pytest.approx(1.0, abs=max(1e-8, 2 * err))
+
+
+# (kind, b, delta, R, value) of the reduced pair integral with combined
+# width b, time separation delta and spatial separation R.  Computed once
+# with mpmath 1.3.0 at 22-30 digits by nested tanh-sinh quadrature of the
+# (t, r) form over +-14 sigma windows, sigma^2 = 1/(2b): the time average
+# numerically with breakpoints at t = +-r for LOGABS, through mpmath.erfc
+# for LIGHTCONE.  Rows: near-null delta = R (1 -+ 1e-3) for b from 1e-2 to
+# 1e8, separations far past the tails (R = 10 against a tail window of
+# 0.064), and R = 0 pairs; the LOGABS self pairs equal 1 - gamma - ln(2b).
+# The 1e-24 row sits below abs_tol and only checks that no garbage appears.
+PAIR_REFERENCES = [
+    (KernelKind.LIGHTCONE, 0.01, 0.999, 1.0, 0.03972188327860468),
+    (KernelKind.LIGHTCONE, 0.01, 1.001, 1.0, 0.03980167173481268),
+    (KernelKind.LIGHTCONE, 1.0, 0.999, 1.0, 0.3043753551135838),
+    (KernelKind.LIGHTCONE, 1.0, 1.001, 1.0, 0.3051732395773999),
+    (KernelKind.LIGHTCONE, 1e4, 0.999, 1.0, 0.45818739998558594),
+    (KernelKind.LIGHTCONE, 1e4, 1.001, 1.0, 0.5378430745396395),
+    (KernelKind.LIGHTCONE, 1e8, 0.999, 1.0, 7.616005724846541e-24),
+    (KernelKind.LIGHTCONE, 1e8, 1.001, 1.0, 1.0),
+    (KernelKind.LOGABS, 0.01, 0.999, 1.0, 4.341447441842344),
+    (KernelKind.LOGABS, 0.01, 1.001, 1.0, 4.341447441842475),
+    (KernelKind.LOGABS, 1.0, 0.999, 1.0, 0.20516481541542744),
+    (KernelKind.LOGABS, 1.0, 1.001, 1.0, 0.20516481584208607),
+    (KernelKind.LOGABS, 1e4, 0.999, 1.0, -4.542202038619644),
+    (KernelKind.LOGABS, 1e4, 1.001, 1.0, -4.542198711860126),
+    (KernelKind.LOGABS, 1e8, 0.999, 1.0, -6.220180812310857),
+    (KernelKind.LOGABS, 1e8, 1.001, 1.0, -6.2191909153892),
+    (KernelKind.LIGHTCONE, 1e4, 4.0, 10.0, 0.0),
+    (KernelKind.LIGHTCONE, 1e4, 25.0, 10.0, 1.0),
+    (KernelKind.LOGABS, 1e4, 4.0, 10.0, 4.4308163453250895),
+    (KernelKind.LOGABS, 1e4, 25.0, 10.0, 6.2633978090765945),
+    (KernelKind.LIGHTCONE, 1e4, 0.01, 0.0, 0.44071876761794254),
+    (KernelKind.LOGABS, 0.01, 0.0, 0.0, 4.334807340526613),
+    (KernelKind.LOGABS, 1.0, 0.0, 0.0, -0.27036284546147815),
+    (KernelKind.LOGABS, 1e4, 0.0, 0.0, -9.48070321743766),
+    (KernelKind.LOGABS, 1e8, 0.0, 0.0, -18.691043589413844),
+]
+
+
+@pytest.mark.parametrize("kind, b, delta, radius, reference", PAIR_REFERENCES)
+def test_pair_integral_matches_high_precision_reference(kind, b, delta, radius, reference):
+    # two bumps of width 2b have combined width b
+    bp = GaussianBump((delta, radius, 0, 0), 2.0 * b)
+    bq = GaussianBump((0, 0, 0, 0), 2.0 * b)
+    for config in (QuadratureConfig(), QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)):
+        r = gaussian_pair_reduce(kind, bp, bq, config)
+        assert r.converged
+        assert abs(r.value - reference) <= max(r.error_estimate, 1e-14)
+    assert abs(r.value - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 def test_lightcone_coincident_times_vanishes(cfg):
@@ -224,10 +274,14 @@ def test_momentum_form_zero_smearing(cfg):
 
 
 def test_budget_exhaustion_flags_nonconverged():
-    starved = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_evals=2000)
+    # 100 evals stop the refinement after its first round: the 4 initial
+    # panels cost 88 evals and one split round 44 more.
+    starved = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_evals=100)
     bump = GaussianBump((0, 0, 0, 0), 1e4)
     r = gaussian_pair_reduce(KernelKind.LOGABS, bump, bump, starved)
     assert not r.converged
+    assert r.evals >= starved.max_evals
+    assert r.error_estimate > max(starved.abs_tol, starved.rel_tol * abs(r.value))
 
 
 def test_config_validation():
