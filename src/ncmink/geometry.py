@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import Method, QuadratureResult, gaussian_pair_reduce
+from .integrate import (
+    Method,
+    QuadratureResult,
+    bump_arrays,
+    gaussian_pair_reduce,
+    pair_geometry,
+    pair_integrals,
+)
 from .kernels import KernelKind
 from .minkowski import DEFAULT_FRAME, minkowski_interval, synge
 from .testfn import GaussianBump, frame_smearings
@@ -76,13 +83,12 @@ def classical_term(chi_p, chi_q):
 
 def _log_quadratic(chi_p, chi_q, cfg):
     """Scalar LOGABS quadratic form of the difference profile chi_p - chi_q."""
-    bp, bq = _bump(chi_p), _bump(chi_q)
-    self_p = gaussian_pair_reduce(KernelKind.LOGABS, bp, bp, cfg)
-    self_q = gaussian_pair_reduce(KernelKind.LOGABS, bq, bq, cfg)
-    cross = gaussian_pair_reduce(KernelKind.LOGABS, bp, bq, cfg)
-    value = self_p.value + self_q.value - 2.0 * cross.value
-    err = self_p.error_estimate + self_q.error_estimate + 2.0 * cross.error_estimate
-    conv = self_p.converged and self_q.converged and cross.converged
+    centers, widths = bump_arrays([_bump(chi_p), _bump(chi_q)])
+    first, second = [0, 1, 0], [0, 1, 1]  # pairs (p, p), (q, q), (p, q)
+    geometry = pair_geometry(centers[first], widths[first], centers[second], widths[second])
+    (self_p, self_q, cross), errors, _, conv = pair_integrals(KernelKind.LOGABS, *geometry, cfg)
+    value = float(self_p + self_q - 2.0 * cross)
+    err = float(errors[0] + errors[1] + 2.0 * errors[2])
     return value, err, conv
 
 
@@ -235,7 +241,7 @@ def causal_via_weyl(chi_p, chi_q, params, cfg, use_krein_pairing=False):
             converged = converged and tau.converged
     scale = 4.0 * math.pi / constants.kappa_sq
     value = (-1j * scale * total).real
-    return QuadratureResult(value, scale * err, Method.REDUCED2D, evals, converged)
+    return QuadratureResult(value, scale * err, Method.REDUCED1D, evals, converged)
 
 
 def second_moment_omega(f, g, params, cfg):

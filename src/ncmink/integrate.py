@@ -7,7 +7,7 @@ Every form treated here is an 8-dimensional double integral
 with f, g finite sums of covector-weighted normalized Gaussians and K one of
 the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
 
-* ``gaussian_pair_reduce`` / ``bilinear_form``: analytic reduction to a 1D
+* ``pair_integrals`` / ``bilinear_form``: analytic reduction to a 1D
   integral plus adaptive panel quadrature.  The relative coordinate
   y = x - x' carries a Gaussian of combined width b = a1 a2 / (a1 + a2)
   centered at the center difference (delta, R-vector), and its angular
@@ -16,7 +16,8 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   over the relative time t ~ N(delta, 1/(2b)) is closed-form too: erfc
   differences for the light cone, the noncentral chi-square log moment for
   the log kernel.  What remains is an analytic integrand in r, integrated
-  with GL15/GL7 panels over the Gaussian tail window around R.
+  with GL15/GL7 panels over the Gaussian tail window around R.  A form
+  collects every term pair first, so each distinct pair is integrated once.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  Sample streams are
   counter-based (Philox keyed per block), so results are bit-identical for a
@@ -53,7 +54,8 @@ _MAX_ROUNDS = 400
 
 
 class Method(Enum):
-    REDUCED2D = "reduced2d"
+    REDUCED1D = "reduced1d"
+    MOMENTUM = "momentum"
     MC8D = "mc8d"
     ANALYTIC = "analytic"
 
@@ -79,10 +81,11 @@ class QuadratureConfig:
 class QuadratureResult:
     """Value with an error estimate and provenance.
 
-    For MC8D the estimate is a 95% confidence half-width; for REDUCED2D it
-    is the sum of per-panel differences between the 15- and the 7-node
-    Gauss-Legendre rules.
-    ANALYTIC results carry error 0.
+    For MC8D the estimate is a 95% confidence half-width; for REDUCED1D
+    and MOMENTUM it is the sum of per-panel differences between the 15- and
+    the 7-node Gauss-Legendre rules.  ANALYTIC results carry error 0.
+    ``evals`` of a form counts each distinct pair integral once, however
+    many of its term pairs share it.
     """
 
     value: complex
@@ -120,10 +123,12 @@ def _radial_factor(b, R, r):
     return np.where(small, series, direct)
 
 
+EULER_GAMMA = 0.5772156649015329
+
 # psi(1/2 + j) = -gamma - 2 ln 2 + sum_{i<j} 1/(1/2 + i) (A&S 6.3.4) and ln j!
 # for the Poisson series; 128 terms cover means up to 40.5 to below 1e-25.
 _POISSON_TERMS = 128
-_PSI_HALF = -0.5772156649015329 - 2.0 * math.log(2.0) + np.concatenate(
+_PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0) + np.concatenate(
     [[0.0], np.cumsum(1.0 / (0.5 + np.arange(_POISSON_TERMS - 1)))]
 )
 _LOG_FACTORIAL = np.array([math.lgamma(j + 1.0) for j in range(_POISSON_TERMS)])
@@ -250,62 +255,112 @@ def _pair_cached(kind_value, b, delta, R, rel_tol, abs_tol, max_evals):
     return _reduce_2d(KernelKind(kind_value), b, delta, R, cfg)
 
 
-def pair_geometry(bump_p, bump_q):
-    """Combined width b and center displacement (delta t, spatial radius)."""
-    a1, a2 = bump_p.width, bump_q.width
-    b = a1 * a2 / (a1 + a2)
-    d = bump_p.center.array - bump_q.center.array
-    return b, float(d[0]), float(np.linalg.norm(d[1:]))
+def pair_integrals(kind, b, delta, R, cfg):
+    """Pair integrals of normalized bumps, elementwise over equal-shape arrays.
+
+    Each pair has combined width b, time separation delta and spatial
+    separation R.  CONSTANT is the exact normalization 1.  LIGHTCONE with
+    coincident time centers vanishes by antisymmetry (odd integrand in the
+    relative time), and negative time separations are folded to positive
+    ones, which makes the numeric antisymmetry under argument swap exact.
+    LOGABS depends on |delta| only, and its self pair (delta = R = 0) is
+    1 - gamma - ln(2b) exactly.  The remaining pairs are collapsed to their
+    distinct (b, |delta|, R) and each is integrated once.
+
+    Returns (values, errors, evals, converged); evals counts each distinct
+    integrated pair once, and is 0 when every pair was closed-form.
+    """
+    b, delta, R = (np.asarray(x, dtype=float) for x in (b, delta, R))
+    values = np.zeros(b.shape)
+    errors = np.zeros(b.shape)
+    if kind is KernelKind.CONSTANT:
+        return values + 1.0, errors, 0, True
+    if kind is KernelKind.LOGABS:
+        closed = (delta == 0.0) & (R == 0.0)
+        values[closed] = 1.0 - EULER_GAMMA - np.log(2.0 * b[closed])
+    else:
+        closed = delta == 0.0
+    numeric = ~closed
+    keys = list(zip(b[numeric].tolist(), np.abs(delta[numeric]).tolist(), R[numeric].tolist()))
+    done = {
+        key: _pair_cached(kind.value, *key, cfg.rel_tol, cfg.abs_tol, cfg.max_evals)
+        for key in dict.fromkeys(keys)
+    }
+    if keys:
+        values[numeric], errors[numeric] = np.array([done[key][:2] for key in keys]).T
+    if kind is KernelKind.LIGHTCONE:
+        values *= np.sign(delta)
+    evals = sum(r[2] for r in done.values())
+    return values, errors, evals, all(r[3] for r in done.values())
+
+
+def bump_arrays(bumps):
+    """Centers (n, 4) and widths (n,) of a sequence of bumps."""
+    centers = np.array([bump.center.components for bump in bumps], dtype=float)
+    return centers.reshape(-1, 4), np.array([bump.width for bump in bumps], dtype=float)
+
+
+def pair_geometry(centers_p, widths_p, centers_q, widths_q):
+    """Combined widths b and center displacements (delta t, spatial radius).
+
+    Broadcasts like numpy: centers have shape (..., 4) and widths the
+    matching shape (...).
+    """
+    b = widths_p * widths_q / (widths_p + widths_q)
+    d = centers_p - centers_q
+    # R^2 as one dot product per pair, the way np.linalg.norm takes it for a
+    # single vector, so R does not depend on how the pairs are batched
+    spatial = d[..., 1:]
+    return b, d[..., 0], np.sqrt((spatial[..., None, :] @ spatial[..., :, None])[..., 0, 0])
 
 
 def gaussian_pair_reduce(kind, bump_p, bump_q, cfg):
-    """Scalar pair integral of two normalized bumps against a kernel.
-
-    CONSTANT is the exact normalization 1.  LIGHTCONE with coincident time
-    centers vanishes by antisymmetry (odd integrand in the relative time),
-    and negative time separations are folded to positive ones, which makes
-    the numeric antisymmetry under argument swap exact.  LOGABS depends on
-    |delta| only.
-    """
-    if kind is KernelKind.CONSTANT:
-        return _analytic(1.0)
-    b, delta, R = pair_geometry(bump_p, bump_q)
-    if kind is KernelKind.LIGHTCONE and delta == 0.0:
-        return _analytic(0.0)
-    sign = -1.0 if (kind is KernelKind.LIGHTCONE and delta < 0.0) else 1.0
-    value, err, evals, conv = _pair_cached(
-        kind.value, b, abs(delta), R, cfg.rel_tol, cfg.abs_tol, cfg.max_evals
-    )
-    return QuadratureResult(sign * value, err, Method.REDUCED2D, evals, conv)
+    """Scalar pair integral of two normalized bumps against a kernel."""
+    geometry = pair_geometry(*bump_arrays([bump_p]), *bump_arrays([bump_q]))
+    values, errors, evals, converged = pair_integrals(kind, *geometry, cfg)
+    method = Method.REDUCED1D if evals else Method.ANALYTIC
+    return QuadratureResult(float(values[0]), float(errors[0]), method, evals, converged)
 
 
 def _check_contraction(contraction):
     c = np.asarray(contraction, dtype=float)
-    if c.shape != (4, 4) or not np.allclose(c, c.T, atol=1e-12):
+    # np.allclose(c, c.T, atol=1e-12) spelled out: this runs on every form
+    if c.shape != (4, 4) or not (np.abs(c - c.T) <= 1e-12 + 1e-5 * np.abs(c.T)).all():
         raise ValueError("contraction must be a symmetric 4x4 matrix")
     return c
 
 
+def smearing_arrays(f):
+    """Centers (n, 4), widths (n,) and weighted covectors w v (n, 4) of f's terms."""
+    centers, widths = bump_arrays([t.bump for t in f.terms])
+    covectors = np.array([t.covector for t in f.terms], dtype=float).reshape(-1, 4)
+    weights = np.array([t.weight for t in f.terms], dtype=float)
+    return centers, widths, weights[:, None] * covectors
+
+
 def bilinear_form(kind, f, g, contraction, cfg):
-    """Sum of (v . contraction . w)-weighted scalar pair integrals.
+    """Sum of (w v . contraction . w' v')-weighted scalar pair integrals.
 
     The contraction is passed explicitly because the same cached scalar
-    integrals serve the Minkowski, Krein and frame-summed pairings.
+    integrals serve the Minkowski, Krein and frame-summed pairings.  Term
+    pairs with a zero coefficient are not integrated.  The sum is exactly
+    rounded, so it does not depend on the term order: for the diagonal
+    contractions (eta, identity) swapping f and g negates a LIGHTCONE form
+    and keeps a LOGABS form bit for bit.
     """
     c = _check_contraction(contraction)
-    value, err, evals = 0.0, 0.0, 0
-    converged = True
-    for tf in f.terms:
-        for tg in g.terms:
-            coef = tf.weight * tg.weight * float(np.array(tf.covector) @ c @ tg.covector)
-            if coef == 0.0:
-                continue
-            r = gaussian_pair_reduce(kind, tf.bump, tg.bump, cfg)
-            value += coef * r.value
-            err += abs(coef) * r.error_estimate
-            evals += r.evals
-            converged = converged and r.converged
-    method = Method.REDUCED2D if evals else Method.ANALYTIC
+    cf, af, vf = smearing_arrays(f)
+    cg, ag, vg = smearing_arrays(g)
+    coef = ((vf @ c)[:, None, :] * vg[None, :, :]).sum(axis=-1)
+    pairs = coef != 0.0
+    b, delta, R = pair_geometry(cf[:, None], af[:, None], cg[None], ag[None])
+    values, errors, evals, converged = pair_integrals(
+        kind, b[pairs], delta[pairs], R[pairs], cfg
+    )
+    coef = coef[pairs]
+    value = math.fsum(coef * values)
+    err = math.fsum(np.abs(coef) * errors)
+    method = Method.REDUCED1D if evals else Method.ANALYTIC
     return QuadratureResult(value, err, method, evals, converged)
 
 
@@ -466,4 +521,4 @@ def momentum_form(f, g, cfg, contraction=None):
         edges[:-1], edges[1:], cfg, evals_per_node=len(coef),
     )
     scale = 8.0 * math.pi**2
-    return QuadratureResult(complex(total) / scale, err / scale, Method.REDUCED2D, evals, converged)
+    return QuadratureResult(complex(total) / scale, err / scale, Method.MOMENTUM, evals, converged)

@@ -29,6 +29,16 @@ def as_components(value, what="4-vector"):
     """Coerce a point/covector/sequence to a plain tuple of 4 finite floats."""
     if isinstance(value, (SpacetimePoint, FourCovector)):
         return value.components
+    # plain 4-tuples of numbers take a pure-Python path; anything it does not
+    # accept falls through to the numpy checks, which raise the errors
+    if (
+        isinstance(value, tuple)
+        and len(value) == 4
+        and all(isinstance(c, (int, float)) for c in value)
+    ):
+        comps = tuple(map(float, value))
+        if all(map(math.isfinite, comps)):
+            return comps
     arr = np.asarray(value, dtype=float).reshape(-1)
     if arr.shape != (4,):
         raise ValueError(f"{what} needs exactly 4 components, got shape {arr.shape}")

@@ -28,7 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import Method, QuadratureResult, bilinear_form, gaussian_pair_reduce
+from .integrate import (
+    Method,
+    QuadratureResult,
+    bilinear_form,
+    bump_arrays,
+    pair_geometry,
+    pair_integrals,
+    smearing_arrays,
+)
 from .kernels import KernelKind
 from .minkowski import ETA, PhysicalConstants, krein_covector_map, validate_unit_timelike
 from .testfn import GaussianBump, mean, project_psi
@@ -70,22 +78,18 @@ def sigma(f, g, constants, cfg):
 def sigma_indexed(f, psi, constants, cfg):
     """Componentwise sigma(f, psi)_mu with the scalar psi in the second slot.
 
-    Returns (components ndarray, error estimate, converged flag); the free
-    covector index of f survives while its profiles are paired against psi
-    through the light-cone kernel.
+    Returns (components ndarray, error estimate, evals, converged flag);
+    the free covector index of f survives while its profiles are paired
+    against psi through the light-cone kernel.
     """
     scale = constants.kappa_sq / (8.0 * math.pi)
-    comps = np.zeros(4)
-    err = 0.0
-    converged = True
-    for t in f.terms:
-        r = gaussian_pair_reduce(KernelKind.LIGHTCONE, t.bump, psi, cfg)
-        comps += -scale * t.weight * r.value * np.array(t.covector)
-        err += scale * abs(t.weight) * r.error_estimate * float(
-            np.max(np.abs(t.covector))
-        )
-        converged = converged and r.converged
-    return comps, err, converged
+    centers, widths, weighted = smearing_arrays(f)
+    values, errors, evals, converged = pair_integrals(
+        KernelKind.LIGHTCONE, *pair_geometry(centers, widths, *bump_arrays([psi])), cfg
+    )
+    comps = -scale * (values @ weighted)
+    err = scale * float(errors @ np.abs(weighted).max(axis=1))
+    return comps, err, evals, converged
 
 
 def krein_J(f, u=(1.0, 0.0, 0.0, 0.0)):
@@ -106,7 +110,7 @@ def log_minus_form(f, g, contraction, cfg):
     return QuadratureResult(
         value,
         err,
-        Method.REDUCED2D,
+        Method.REDUCED1D,
         plus.evals + minus.evals,
         plus.converged and minus.converged,
     )
@@ -130,8 +134,8 @@ def dm_bilinear(f, g, params, cfg):
 
     mean_term = params.state_alpha * kappa_sq * float(mean(f) @ ETA @ mean(g))
 
-    sf, sf_err, sf_conv = sigma_indexed(f, params.psi, params.constants, cfg)
-    sg, sg_err, sg_conv = sigma_indexed(g, params.psi, params.constants, cfg)
+    sf, sf_err, sf_evals, sf_conv = sigma_indexed(f, params.psi, params.constants, cfg)
+    sg, sg_err, sg_evals, sg_conv = sigma_indexed(g, params.psi, params.constants, cfg)
     reg_scale = 1.0 / (4.0 * params.state_alpha * kappa_sq)
     reg_term = reg_scale * float(sf @ ETA @ sg)
     reg_err = reg_scale * (
@@ -145,9 +149,9 @@ def dm_bilinear(f, g, params, cfg):
         -log_scale * log_term.value + mean_term + reg_term + 0.5j * sig.value
     )
     err = log_scale * log_term.error_estimate + reg_err + 0.5 * sig.error_estimate
-    evals = log_term.evals + sig.evals
+    evals = log_term.evals + sig.evals + sf_evals + sg_evals
     conv = log_term.converged and sig.converged and sf_conv and sg_conv
-    return QuadratureResult(value, err, Method.REDUCED2D, evals, conv)
+    return QuadratureResult(value, err, Method.REDUCED1D, evals, conv)
 
 
 def mu2(f, g, params, cfg):

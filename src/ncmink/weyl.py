@@ -186,4 +186,4 @@ class WeylCalculus:
             err += abs(c) * abs(w) * 0.5 * m.error_estimate
             evals += m.evals
             converged = converged and m.converged
-        return QuadratureResult(total, err, Method.REDUCED2D, evals, converged)
+        return QuadratureResult(total, err, Method.REDUCED1D, evals, converged)

@@ -15,7 +15,7 @@ from ncmink import (
     mc_oracle,
     momentum_form,
 )
-from ncmink.testfn import scalar_smearing, single_term
+from ncmink.testfn import VectorSmearing, scalar_smearing, single_term
 from ncmink.verify import MINVAR_CONSTANT_CORRECTED
 
 I4 = np.eye(4)
@@ -253,6 +253,8 @@ def test_momentum_form_matches_position_space(tight_cfg):
         )
         m = momentum_form(f, f, tight_cfg)
         logf = bilinear_form(KernelKind.LOGABS, f, f, I4, tight_cfg)
+        assert m.method is Method.MOMENTUM
+        assert logf.method is Method.REDUCED1D
         assert m.value.real == pytest.approx(
             -logf.value / (16.0 * math.pi**2), rel=1e-3
         )
@@ -278,10 +280,82 @@ def test_budget_exhaustion_flags_nonconverged():
     # panels cost 88 evals and one split round 44 more.
     starved = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_evals=100)
     bump = GaussianBump((0, 0, 0, 0), 1e4)
-    r = gaussian_pair_reduce(KernelKind.LOGABS, bump, bump, starved)
+    shifted = GaussianBump((0.01, 0.02, 0, 0), 1e4)
+    r = gaussian_pair_reduce(KernelKind.LOGABS, shifted, bump, starved)
     assert not r.converged
     assert r.evals >= starved.max_evals
     assert r.error_estimate > max(starved.abs_tol, starved.rel_tol * abs(r.value))
+
+
+@pytest.mark.parametrize("b", [1e-2, 1.0, 1e4, 1e8])
+def test_logabs_self_pair_rule_matches_closed_form(b, tight_cfg):
+    """The 1D rule on a self pair, which forms replace by its closed form."""
+    from ncmink.integrate import _reduce_2d
+
+    value, _, _, converged = _reduce_2d(KernelKind.LOGABS, b, 0.0, 0.0, tight_cfg)
+    assert converged
+    assert abs(value - (1.0 - EULER_GAMMA - math.log(2.0 * b))) <= 1e-12
+
+
+def test_logabs_self_pair_is_analytic(cfg):
+    bump = GaussianBump((0.3, -0.2, 0.1, 0.0), 40.0)
+    r = gaussian_pair_reduce(KernelKind.LOGABS, bump, bump, cfg)
+    assert r.value == 1.0 - EULER_GAMMA - math.log(40.0)
+    assert r.error_estimate == 0.0
+    assert r.evals == 0
+    assert r.method is Method.ANALYTIC
+
+
+def _random_multi_smearing(rng, bumps, nterms):
+    """Terms drawn with replacement from a shared bump pool, so forms see self pairs."""
+    return VectorSmearing(
+        tuple(
+            (
+                tuple(rng.normal(size=4)),
+                bumps[rng.integers(len(bumps))],
+                float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])),
+            )
+            for _ in range(nterms)
+        )
+    )
+
+
+def _term_by_term_form(kind, f, g, contraction, cfg):
+    value, evals = 0.0, 0
+    for tf in f.terms:
+        for tg in g.terms:
+            coef = tf.weight * tg.weight * float(np.array(tf.covector) @ contraction @ tg.covector)
+            if coef != 0.0:
+                r = gaussian_pair_reduce(kind, tf.bump, tg.bump, cfg)
+                value += coef * r.value
+                evals += r.evals
+    return value, evals
+
+
+@pytest.mark.parametrize("contraction", [ETA, I4], ids=["eta", "identity"])
+@pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.name.lower())
+def test_bilinear_form_matches_term_by_term_loop(kind, contraction, cfg):
+    rng = np.random.default_rng(61)
+    bumps = [random_bump(rng, center_scale=0.5, width_lo=5.0, width_hi=500.0) for _ in range(4)]
+    for _ in range(6):
+        f = _random_multi_smearing(rng, bumps, int(rng.integers(1, 5)))
+        g = _random_multi_smearing(rng, bumps, int(rng.integers(1, 5)))
+        for a, b in ((f, g), (f, f)):
+            form = bilinear_form(kind, a, b, contraction, cfg)
+            reference, reference_evals = _term_by_term_form(kind, a, b, contraction, cfg)
+            scale = sum(
+                abs(ta.weight * tb.weight) * np.abs(ta.covector) @ np.abs(tb.covector)
+                for ta in a.terms
+                for tb in b.terms
+            )
+            assert abs(form.value - reference) <= 1e-13 * scale
+            assert form.converged
+            assert form.evals <= reference_evals
+        swapped = bilinear_form(kind, g, f, contraction, cfg).value
+        forward = bilinear_form(kind, f, g, contraction, cfg).value
+        assert swapped == (-forward if kind is KernelKind.LIGHTCONE else forward)
+    if kind is KernelKind.LIGHTCONE:
+        assert bilinear_form(kind, f, f, contraction, cfg).value == 0.0
 
 
 def test_config_validation():

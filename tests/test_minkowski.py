@@ -6,6 +6,7 @@ import pytest
 from ncmink import (
     DEFAULT_FRAME,
     ETA,
+    FourCovector,
     Frame,
     PhysicalConstants,
     SpacetimePoint,
@@ -14,7 +15,7 @@ from ncmink import (
     minkowski_interval,
     synge,
 )
-from ncmink.minkowski import validate_unit_timelike
+from ncmink.minkowski import as_components, validate_unit_timelike
 
 
 @pytest.mark.parametrize(
@@ -56,6 +57,29 @@ def test_point_rejects_bad_input():
         SpacetimePoint((1.0, 2.0, 3.0))
     with pytest.raises(ValueError):
         SpacetimePoint((1.0, float("nan"), 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ((1.0, 2.0, 3.0), "needs exactly 4 components"),
+        ((1, 2, 3), "needs exactly 4 components"),
+        ((1.0, float("nan"), 0.0, 0.0), "has non-finite entries"),
+        ((0.0, 0.0, float("inf"), 0.0), "has non-finite entries"),
+        ((np.float64(-np.inf), 0.0, 0.0, 1), "has non-finite entries"),
+    ],
+)
+def test_as_components_rejects_bad_tuples(value, message):
+    with pytest.raises(ValueError, match=f"covector {message}"):
+        as_components(value, "covector")
+    with pytest.raises(ValueError, match=message):
+        FourCovector(value)
+
+
+def test_as_components_plain_tuples_become_floats():
+    comps = as_components((1, np.float64(2.5), 3.0, -0))
+    assert comps == (1.0, 2.5, 3.0, 0.0)
+    assert all(type(c) is float for c in comps)
 
 
 def test_krein_matrix_rest_frame():

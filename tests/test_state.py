@@ -22,7 +22,7 @@ from ncmink import (
     sigma,
     sigma_indexed,
 )
-from ncmink.testfn import scalar_smearing, single_term
+from ncmink.testfn import project_psi, scalar_smearing, single_term
 
 
 def e0_smearing(bump, weight=1.0):
@@ -61,10 +61,10 @@ def test_sigma_antisymmetry(cfg, constants):
 def test_sigma_indexed_spacelike_and_kernel(cfg, constants):
     psi = GaussianBump((0, 0, 0, 0), 400.0)
     far_spacelike = single_term((1.0, -0.5, 2.0, 0.0), GaussianBump((0, 3, 0, 0), 400.0), 1.0)
-    comps, err, _ = sigma_indexed(far_spacelike, psi, constants, cfg)
+    comps, err, _, _ = sigma_indexed(far_spacelike, psi, constants, cfg)
     assert np.max(np.abs(comps)) <= max(5 * err, 1e-6)
     # psi against itself sits at coincident time centers: exact zero
-    comps, _, _ = sigma_indexed(single_term((1, 2, 3, 4), psi, 1.0), psi, constants, cfg)
+    comps, _, _, _ = sigma_indexed(single_term((1, 2, 3, 4), psi, 1.0), psi, constants, cfg)
     assert np.array_equal(comps, np.zeros(4))
 
 
@@ -73,7 +73,7 @@ def test_sigma_indexed_far_future(cfg, constants):
     psi = GaussianBump((0, 0, 0, 0), 1e4)
     bump = GaussianBump((2.0, 0, 0, 0), 1e4)
     f = e0_smearing(bump)
-    comps, err, _ = sigma_indexed(f, psi, constants, cfg)
+    comps, err, _, _ = sigma_indexed(f, psi, constants, cfg)
     scale = constants.kappa_sq / (8.0 * math.pi)
     assert comps[0] == pytest.approx(-scale, rel=1e-3)
     assert np.allclose(comps[1:], 0.0)
@@ -137,6 +137,17 @@ def test_dm_bilinear_imaginary_part_is_half_sigma(cfg, params, constants):
     s = sigma(f, g, constants, cfg)
     assert d.value.imag == pytest.approx(0.5 * s.value, abs=1e-15)
     assert dm_bilinear(f, f, params, cfg).value.imag == 0.0
+
+
+def test_dm_bilinear_evals_sum_its_parts(cfg, params, constants):
+    rng = np.random.default_rng(47)
+    f, g = random_smearing(rng), random_smearing(rng)
+    d = dm_bilinear(f, g, params, cfg)
+    log_term = log_minus_form(project_psi(f, params.psi), project_psi(g, params.psi), ETA, cfg)
+    parts = [log_term.evals, sigma(f, g, constants, cfg).evals]
+    parts += [sigma_indexed(h, params.psi, constants, cfg)[2] for h in (f, g)]
+    assert all(parts)
+    assert d.evals == sum(parts)
 
 
 def test_dm_bilinear_hermiticity(cfg, params):
