@@ -68,7 +68,6 @@ from .geometry import (
     corrected_synge,
     distance,
     distance_alpha,
-    second_moment_omega,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -185,8 +185,7 @@ def cmd_causal(args):
 def cmd_verify(args):
     config = build_run_config(args)
     _, _, cfg = _instantiate(config)
-    suite = SUITES[args.suite]
-    report = suite(cfg) if args.suite in ("minvar", "fourier", "alpha-limit") else suite(cfg, seed=config["quadrature"]["seed"])
+    report = SUITES[args.suite](cfg)
     rows = [
         {
             "check": c["name"],
@@ -208,15 +207,10 @@ def _sweep_point(task):
     """One sweep row; top-level so process pools can pickle it."""
     config, axis, value, direction, width, separation = task
     constants, params, cfg = _instantiate(config)
-    if axis == "separation":
-        width_here, alpha = width, params.state_alpha
-        offset = (value, 0.0, 0.0, 0.0) if direction == "time" else (0.0, value, 0.0, 0.0)
-    elif axis == "width":
-        width_here, alpha = value, params.state_alpha
-        offset = (separation, 0.0, 0.0, 0.0) if direction == "time" else (0.0, separation, 0.0, 0.0)
-    else:
-        width_here, alpha = width, value
-        offset = (separation, 0.0, 0.0, 0.0) if direction == "time" else (0.0, separation, 0.0, 0.0)
+    width_here = value if axis == "width" else width
+    alpha = value if axis == "state-alpha" else params.state_alpha
+    shift = value if axis == "separation" else separation
+    offset = (shift, 0.0, 0.0, 0.0) if direction == "time" else (0.0, shift, 0.0, 0.0)
     chi_p = GaussianBump(offset, width_here)
     chi_q = GaussianBump((0.0, 0.0, 0.0, 0.0), width_here)
     if axis == "state-alpha":

@@ -242,14 +242,3 @@ def causal_via_weyl(chi_p, chi_q, params, cfg, use_krein_pairing=False):
     scale = 4.0 * math.pi / constants.kappa_sq
     value = (-1j * scale * total).real
     return QuadratureResult(value, scale * err, Method.REDUCED1D, evals, converged)
-
-
-def second_moment_omega(f, g, params, cfg):
-    """Diagnostic only: the state-side coordinate second moment mu2(f, g).
-
-    The production distance uses the tau route; this exposes the
-    Krein-twisted moment for covariance experiments.
-    """
-    from .state import mu2
-
-    return mu2(f, g, params, cfg)

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import KernelKind
+from .kernels import KernelKind, kernel_values
 from .testfn import mean
 
 WORKERS_ENV_VAR = "NCMINK_WORKERS"
@@ -331,11 +331,25 @@ def _check_contraction(contraction):
 
 
 def smearing_arrays(f):
-    """Centers (n, 4), widths (n,) and weighted covectors w v (n, 4) of f's terms."""
+    """Centers (n, 4), widths (n,), weights (n,) and covectors (n, 4) of f's terms."""
     centers, widths = bump_arrays([t.bump for t in f.terms])
     covectors = np.array([t.covector for t in f.terms], dtype=float).reshape(-1, 4)
-    weights = np.array([t.weight for t in f.terms], dtype=float)
-    return centers, widths, weights[:, None] * covectors
+    return centers, widths, np.array([t.weight for t in f.terms], dtype=float), covectors
+
+
+def _term_pairs(f, g, contraction):
+    """Nonzero term-pair coefficients (w v) . c . (w' v') with their (b, delta, R).
+
+    The one term table of the reduced and momentum routes; pairs come in
+    row-major (f term, g term) order.
+    """
+    c = _check_contraction(contraction)
+    cf, af, wf, vf = smearing_arrays(f)
+    cg, ag, wg, vg = smearing_arrays(g)
+    coef = (((wf[:, None] * vf) @ c)[:, None, :] * (wg[:, None] * vg)[None, :, :]).sum(axis=-1)
+    pairs = coef != 0.0
+    b, delta, R = pair_geometry(cf[:, None], af[:, None], cg[None], ag[None])
+    return coef[pairs], b[pairs], delta[pairs], R[pairs]
 
 
 def bilinear_form(kind, f, g, contraction, cfg):
@@ -348,16 +362,8 @@ def bilinear_form(kind, f, g, contraction, cfg):
     contractions (eta, identity) swapping f and g negates a LIGHTCONE form
     and keeps a LOGABS form bit for bit.
     """
-    c = _check_contraction(contraction)
-    cf, af, vf = smearing_arrays(f)
-    cg, ag, vg = smearing_arrays(g)
-    coef = ((vf @ c)[:, None, :] * vg[None, :, :]).sum(axis=-1)
-    pairs = coef != 0.0
-    b, delta, R = pair_geometry(cf[:, None], af[:, None], cg[None], ag[None])
-    values, errors, evals, converged = pair_integrals(
-        kind, b[pairs], delta[pairs], R[pairs], cfg
-    )
-    coef = coef[pairs]
+    coef, b, delta, R = _term_pairs(f, g, contraction)
+    values, errors, evals, converged = pair_integrals(kind, b, delta, R, cfg)
     value = math.fsum(coef * values)
     err = math.fsum(np.abs(coef) * errors)
     method = Method.REDUCED1D if evals else Method.ANALYTIC
@@ -375,11 +381,10 @@ def worker_count(workers=None):
 
 
 def _mixture(f):
-    weights = np.array([t.weight for t in f.terms])
-    centers = np.array([t.bump.center.components for t in f.terms])
-    scales = 1.0 / np.sqrt(2.0 * np.array([t.bump.width for t in f.terms]))
-    probs = np.abs(weights) / np.abs(weights).sum()
-    return weights, centers, scales, np.cumsum(probs)
+    """f's bump mixture, sampled in proportion to |weight|, and f's covectors."""
+    centers, widths, weights, covectors = smearing_arrays(f)
+    cdf = np.cumsum(np.abs(weights) / np.abs(weights).sum())
+    return (weights, centers, 1.0 / np.sqrt(2.0 * widths), cdf), covectors
 
 
 def _mc_block(kind, pair_coeff, fmix, gmix, seed, block, n):
@@ -391,16 +396,7 @@ def _mc_block(kind, pair_coeff, fmix, gmix, seed, block, n):
     j = np.searchsorted(gcum, rng.random(n), side="right")
     x = fc[i] + rng.standard_normal((n, 4)) * fs[i][:, None]
     xp = gc[j] + rng.standard_normal((n, 4)) * gs[j][:, None]
-    y = x - xp
-    s = -y[:, 0] ** 2 + y[:, 1] ** 2 + y[:, 2] ** 2 + y[:, 3] ** 2
-    if kind is KernelKind.LIGHTCONE:
-        k = np.where(s < 0.0, np.sign(y[:, 0]), 0.0)
-    elif kind is KernelKind.LOGABS:
-        # exact null hits have measure zero; drop them instead of -inf
-        k = np.where(s == 0.0, 0.0, np.log(np.abs(np.where(s == 0.0, 1.0, s))))
-    else:
-        k = np.ones(n)
-    vals = pair_coeff[i, j] * k
+    vals = pair_coeff[i, j] * kernel_values(kind, x - xp)
     return float(vals.sum()), float((vals * vals).sum())
 
 
@@ -415,11 +411,9 @@ def mc_oracle(kind, f, g, contraction, cfg, workers=None):
     c = _check_contraction(contraction)
     if f.is_zero() or g.is_zero():
         return QuadratureResult(0.0, 0.0, Method.MC8D, 0, True)
-    fmix = _mixture(f)
-    gmix = _mixture(g)
+    fmix, vf = _mixture(f)
+    gmix, vg = _mixture(g)
     fw, gw = fmix[0], gmix[0]
-    vf = np.array([t.covector for t in f.terms])
-    vg = np.array([t.covector for t in g.terms])
     pair_coeff = (
         np.sign(fw)[:, None]
         * np.sign(gw)[None, :]
@@ -484,33 +478,14 @@ def momentum_form(f, g, cfg, contraction=None):
     value; for f = g its real part reproduces -(1/16 pi^2) times the LOGABS
     position-space form.
     """
-    c = np.eye(4) if contraction is None else _check_contraction(contraction)
-    scale_f = sum(abs(t.weight) for t in f.terms)
-    scale_g = sum(abs(t.weight) for t in g.terms)
-    if np.max(np.abs(mean(f)), initial=0.0) > 1e-12 * max(scale_f, 1.0):
-        raise ValueError("momentum_form requires mean(f) = 0")
-    if np.max(np.abs(mean(g)), initial=0.0) > 1e-12 * max(scale_g, 1.0):
-        raise ValueError("momentum_form requires mean(g) = 0")
-    if f.is_zero() or g.is_zero():
+    coef, b, dt, sep = _term_pairs(f, g, np.eye(4) if contraction is None else contraction)
+    for name, h in (("f", f), ("g", g)):
+        scale = np.abs(smearing_arrays(h)[2]).sum()
+        if np.max(np.abs(mean(h)), initial=0.0) > 1e-12 * max(scale, 1.0):
+            raise ValueError(f"momentum_form requires mean({name}) = 0")
+    if not coef.size:
         return _analytic(0.0)
-
-    coef, cpair, dt, sep = [], [], [], []
-    for tf in f.terms:
-        for tg in g.terms:
-            w = tf.weight * tg.weight * float(np.array(tf.covector) @ c @ tg.covector)
-            if w == 0.0:
-                continue
-            coef.append(w)
-            cpair.append(0.25 / tf.bump.width + 0.25 / tg.bump.width)
-            d = tf.bump.center.array - tg.bump.center.array
-            dt.append(d[0])
-            sep.append(float(np.linalg.norm(d[1:])))
-    if not coef:
-        return _analytic(0.0)
-    coef = np.array(coef)
-    cpair = np.array(cpair)
-    dt = np.array(dt)
-    sep = np.array(sep)
+    cpair = 0.25 / b
 
     p_max = math.sqrt(0.5 * _TAIL_EXPONENT / cpair.min())
     freq = float(np.max(np.abs(dt) + sep))

@@ -64,11 +64,6 @@ class SpacetimePoint:
     def t(self):
         return self.components[0]
 
-    def displacement_to(self, other):
-        """Coordinate difference self - other as an ndarray."""
-        other = SpacetimePoint(other) if not isinstance(other, SpacetimePoint) else other
-        return self.array - other.array
-
 
 @dataclass(frozen=True)
 class FourCovector:
@@ -109,9 +104,6 @@ class Frame:
     @property
     def signature(self):
         return (-1.0, 1.0, 1.0, 1.0)
-
-    def covector(self, a):
-        return self.covectors[a]
 
     def basis_matrix(self):
         """Rows are the frame covector components e_mu^(a)."""

@@ -83,7 +83,8 @@ def sigma_indexed(f, psi, constants, cfg):
     against psi through the light-cone kernel.
     """
     scale = constants.kappa_sq / (8.0 * math.pi)
-    centers, widths, weighted = smearing_arrays(f)
+    centers, widths, weights, covectors = smearing_arrays(f)
+    weighted = weights[:, None] * covectors
     values, errors, evals, converged = pair_integrals(
         KernelKind.LIGHTCONE, *pair_geometry(centers, widths, *bump_arrays([psi])), cfg
     )

@@ -23,14 +23,12 @@ import math
 import numpy as np
 
 from .geometry import distance, distance_alpha
-from .integrate import QuadratureConfig, bilinear_form, momentum_form
+from .integrate import EULER_GAMMA, QuadratureConfig, bilinear_form, momentum_form
 from .kernels import KernelKind
 from .minkowski import IDENTITY, PhysicalConstants
 from .state import DMStateParams, gram_check, krein_J, sigma
 from .testfn import GaussianBump, scalar_smearing, single_term
 from .weyl import WeylCalculus, WeylElement
-
-EULER_GAMMA = 0.5772156649015329
 
 #: Published narrow-width constant of the log quadratic form.
 MINVAR_CONSTANT_PUBLISHED = 4.0 * (1.0 - EULER_GAMMA)
@@ -121,10 +119,13 @@ def _random_smearing(rng, max_center=0.8):
     return single_term(tuple(v), GaussianBump(tuple(center), width), weight)
 
 
-def verify_gram(cfg=None, seed=20260809, families=50, elements=100):
-    """State positivity: Gram matrices PSD and omega(a* a) >= 0."""
+def verify_gram(cfg=None, families=50, elements=100):
+    """State positivity: Gram matrices PSD and omega(a* a) >= 0.
+
+    The random families and elements are drawn from ``cfg.seed``.
+    """
     cfg = cfg or QuadratureConfig()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     constants = PhysicalConstants(planck_length=0.1)
     psi = GaussianBump((0.1, 0.0, 0.2, 0.0), 25.0)
     params = DMStateParams(state_alpha=1.0, psi=psi, constants=constants)
@@ -160,10 +161,13 @@ def verify_gram(cfg=None, seed=20260809, families=50, elements=100):
     return _report("gram", checks)
 
 
-def verify_weyl(cfg=None, seed=20260809, triples=50):
-    """Algebraic exactness: involutions, cocycle associativity, sigma identities."""
+def verify_weyl(cfg=None, triples=50):
+    """Algebraic exactness: involutions, cocycle associativity, sigma identities.
+
+    The random smearings are drawn from ``cfg.seed``.
+    """
     cfg = cfg or QuadratureConfig()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     constants = PhysicalConstants(planck_length=0.1)
     checks = []
 

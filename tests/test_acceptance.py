@@ -232,14 +232,14 @@ def test_criterion_5_alpha_limit_and_psi_independence():
 
 
 def test_criterion_6_state_positivity():
-    rep = verify_gram(CFG, seed=20260809, families=50, elements=100)
+    rep = verify_gram(CFG, families=50, elements=100)
     detail = "; ".join(f"{c['name'].split('(')[0].strip()}: {c['computed']:.2e}" for c in rep["checks"])
     report("6 (state positivity: Gram + omega)", rep["passed"], detail)
     assert rep["passed"], rep
 
 
 def test_criterion_7_algebraic_exactness():
-    rep = verify_weyl(CFG, seed=20260809, triples=50)
+    rep = verify_weyl(CFG, triples=50)
     failed = [c["name"] for c in rep["checks"] if not c["passed"]]
     report("7 (algebraic exactness)", rep["passed"], f"failed checks: {failed or 'none'}")
     assert rep["passed"], rep

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import ncmink
 from ncmink.cli import main
 
 
@@ -218,13 +219,28 @@ def test_sweep_state_alpha_axis(capsys):
     assert totals[0] >= totals[1] >= totals[2]
 
 
+def test_sweep_space_direction(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "--format", "json", "sweep", "--axis", "separation", "--range", "0.5:2:4",
+        "--direction", "space", "--width", "400",
+    )
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        assert row["classical"] == row["value"] ** 2
+        assert abs(row["causal"]) <= 3.0 * row["causal_error"]
+
+
 def test_worker_env_does_not_change_results(tmp_path):
-    env = dict(os.environ, NCMINK_WORKERS="2")
+    # the subprocesses import the same ncmink as this test, installed or not
+    src = os.path.dirname(os.path.dirname(ncmink.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, NCMINK_WORKERS="2", PYTHONPATH=path)
     cmd = [
         sys.executable, "-m", "ncmink.cli", "--format", "csv",
         "sweep", "--axis", "separation", "--range", "0.5:1.5:3", "--width", "200",
     ]
     parallel = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
-    serial_env = dict(os.environ, NCMINK_WORKERS="1")
+    serial_env = dict(env, NCMINK_WORKERS="1")
     serial = subprocess.run(cmd, capture_output=True, text=True, env=serial_env, check=True)
     assert parallel.stdout == serial.stdout

@@ -270,13 +270,3 @@ def test_classify_causal_bands():
     assert classify_causal(1.0 - 1e-7, 1e-6) == "future"
     assert classify_causal(-1.0 + 1e-7, 1e-6) == "past"
     assert classify_causal(0.4, 1e-6) == "fuzzy"
-
-
-def test_second_moment_diagnostic_matches_state_moment(cfg, params):
-    from ncmink.geometry import second_moment_omega
-    from ncmink.state import mu2
-    from ncmink.testfn import single_term
-
-    f = single_term((1.0, 0.2, 0, 0), GaussianBump((0.4, 0, 0, 0), 30.0), 1.0)
-    g = single_term((0.0, 1.0, 0, 0), GaussianBump((0, 0.3, 0, 0), 20.0), 1.0)
-    assert second_moment_omega(f, g, params, cfg).value == mu2(f, g, params, cfg).value
