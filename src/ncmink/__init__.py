@@ -11,7 +11,6 @@ from .minkowski import (
     DEFAULT_FRAME,
     ETA,
     IDENTITY,
-    ORIGIN,
     FourCovector,
     Frame,
     PhysicalConstants,
@@ -60,7 +59,6 @@ from .state import (
 from .weyl import WeylCalculus, WeylElement
 from .geometry import (
     DistanceBreakdown,
-    LocalizedPoint,
     causal,
     causal_via_weyl,
     classical_term,

@@ -3,8 +3,6 @@
 Config precedence is flags > config file > built-in defaults, and the
 effective configuration is echoed into every JSON output so a run can be
 reproduced from its own artifact.  Data goes to stdout, logs to stderr.
-The environment variable NCMINK_WORKERS fans sweep rows out over a process
-pool; output rows stay ordered by input index regardless of pool size.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 non-convergence.
@@ -27,13 +25,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .geometry import causal, classify_causal, distance, distance_alpha
-from .integrate import QuadratureConfig, worker_count
+from .integrate import QuadratureConfig
 from .minkowski import PhysicalConstants
 from .state import DMStateParams
 from .testfn import GaussianBump
@@ -47,13 +44,7 @@ EXIT_NOT_CONVERGED = 3
 DEFAULTS = {
     "constants": {"planck_length": 1.0, "u": [1.0, 0.0, 0.0, 0.0]},
     "state": {"alpha": 1.0e6, "psi": {"center": [0.0, 0.0, 0.0, 0.0], "width": 25.0}},
-    "quadrature": {
-        "rel_tol": 1e-3,
-        "abs_tol": 1e-10,
-        "max_evals": 20_000_000,
-        "mc_samples": 20_000,
-        "seed": 20260809,
-    },
+    "quadrature": dataclasses.asdict(QuadratureConfig()),
 }
 
 
@@ -101,12 +92,11 @@ def build_run_config(args):
     if getattr(args, "planck_length", None) is not None:
         flat.setdefault("constants", {})["planck_length"] = args.planck_length
     if getattr(args, "kappa_sq", None) is not None:
-        flat.setdefault("constants", {})["planck_length"] = math.sqrt(
-            args.kappa_sq / (16.0 * math.pi)
-        )
+        constants = PhysicalConstants.from_kappa_sq(args.kappa_sq)
+        flat.setdefault("constants", {})["planck_length"] = constants.planck_length
     if getattr(args, "state_alpha", None) is not None:
         flat.setdefault("state", {})["alpha"] = args.state_alpha
-    for field in ("rel_tol", "abs_tol", "mc_samples", "seed"):
+    for field in ("rel_tol", "abs_tol", "seed"):
         value = getattr(args, field, None)
         if value is not None:
             flat.setdefault("quadrature", {})[field] = value
@@ -203,37 +193,6 @@ def cmd_verify(args):
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
-def _sweep_point(task):
-    """One sweep row; top-level so process pools can pickle it."""
-    config, axis, value, direction, width, separation = task
-    constants, params, cfg = _instantiate(config)
-    width_here = value if axis == "width" else width
-    alpha = value if axis == "state-alpha" else params.state_alpha
-    shift = value if axis == "separation" else separation
-    offset = (shift, 0.0, 0.0, 0.0) if direction == "time" else (0.0, shift, 0.0, 0.0)
-    chi_p = GaussianBump(offset, width_here)
-    chi_q = GaussianBump((0.0, 0.0, 0.0, 0.0), width_here)
-    if axis == "state-alpha":
-        params_here = DMStateParams(alpha, params.psi, constants, params.u)
-        dist = distance_alpha(chi_p, chi_q, params_here, cfg)
-    else:
-        dist = distance(chi_p, chi_q, constants, cfg)
-    caus = causal(chi_p, chi_q, cfg)
-    return {
-        "axis": axis,
-        "value": value,
-        "width": width_here,
-        "state_alpha": alpha,
-        "classical": dist.classical,
-        "quantum": dist.quantum,
-        "total": dist.total,
-        "distance_error": dist.error,
-        "causal": caus.value,
-        "causal_error": caus.error_estimate,
-        "converged": dist.converged and caus.converged,
-    }
-
-
 def cmd_sweep(args):
     config = build_run_config(args)
     start, stop, count = args.range
@@ -246,16 +205,34 @@ def cmd_sweep(args):
         ]
     else:
         values = [start + (stop - start) * k / max(count - 1, 1) for k in range(count)]
-    tasks = [
-        (config, args.axis, v, args.direction, args.width, args.separation)
-        for v in values
-    ]
-    nworkers = worker_count()
-    if nworkers > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
+    constants, params, cfg = _instantiate(config)
+    rows = []
+    for value in values:
+        width = value if args.axis == "width" else args.width
+        alpha = value if args.axis == "state-alpha" else params.state_alpha
+        shift = value if args.axis == "separation" else args.separation
+        offset = (shift, 0.0, 0.0, 0.0) if args.direction == "time" else (0.0, shift, 0.0, 0.0)
+        chi_p = GaussianBump(offset, width)
+        chi_q = GaussianBump((0.0, 0.0, 0.0, 0.0), width)
+        if args.axis == "state-alpha":
+            params_here = DMStateParams(alpha, params.psi, constants, params.u)
+            dist = distance_alpha(chi_p, chi_q, params_here, cfg)
+        else:
+            dist = distance(chi_p, chi_q, constants, cfg)
+        caus = causal(chi_p, chi_q, cfg)
+        rows.append({
+            "axis": args.axis,
+            "value": value,
+            "width": width,
+            "state_alpha": alpha,
+            "classical": dist.classical,
+            "quantum": dist.quantum,
+            "total": dist.total,
+            "distance_error": dist.error,
+            "causal": caus.value,
+            "causal_error": caus.error_estimate,
+            "converged": dist.converged and caus.converged,
+        })
     fields = list(rows[0])
     doc = {"command": "sweep", "config": config, "rows": rows}
     _emit(doc, rows, args.format, fields)
@@ -279,7 +256,6 @@ def _add_common(parser, suppress):
         ("--state-alpha", "state_alpha", float),
         ("--rel-tol", "rel_tol", float),
         ("--abs-tol", "abs_tol", float),
-        ("--mc-samples", "mc_samples", int),
         ("--seed", "seed", int),
     ):
         parser.add_argument(flag, type=kind, dest=dest, default=default)

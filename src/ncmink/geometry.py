@@ -33,27 +33,8 @@ from .integrate import (
 )
 from .kernels import KernelKind
 from .minkowski import DEFAULT_FRAME, minkowski_interval, synge
-from .testfn import GaussianBump, frame_smearings
+from .testfn import frame_smearings
 from .weyl import WeylCalculus, WeylElement
-
-
-@dataclass(frozen=True)
-class LocalizedPoint:
-    """A point known with finite precision: a positive mean-one bump."""
-
-    bump: GaussianBump
-
-    @property
-    def nominal_point(self):
-        return self.bump.center
-
-
-def _bump(chi):
-    if isinstance(chi, LocalizedPoint):
-        return chi.bump
-    if isinstance(chi, GaussianBump):
-        return chi
-    raise TypeError("expected a GaussianBump or LocalizedPoint")
 
 
 @dataclass(frozen=True)
@@ -76,14 +57,12 @@ def classical_term(chi_p, chi_q):
     The double first-moment integral factorizes into the product of bump
     means, which are the centers; no quadrature is involved.
     """
-    p = _bump(chi_p).center
-    q = _bump(chi_q).center
-    return minkowski_interval(p, q)
+    return minkowski_interval(chi_p.center, chi_q.center)
 
 
 def _log_quadratic(chi_p, chi_q, cfg):
     """Scalar LOGABS quadratic form of the difference profile chi_p - chi_q."""
-    centers, widths = bump_arrays([_bump(chi_p), _bump(chi_q)])
+    centers, widths = bump_arrays([chi_p, chi_q])
     first, second = [0, 1, 0], [0, 1, 1]  # pairs (p, p), (q, q), (p, q)
     geometry = pair_geometry(centers[first], widths[first], centers[second], widths[second])
     (self_p, self_q, cross), errors, _, conv = pair_integrals(KernelKind.LOGABS, *geometry, cfg)
@@ -119,25 +98,19 @@ def distance_alpha(chi_p, chi_q, params, cfg):
     last term depends on alpha and psi.
     """
     constants = params.constants
-    classical = classical_term(chi_p, chi_q)
+    limit = distance(chi_p, chi_q, constants, cfg)
     if constants.kappa_sq == 0.0:
-        return DistanceBreakdown(classical, 0.0, 0.0, True)
-    q_form, q_err, conv = _log_quadratic(chi_p, chi_q, cfg)
-    contracted = 4.0 * q_form
-    log_scale = constants.kappa_sq / (16.0 * math.pi**2)
-    quantum_log = -log_scale * min(contracted, 0.0)
-
-    bp, bq = _bump(chi_p), _bump(chi_q)
-    lam_p = gaussian_pair_reduce(KernelKind.LIGHTCONE, bp, params.psi, cfg)
-    lam_q = gaussian_pair_reduce(KernelKind.LIGHTCONE, bq, params.psi, cfg)
-    lam = lam_p.value - lam_q.value
-    lam_err = lam_p.error_estimate + lam_q.error_estimate
+        return limit
+    # the contracted log term kappa^2/16 pi^2 min[4Q, 0] is the limit's
+    # kappa^2/4 pi^2 min[Q, 0] bit for bit: the factors differ by powers of two
+    geometry = pair_geometry(*bump_arrays([chi_p, chi_q]), *bump_arrays([params.psi]))
+    lams, lam_errs, _, conv = pair_integrals(KernelKind.LIGHTCONE, *geometry, cfg)
+    lam = float(lams[0] - lams[1])
+    lam_err = float(lam_errs[0] + lam_errs[1])
     reg_scale = constants.kappa_sq / (64.0 * math.pi**2 * params.state_alpha)
-    quantum_reg = reg_scale * lam * lam
-
-    err = 4.0 * log_scale * q_err + reg_scale * (2.0 * abs(lam) + lam_err) * lam_err
-    conv = conv and lam_p.converged and lam_q.converged
-    return DistanceBreakdown(classical, quantum_log + quantum_reg, err, conv)
+    quantum = limit.quantum + reg_scale * lam * lam
+    err = limit.error + reg_scale * (2.0 * abs(lam) + lam_err) * lam_err
+    return DistanceBreakdown(limit.classical, quantum, err, limit.converged and conv)
 
 
 def corrected_synge(p, q, constants):
@@ -179,7 +152,7 @@ def causal(chi_p, chi_q, cfg):
     second, zero for fully spacelike configurations, and bounded by 1 in
     magnitude because both profiles are positive with mean one.
     """
-    return gaussian_pair_reduce(KernelKind.LIGHTCONE, _bump(chi_p), _bump(chi_q), cfg)
+    return gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_p, chi_q, cfg)
 
 
 def classify_causal(value, error, band=3.0):
@@ -209,36 +182,31 @@ def causal_via_weyl(chi_p, chi_q, params, cfg, use_krein_pairing=False):
     constants = params.constants
     if constants.kappa_sq == 0.0:
         raise ValueError("the Weyl route needs kappa > 0 (phases vanish otherwise)")
-    fs = frame_smearings(_bump(chi_p), DEFAULT_FRAME)
-    gs = frame_smearings(_bump(chi_q), DEFAULT_FRAME)
+    fs = frame_smearings(chi_p, DEFAULT_FRAME)
+    gs = frame_smearings(chi_q, DEFAULT_FRAME)
     calc = WeylCalculus(
         constants, cfg, u=params.u, pairing="krein" if use_krein_pairing else "plain"
     )
-    signature = DEFAULT_FRAME.signature
     total = 0.0j
     err = 0.0
     evals = 0
     converged = True
-    for a in range(4):
-        for b in range(4):
-            weight = signature[a] if a == b else 0.0
-            if weight == 0.0:
-                continue
-            prod = calc.mul(
-                calc.mul(WeylElement.generator(fs[a]), WeylElement.generator(gs[b])),
-                WeylElement.generator(-(fs[a] + gs[b])),
+    for f, g, weight in zip(fs, gs, DEFAULT_FRAME.signature):
+        prod = calc.mul(
+            calc.mul(WeylElement.generator(f), WeylElement.generator(g)),
+            WeylElement.generator(-(f + g)),
+        )
+        if len(prod.terms) != 1 or not prod.terms[0][0].is_zero():
+            raise ArithmeticError("triple product did not collapse to the unit")
+        tau = calc.eval_tau(prod, params)
+        if abs(abs(tau.value) - 1.0) > 10.0 * (tau.error_estimate + prod.phase_error) + 1e-9:
+            raise ArithmeticError(
+                f"phase modulus {abs(tau.value)!r} off the unit circle beyond budget"
             )
-            if len(prod.terms) != 1 or not prod.terms[0][0].is_zero():
-                raise ArithmeticError("triple product did not collapse to the unit")
-            tau = calc.eval_tau(prod, params)
-            if abs(abs(tau.value) - 1.0) > 10.0 * (tau.error_estimate + prod.phase_error) + 1e-9:
-                raise ArithmeticError(
-                    f"phase modulus {abs(tau.value)!r} off the unit circle beyond budget"
-                )
-            total += weight * np.log(complex(tau.value))
-            err += abs(weight) * (prod.phase_error + tau.error_estimate)
-            evals += tau.evals
-            converged = converged and tau.converged
+        total += weight * np.log(complex(tau.value))
+        err += abs(weight) * (prod.phase_error + tau.error_estimate)
+        evals += tau.evals
+        converged = converged and tau.converged
     scale = 4.0 * math.pi / constants.kappa_sq
     value = (-1j * scale * total).real
     return QuadratureResult(value, scale * err, Method.REDUCED1D, evals, converged)

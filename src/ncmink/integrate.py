@@ -374,12 +374,6 @@ def bilinear_form(kind, f, g, contraction, cfg):
 # Monte Carlo oracle
 
 
-def worker_count(workers=None):
-    if workers is not None:
-        return max(1, int(workers))
-    return max(1, int(os.environ.get(WORKERS_ENV_VAR, "1")))
-
-
 def _mixture(f):
     """f's bump mixture, sampled in proportion to |weight|, and f's covectors."""
     centers, widths, weights, covectors = smearing_arrays(f)
@@ -432,7 +426,7 @@ def mc_oracle(kind, f, g, contraction, cfg, workers=None):
             kind, pair_coeff, fmix, gmix, cfg.seed, b, sizes[b]
         )
 
-    nworkers = worker_count(workers)
+    nworkers = int(os.environ.get(WORKERS_ENV_VAR, "1") if workers is None else workers)
     if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             list(pool.map(run, range(nblocks)))

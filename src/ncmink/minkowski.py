@@ -60,10 +60,6 @@ class SpacetimePoint:
     def array(self):
         return np.array(self.components)
 
-    @property
-    def t(self):
-        return self.components[0]
-
 
 @dataclass(frozen=True)
 class FourCovector:
@@ -105,15 +101,9 @@ class Frame:
     def signature(self):
         return (-1.0, 1.0, 1.0, 1.0)
 
-    def basis_matrix(self):
-        """Rows are the frame covector components e_mu^(a)."""
-        return np.array([c.components for c in self.covectors])
-
 
 #: Default frame e_mu^(a) = delta_mu^a.
 DEFAULT_FRAME = Frame(tuple(np.eye(4)))
-
-ORIGIN = SpacetimePoint((0.0, 0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)

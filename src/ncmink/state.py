@@ -188,7 +188,7 @@ class GramReport:
     @classmethod
     def from_matrix(cls, matrix, which):
         herm = 0.5 * (matrix + matrix.conj().T)
-        if not np.allclose(matrix, herm, atol=1e-12 * max(1.0, np.abs(matrix).max())):
+        if not np.allclose(matrix, herm, atol=1e-12 * max(1.0, np.abs(matrix).max(initial=0.0))):
             raise ValueError(f"{which} matrix is not Hermitian")
         eigs = np.linalg.eigvalsh(herm)
         norm = float(np.max(np.abs(eigs))) if len(eigs) else 0.0

@@ -73,6 +73,16 @@ def test_distance_default_constants(capsys):
     assert "quadrature" in doc["config"] and "constants" in doc["config"]
 
 
+def test_negative_kappa_sq_is_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "distance", "--p", "1,0,0,0", "--q", "0,0,0,0", "--width", "10",
+        "--kappa-sq", "-1",
+    )
+    assert code == 2
+    assert "kappa_sq" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["distance", "--p", "1,0,0", "--q", "0,0,0,0", "--width", "1"])

@@ -7,7 +7,7 @@ from conftest import random_bump
 from ncmink import (
     DMStateParams,
     GaussianBump,
-    LocalizedPoint,
+    KernelKind,
     PhysicalConstants,
     QuadratureConfig,
     causal,
@@ -17,6 +17,7 @@ from ncmink import (
     corrected_synge,
     distance,
     distance_alpha,
+    gaussian_pair_reduce,
     minkowski_interval,
 )
 from ncmink.verify import FAMILY_C_CORRECTED
@@ -40,12 +41,10 @@ def test_classical_term_examples():
     assert classical_term(p, q) == 9.0
 
 
-def test_localized_point_wrapper(cfg):
+def test_coincident_bumps(cfg):
     bump = GaussianBump((1, 2, 0, 0), 4.0)
-    point = LocalizedPoint(bump)
-    assert point.nominal_point.components == (1.0, 2.0, 0.0, 0.0)
-    assert classical_term(point, LocalizedPoint(bump)) == 0.0
-    assert causal(point, point, cfg).value == 0.0
+    assert classical_term(bump, bump) == 0.0
+    assert causal(bump, bump, cfg).value == 0.0
 
 
 def test_distance_classical_limit(cfg):
@@ -137,6 +136,28 @@ def test_distance_alpha_converges_and_psi_independent(cfg):
     params_a = DMStateParams(state_alpha=1e6, psi=psi_a, constants=constants)
     total_a = distance_alpha(chi_p, chi_q, params_a, cfg).total
     assert abs(total_b - total_a) <= 1e-3 * abs(limit.total)
+
+
+@pytest.mark.parametrize("config", ["cfg", "tight_cfg"])
+def test_distance_alpha_is_distance_plus_regulator(config, request):
+    """Bit for bit: the limit plus kappa^2 Lambda^2 / (64 pi^2 alpha)."""
+    cfg = request.getfixturevalue(config)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        chi_p, chi_q, psi = random_bump(rng), random_bump(rng), random_bump(rng)
+        constants = PhysicalConstants(float(rng.uniform(0.01, 1.0)))
+        params = DMStateParams(float(10.0 ** rng.uniform(0, 6)), psi, constants)
+        lam_p = gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_p, psi, cfg)
+        lam_q = gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_q, psi, cfg)
+        lam = lam_p.value - lam_q.value
+        lam_err = lam_p.error_estimate + lam_q.error_estimate
+        reg_scale = constants.kappa_sq / (64.0 * math.pi**2 * params.state_alpha)
+        limit = distance(chi_p, chi_q, constants, cfg)
+        result = distance_alpha(chi_p, chi_q, params, cfg)
+        assert result.classical == limit.classical
+        assert result.quantum == limit.quantum + reg_scale * lam * lam
+        assert result.error == limit.error + reg_scale * (2.0 * abs(lam) + lam_err) * lam_err
+        assert result.converged == (limit.converged and lam_p.converged and lam_q.converged)
 
 
 def test_corrected_synge_closed_form():

@@ -125,7 +125,7 @@ def test_krein_matrix_rejects_bad_u():
 
 
 def test_default_frame_identity():
-    basis = DEFAULT_FRAME.basis_matrix()
+    basis = np.array([c.components for c in DEFAULT_FRAME.covectors])
     total = 0.0
     for a in range(4):
         for b in range(4):

@@ -226,6 +226,13 @@ def test_gram_singleton_and_spacelike_family(cfg, params):
     assert rep_n.is_psd and rep_m.is_psd
 
 
+def test_gram_empty_family(cfg, params):
+    for report in gram_check([], params, cfg):
+        assert report.is_psd
+        assert report.min_eigenvalue == 0.0
+        assert report.matrix.shape == (0, 0)
+
+
 def test_gram_random_families(cfg, params):
     rng = np.random.default_rng(59)
     for _ in range(5):
