@@ -2,7 +2,9 @@
 
 Config precedence is flags > config file > built-in defaults, and the
 effective configuration is echoed into every JSON output so a run can be
-reproduced from its own artifact.  Data goes to stdout, logs to stderr.
+reproduced from its own artifact.  The config schema is :data:`DEFAULTS`:
+a config file may set only its keys, nested the same way, and anything
+else is a usage error.  Data goes to stdout, logs to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 non-convergence.
@@ -47,6 +49,19 @@ DEFAULTS = {
     "quadrature": dataclasses.asdict(QuadratureConfig()),
 }
 
+#: Shared flags in precedence order (a later flag beats an earlier one that
+#: sets the same key): flag, config section, key, conversion of the value.
+#: Each flag parses as the type of its key's default.
+FLAGS = (
+    ("--planck-length", "constants", "planck_length", None),
+    ("--kappa-sq", "constants", "planck_length",
+     lambda kappa_sq: PhysicalConstants.from_kappa_sq(kappa_sq).planck_length),
+    ("--state-alpha", "state", "alpha", None),
+    ("--rel-tol", "quadrature", "rel_tol", None),
+    ("--abs-tol", "quadrature", "abs_tol", None),
+    ("--seed", "quadrature", "seed", None),
+)
+
 
 def _four_vector(text):
     parts = text.split(",")
@@ -72,13 +87,20 @@ def _range_spec(text):
     return start, stop, count
 
 
-def _merge(base, override):
+def _merge(base, override, path="config"):
+    """Overlay ``override`` on ``base``; every key must exist in ``base``."""
+    if not isinstance(override, dict):
+        raise ValueError(f"{path} must be a JSON object")
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+        where = f"{path}.{key}"
+        if key not in base:
+            raise ValueError(f"unknown config key {where}")
+        if isinstance(base[key], dict):
+            value = _merge(base[key], value, where)
+        elif type(base[key]) in (int, float) and type(value) not in (int, float):
+            raise ValueError(f"{where} must be a number")
+        out[key] = value
     return out
 
 
@@ -89,17 +111,10 @@ def build_run_config(args):
         with open(args.config, encoding="utf-8") as handle:
             config = _merge(config, json.load(handle))
     flat = {}
-    if getattr(args, "planck_length", None) is not None:
-        flat.setdefault("constants", {})["planck_length"] = args.planck_length
-    if getattr(args, "kappa_sq", None) is not None:
-        constants = PhysicalConstants.from_kappa_sq(args.kappa_sq)
-        flat.setdefault("constants", {})["planck_length"] = constants.planck_length
-    if getattr(args, "state_alpha", None) is not None:
-        flat.setdefault("state", {})["alpha"] = args.state_alpha
-    for field in ("rel_tol", "abs_tol", "seed"):
-        value = getattr(args, field, None)
+    for flag, section, key, convert in FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
-            flat.setdefault("quadrature", {})[field] = value
+            flat.setdefault(section, {})[key] = convert(value) if convert else value
     return _merge(config, flat)
 
 
@@ -112,15 +127,7 @@ def _instantiate(config):
         constants=constants,
         u=tuple(config["constants"]["u"]),
     )
-    quad = config["quadrature"]
-    cfg = QuadratureConfig(
-        rel_tol=quad["rel_tol"],
-        abs_tol=quad["abs_tol"],
-        max_evals=quad["max_evals"],
-        mc_samples=quad["mc_samples"],
-        seed=quad["seed"],
-    )
-    return constants, params, cfg
+    return constants, params, QuadratureConfig(**config["quadrature"])
 
 
 def _emit(doc, rows, fmt, row_fields):
@@ -137,9 +144,7 @@ def _emit(doc, rows, fmt, row_fields):
             print("  ".join(f"{field}={row[field]!r}" for field in row_fields))
 
 
-def cmd_distance(args):
-    config = build_run_config(args)
-    constants, _, cfg = _instantiate(config)
+def cmd_distance(args, config, constants, params, cfg):
     chi_p = GaussianBump(args.p, args.width)
     chi_q = GaussianBump(args.q, args.width)
     result = distance(chi_p, chi_q, constants, cfg)
@@ -155,9 +160,7 @@ def cmd_distance(args):
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def cmd_causal(args):
-    config = build_run_config(args)
-    _, _, cfg = _instantiate(config)
+def cmd_causal(args, config, constants, params, cfg):
     chi_p = GaussianBump(args.p, args.width)
     chi_q = GaussianBump(args.q, args.width)
     result = causal(chi_p, chi_q, cfg)
@@ -172,9 +175,7 @@ def cmd_causal(args):
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def cmd_verify(args):
-    config = build_run_config(args)
-    _, _, cfg = _instantiate(config)
+def cmd_verify(args, config, constants, params, cfg):
     report = SUITES[args.suite](cfg)
     rows = [
         {
@@ -193,8 +194,7 @@ def cmd_verify(args):
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
-def cmd_sweep(args):
-    config = build_run_config(args)
+def cmd_sweep(args, config, constants, params, cfg):
     start, stop, count = args.range
     if args.log_scale:
         if start <= 0 or stop <= 0:
@@ -205,7 +205,6 @@ def cmd_sweep(args):
         ]
     else:
         values = [start + (stop - start) * k / max(count - 1, 1) for k in range(count)]
-    constants, params, cfg = _instantiate(config)
     rows = []
     for value in values:
         width = value if args.axis == "width" else args.width
@@ -215,7 +214,7 @@ def cmd_sweep(args):
         chi_p = GaussianBump(offset, width)
         chi_q = GaussianBump((0.0, 0.0, 0.0, 0.0), width)
         if args.axis == "state-alpha":
-            params_here = DMStateParams(alpha, params.psi, constants, params.u)
+            params_here = dataclasses.replace(params, state_alpha=alpha)
             dist = distance_alpha(chi_p, chi_q, params_here, cfg)
         else:
             dist = distance(chi_p, chi_q, constants, cfg)
@@ -250,15 +249,8 @@ def _add_common(parser, suppress):
         choices=("text", "json", "csv"),
         default=argparse.SUPPRESS if suppress else "text",
     )
-    for flag, dest, kind in (
-        ("--planck-length", "planck_length", float),
-        ("--kappa-sq", "kappa_sq", float),
-        ("--state-alpha", "state_alpha", float),
-        ("--rel-tol", "rel_tol", float),
-        ("--abs-tol", "abs_tol", float),
-        ("--seed", "seed", int),
-    ):
-        parser.add_argument(flag, type=kind, dest=dest, default=default)
+    for flag, section, key, _ in FLAGS:
+        parser.add_argument(flag, type=type(DEFAULTS[section][key]), default=default)
 
 
 def build_parser():
@@ -274,17 +266,14 @@ def build_parser():
         _add_common(p, suppress=True)
         return p
 
-    p_dist = subparser("distance", "noncommutative distance between two localized points")
-    p_dist.add_argument("--p", type=_four_vector, required=True)
-    p_dist.add_argument("--q", type=_four_vector, required=True)
-    p_dist.add_argument("--width", type=float, required=True)
-    p_dist.set_defaults(func=cmd_distance)
-
-    p_caus = subparser("causal", "fuzzy causal functional and classification")
-    p_caus.add_argument("--p", type=_four_vector, required=True)
-    p_caus.add_argument("--q", type=_four_vector, required=True)
-    p_caus.add_argument("--width", type=float, required=True)
-    p_caus.set_defaults(func=cmd_causal)
+    for name, help_text, func in (
+        ("distance", "noncommutative distance between two localized points", cmd_distance),
+        ("causal", "fuzzy causal functional and classification", cmd_causal),
+    ):
+        p_pair = subparser(name, help_text)
+        for flag, kind in (("--p", _four_vector), ("--q", _four_vector), ("--width", float)):
+            p_pair.add_argument(flag, type=kind, required=True)
+        p_pair.set_defaults(func=func)
 
     p_ver = subparser("verify", "run a closed-form verification suite")
     p_ver.add_argument("suite", choices=sorted(SUITES))
@@ -302,11 +291,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        config = build_run_config(args)
+        return args.func(args, config, *_instantiate(config))
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

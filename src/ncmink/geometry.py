@@ -204,7 +204,7 @@ def causal_via_weyl(chi_p, chi_q, params, cfg, use_krein_pairing=False):
                 f"phase modulus {abs(tau.value)!r} off the unit circle beyond budget"
             )
         total += weight * np.log(complex(tau.value))
-        err += abs(weight) * (prod.phase_error + tau.error_estimate)
+        err += abs(weight) * tau.error_estimate
         evals += tau.evals
         converged = converged and tau.converged
     scale = 4.0 * math.pi / constants.kappa_sq

@@ -32,7 +32,6 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -43,7 +42,6 @@ import numpy as np
 from .kernels import KernelKind, kernel_values
 from .testfn import mean
 
-WORKERS_ENV_VAR = "NCMINK_WORKERS"
 
 # exp(-41.5) ~ 1e-18: Gaussian tails beyond this radius are below the
 # round-off floor of every tolerance used in the package.
@@ -394,7 +392,7 @@ def _mc_block(kind, pair_coeff, fmix, gmix, seed, block, n):
     return float(vals.sum()), float((vals * vals).sum())
 
 
-def mc_oracle(kind, f, g, contraction, cfg, workers=None):
+def mc_oracle(kind, f, g, contraction, cfg, workers=1):
     """Direct 8D importance-sampled estimate of the bilinear form.
 
     Samples x from the |f|-proportional bump mixture and x' from the
@@ -426,9 +424,8 @@ def mc_oracle(kind, f, g, contraction, cfg, workers=None):
             kind, pair_coeff, fmix, gmix, cfg.seed, b, sizes[b]
         )
 
-    nworkers = int(os.environ.get(WORKERS_ENV_VAR, "1") if workers is None else workers)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, range(nblocks)))
     else:
         for b in range(nblocks):

@@ -104,7 +104,8 @@ class WeylCalculus:
     """Product, involution and state evaluation with a fixed sigma pairing.
 
     Sigma values are cached per ordered smearing pair with antisymmetry
-    folded in, so repeated algebra does not re-integrate.
+    folded in, and mu2 diagonals per smearing and state, so repeated
+    algebra does not re-integrate.
     """
 
     def __init__(self, constants, cfg, u=(1.0, 0.0, 0.0, 0.0), pairing="krein"):
@@ -152,7 +153,7 @@ class WeylCalculus:
         return A.star()
 
     def _mu2_diag(self, f, params):
-        key = _smearing_key(f)
+        key = (_smearing_key(f), params)
         if key not in self._mu2_cache:
             self._mu2_cache[key] = mu2(f, f, params, self.cfg)
         return self._mu2_cache[key]

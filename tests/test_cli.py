@@ -1,13 +1,9 @@
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import ncmink
 from ncmink.cli import main
 
 
@@ -241,16 +237,30 @@ def test_sweep_space_direction(capsys):
         assert abs(row["causal"]) <= 3.0 * row["causal_error"]
 
 
-def test_worker_env_does_not_change_results(tmp_path):
-    # the subprocesses import the same ncmink as this test, installed or not
-    src = os.path.dirname(os.path.dirname(ncmink.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, NCMINK_WORKERS="2", PYTHONPATH=path)
-    cmd = [
-        sys.executable, "-m", "ncmink.cli", "--format", "csv",
-        "sweep", "--axis", "separation", "--range", "0.5:1.5:3", "--width", "200",
-    ]
-    parallel = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
-    serial_env = dict(env, NCMINK_WORKERS="1")
-    serial = subprocess.run(cmd, capture_output=True, text=True, env=serial_env, check=True)
-    assert parallel.stdout == serial.stdout
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"constans": {"planck_length": 0.0}}, "unknown config key config.constans"),
+        ({"quadrature": {"reltol": 1e-9}}, "unknown config key config.quadrature.reltol"),
+        ({"state": {"psi": {"centre": [0, 0, 0, 0]}}}, "unknown config key config.state.psi.centre"),
+        ([1, 2], "config must be a JSON object"),
+        (None, "config must be a JSON object"),
+        ({"state": {"psi": 3}}, "config.state.psi must be a JSON object"),
+        ({"quadrature": {"rel_tol": "1e-9"}}, "config.quadrature.rel_tol must be a number"),
+        ({"quadrature": {"seed": True}}, "config.quadrature.seed must be a number"),
+        ({"constants": {"u": 5}}, ""),
+    ],
+)
+def test_bad_config_file_is_usage_error(capsys, tmp_path, config, named):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(
+        capsys,
+        "--config", str(path),
+        "distance", "--p", "0,1,0,0", "--q", "0,0,0,0", "--width", "100",
+    )
+    assert code == 2
+    assert out == ""
+    # one error line, no traceback
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err

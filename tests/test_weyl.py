@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,24 @@ def test_functionals_report_evals_and_convergence(calc, constants, params):
         tau = plain.eval_tau(triple, params)
         assert tau.evals == triple.phase_evals > 0
         assert tau.converged is triple.phase_converged is converged
+
+
+def test_shared_calculus_follows_the_state(cfg, constants, params):
+    """One calculus evaluated under several states matches a fresh one per state."""
+    rng = np.random.default_rng(37)
+    a = WeylElement.generator(random_smearing(rng), 0.8) + WeylElement.generator(
+        random_smearing(rng), -0.5j
+    )
+    element = WeylCalculus(constants, cfg).mul(a.star(), a)
+    shared = WeylCalculus(constants, cfg)
+    states = (
+        params,
+        replace(params, state_alpha=100.0),
+        replace(params, constants=PhysicalConstants(planck_length=0.2)),
+    )
+    for state in states:
+        fresh = WeylCalculus(constants, cfg).eval_omega(element, state)
+        assert shared.eval_omega(element, state) == fresh
 
 
 def test_pairing_flag_validation(cfg, constants):
