@@ -7,7 +7,10 @@ a config file may set only its keys, nested the same way, and anything
 else is a usage error.  Data goes to stdout, logs to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-non-convergence.
+non-convergence.  Position-space results (``distance``, ``causal``,
+``sweep``) are closed forms, so they cannot exit with 3; the quadrature
+tolerances and ``max_evals`` only steer the momentum route of
+``verify fourier``.
 
 File formats
 ------------
@@ -98,7 +101,9 @@ def _merge(base, override, path="config"):
             raise ValueError(f"unknown config key {where}")
         if isinstance(base[key], dict):
             value = _merge(base[key], value, where)
-        elif type(base[key]) in (int, float) and type(value) not in (int, float):
+        elif type(base[key]) is int and type(value) is not int:
+            raise ValueError(f"{where} must be an integer")
+        elif type(base[key]) is float and type(value) not in (int, float):
             raise ValueError(f"{where} must be a number")
         out[key] = value
     return out

@@ -19,7 +19,7 @@ limit, so the contract-then-clip order is the consistent one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,15 +60,13 @@ def classical_term(chi_p, chi_q):
     return minkowski_interval(chi_p.center, chi_q.center)
 
 
-def _log_quadratic(chi_p, chi_q, cfg):
+def _log_quadratic(chi_p, chi_q):
     """Scalar LOGABS quadratic form of the difference profile chi_p - chi_q."""
     centers, widths = bump_arrays([chi_p, chi_q])
     first, second = [0, 1, 0], [0, 1, 1]  # pairs (p, p), (q, q), (p, q)
     geometry = pair_geometry(centers[first], widths[first], centers[second], widths[second])
-    (self_p, self_q, cross), errors, _, conv = pair_integrals(KernelKind.LOGABS, *geometry, cfg)
-    value = float(self_p + self_q - 2.0 * cross)
-    err = float(errors[0] + errors[1] + 2.0 * errors[2])
-    return value, err, conv
+    self_p, self_q, cross = pair_integrals(KernelKind.LOGABS, *geometry)
+    return float(self_p + self_q - 2.0 * cross)
 
 
 def distance(chi_p, chi_q, constants, cfg):
@@ -81,10 +79,9 @@ def distance(chi_p, chi_q, constants, cfg):
     classical = classical_term(chi_p, chi_q)
     if constants.kappa_sq == 0.0:
         return DistanceBreakdown(classical, 0.0, 0.0, True)
-    q_form, q_err, conv = _log_quadratic(chi_p, chi_q, cfg)
     scale = constants.kappa_sq / (4.0 * math.pi**2)
-    quantum = -scale * min(q_form, 0.0)
-    return DistanceBreakdown(classical, quantum, scale * q_err, conv)
+    quantum = -scale * min(_log_quadratic(chi_p, chi_q), 0.0)
+    return DistanceBreakdown(classical, quantum, 0.0, True)
 
 
 def distance_alpha(chi_p, chi_q, params, cfg):
@@ -104,13 +101,10 @@ def distance_alpha(chi_p, chi_q, params, cfg):
     # the contracted log term kappa^2/16 pi^2 min[4Q, 0] is the limit's
     # kappa^2/4 pi^2 min[Q, 0] bit for bit: the factors differ by powers of two
     geometry = pair_geometry(*bump_arrays([chi_p, chi_q]), *bump_arrays([params.psi]))
-    lams, lam_errs, _, conv = pair_integrals(KernelKind.LIGHTCONE, *geometry, cfg)
+    lams = pair_integrals(KernelKind.LIGHTCONE, *geometry)
     lam = float(lams[0] - lams[1])
-    lam_err = float(lam_errs[0] + lam_errs[1])
     reg_scale = constants.kappa_sq / (64.0 * math.pi**2 * params.state_alpha)
-    quantum = limit.quantum + reg_scale * lam * lam
-    err = limit.error + reg_scale * (2.0 * abs(lam) + lam_err) * lam_err
-    return DistanceBreakdown(limit.classical, quantum, err, limit.converged and conv)
+    return replace(limit, quantum=limit.quantum + reg_scale * lam * lam)
 
 
 def corrected_synge(p, q, constants):
@@ -209,4 +203,4 @@ def causal_via_weyl(chi_p, chi_q, params, cfg, use_krein_pairing=False):
         converged = converged and tau.converged
     scale = 4.0 * math.pi / constants.kappa_sq
     value = (-1j * scale * total).real
-    return QuadratureResult(value, scale * err, Method.REDUCED1D, evals, converged)
+    return QuadratureResult(value, scale * err, Method.ANALYTIC, evals, converged)

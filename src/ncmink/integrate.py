@@ -7,17 +7,15 @@ Every form treated here is an 8-dimensional double integral
 with f, g finite sums of covector-weighted normalized Gaussians and K one of
 the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
 
-* ``pair_integrals`` / ``bilinear_form``: analytic reduction to a 1D
-  integral plus adaptive panel quadrature.  The relative coordinate
-  y = x - x' carries a Gaussian of combined width b = a1 a2 / (a1 + a2)
-  centered at the center difference (delta, R-vector), and its angular
-  average over the 2-sphere is exp(-b (r^2 + R^2)) sinh(2 b r R) / (2 b r R).
-  Both kernels depend on (t, r) only through t - r and t + r, so the average
-  over the relative time t ~ N(delta, 1/(2b)) is closed-form too: erfc
-  differences for the light cone, the noncentral chi-square log moment for
-  the log kernel.  What remains is an analytic integrand in r, integrated
-  with GL15/GL7 panels over the Gaussian tail window around R.  A form
-  collects every term pair first, so each distinct pair is integrated once.
+* ``pair_integrals`` / ``bilinear_form``: exact closed forms.  The relative
+  coordinate y = x - x' carries a Gaussian of combined width
+  b = a1 a2 / (a1 + a2) centered at the center difference (delta, R-vector).
+  Both kernels depend on (t, r) only through t - r and t + r, so their
+  average over the relative time is closed-form, and Stein's identity
+  reduces the remaining radial average to erfc and Gaussian terms for the
+  light cone, and to the noncentral chi-square log moment plus a Dawson
+  difference quotient for the log kernel.  A form collects every term pair
+  first, so each distinct pair is evaluated once.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  Sample streams are
   counter-based (Philox keyed per block), so results are bit-identical for a
@@ -43,7 +41,7 @@ from .kernels import KernelKind, kernel_values
 from .testfn import mean
 
 
-# exp(-41.5) ~ 1e-18: Gaussian tails beyond this radius are below the
+# exp(-41.5) ~ 1e-18: Gaussian tails beyond this momentum are below the
 # round-off floor of every tolerance used in the package.
 _TAIL_EXPONENT = 41.5
 
@@ -52,7 +50,6 @@ _MAX_ROUNDS = 400
 
 
 class Method(Enum):
-    REDUCED1D = "reduced1d"
     MOMENTUM = "momentum"
     MC8D = "mc8d"
     ANALYTIC = "analytic"
@@ -60,7 +57,13 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Knobs for the deterministic quadrature and the Monte Carlo oracle."""
+    """Knobs for the momentum-space quadrature and the Monte Carlo oracle.
+
+    ``rel_tol``, ``abs_tol`` and ``max_evals`` steer the adaptive panels of
+    :func:`momentum_form` only; position-space pair integrals are closed
+    forms and do not read them.  ``mc_samples`` and ``seed`` drive
+    :func:`mc_oracle`.
+    """
 
     rel_tol: float = 1e-3
     abs_tol: float = 1e-10
@@ -71,6 +74,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
+        if self.max_evals < 1:
+            raise ValueError("max_evals must be at least 1")
         if self.mc_samples < 10_000:
             raise ValueError("mc_samples must be at least 10^4 for oracle use")
 
@@ -79,11 +84,10 @@ class QuadratureConfig:
 class QuadratureResult:
     """Value with an error estimate and provenance.
 
-    For MC8D the estimate is a 95% confidence half-width; for REDUCED1D
-    and MOMENTUM it is the sum of per-panel differences between the 15- and
-    the 7-node Gauss-Legendre rules.  ANALYTIC results carry error 0.
-    ``evals`` of a form counts each distinct pair integral once, however
-    many of its term pairs share it.
+    ANALYTIC results are exact up to floating-point rounding and carry
+    error 0 and evals 0.  For MC8D the estimate is a 95% confidence
+    half-width; for MOMENTUM it is the sum of per-panel differences between
+    the 15- and the 7-node Gauss-Legendre rules.
     """
 
     value: complex
@@ -97,199 +101,162 @@ def _analytic(value):
     return QuadratureResult(value, 0.0, Method.ANALYTIC, 0, True)
 
 
-@lru_cache(maxsize=64)
-def _gl_unit(order):
-    """Gauss-Legendre nodes/weights mapped to the unit interval (0, 1)."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _radial_factor(b, R, r):
-    """Angular average of the displaced Gaussian times the r^2 measure.
-
-    Returns r/R * (exp(-b(r-R)^2) - exp(-b(r+R)^2)), which equals
-    4 b r^2 exp(-b(r^2+R^2)) sinhc(2 b r R); the series branch keeps the
-    expression stable when 2 b r R underflows the difference.
-    """
-    r = np.maximum(r, 0.0)
-    if R == 0.0:
-        return 4.0 * b * r * r * np.exp(-b * r * r)
-    z = 2.0 * b * r * R
-    small = z < 1e-4
-    direct = (r / R) * (np.exp(-b * (r - R) ** 2) - np.exp(-b * (r + R) ** 2))
-    series = 4.0 * b * r * r * np.exp(-b * (r * r + R * R)) * (1.0 + z * z / 6.0)
-    return np.where(small, series, direct)
-
-
 EULER_GAMMA = 0.5772156649015329
 
-# psi(1/2 + j) = -gamma - 2 ln 2 + sum_{i<j} 1/(1/2 + i) (A&S 6.3.4) and ln j!
-# for the Poisson series; 128 terms cover means up to 40.5 to below 1e-25.
+# psi(1/2 + j) = -gamma - 2 ln 2 + sum_{i<j} 1/(1/2 + i) (A&S 6.3.4), each
+# sum exactly rounded, for the Poisson series; 128 terms cover means up to
+# 40.5 to below 1e-25.
 _POISSON_TERMS = 128
-_PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0) + np.concatenate(
-    [[0.0], np.cumsum(1.0 / (0.5 + np.arange(_POISSON_TERMS - 1)))]
-)
-_LOG_FACTORIAL = np.array([math.lgamma(j + 1.0) for j in range(_POISSON_TERMS)])
+_PSI_HALF = np.array([
+    math.fsum([-EULER_GAMMA, -2.0 * math.log(2.0)] + [1.0 / (0.5 + i) for i in range(j)])
+    for j in range(_POISSON_TERMS)
+])
+_ORDERS = np.arange(float(_POISSON_TERMS))
+_FACTORIALS = np.array([float(math.factorial(j)) for j in range(_POISSON_TERMS)])
+_ODD_RECIPROCALS = 1.0 / (1.0 + 2.0 * _ORDERS)
 # E ln|1 + eps Z| = -sum_k (2k-1)!! eps^{2k} / (2k), k = 1..30: asymptotic,
 # with its smallest omitted term below 1e-18 once |mu|/sigma >= 9.
 _ASYMPTOTIC_CUT = 9.0
 _ASYMPTOTIC_COEFFS = np.concatenate(
     [[0.0], [-math.prod(range(1, 2 * k, 2)) / (2.0 * k) for k in range(1, 31)]]
 )
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+# mu dL/dmu of that series, term by term: 1 from ln|mu|, -2k c_k from the rest
+_ASYMPTOTIC_SLOPE = np.concatenate([[1.0], -2.0 * np.arange(1, 31) * _ASYMPTOTIC_COEFFS[1:]])
+# Below this half-width h of the Dawson difference quotient, and while
+# x h <= 1 about its midpoint x, the Taylor series in h replaces the
+# cancelling direct difference; 10 odd terms leave a remainder below 1e-17.
+_TAYLOR_CUT = 0.3
+_TAYLOR_TERMS = 10
 
 
 def _log_moment(mu, sigma):
-    """L(mu) = E ln|mu + sigma Z| for a standard normal Z, elementwise in mu.
+    """L(mu) = E ln|mu + sigma Z| and Dawson's F(mu / (sigma sqrt 2)), elementwise.
 
     (mu + sigma Z)^2 / sigma^2 is noncentral chi-square with one degree of
     freedom and noncentrality mu^2 / sigma^2, whose log moment is the
     Poisson mixture ln 2 + sum_j Pois(j; mu^2 / 2 sigma^2) psi(1/2 + j).
-    Far from the origin the asymptotic series in (sigma / mu)^2 is used.
+    With x = mu / (sigma sqrt 2) the same weights give Dawson's integral,
+    F(x) = x sum_j Pois(j; x^2) / (1 + 2j), which is (sigma / sqrt 2) dL/dmu.
+    Far from the origin the asymptotic series in (sigma / mu)^2 and its
+    derivative are used.  Returns (L, F).
     """
     ratio = np.abs(mu) / sigma
-    out = np.empty_like(ratio)
+    L = np.empty_like(ratio)
+    F = np.empty_like(ratio)
     far = ratio >= _ASYMPTOTIC_CUT
     series = np.vander((sigma / mu[far]) ** 2, len(_ASYMPTOTIC_COEFFS), increasing=True)
-    out[far] = np.log(np.abs(mu[far])) + series @ _ASYMPTOTIC_COEFFS
+    L[far] = np.log(np.abs(mu[far])) + series @ _ASYMPTOTIC_COEFFS
+    F[far] = sigma / (math.sqrt(2.0) * mu[far]) * (series @ _ASYMPTOTIC_SLOPE)
     m = 0.5 * ratio[~far, None] ** 2
-    w = np.exp(np.arange(_POISSON_TERMS) * np.log(np.maximum(m, 1e-300)) - m - _LOG_FACTORIAL)
-    # normalizing by the weight sum cancels the rounding of -m and ln j!
-    mix = (w @ _PSI_HALF) / w.sum(axis=1)
-    out[~far] = math.log(sigma) + 0.5 * (math.log(2.0) + mix)
-    return out
+    # m^j / j!, the Poisson weights without their common factor exp(-m),
+    # which the normalization by the weight sum removes
+    w = m**_ORDERS / _FACTORIALS
+    total = w.sum(axis=1)
+    L[~far] = math.log(sigma) + 0.5 * (math.log(2.0) + (w @ _PSI_HALF) / total)
+    F[~far] = mu[~far] / (math.sqrt(2.0) * sigma) * (w @ _ODD_RECIPROCALS) / total
+    return L, F
 
 
-def _time_averaged_kernel(kind, b, delta, r):
-    """Kernel averaged over the relative time t ~ N(delta, 1/(2b)) at radius r.
+def _lightcone_pair(b, delta, R):
+    """Closed-form LIGHTCONE pair integral for delta >= 0.
 
-    Both kernels depend on (t, r) through t - r and t + r only: the light
-    cone kernel is sgn(t) on |t| > r and the log kernel is
-    ln|t - r| + ln|t + r|, so the Gaussian time average is closed-form.
+    Phi(y-) + Phi(y+) - 1 - [phi(y-) - phi(y+)] / (y+ - y-) with
+    y+- = sqrt(b) (delta +- R).  The divided difference is taken through
+    sinh(b delta R) / (b delta R) below b delta R = 1, where the direct
+    difference cancels, and directly above it, where sinh overflows.
     """
-    if kind is KernelKind.LIGHTCONE:
-        e = _erfc(math.sqrt(b) * np.concatenate([r - delta, r + delta])).astype(float)
-        return 0.5 * (e[: len(r)] - e[len(r) :])
-    if kind is KernelKind.LOGABS:
-        sigma = math.sqrt(0.5 / b)
-        both = _log_moment(np.concatenate([delta - r, delta + r]), sigma)
-        return both[: len(r)] + both[len(r) :]
-    return np.ones_like(r)
+    s = math.sqrt(0.5 * b)
+    step = 0.5 * math.erfc(s * (R - delta)) - 0.5 * math.erfc(s * (R + delta))
+    z = b * delta * R
+    if z < 1.0:
+        sinhc = math.sinh(z) / z if z > 0.0 else 1.0
+        gauss = math.exp(-0.5 * b * (delta * delta + R * R))
+        slope = delta * s / math.sqrt(math.pi) * gauss * sinhc
+    else:
+        gap = math.exp(-((s * (delta - R)) ** 2)) - math.exp(-((s * (delta + R)) ** 2))
+        slope = gap / (2.0 * math.sqrt(2.0 * math.pi * b) * R)
+    return step - slope
 
 
-def _refine(integrand, x0, x1, cfg, evals_per_node=1):
-    """Adaptive GL15/GL7 panel refinement of a vectorized 1D integrand.
+def _logabs_pair(b, delta, R):
+    """Closed-form LOGABS pair integral.
 
-    Each panel is integrated with the 15- and the 7-node Gauss-Legendre
-    rule; their difference is the panel's error estimate.  Every round
-    halves the worst eighth of the panels (at least one, at most 512) until
-    the summed estimate meets max(abs_tol, rel_tol |value|), which marks
-    the result converged, or the eval budget is spent.  Each node costs
-    ``evals_per_node`` evals.  Returns (value, error, evals, converged).
+    L(delta - R) + L(delta + R) + [F(x+) - F(x-)] / (x+ - x-) with
+    x+- = x +- h, x = delta sqrt(b/2), h = R sqrt(b/2), L the log moment at
+    sigma = 1/sqrt(b) and F Dawson's integral.  For small h the divided
+    difference is its Taylor series sum_j F^(2j+1)(x) h^2j / (2j+1)!, with
+    the derivatives from F' = 1 - 2xF and F^(n+1) = -2x F^(n) - 2n F^(n-1).
     """
-
-    def rules(a0, a1):
-        xs7, w7 = _gl_unit(7)
-        xs15, w15 = _gl_unit(15)
-        width = a1 - a0
-        nodes = a0[:, None] + width[:, None] * np.concatenate([xs7, xs15])
-        vals = integrand(nodes.ravel()).reshape(len(a0), -1)
-        f7, f15 = vals[:, :7], vals[:, 7:]
-        coarse = width * (f7 @ w7)
-        fine = width * (f15 @ w15)
-        return fine, np.abs(fine - coarse)
-
-    values, errors = rules(x0, x1)
-    evals = len(x0) * 22 * evals_per_node
-    converged = False
-    for _ in range(_MAX_ROUNDS):
-        total = complex(values.sum())
-        toterr = float(errors.sum())
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if toterr <= tol:
-            converged = True
-            break
-        if evals >= cfg.max_evals:
-            break
-        order = np.argsort(errors)[::-1]
-        n_refine = min(max(1, len(order) // 8), 512)
-        chosen = order[:n_refine]
-        keep = np.ones(len(values), dtype=bool)
-        keep[chosen] = False
-        mids = 0.5 * (x0[chosen] + x1[chosen])
-        c0 = np.concatenate([x0[chosen], mids])
-        c1 = np.concatenate([mids, x1[chosen]])
-        new_vals, new_errs = rules(c0, c1)
-        evals += len(c0) * 22 * evals_per_node
-        x0 = np.concatenate([x0[keep], c0])
-        x1 = np.concatenate([x1[keep], c1])
-        values = np.concatenate([values[keep], new_vals])
-        errors = np.concatenate([errors[keep], new_errs])
-    return values.sum(), float(errors.sum()), evals, converged
+    sigma = 1.0 / math.sqrt(b)
+    (l_minus, l_plus, _), (f_minus, f_plus, f_mid) = (
+        v.tolist() for v in _log_moment(np.array([delta - R, delta + R, delta]), sigma)
+    )
+    s = math.sqrt(0.5 * b)
+    h, x = R * s, delta * s
+    # the recurrence amplifies rounding by about (2 x h)^2j in term j
+    if h > _TAYLOR_CUT or x * h > 1.0:
+        return l_minus + l_plus + (f_plus - f_minus) / (2.0 * h)
+    # g = F^(n)(x) h^(n-1) and lower = F^(n-1)(x) h^n stay bounded
+    lower, g = h * f_mid, 1.0 - 2.0 * x * f_mid
+    slope = 0.0
+    for n in range(1, 2 * _TAYLOR_TERMS):
+        if n % 2:
+            slope += g / math.factorial(n)
+        lower, g = h * h * g, -2.0 * x * h * g - 2.0 * n * lower
+    return l_minus + l_plus + slope
 
 
-def _reduce_2d(kind, b, delta, R, cfg):
-    """Pair integral: sqrt(b/pi) rho(r) times the time-averaged kernel, over r.
+def _reduce_2d(kind, b, delta, R):
+    """Exact LIGHTCONE or LOGABS pair integral at separations delta >= 0 and R.
 
-    Starts from 4 panels on the radial tail window [max(0, R - hw), R + hw].
-    The name predates the closed-form time integral; the benchmark's tracer
-    (``perfbench/tracer.py``) wraps this function by name, so it is kept.
+    The relative position has per-axis variance 1/(2b); its radius has the
+    density (r/R) sqrt(b/pi) [exp(-b(r-R)^2) - exp(-b(r+R)^2)], and both
+    time-averaged kernels are even in r, so the pair integral is
+    E[(X/R) K(X)] with X ~ N(R, 1/(2b)).  Stein's identity
+    E[(X - R) h(X)] = Var(X) E[h'(X)] turns that into the closed forms of
+    ``_lightcone_pair`` and ``_logabs_pair``, exact up to rounding.
+    Returns (value, 0.0, 0, True): the error and eval slots are kept because
+    the benchmark's tracer (``perfbench/tracer.py``) wraps this function by
+    name and reads them.
     """
-    hw = math.sqrt(_TAIL_EXPONENT / b)
-    norm = math.sqrt(b / math.pi)
-
-    def integrand(r):
-        return norm * _radial_factor(b, R, r) * _time_averaged_kernel(kind, b, delta, r)
-
-    edges = np.linspace(max(0.0, R - hw), R + hw, 5)
-    value, err, evals, converged = _refine(integrand, edges[:-1], edges[1:], cfg)
-    return float(value), err, evals, converged
+    pair = _lightcone_pair if kind is KernelKind.LIGHTCONE else _logabs_pair
+    return pair(b, delta, R), 0.0, 0, True
 
 
 @lru_cache(maxsize=100_000)
-def _pair_cached(kind_value, b, delta, R, rel_tol, abs_tol, max_evals):
+def _pair_cached(kind_value, b, delta, R):
     """Process-wide memo of ``_reduce_2d``; ``perfbench/`` uses it by name."""
-    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol, max_evals=max_evals)
-    return _reduce_2d(KernelKind(kind_value), b, delta, R, cfg)
+    return _reduce_2d(KernelKind(kind_value), b, delta, R)
 
 
-def pair_integrals(kind, b, delta, R, cfg):
+def pair_integrals(kind, b, delta, R):
     """Pair integrals of normalized bumps, elementwise over equal-shape arrays.
 
     Each pair has combined width b, time separation delta and spatial
     separation R.  CONSTANT is the exact normalization 1.  LIGHTCONE with
     coincident time centers vanishes by antisymmetry (odd integrand in the
     relative time), and negative time separations are folded to positive
-    ones, which makes the numeric antisymmetry under argument swap exact.
-    LOGABS depends on |delta| only, and its self pair (delta = R = 0) is
-    1 - gamma - ln(2b) exactly.  The remaining pairs are collapsed to their
-    distinct (b, |delta|, R) and each is integrated once.
-
-    Returns (values, errors, evals, converged); evals counts each distinct
-    integrated pair once, and is 0 when every pair was closed-form.
+    ones, which makes the antisymmetry under argument swap exact.  LOGABS
+    depends on |delta| only, and its self pair (delta = R = 0) is
+    1 - gamma - ln(2b).  The remaining pairs are collapsed to their
+    distinct (b, |delta|, R) and each is evaluated once in closed form.
     """
     b, delta, R = (np.asarray(x, dtype=float) for x in (b, delta, R))
     values = np.zeros(b.shape)
-    errors = np.zeros(b.shape)
     if kind is KernelKind.CONSTANT:
-        return values + 1.0, errors, 0, True
+        return values + 1.0
     if kind is KernelKind.LOGABS:
         closed = (delta == 0.0) & (R == 0.0)
         values[closed] = 1.0 - EULER_GAMMA - np.log(2.0 * b[closed])
     else:
         closed = delta == 0.0
-    numeric = ~closed
-    keys = list(zip(b[numeric].tolist(), np.abs(delta[numeric]).tolist(), R[numeric].tolist()))
-    done = {
-        key: _pair_cached(kind.value, *key, cfg.rel_tol, cfg.abs_tol, cfg.max_evals)
-        for key in dict.fromkeys(keys)
-    }
-    if keys:
-        values[numeric], errors[numeric] = np.array([done[key][:2] for key in keys]).T
+    rest = ~closed
+    keys = list(zip(b[rest].tolist(), np.abs(delta[rest]).tolist(), R[rest].tolist()))
+    done = {key: _pair_cached(kind.value, *key)[0] for key in dict.fromkeys(keys)}
+    values[rest] = [done[key] for key in keys]
     if kind is KernelKind.LIGHTCONE:
         values *= np.sign(delta)
-    evals = sum(r[2] for r in done.values())
-    return values, errors, evals, all(r[3] for r in done.values())
+    return values
 
 
 def bump_arrays(bumps):
@@ -315,9 +282,7 @@ def pair_geometry(centers_p, widths_p, centers_q, widths_q):
 def gaussian_pair_reduce(kind, bump_p, bump_q, cfg):
     """Scalar pair integral of two normalized bumps against a kernel."""
     geometry = pair_geometry(*bump_arrays([bump_p]), *bump_arrays([bump_q]))
-    values, errors, evals, converged = pair_integrals(kind, *geometry, cfg)
-    method = Method.REDUCED1D if evals else Method.ANALYTIC
-    return QuadratureResult(float(values[0]), float(errors[0]), method, evals, converged)
+    return _analytic(float(pair_integrals(kind, *geometry)[0]))
 
 
 def _check_contraction(contraction):
@@ -355,17 +320,13 @@ def bilinear_form(kind, f, g, contraction, cfg):
 
     The contraction is passed explicitly because the same cached scalar
     integrals serve the Minkowski, Krein and frame-summed pairings.  Term
-    pairs with a zero coefficient are not integrated.  The sum is exactly
+    pairs with a zero coefficient are not evaluated.  The sum is exactly
     rounded, so it does not depend on the term order: for the diagonal
     contractions (eta, identity) swapping f and g negates a LIGHTCONE form
     and keeps a LOGABS form bit for bit.
     """
     coef, b, delta, R = _term_pairs(f, g, contraction)
-    values, errors, evals, converged = pair_integrals(kind, b, delta, R, cfg)
-    value = math.fsum(coef * values)
-    err = math.fsum(np.abs(coef) * errors)
-    method = Method.REDUCED1D if evals else Method.ANALYTIC
-    return QuadratureResult(value, err, method, evals, converged)
+    return _analytic(math.fsum(coef * pair_integrals(kind, b, delta, R)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +404,64 @@ def mc_oracle(kind, f, g, contraction, cfg, workers=1):
 
 # ---------------------------------------------------------------------------
 # Momentum-space route
+
+
+@lru_cache(maxsize=64)
+def _gl_unit(order):
+    """Gauss-Legendre nodes/weights mapped to the unit interval (0, 1)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _refine(integrand, x0, x1, cfg, evals_per_node=1):
+    """Adaptive GL15/GL7 panel refinement of a vectorized 1D integrand.
+
+    Each panel is integrated with the 15- and the 7-node Gauss-Legendre
+    rule; their difference is the panel's error estimate.  Every round
+    halves the worst eighth of the panels (at least one, at most 512) until
+    the summed estimate meets max(abs_tol, rel_tol |value|), which marks
+    the result converged, or the eval budget is spent.  Each node costs
+    ``evals_per_node`` evals.  Returns (value, error, evals, converged).
+    """
+
+    def rules(a0, a1):
+        xs7, w7 = _gl_unit(7)
+        xs15, w15 = _gl_unit(15)
+        width = a1 - a0
+        nodes = a0[:, None] + width[:, None] * np.concatenate([xs7, xs15])
+        vals = integrand(nodes.ravel()).reshape(len(a0), -1)
+        f7, f15 = vals[:, :7], vals[:, 7:]
+        coarse = width * (f7 @ w7)
+        fine = width * (f15 @ w15)
+        return fine, np.abs(fine - coarse)
+
+    values, errors = rules(x0, x1)
+    evals = len(x0) * 22 * evals_per_node
+    converged = False
+    for _ in range(_MAX_ROUNDS):
+        total = complex(values.sum())
+        toterr = float(errors.sum())
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if toterr <= tol:
+            converged = True
+            break
+        if evals >= cfg.max_evals:
+            break
+        order = np.argsort(errors)[::-1]
+        n_refine = min(max(1, len(order) // 8), 512)
+        chosen = order[:n_refine]
+        keep = np.ones(len(values), dtype=bool)
+        keep[chosen] = False
+        mids = 0.5 * (x0[chosen] + x1[chosen])
+        c0 = np.concatenate([x0[chosen], mids])
+        c1 = np.concatenate([mids, x1[chosen]])
+        new_vals, new_errs = rules(c0, c1)
+        evals += len(c0) * 22 * evals_per_node
+        x0 = np.concatenate([x0[keep], c0])
+        x1 = np.concatenate([x1[keep], c1])
+        values = np.concatenate([values[keep], new_vals])
+        errors = np.concatenate([errors[keep], new_errs])
+    return values.sum(), float(errors.sum()), evals, converged
 
 
 def _momentum_integrand(P, coef, cpair, dt, sep):

@@ -144,20 +144,20 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert doc["config"]["quadrature"]["seed"] == 4242
 
 
-def test_starved_budget_exits_nonconverged(capsys, tmp_path):
-    quadrature = {"rel_tol": 1e-14, "abs_tol": 1e-16, "max_evals": 100}
+@pytest.mark.parametrize("command", ["distance", "causal"])
+def test_quadrature_budget_does_not_change_position_space_results(capsys, tmp_path, command):
+    # the settings that once starved the radial quadrature; pair integrals
+    # are closed forms now, so the result is the same as without a config
     path = tmp_path / "starved.json"
-    path.write_text(json.dumps({"quadrature": quadrature}))
-    code, out, _ = run_cli(
-        capsys,
-        "--config", str(path), "--format", "json",
-        "distance", "--p", "0,1,0,0", "--q", "0,0,0,0", "--width", "50",
-    )
-    assert code == 3
+    path.write_text(json.dumps({"quadrature": {"rel_tol": 1e-14, "abs_tol": 1e-16, "max_evals": 100}}))
+    pair = [command, "--p", "0,1,0,0", "--q", "0,0,0,0", "--width", "50"]
+    code, out, _ = run_cli(capsys, "--config", str(path), "--format", "json", *pair)
+    assert code == 0
+    code_plain, out_plain, _ = run_cli(capsys, "--format", "json", *pair)
+    assert code_plain == 0
     result = json.loads(out)["result"]
-    assert result["converged"] is False
-    tol = max(quadrature["abs_tol"], quadrature["rel_tol"] * abs(result["total"]))
-    assert result["error"] > tol
+    assert result == json.loads(out_plain)["result"]
+    assert result["converged"] is True and result["error"] == 0.0
 
 
 def test_verify_suite_exit_codes(capsys):
@@ -247,7 +247,10 @@ def test_sweep_space_direction(capsys):
         (None, "config must be a JSON object"),
         ({"state": {"psi": 3}}, "config.state.psi must be a JSON object"),
         ({"quadrature": {"rel_tol": "1e-9"}}, "config.quadrature.rel_tol must be a number"),
-        ({"quadrature": {"seed": True}}, "config.quadrature.seed must be a number"),
+        ({"quadrature": {"seed": True}}, "config.quadrature.seed must be an integer"),
+        ({"quadrature": {"seed": 7.5, "mc_samples": 2e4}}, "config.quadrature.seed must be an integer"),
+        ({"quadrature": {"mc_samples": 2e4}}, "config.quadrature.mc_samples must be an integer"),
+        ({"quadrature": {"max_evals": 0}}, "max_evals must be at least 1"),
         ({"constants": {"u": 5}}, ""),
     ],
 )

@@ -5,14 +5,10 @@ import pytest
 
 from conftest import random_bump
 from ncmink import (
-    DEFAULT_FRAME,
     DMStateParams,
     GaussianBump,
     KernelKind,
     PhysicalConstants,
-    QuadratureConfig,
-    WeylCalculus,
-    WeylElement,
     causal,
     causal_via_weyl,
     classical_term,
@@ -20,7 +16,6 @@ from ncmink import (
     corrected_synge,
     distance,
     distance_alpha,
-    frame_smearings,
     gaussian_pair_reduce,
     minkowski_interval,
 )
@@ -254,31 +249,6 @@ def test_causal_via_weyl_matches_reduced(cfg, params):
         assert abs(direct.value - via.value) <= budget
 
 
-def test_causal_via_weyl_error_counts_each_phase_once(cfg, params):
-    """The error is 4 pi/kappa^2 sum_k |w_k| (error of tau on the k-th product).
-
-    tau's error already carries the product's phase error, so the phases
-    must not be added a second time.
-    """
-    chi_p = GaussianBump((0.6, 0.2, 0.1, 0), 60.0)
-    chi_q = GaussianBump((0, 0, 0, 0), 90.0)
-    calc = WeylCalculus(params.constants, cfg, u=params.u, pairing="plain")
-    err = 0.0
-    for f, g, weight in zip(
-        frame_smearings(chi_p, DEFAULT_FRAME),
-        frame_smearings(chi_q, DEFAULT_FRAME),
-        DEFAULT_FRAME.signature,
-    ):
-        prod = calc.mul(
-            calc.mul(WeylElement.generator(f), WeylElement.generator(g)),
-            WeylElement.generator(-(f + g)),
-        )
-        err += abs(weight) * calc.eval_tau(prod, params).error_estimate
-    expected = 4.0 * math.pi / params.constants.kappa_sq * err
-    assert expected > 0.0
-    assert causal_via_weyl(chi_p, chi_q, params, cfg).error_estimate == expected
-
-
 def test_causal_via_weyl_kappa_independent(cfg):
     chi_p = GaussianBump((0.8, 0.2, 0, 0), 60.0)
     chi_q = GaussianBump((0, 0, 0, 0), 60.0)
@@ -303,16 +273,6 @@ def test_causal_via_weyl_krein_pairing_halves(cfg, params):
 def test_causal_via_weyl_coincident_is_zero(cfg, params):
     bump = GaussianBump((0.5, 0, 0, 0), 50.0)
     assert causal_via_weyl(bump, bump, params, cfg).value == 0.0
-
-
-def test_causal_via_weyl_reports_sigma_provenance(cfg, params):
-    chi_p = GaussianBump((0.8, 0.2, 0, 0), 60.0)
-    chi_q = GaussianBump((0, 0, 0, 0), 60.0)
-    ok = causal_via_weyl(chi_p, chi_q, params, cfg)
-    assert ok.converged
-    assert ok.evals > 0
-    starved = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_evals=100)
-    assert not causal_via_weyl(chi_p, chi_q, params, starved).converged
 
 
 def test_classify_causal_bands():

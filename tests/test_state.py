@@ -6,7 +6,6 @@ import pytest
 from conftest import random_smearing
 from ncmink import (
     DMStateParams,
-    ETA,
     GaussianBump,
     KernelKind,
     PhysicalConstants,
@@ -22,7 +21,7 @@ from ncmink import (
     sigma,
     sigma_indexed,
 )
-from ncmink.testfn import project_psi, scalar_smearing, single_term
+from ncmink.testfn import scalar_smearing, single_term
 
 
 def e0_smearing(bump, weight=1.0):
@@ -137,17 +136,6 @@ def test_dm_bilinear_imaginary_part_is_half_sigma(cfg, params, constants):
     s = sigma(f, g, constants, cfg)
     assert d.value.imag == pytest.approx(0.5 * s.value, abs=1e-15)
     assert dm_bilinear(f, f, params, cfg).value.imag == 0.0
-
-
-def test_dm_bilinear_evals_sum_its_parts(cfg, params, constants):
-    rng = np.random.default_rng(47)
-    f, g = random_smearing(rng), random_smearing(rng)
-    d = dm_bilinear(f, g, params, cfg)
-    log_term = log_minus_form(project_psi(f, params.psi), project_psi(g, params.psi), ETA, cfg)
-    parts = [log_term.evals, sigma(f, g, constants, cfg).evals]
-    parts += [sigma_indexed(h, params.psi, constants, cfg)[2] for h in (f, g)]
-    assert all(parts)
-    assert d.evals == sum(parts)
 
 
 def test_dm_bilinear_hermiticity(cfg, params):

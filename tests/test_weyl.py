@@ -10,12 +10,9 @@ from ncmink import (
     DMStateParams,
     GaussianBump,
     PhysicalConstants,
-    QuadratureConfig,
     WeylCalculus,
     WeylElement,
-    dm_bilinear,
     moment1,
-    mu2,
     sigma,
 )
 from ncmink.testfn import single_term
@@ -151,26 +148,6 @@ def test_classical_limit_is_pure_phase(cfg):
         f = random_smearing(rng)
         value = calc0.eval_omega(WeylElement.generator(f), params0).value
         assert value == cmath.exp(1j * moment1(f))
-
-
-def test_functionals_report_evals_and_convergence(calc, constants, params):
-    rng = np.random.default_rng(31)
-    f, g = random_smearing(rng), random_smearing(rng)
-    omega = calc.eval_omega(WeylElement.generator(f), params)
-    assert omega.evals == mu2(f, f, params, calc.cfg).evals > 0
-    tau = calc.eval_tau(WeylElement.generator(f), params)
-    assert tau.evals == dm_bilinear(f, f, params, calc.cfg).evals > 0
-    # the triple product collapses to the unit: only its sigma phases did work
-    starved = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_evals=100)
-    for config, converged in ((calc.cfg, True), (starved, False)):
-        plain = WeylCalculus(constants, config, pairing="plain")
-        triple = plain.mul(
-            plain.mul(WeylElement.generator(f), WeylElement.generator(g)),
-            WeylElement.generator(-(f + g)),
-        )
-        tau = plain.eval_tau(triple, params)
-        assert tau.evals == triple.phase_evals > 0
-        assert tau.converged is triple.phase_converged is converged
 
 
 def test_shared_calculus_follows_the_state(cfg, constants, params):
