@@ -6,11 +6,14 @@ reproduced from its own artifact.  The config schema is :data:`DEFAULTS`:
 a config file may set only its keys, nested the same way, and anything
 else is a usage error.  Data goes to stdout, logs to stderr.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-non-convergence.  Position-space results (``distance``, ``causal``,
-``sweep``) are closed forms, so they cannot exit with 3; the quadrature
-tolerances and ``max_evals`` only steer the momentum route of
-``verify fourier``.
+Exit codes: 0 success, 1 verification failure, 2 usage error.
+Position-space results (``distance``, ``causal``, ``sweep``) are closed
+forms and always report error 0 and converged; the quadrature tolerances
+and ``max_evals`` only steer the momentum route of ``verify fourier``.
+
+A 4-vector or range that starts with a minus sign must be attached to its
+flag with ``=`` (``--q=-1,0,0,0``, ``--range=-1:1:2``); otherwise argparse
+reads it as a flag.
 
 File formats
 ------------
@@ -44,7 +47,6 @@ from .verify import SUITES
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-EXIT_NOT_CONVERGED = 3
 
 DEFAULTS = {
     "constants": {"planck_length": 1.0, "u": [1.0, 0.0, 0.0, 0.0]},
@@ -162,7 +164,7 @@ def cmd_distance(args, config, constants, params, cfg):
     }
     doc = {"command": "distance", "config": config, "p": list(args.p), "q": list(args.q), "width": args.width, "result": row}
     _emit(doc, [row], args.format, list(row))
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return EXIT_OK
 
 
 def cmd_causal(args, config, constants, params, cfg):
@@ -177,7 +179,7 @@ def cmd_causal(args, config, constants, params, cfg):
     }
     doc = {"command": "causal", "config": config, "p": list(args.p), "q": list(args.q), "width": args.width, "result": row}
     _emit(doc, [row], args.format, list(row))
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return EXIT_OK
 
 
 def cmd_verify(args, config, constants, params, cfg):
@@ -235,13 +237,11 @@ def cmd_sweep(args, config, constants, params, cfg):
             "distance_error": dist.error,
             "causal": caus.value,
             "causal_error": caus.error_estimate,
-            "converged": dist.converged and caus.converged,
+            "converged": True,  # both are closed forms
         })
     fields = list(rows[0])
     doc = {"command": "sweep", "config": config, "rows": rows}
     _emit(doc, rows, args.format, fields)
-    if not all(r["converged"] for r in rows):
-        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 
@@ -276,8 +276,9 @@ def build_parser():
         ("causal", "fuzzy causal functional and classification", cmd_causal),
     ):
         p_pair = subparser(name, help_text)
-        for flag, kind in (("--p", _four_vector), ("--q", _four_vector), ("--width", float)):
-            p_pair.add_argument(flag, type=kind, required=True)
+        point = "t,x,y,z; a leading minus needs '=', as in --q=-1,0,0,0"
+        for flag, kind, help_text in (("--p", _four_vector, point), ("--q", _four_vector, point), ("--width", float, None)):
+            p_pair.add_argument(flag, type=kind, required=True, help=help_text)
         p_pair.set_defaults(func=func)
 
     p_ver = subparser("verify", "run a closed-form verification suite")
@@ -286,7 +287,8 @@ def build_parser():
 
     p_sweep = subparser("sweep", "emit a table over separation, width or state-alpha")
     p_sweep.add_argument("--axis", choices=("separation", "width", "state-alpha"), required=True)
-    p_sweep.add_argument("--range", type=_range_spec, required=True, help="start:stop:count")
+    p_sweep.add_argument("--range", type=_range_spec, required=True,
+                         help="start:stop:count; a leading minus needs '=', as in --range=-1:1:2")
     p_sweep.add_argument("--direction", choices=("time", "space"), default="time")
     p_sweep.add_argument("--width", type=float, default=1e4)
     p_sweep.add_argument("--separation", type=float, default=1.0)

@@ -84,10 +84,15 @@ class QuadratureConfig:
 class QuadratureResult:
     """Value with an error estimate and provenance.
 
-    ANALYTIC results are exact up to floating-point rounding and carry
-    error 0 and evals 0.  For MC8D the estimate is a 95% confidence
-    half-width; for MOMENTUM it is the sum of per-panel differences between
-    the 15- and the 7-node Gauss-Legendre rules.
+    Only :func:`momentum_form` (MOMENTUM) and :func:`mc_oracle` (MC8D)
+    compute an error, an eval count or a convergence flag.  For MC8D the
+    estimate is a 95% confidence half-width; for MOMENTUM it is the sum of
+    per-panel differences between the 15- and the 7-node Gauss-Legendre
+    rules.  The closed-form results that keep this shape (``bilinear_form``,
+    ``gaussian_pair_reduce``, ``causal`` and the Weyl functionals
+    ``eval_omega``, ``eval_tau``, ``causal_via_weyl``) are ANALYTIC: exact up
+    to floating-point rounding, error 0, evals 0, converged.  The state
+    functions below them (``sigma``, ``mu2``, ...) return plain numbers.
     """
 
     value: complex

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import (
-    Method,
-    QuadratureResult,
     bilinear_form,
     bump_arrays,
     pair_geometry,
@@ -67,26 +65,23 @@ class DMStateParams:
 
 
 def sigma(f, g, constants, cfg):
-    """Symplectic form sigma(f, g); exactly antisymmetric by construction."""
+    """Symplectic form sigma(f, g), a float; exactly antisymmetric by construction."""
     r = bilinear_form(KernelKind.LIGHTCONE, f, g, ETA, cfg)
     scale = constants.kappa_sq / (8.0 * math.pi)
-    return QuadratureResult(
-        -scale * r.value, scale * r.error_estimate, r.method, r.evals, r.converged
-    )
+    return -scale * r.value
 
 
 def sigma_indexed(f, psi, constants, cfg):
     """Componentwise sigma(f, psi)_mu with the scalar psi in the second slot.
 
-    Returns (components ndarray, error estimate, evals, converged flag);
-    the free covector index of f survives while its profiles are paired
-    against psi through the light-cone kernel.  The pair integrals are
-    exact, so the error is 0, evals 0 and the flag True.
+    Returns the components as an ndarray: the free covector index of f
+    survives while its profiles are paired against psi through the
+    light-cone kernel.
     """
     scale = constants.kappa_sq / (8.0 * math.pi)
     centers, widths, weights, covectors = smearing_arrays(f)
     values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(centers, widths, *bump_arrays([psi])))
-    return -scale * (values @ (weights[:, None] * covectors)), 0.0, 0, True
+    return -scale * (values @ (weights[:, None] * covectors))
 
 
 def krein_J(f, u=(1.0, 0.0, 0.0, 0.0)):
@@ -102,19 +97,11 @@ def log_minus_form(f, g, contraction, cfg):
     """
     plus = bilinear_form(KernelKind.LOGABS, f + g, f + g, contraction, cfg)
     minus = bilinear_form(KernelKind.LOGABS, f - g, f - g, contraction, cfg)
-    value = 0.25 * min(plus.value, 0.0) - 0.25 * min(minus.value, 0.0)
-    err = 0.25 * (plus.error_estimate + minus.error_estimate)
-    return QuadratureResult(
-        value,
-        err,
-        Method.ANALYTIC,
-        plus.evals + minus.evals,
-        plus.converged and minus.converged,
-    )
+    return 0.25 * min(plus.value, 0.0) - 0.25 * min(minus.value, 0.0)
 
 
 def dm_bilinear(f, g, params, cfg):
-    """The regularized bilinear form Delta_{alpha,psi}(f, g).
+    """The regularized bilinear form Delta_{alpha,psi}(f, g) as a complex number.
 
     Assembled from its expanded four-term shape; the imaginary part equals
     (1/2) sigma(f, g) exactly because it is attached once rather than
@@ -123,7 +110,7 @@ def dm_bilinear(f, g, params, cfg):
     """
     kappa_sq = params.constants.kappa_sq
     if kappa_sq == 0.0:
-        return QuadratureResult(0.0 + 0.0j, 0.0, Method.ANALYTIC, 0, True)
+        return 0.0 + 0.0j
     pf = project_psi(f, params.psi)
     pg = project_psi(g, params.psi)
     log_term = log_minus_form(pf, pg, ETA, cfg)
@@ -131,45 +118,34 @@ def dm_bilinear(f, g, params, cfg):
 
     mean_term = params.state_alpha * kappa_sq * float(mean(f) @ ETA @ mean(g))
 
-    sf, sf_err, sf_evals, sf_conv = sigma_indexed(f, params.psi, params.constants, cfg)
-    sg, sg_err, sg_evals, sg_conv = sigma_indexed(g, params.psi, params.constants, cfg)
+    sf = sigma_indexed(f, params.psi, params.constants, cfg)
+    sg = sigma_indexed(g, params.psi, params.constants, cfg)
     reg_scale = 1.0 / (4.0 * params.state_alpha * kappa_sq)
     reg_term = reg_scale * float(sf @ ETA @ sg)
-    reg_err = reg_scale * (
-        sf_err * float(np.max(np.abs(sg)) + sg_err)
-        + sg_err * float(np.max(np.abs(sf)))
-    )
 
     sig = sigma(f, g, params.constants, cfg)
-
-    value = (
-        -log_scale * log_term.value + mean_term + reg_term + 0.5j * sig.value
-    )
-    err = log_scale * log_term.error_estimate + reg_err + 0.5 * sig.error_estimate
-    evals = log_term.evals + sig.evals + sf_evals + sg_evals
-    conv = log_term.converged and sig.converged and sf_conv and sg_conv
-    return QuadratureResult(value, err, Method.ANALYTIC, evals, conv)
+    return -log_scale * log_term + mean_term + reg_term + 0.5j * sig
 
 
 def mu2(f, g, params, cfg):
-    """Twisted two-point functional Delta_{alpha,psi}(f, J g).
+    """Twisted two-point functional Delta_{alpha,psi}(f, J g) as a complex number.
 
     On the diagonal the imaginary part must vanish (sigma(f, Jf) = 0) and
-    the real part must be non-negative; violations beyond the error budget
-    raise :class:`PositivityError` since they signal a quadrature failure.
+    the real part must be non-negative; violations beyond the rounding
+    budget 1e-10 (1 + |value|) raise :class:`PositivityError`.
     """
-    result = dm_bilinear(f, krein_J(g, params.u), params, cfg)
+    value = dm_bilinear(f, krein_J(g, params.u), params, cfg)
     if f == g:
-        budget = 5.0 * result.error_estimate + 1e-10 * (1.0 + abs(result.value))
-        if abs(result.value.imag) > budget:
+        budget = 1e-10 * (1.0 + abs(value))
+        if abs(value.imag) > budget:
             raise PositivityError(
-                f"Im mu2(f,f) = {result.value.imag!r} exceeds error budget {budget!r}"
+                f"Im mu2(f,f) = {value.imag!r} exceeds error budget {budget!r}"
             )
-        if result.value.real < -budget:
+        if value.real < -budget:
             raise PositivityError(
-                f"Re mu2(f,f) = {result.value.real!r} negative beyond budget {budget!r}"
+                f"Re mu2(f,f) = {value.real!r} negative beyond budget {budget!r}"
             )
-    return result
+    return value
 
 
 @dataclass(frozen=True)
@@ -207,7 +183,7 @@ def gram_check(family, params, cfg):
     N = np.zeros((n, n), dtype=complex)
     for k in range(n):
         for l in range(k, n):
-            N[k, l] = mu2(family[k], family[l], params, cfg).value
+            N[k, l] = mu2(family[k], family[l], params, cfg)
             if l != k:
                 N[l, k] = N[k, l].conjugate()
     diag = np.real(np.diag(N))
@@ -224,8 +200,8 @@ def pair_condition(f, g, params, cfg):
     Returns (condition holds, margin); the sigma entering here is the
     Krein-twisted pairing, consistent with the mu2 construction.
     """
-    m_ff = mu2(f, f, params, cfg).value.real
-    m_gg = mu2(g, g, params, cfg).value.real
+    m_ff = mu2(f, f, params, cfg).real
+    m_gg = mu2(g, g, params, cfg).real
     s = sigma(f, krein_J(g, params.u), params.constants, cfg)
-    margin = m_ff * m_gg - 0.25 * s.value**2
+    margin = m_ff * m_gg - 0.25 * s**2
     return margin >= 0.0, margin

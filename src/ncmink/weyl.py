@@ -9,18 +9,19 @@ product follows the exponentiated commutation rule
 where the pairing s is either the plain symplectic form sigma or its
 Krein-twisted version sigma(., J.): the twisted pairing is the one under
 which the regularized state is positive, the plain one drives the causal
-functional.  :class:`WeylCalculus` fixes that choice once, caches sigma
-values per smearing pair and tracks the provenance of the product phases:
-the accumulated quadrature error, evals and convergence of every sigma
-evaluation that went into an element.
+functional.  :class:`WeylCalculus` fixes that choice once and caches sigma
+values per smearing pair.  Sigma and the second moments are closed forms,
+so the product phases and coefficients are exact up to rounding: elements
+carry no error, and ``eval_omega`` and ``eval_tau`` return ANALYTIC
+results (error 0, evals 0, converged).
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .integrate import Method, QuadratureResult
+from .integrate import _analytic
 from .state import dm_bilinear, krein_J, mu2, sigma
 from .testfn import ZERO_SMEARING, moment1
 
@@ -38,29 +39,20 @@ class WeylElement:
     """Canonical finite combination of Weyl generators.
 
     ``terms`` maps canonicalized smearings to complex coefficients (stored
-    as a sorted tuple of pairs so elements hash and compare by value);
-    ``phase_error``, ``phase_evals`` and ``phase_converged`` are the
-    accumulated uncertainty, quadrature evals and convergence of all
-    product phases that went into the element.
+    as a sorted tuple of pairs so elements hash and compare by value).
     """
 
     terms: tuple
-    phase_error: float = 0.0
-    phase_evals: int = 0
-    phase_converged: bool = True
 
     @classmethod
-    def from_dict(cls, coeffs, phase_error=0.0, phase_evals=0, phase_converged=True):
+    def from_dict(cls, coeffs):
         kept = tuple(
             sorted(
                 ((f, complex(c)) for f, c in coeffs.items() if c != 0.0),
                 key=lambda item: _smearing_key(item[0]),
             )
         )
-        return cls(kept, phase_error, phase_evals, phase_converged)
-
-    def _provenance(self):
-        return self.phase_error, self.phase_evals, self.phase_converged
+        return cls(kept)
 
     @classmethod
     def generator(cls, f, coefficient=1.0):
@@ -77,27 +69,18 @@ class WeylElement:
         coeffs = self.coefficients()
         for f, c in other.terms:
             coeffs[f] = coeffs.get(f, 0.0) + c
-        return WeylElement.from_dict(
-            coeffs,
-            self.phase_error + other.phase_error,
-            self.phase_evals + other.phase_evals,
-            self.phase_converged and other.phase_converged,
-        )
+        return WeylElement.from_dict(coeffs)
 
     def __rmul__(self, scalar):
         scalar = complex(scalar)
-        return WeylElement.from_dict(
-            {f: scalar * c for f, c in self.terms}, *self._provenance()
-        )
+        return WeylElement.from_dict({f: scalar * c for f, c in self.terms})
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def star(self):
         """Involution: smearings negated, coefficients conjugated."""
-        return WeylElement.from_dict(
-            {-f: c.conjugate() for f, c in self.terms}, *self._provenance()
-        )
+        return WeylElement.from_dict({-f: c.conjugate() for f, c in self.terms})
 
 
 class WeylCalculus:
@@ -119,35 +102,28 @@ class WeylCalculus:
         self._mu2_cache = {}
 
     def sigma_value(self, f, g):
-        """Cached pairing value as a :class:`QuadratureResult`."""
+        """Cached pairing value s(f, g) as a float."""
         kf, kg = _smearing_key(f), _smearing_key(g)
         if kf == kg:
-            return QuadratureResult(0.0, 0.0, Method.ANALYTIC, 0, True)
+            return 0.0
         swap = kf > kg
         key = (kg, kf) if swap else (kf, kg)
         if key not in self._sigma_cache:
             a, b = (g, f) if swap else (f, g)
             second = krein_J(b, self.u) if self.pairing == "krein" else b
             self._sigma_cache[key] = sigma(a, second, self.constants, self.cfg)
-        r = self._sigma_cache[key]
-        return replace(r, value=-r.value) if swap else r
+        s = self._sigma_cache[key]
+        return -s if swap else s
 
     def mul(self, A, B):
         """Bilinear extension of W(f) W(g) = W(f+g) exp[-(i/2) s(f,g)]."""
         coeffs = {}
-        phase_err = A.phase_error + B.phase_error
-        evals = A.phase_evals + B.phase_evals
-        converged = A.phase_converged and B.phase_converged
         for f, a in A.terms:
             for g, b in B.terms:
-                s = self.sigma_value(f, g)
-                coeff = a * b * cmath.exp(-0.5j * s.value)
+                phase = cmath.exp(-0.5j * self.sigma_value(f, g))
                 h = f + g
-                coeffs[h] = coeffs.get(h, 0.0) + coeff
-                phase_err += abs(a * b) * 0.5 * s.error_estimate
-                evals += s.evals
-                converged = converged and s.converged
-        return WeylElement.from_dict(coeffs, phase_err, evals, converged)
+                coeffs[h] = coeffs.get(h, 0.0) + a * b * phase
+        return WeylElement.from_dict(coeffs)
 
     def star(self, A):
         return A.star()
@@ -173,18 +149,8 @@ class WeylCalculus:
 
     @staticmethod
     def _evaluate(A, second_moment):
-        """sum_k alpha_k exp[i mu1(f_k) - second_moment(f_k).real / 2].
-
-        Error, evals and convergence combine the phase provenance of A with
-        those of every second-moment result used.
-        """
+        """sum_k alpha_k exp[i mu1(f_k) - second_moment(f_k).real / 2] as an ANALYTIC result."""
         total = 0.0j
-        err, evals, converged = A._provenance()
         for f, c in A.terms:
-            m = second_moment(f)
-            w = cmath.exp(1j * moment1(f) - 0.5 * m.value.real)
-            total += c * w
-            err += abs(c) * abs(w) * 0.5 * m.error_estimate
-            evals += m.evals
-            converged = converged and m.converged
-        return QuadratureResult(total, err, Method.ANALYTIC, evals, converged)
+            total += c * cmath.exp(1j * moment1(f) - 0.5 * second_moment(f).real)
+        return _analytic(total)

@@ -85,6 +85,26 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_negative_values_attach_with_equals(capsys):
+    """A value with a leading minus parses when it is attached with '='."""
+    with pytest.raises(SystemExit):
+        main(["distance", "--p", "0,0,0,0", "--q", "-1,0,0,0", "--width", "100"])
+    assert "expected one argument" in capsys.readouterr().err
+    code, out, _ = run_cli(
+        capsys,
+        "--format", "json", "distance", "--p", "0,0,0,0", "--q=-1,0,0,0", "--width", "100",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["q"] == [-1.0, 0.0, 0.0, 0.0]
+    assert doc["result"]["classical"] == -1.0
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "sweep", "--axis", "separation", "--range=-1:1:2",
+    )
+    assert code == 0
+    assert [row["value"] for row in json.loads(out)["rows"]] == [-1.0, 1.0]
+
+
 def test_missing_config_file_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys,

@@ -149,13 +149,12 @@ def test_distance_alpha_is_distance_plus_regulator(config, request):
         lam_p = gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_p, psi, cfg)
         lam_q = gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_q, psi, cfg)
         lam = lam_p.value - lam_q.value
-        lam_err = lam_p.error_estimate + lam_q.error_estimate
         reg_scale = constants.kappa_sq / (64.0 * math.pi**2 * params.state_alpha)
         limit = distance(chi_p, chi_q, constants, cfg)
         result = distance_alpha(chi_p, chi_q, params, cfg)
         assert result.classical == limit.classical
         assert result.quantum == limit.quantum + reg_scale * lam * lam
-        assert result.error == limit.error + reg_scale * (2.0 * abs(lam) + lam_err) * lam_err
+        assert result.error == limit.error
         assert result.converged == (limit.converged and lam_p.converged and lam_q.converged)
 
 

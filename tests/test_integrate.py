@@ -494,9 +494,10 @@ def _report(result):
             "error": result.error,
             "converged": result.converged,
         }
-    if isinstance(result, tuple):  # sigma_indexed
-        components, error, evals, converged = result
-        return {"value": components.tolist(), "error": error, "evals": evals, "converged": converged}
+    if isinstance(result, np.ndarray):  # sigma_indexed: plain components
+        return {"value": result.tolist()}
+    if isinstance(result, complex):  # dm_bilinear, mu2: plain values
+        return {"value": result}
     return {
         "value": result.value,
         "error": result.error_estimate,

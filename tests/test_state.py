@@ -30,40 +30,36 @@ def e0_smearing(bump, weight=1.0):
 
 def test_sigma_diagonal_vanishes(cfg, constants):
     f = e0_smearing(GaussianBump((0.5, 0, 0, 0), 20.0))
-    assert sigma(f, f, constants, cfg).value == 0.0
+    assert sigma(f, f, constants, cfg) == 0.0
 
 
 def test_sigma_spacelike_vanishes(cfg, constants):
     kappa_sq = constants.kappa_sq
     f = single_term((0.3, 1.0, -0.2, 0.0), GaussianBump((0.0, 2.0, 0, 0), 400.0), 1.0)
     g = single_term((1.0, 0.5, 0.0, 0.7), GaussianBump((0.2, 0, 0, 0), 400.0), 1.0)
-    r = sigma(f, g, constants, cfg)
-    assert abs(r.value) <= 1e-3 * kappa_sq
+    assert abs(sigma(f, g, constants, cfg)) <= 1e-3 * kappa_sq
 
 
 def test_sigma_timelike_limit(cfg, constants):
     f = e0_smearing(GaussianBump((1, 0, 0, 0), 1e4))
     g = e0_smearing(GaussianBump((0, 0, 0, 0), 1e4))
-    r = sigma(f, g, constants, cfg)
-    assert r.value == pytest.approx(constants.kappa_sq / (8.0 * math.pi), rel=1e-3)
+    assert sigma(f, g, constants, cfg) == pytest.approx(constants.kappa_sq / (8.0 * math.pi), rel=1e-3)
 
 
 def test_sigma_antisymmetry(cfg, constants):
     rng = np.random.default_rng(31)
     for _ in range(20):
         f, g = random_smearing(rng), random_smearing(rng)
-        s_fg = sigma(f, g, constants, cfg)
-        s_gf = sigma(g, f, constants, cfg)
-        assert s_fg.value == -s_gf.value
+        assert sigma(f, g, constants, cfg) == -sigma(g, f, constants, cfg)
 
 
 def test_sigma_indexed_spacelike_and_kernel(cfg, constants):
     psi = GaussianBump((0, 0, 0, 0), 400.0)
     far_spacelike = single_term((1.0, -0.5, 2.0, 0.0), GaussianBump((0, 3, 0, 0), 400.0), 1.0)
-    comps, err, _, _ = sigma_indexed(far_spacelike, psi, constants, cfg)
-    assert np.max(np.abs(comps)) <= max(5 * err, 1e-6)
+    comps = sigma_indexed(far_spacelike, psi, constants, cfg)
+    assert np.max(np.abs(comps)) <= 1e-6
     # psi against itself sits at coincident time centers: exact zero
-    comps, _, _, _ = sigma_indexed(single_term((1, 2, 3, 4), psi, 1.0), psi, constants, cfg)
+    comps = sigma_indexed(single_term((1, 2, 3, 4), psi, 1.0), psi, constants, cfg)
     assert np.array_equal(comps, np.zeros(4))
 
 
@@ -72,7 +68,7 @@ def test_sigma_indexed_far_future(cfg, constants):
     psi = GaussianBump((0, 0, 0, 0), 1e4)
     bump = GaussianBump((2.0, 0, 0, 0), 1e4)
     f = e0_smearing(bump)
-    comps, err, _, _ = sigma_indexed(f, psi, constants, cfg)
+    comps = sigma_indexed(f, psi, constants, cfg)
     scale = constants.kappa_sq / (8.0 * math.pi)
     assert comps[0] == pytest.approx(-scale, rel=1e-3)
     assert np.allclose(comps[1:], 0.0)
@@ -83,7 +79,7 @@ def test_sigma_indexed_far_future(cfg, constants):
         np.eye(4),
         QuadratureConfig(mc_samples=100_000),
     )
-    assert comps[0] == pytest.approx(-scale * mc.value, abs=5 * scale * mc.error_estimate + err)
+    assert comps[0] == pytest.approx(-scale * mc.value, abs=5 * scale * mc.error_estimate)
 
 
 def test_krein_J_examples():
@@ -115,8 +111,7 @@ def test_log_minus_clips_positive_forms(cfg):
     wide = scalar_smearing(GaussianBump((0, 0, 0, 0), 1.0))
     plain = bilinear_form(KernelKind.LOGABS, wide, wide, np.eye(4), cfg)
     assert plain.value > 0.0
-    clipped = log_minus_form(wide, wide, np.eye(4), cfg)
-    assert clipped.value == 0.0
+    assert log_minus_form(wide, wide, np.eye(4), cfg) == 0.0
 
 
 def test_log_minus_matches_unclipped_in_negative_regime(cfg):
@@ -125,8 +120,7 @@ def test_log_minus_matches_unclipped_in_negative_regime(cfg):
     )
     plain = bilinear_form(KernelKind.LOGABS, narrow, narrow, np.eye(4), cfg)
     assert plain.value < 0.0
-    clipped = log_minus_form(narrow, narrow, np.eye(4), cfg)
-    assert clipped.value == plain.value
+    assert log_minus_form(narrow, narrow, np.eye(4), cfg) == plain.value
 
 
 def test_dm_bilinear_imaginary_part_is_half_sigma(cfg, params, constants):
@@ -134,8 +128,8 @@ def test_dm_bilinear_imaginary_part_is_half_sigma(cfg, params, constants):
     f, g = random_smearing(rng), random_smearing(rng)
     d = dm_bilinear(f, g, params, cfg)
     s = sigma(f, g, constants, cfg)
-    assert d.value.imag == pytest.approx(0.5 * s.value, abs=1e-15)
-    assert dm_bilinear(f, f, params, cfg).value.imag == 0.0
+    assert d.imag == pytest.approx(0.5 * s, abs=1e-15)
+    assert dm_bilinear(f, f, params, cfg).imag == 0.0
 
 
 def test_dm_bilinear_hermiticity(cfg, params):
@@ -144,8 +138,7 @@ def test_dm_bilinear_hermiticity(cfg, params):
         f, g = random_smearing(rng), random_smearing(rng)
         d_fg = dm_bilinear(f, g, params, cfg)
         d_gf = dm_bilinear(g, f, params, cfg)
-        budget = 2 * (d_fg.error_estimate + d_gf.error_estimate) + 1e-12
-        assert abs(d_fg.value - d_gf.value.conjugate()) <= budget
+        assert abs(d_fg - d_gf.conjugate()) <= 1e-12
 
 
 def test_dm_bilinear_mean_term_isolation(cfg, constants):
@@ -159,7 +152,7 @@ def test_dm_bilinear_mean_term_isolation(cfg, constants):
     values = []
     for alpha in (1.0, 2.0):
         p = DMStateParams(state_alpha=alpha, psi=psi, constants=constants)
-        values.append(dm_bilinear(f, f, p, cfg).value.real)
+        values.append(dm_bilinear(f, f, p, cfg).real)
     slope = values[1] - values[0]
     assert slope == pytest.approx(-constants.kappa_sq, rel=1e-9)
 
@@ -171,17 +164,17 @@ def test_dm_bilinear_classical_limit(cfg):
         constants=PhysicalConstants(0.0),
     )
     f = e0_smearing(GaussianBump((1, 0, 0, 0), 5.0))
-    assert dm_bilinear(f, f, params0, cfg).value == 0.0
+    assert dm_bilinear(f, f, params0, cfg) == 0.0
 
 
 def test_mu2_zero_and_scaling(cfg, params):
     from ncmink.testfn import ZERO_SMEARING
 
-    assert mu2(ZERO_SMEARING, ZERO_SMEARING, params, cfg).value == 0.0
+    assert mu2(ZERO_SMEARING, ZERO_SMEARING, params, cfg) == 0.0
     rng = np.random.default_rng(47)
     f = random_smearing(rng)
-    base = mu2(f, f, params, cfg).value.real
-    scaled = mu2(f.scaled(2.5), f.scaled(2.5), params, cfg).value.real
+    base = mu2(f, f, params, cfg).real
+    scaled = mu2(f.scaled(2.5), f.scaled(2.5), params, cfg).real
     assert scaled == pytest.approx(2.5**2 * base, rel=1e-9)
 
 
@@ -190,8 +183,8 @@ def test_mu2_positive_on_randoms(cfg, params):
     for _ in range(20):
         f = random_smearing(rng)
         m = mu2(f, f, params, cfg)
-        assert m.value.real >= -2.0 * m.error_estimate
-        assert abs(m.value.imag) <= 2.0 * m.error_estimate + 1e-12
+        assert m.real >= 0.0
+        assert abs(m.imag) <= 1e-12
 
 
 def test_gram_singleton_and_spacelike_family(cfg, params):
