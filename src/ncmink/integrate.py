@@ -45,6 +45,7 @@ from .testfn import mean
 # round-off floor of every tolerance used in the package.
 _TAIL_EXPONENT = 41.5
 
+_EPS = float(np.finfo(float).eps)
 _MC_BLOCK_SIZE = 8192
 _MAX_ROUNDS = 400
 
@@ -88,7 +89,9 @@ class QuadratureResult:
     compute an error, an eval count or a convergence flag.  For MC8D the
     estimate is a 95% confidence half-width; for MOMENTUM it is the sum of
     per-panel differences between the 15- and the 7-node Gauss-Legendre
-    rules.  The closed-form results that keep this shape (``bilinear_form``,
+    rules plus eps times the integrated magnitude of the cancelling sum
+    over term pairs, the scale of that sum's rounding.  The closed-form
+    results that keep this shape (``bilinear_form``,
     ``gaussian_pair_reduce``, ``causal`` and the Weyl functionals
     ``eval_omega``, ``eval_tau``, ``causal_via_weyl``) are ANALYTIC: exact up
     to floating-point rounding, error 0, evals 0, converged.  The state
@@ -305,6 +308,16 @@ def smearing_arrays(f):
     return centers, widths, np.array([t.weight for t in f.terms], dtype=float), covectors
 
 
+def pair_coefficients(left, contraction, right):
+    """Coefficients left_i . contraction . right_j of weighted covector rows, shape (n, m).
+
+    With a diagonal contraction (eta, the identity) the product with it is
+    exact and each entry is a four-term sum taken in index order, so an
+    entry does not depend on the other rows of the table.
+    """
+    return ((left @ contraction)[:, None, :] * right[None, :, :]).sum(axis=-1)
+
+
 def _term_pairs(f, g, contraction):
     """Nonzero term-pair coefficients (w v) . c . (w' v') with their (b, delta, R).
 
@@ -314,7 +327,7 @@ def _term_pairs(f, g, contraction):
     c = _check_contraction(contraction)
     cf, af, wf, vf = smearing_arrays(f)
     cg, ag, wg, vg = smearing_arrays(g)
-    coef = (((wf[:, None] * vf) @ c)[:, None, :] * (wg[:, None] * vg)[None, :, :]).sum(axis=-1)
+    coef = pair_coefficients(wf[:, None] * vf, c, wg[:, None] * vg)
     pairs = coef != 0.0
     b, delta, R = pair_geometry(cf[:, None], af[:, None], cg[None], ag[None])
     return coef[pairs], b[pairs], delta[pairs], R[pairs]
@@ -421,12 +434,15 @@ def _gl_unit(order):
 def _refine(integrand, x0, x1, cfg, evals_per_node=1):
     """Adaptive GL15/GL7 panel refinement of a vectorized 1D integrand.
 
-    Each panel is integrated with the 15- and the 7-node Gauss-Legendre
-    rule; their difference is the panel's error estimate.  Every round
-    halves the worst eighth of the panels (at least one, at most 512) until
-    the summed estimate meets max(abs_tol, rel_tol |value|), which marks
-    the result converged, or the eval budget is spent.  Each node costs
-    ``evals_per_node`` evals.  Returns (value, error, evals, converged).
+    ``integrand`` returns its values and a non-negative magnitude at the
+    nodes.  Each panel is integrated with the 15- and the 7-node
+    Gauss-Legendre rule; their difference is the panel's error estimate.
+    Every round halves the worst eighth of the panels (at least one, at
+    most 512) until the summed estimate meets max(abs_tol, rel_tol |value|),
+    which marks the result converged, or the eval budget is spent.  Each
+    node costs ``evals_per_node`` evals.  The magnitude is integrated with
+    the 15-node rule on the final panels.  Returns (value, error,
+    magnitude, evals, converged).
     """
 
     def rules(a0, a1):
@@ -434,13 +450,13 @@ def _refine(integrand, x0, x1, cfg, evals_per_node=1):
         xs15, w15 = _gl_unit(15)
         width = a1 - a0
         nodes = a0[:, None] + width[:, None] * np.concatenate([xs7, xs15])
-        vals = integrand(nodes.ravel()).reshape(len(a0), -1)
+        vals, mags = (v.reshape(len(a0), -1) for v in integrand(nodes.ravel()))
         f7, f15 = vals[:, :7], vals[:, 7:]
         coarse = width * (f7 @ w7)
         fine = width * (f15 @ w15)
-        return fine, np.abs(fine - coarse)
+        return fine, np.abs(fine - coarse), width * (mags[:, 7:] @ w15)
 
-    values, errors = rules(x0, x1)
+    values, errors, magnitudes = rules(x0, x1)
     evals = len(x0) * 22 * evals_per_node
     converged = False
     for _ in range(_MAX_ROUNDS):
@@ -460,29 +476,32 @@ def _refine(integrand, x0, x1, cfg, evals_per_node=1):
         mids = 0.5 * (x0[chosen] + x1[chosen])
         c0 = np.concatenate([x0[chosen], mids])
         c1 = np.concatenate([mids, x1[chosen]])
-        new_vals, new_errs = rules(c0, c1)
+        new_vals, new_errs, new_mags = rules(c0, c1)
         evals += len(c0) * 22 * evals_per_node
         x0 = np.concatenate([x0[keep], c0])
         x1 = np.concatenate([x1[keep], c1])
         values = np.concatenate([values[keep], new_vals])
         errors = np.concatenate([errors[keep], new_errs])
-    return values.sum(), float(errors.sum()), evals, converged
+        magnitudes = np.concatenate([magnitudes[keep], new_mags])
+    return values.sum(), float(errors.sum()), float(magnitudes.sum()), evals, converged
 
 
 def _momentum_integrand(P, coef, cpair, dt, sep):
-    """Combined radial integrand sum_pairs coef * (g(P) - 1) / P.
+    """Combined radial integrand sum_pairs coef * (g(P) - 1) / P, and its magnitude.
 
     g(P) = sinc(P sep) e^{-i P dt} (1 + i P dt + 2 c P^2) e^{-2 c P^2} has
     g(0) = 1 for every pair; subtracting 1 removes the infrared 1/P piece,
-    whose total coefficient is the (vanishing) mean contraction.
+    whose total coefficient is the (vanishing) mean contraction.  The
+    magnitude sum_pairs |coef (g(P) - 1)| / P scales the rounding of that
+    cancelling sum.
     """
     Pm = P[:, None]
     osc = np.sinc(Pm * sep[None, :] / math.pi)
     phase = np.exp(-1j * Pm * dt[None, :])
     poly = 1.0 + 1j * Pm * dt[None, :] + 2.0 * cpair[None, :] * Pm**2
     damp = np.exp(-2.0 * cpair[None, :] * Pm**2)
-    g = osc * phase * poly * damp
-    return ((g - 1.0) @ coef) / P
+    g_minus_1 = osc * phase * poly * damp - 1.0
+    return (g_minus_1 @ coef) / P, (np.abs(g_minus_1) @ np.abs(coef)) / P
 
 
 def momentum_form(f, g, cfg, contraction=None):
@@ -506,9 +525,12 @@ def momentum_form(f, g, cfg, contraction=None):
     freq = float(np.max(np.abs(dt) + sep))
     n0 = min(4096, max(24, int(2.0 * freq * p_max / math.pi) + 1))
     edges = np.linspace(0.0, p_max, n0 + 1)
-    total, err, evals, converged = _refine(
+    total, err, magnitude, evals, converged = _refine(
         lambda P: _momentum_integrand(P, coef, cpair, dt, sep),
         edges[:-1], edges[1:], cfg, evals_per_node=len(coef),
     )
+    # the quadrature estimate misses the rounding of the cancelling sum over
+    # term pairs, which is of order eps times the sum of their magnitudes
+    err += _EPS * magnitude
     scale = 8.0 * math.pi**2
     return QuadratureResult(complex(total) / scale, err / scale, Method.MOMENTUM, evals, converged)

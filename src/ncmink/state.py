@@ -17,6 +17,18 @@ The building blocks assembled here:
 * ``mu2``: Delta_{alpha,psi}(f, J g), the positive scalar product whose Gram
   matrices certify state positivity.
 
+``dm_bilinear``, ``mu2`` and ``gram_check`` do not compose the functions
+above.  They evaluate all four terms from one term table: f's terms, psi
+carrying -mean(f), g's terms (Krein-twisted for mu2) and psi carrying
+-mean(g), as arrays.  One ``pair_geometry`` covers the table, one LOGABS
+``pair_integrals`` call its nonzero-coefficient pairs, whose products give
+Q(Pf + Pg) and Q(Pf - Pg) as two exactly rounded sums (the g block's signs
+flipped in the second), and one LIGHTCONE call the f x psi, g x psi and
+f x g blocks.  Every product and sum is the one the composition computes,
+so for u = (1, 0, 0, 0) the result is bit-identical to it;
+``log_minus_form``, ``sigma_indexed``, ``project_psi``, ``krein_J`` and
+``sigma`` remain the definition the tests compare against.
+
 Note the two distinct alpha-like parameters: ``state_alpha`` below is the
 state regulator, while Gaussian bumps carry their own ``width``.
 """
@@ -25,19 +37,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .integrate import (
     bilinear_form,
     bump_arrays,
+    pair_coefficients,
     pair_geometry,
     pair_integrals,
     smearing_arrays,
 )
 from .kernels import KernelKind
 from .minkowski import ETA, PhysicalConstants, krein_covector_map, validate_unit_timelike
-from .testfn import GaussianBump, mean, project_psi
+from .testfn import GaussianBump
 
 
 class PositivityError(ArithmeticError):
@@ -100,51 +115,118 @@ def log_minus_form(f, g, contraction, cfg):
     return 0.25 * min(plus.value, 0.0) - 0.25 * min(minus.value, 0.0)
 
 
-def dm_bilinear(f, g, params, cfg):
-    """The regularized bilinear form Delta_{alpha,psi}(f, g) as a complex number.
+class _TermRows(NamedTuple):
+    """A smearing's terms as arrays, in its canonical term order."""
 
-    Assembled from its expanded four-term shape; the imaginary part equals
-    (1/2) sigma(f, g) exactly because it is attached once rather than
-    integrated separately.  With kappa = 0 every term vanishes (classical
-    limit).
+    centers: np.ndarray  # (n, 4)
+    widths: np.ndarray  # (n,)
+    covectors: np.ndarray  # (n, 4), weight times covector
+    mean: np.ndarray  # (4,), testfn.mean of the smearing
+
+
+@lru_cache(maxsize=16)
+def _krein_map(u):
+    """krein_covector_map(u) for a tuple u, built once per u and read-only."""
+    matrix = krein_covector_map(u)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _term_rows(f, twist=None):
+    """Term rows of f, or with a twist matrix J those of f.map_covectors(J).
+
+    The twisted rows are sorted into the canonical order of the twisted
+    smearing, and the mean is summed in term order as ``testfn.mean`` sums
+    it, so every number equals the one the smearing route computes.
     """
+    centers, widths, weights, covectors = smearing_arrays(f)
+    if twist is not None:
+        covectors = covectors @ twist.T
+        order = np.lexsort((weights, *covectors.T[::-1], widths, *centers.T[::-1]))
+        centers, widths, weights, covectors = (
+            a[order] for a in (centers, widths, weights, covectors)
+        )
+    rows = weights[:, None] * covectors
+    total = np.zeros(4)
+    for row in rows:
+        total += row
+    return _TermRows(centers, widths, rows, total)
+
+
+def _two_point(fr, gr, params):
+    """Delta_{alpha,psi} of the smearings with term rows fr and gr (see module doc)."""
     kappa_sq = params.constants.kappa_sq
     if kappa_sq == 0.0:
         return 0.0 + 0.0j
-    pf = project_psi(f, params.psi)
-    pg = project_psi(g, params.psi)
-    log_term = log_minus_form(pf, pg, ETA, cfg)
+    nf, ng = len(fr.widths), len(gr.widths)
+    psi_center, psi_width = bump_arrays([params.psi])
+    centers = np.concatenate([fr.centers, psi_center, gr.centers, psi_center])
+    widths = np.concatenate([fr.widths, psi_width, gr.widths, psi_width])
+    rows = np.concatenate([fr.covectors, -fr.mean[None], gr.covectors, -gr.mean[None]])
+    b, delta, R = pair_geometry(centers[:, None], widths[:, None], centers[None], widths[None])
+    coef = pair_coefficients(rows, ETA, rows)
+
+    pairs = coef != 0.0
+    products = coef[pairs] * pair_integrals(KernelKind.LOGABS, b[pairs], delta[pairs], R[pairs])
+    in_g = np.arange(nf + ng + 2) > nf
+    cross = (in_g[:, None] != in_g[None, :])[pairs]
+    plus = math.fsum(products)
+    minus = math.fsum(np.where(cross, -products, products))
+    log_term = 0.25 * min(plus, 0.0) - 0.25 * min(minus, 0.0)
     log_scale = kappa_sq / (16.0 * math.pi**2)
 
-    mean_term = params.state_alpha * kappa_sq * float(mean(f) @ ETA @ mean(g))
+    mean_term = params.state_alpha * kappa_sq * float(fr.mean @ ETA @ gr.mean)
 
-    sf = sigma_indexed(f, params.psi, params.constants, cfg)
-    sg = sigma_indexed(g, params.psi, params.constants, cfg)
+    # light-cone blocks: f x psi, g x psi and the nonzero pairs of f x g
+    g_rows = slice(nf + 1, nf + 1 + ng)
+    fg = coef[:nf, g_rows]
+    fg_pairs = fg != 0.0
+    blocks = [(a[:nf, nf], a[g_rows, nf], a[:nf, g_rows][fg_pairs]) for a in (b, delta, R)]
+    values = pair_integrals(KernelKind.LIGHTCONE, *(np.concatenate(x) for x in blocks))
+    scale = kappa_sq / (8.0 * math.pi)
+    sf = -scale * (values[:nf] @ fr.covectors)
+    sg = -scale * (values[nf : nf + ng] @ gr.covectors)
     reg_scale = 1.0 / (4.0 * params.state_alpha * kappa_sq)
     reg_term = reg_scale * float(sf @ ETA @ sg)
 
-    sig = sigma(f, g, params.constants, cfg)
+    sig = -scale * math.fsum(fg[fg_pairs] * values[nf + ng :])
     return -log_scale * log_term + mean_term + reg_term + 0.5j * sig
+
+
+def dm_bilinear(f, g, params, cfg):
+    """The regularized bilinear form Delta_{alpha,psi}(f, g) as a complex number.
+
+    The expanded four-term shape -kappa^2/16pi^2 log_minus_form(Pf, Pg, eta)
+    + mean term + regulator term from sigma_indexed + (i/2) sigma(f, g),
+    evaluated from one term table of f, g and their psi projections (see
+    the module docstring) with the same products and sums.  The imaginary
+    part equals (1/2) sigma(f, g) exactly because it is attached once rather
+    than integrated separately.  With kappa = 0 every term vanishes
+    (classical limit).
+    """
+    return _two_point(_term_rows(f), _term_rows(g), params)
+
+
+def _check_diagonal(value):
+    """mu2(f, f) must be real and non-negative within the rounding budget."""
+    budget = 1e-10 * (1.0 + abs(value))
+    if abs(value.imag) > budget:
+        raise PositivityError(f"Im mu2(f,f) = {value.imag!r} exceeds error budget {budget!r}")
+    if value.real < -budget:
+        raise PositivityError(f"Re mu2(f,f) = {value.real!r} negative beyond budget {budget!r}")
 
 
 def mu2(f, g, params, cfg):
     """Twisted two-point functional Delta_{alpha,psi}(f, J g) as a complex number.
 
+    The Krein map is applied to g's covector rows, not through krein_J(g).
     On the diagonal the imaginary part must vanish (sigma(f, Jf) = 0) and
     the real part must be non-negative; violations beyond the rounding
     budget 1e-10 (1 + |value|) raise :class:`PositivityError`.
     """
-    value = dm_bilinear(f, krein_J(g, params.u), params, cfg)
+    value = _two_point(_term_rows(f), _term_rows(g, _krein_map(tuple(params.u))), params)
     if f == g:
-        budget = 1e-10 * (1.0 + abs(value))
-        if abs(value.imag) > budget:
-            raise PositivityError(
-                f"Im mu2(f,f) = {value.imag!r} exceeds error budget {budget!r}"
-            )
-        if value.real < -budget:
-            raise PositivityError(
-                f"Re mu2(f,f) = {value.real!r} negative beyond budget {budget!r}"
-            )
+        _check_diagonal(value)
     return value
 
 
@@ -172,18 +254,27 @@ def gram_check(family, params, cfg):
     """Build and test the Gram matrices N and M of a smearing family.
 
     N_kl is mu2(f_k, f_l), which already carries the (i/2) sigma part in its
-    imaginary component.  Only the upper triangle is integrated, the lower
-    one is its conjugate (Hermiticity is an identity of the form, not a
-    numerical accident).  The reported M is the diagonal congruence
-    rescaling exp[N_kl - (N_kk + N_ll)/2] of the elementwise exponential;
-    it shares the positivity verdict with exp(N) by Sylvester's law while
-    staying inside floating-point range for large mu2 values.
+    imaginary component.  Each member's plain and Krein-twisted term rows
+    are built once, and every entry is one term table of them, with mu2's
+    positivity guard wherever f_k == f_l.  Only the upper triangle is
+    integrated, the lower one is its conjugate (Hermiticity is an identity
+    of the form, not a numerical accident).  The reported M is the diagonal
+    congruence rescaling exp[N_kl - (N_kk + N_ll)/2] of the elementwise
+    exponential; it shares the positivity verdict with exp(N) by
+    Sylvester's law while staying inside floating-point range for large
+    mu2 values.
     """
     n = len(family)
+    twist = _krein_map(tuple(params.u))
+    plain = [_term_rows(f) for f in family]
+    twisted = [_term_rows(f, twist) for f in family]
     N = np.zeros((n, n), dtype=complex)
     for k in range(n):
         for l in range(k, n):
-            N[k, l] = mu2(family[k], family[l], params, cfg)
+            value = _two_point(plain[k], twisted[l], params)
+            if family[k] == family[l]:
+                _check_diagonal(value)
+            N[k, l] = value
             if l != k:
                 N[l, k] = N[k, l].conjugate()
     diag = np.real(np.diag(N))

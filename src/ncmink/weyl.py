@@ -19,10 +19,13 @@ results (error 0, evals 0, converged).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
-from .integrate import _analytic
-from .state import dm_bilinear, krein_J, mu2, sigma
+from .integrate import _analytic, bilinear_form
+from .kernels import KernelKind
+from .minkowski import ETA, krein_matrix
+from .state import dm_bilinear, mu2
 from .testfn import ZERO_SMEARING, moment1
 
 PAIRINGS = ("plain", "krein")
@@ -98,6 +101,9 @@ class WeylCalculus:
         self.cfg = cfg
         self.u = u
         self.pairing = pairing
+        # sigma(f, J g) is the light-cone form of f and g contracted with
+        # eta J, the Krein matrix, so no twisted smearing is built
+        self._contraction = krein_matrix(u) if pairing == "krein" else ETA
         self._sigma_cache = {}
         self._mu2_cache = {}
 
@@ -110,8 +116,8 @@ class WeylCalculus:
         key = (kg, kf) if swap else (kf, kg)
         if key not in self._sigma_cache:
             a, b = (g, f) if swap else (f, g)
-            second = krein_J(b, self.u) if self.pairing == "krein" else b
-            self._sigma_cache[key] = sigma(a, second, self.constants, self.cfg)
+            form = bilinear_form(KernelKind.LIGHTCONE, a, b, self._contraction, self.cfg)
+            self._sigma_cache[key] = -self.constants.kappa_sq / (8.0 * math.pi) * form.value
         s = self._sigma_cache[key]
         return -s if swap else s
 

@@ -5,22 +5,29 @@ import pytest
 
 from conftest import random_smearing
 from ncmink import (
+    ETA,
     DMStateParams,
     GaussianBump,
     KernelKind,
     PhysicalConstants,
+    PositivityError,
     QuadratureConfig,
+    VectorSmearing,
     bilinear_form,
     dm_bilinear,
     gram_check,
     krein_J,
     log_minus_form,
     mc_oracle,
+    mean,
     mu2,
     pair_condition,
+    project_psi,
     sigma,
     sigma_indexed,
 )
+from ncmink import state
+from ncmink.integrate import _term_pairs, bump_arrays, pair_geometry, pair_integrals, smearing_arrays
 from ncmink.testfn import scalar_smearing, single_term
 
 
@@ -239,3 +246,142 @@ def test_params_validation(constants):
         DMStateParams(state_alpha=0.0, psi=psi, constants=constants)
     with pytest.raises(ValueError):
         DMStateParams(state_alpha=1.0, psi=psi, constants=constants, u=(0, 1, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# The one-table route of dm_bilinear, mu2 and gram_check against the
+# composition of the public functions that define the form.
+
+
+def composed_dm_bilinear(f, g, params, cfg):
+    """Delta_{alpha,psi}(f, g) composed term by term, as the definition reads."""
+    kappa_sq = params.constants.kappa_sq
+    pf = project_psi(f, params.psi)
+    pg = project_psi(g, params.psi)
+    log_term = log_minus_form(pf, pg, ETA, cfg)
+    log_scale = kappa_sq / (16.0 * math.pi**2)
+    mean_term = params.state_alpha * kappa_sq * float(mean(f) @ ETA @ mean(g))
+    sf = sigma_indexed(f, params.psi, params.constants, cfg)
+    sg = sigma_indexed(g, params.psi, params.constants, cfg)
+    reg_scale = 1.0 / (4.0 * params.state_alpha * kappa_sq)
+    reg_term = reg_scale * float(sf @ ETA @ sg)
+    sig = sigma(f, g, params.constants, cfg)
+    return -log_scale * log_term + mean_term + reg_term + 0.5j * sig
+
+
+def composed_magnitude(f, g, params):
+    """Sum of |coefficient x pair integral| over every product the form adds, scaled."""
+
+    def total(kind, a, b):
+        coef, bb, delta, R = _term_pairs(a, b, ETA)
+        return math.fsum(np.abs(coef * pair_integrals(kind, bb, delta, R)))
+
+    def abs_sigma_indexed(h):
+        centers, widths, weights, covectors = smearing_arrays(h)
+        values = pair_integrals(
+            KernelKind.LIGHTCONE, *pair_geometry(centers, widths, *bump_arrays([params.psi]))
+        )
+        return np.abs(values) @ np.abs(weights[:, None] * covectors)
+
+    kappa_sq = params.constants.kappa_sq
+    scale = kappa_sq / (8.0 * math.pi)
+    pf, pg = project_psi(f, params.psi), project_psi(g, params.psi)
+    log_part = kappa_sq / (64.0 * math.pi**2) * (
+        total(KernelKind.LOGABS, pf + pg, pf + pg) + total(KernelKind.LOGABS, pf - pg, pf - pg)
+    )
+    mean_part = params.state_alpha * kappa_sq * float(np.abs(mean(f)) @ np.abs(mean(g)))
+    reg_part = scale**2 * float(abs_sigma_indexed(f) @ abs_sigma_indexed(g)) / (
+        4.0 * params.state_alpha * kappa_sq
+    )
+    return log_part + mean_part + reg_part + 0.5 * scale * total(KernelKind.LIGHTCONE, f, g)
+
+
+def table_smearing(rng, pool):
+    """1-4 terms on a shared bump pool, so one bump can carry several covectors.
+
+    Covector sizes span four decades, so the order in which a bump's terms
+    are summed shows in the last bits.  About a third of the covectors have
+    a zero time component: the rest-frame Krein map keeps those, so f and
+    J f share terms that merge in Pf + PJf.
+    """
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        v = rng.normal(size=4) * 10.0 ** rng.uniform(-2.0, 2.0)
+        if rng.uniform() < 0.35:
+            v[0] = 0.0
+        weight = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        terms.append((tuple(v), pool[int(rng.integers(len(pool)))], weight))
+    return VectorSmearing(tuple(terms))
+
+
+def bump_pool(rng, psi):
+    pool = [GaussianBump(tuple(rng.normal(scale=0.6, size=4)), rng.uniform(8.0, 40.0)) for _ in range(3)]
+    return pool + [psi]
+
+
+def test_one_table_matches_composition_bit_for_bit(cfg, params):
+    assert params.u == (1.0, 0.0, 0.0, 0.0)
+    rng = np.random.default_rng(71)
+    pool = bump_pool(rng, params.psi)
+    shared_terms = zero_time = 0
+    for i in range(40):
+        f = table_smearing(rng, pool)
+        g = f if i % 4 == 0 else table_smearing(rng, pool)
+        shared_terms += len((project_psi(f, params.psi) + project_psi(g, params.psi)).terms) < len(f.terms) + len(g.terms) + 2
+        zero_time += any(t.covector[0] == 0.0 for t in f.terms)
+        assert dm_bilinear(f, g, params, cfg) == composed_dm_bilinear(f, g, params, cfg)
+        assert mu2(f, g, params, cfg) == composed_dm_bilinear(f, krein_J(g, params.u), params, cfg)
+    # the draw exercises merged terms and zero time components
+    assert shared_terms >= 10 and zero_time >= 10
+
+
+def test_one_table_matches_composition_in_a_boosted_frame(cfg, constants):
+    boost = np.array([0.4, -0.2, 0.1])
+    u = tuple(np.concatenate([[math.sqrt(1 + boost @ boost)], boost]))
+    psi = GaussianBump((0.1, 0.0, 0.2, 0.0), 25.0)
+    params = DMStateParams(state_alpha=1.0, psi=psi, constants=constants, u=u)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(73)
+    pool = bump_pool(rng, psi)
+    for i in range(20):
+        f = table_smearing(rng, pool)
+        g = f if i % 4 == 0 else table_smearing(rng, pool)
+        jg = krein_J(g, u)
+        bound = 8.0 * eps * composed_magnitude(f, jg, params)
+        assert abs(mu2(f, g, params, cfg) - composed_dm_bilinear(f, jg, params, cfg)) <= bound
+        bound = 8.0 * eps * composed_magnitude(f, g, params)
+        assert abs(dm_bilinear(f, g, params, cfg) - composed_dm_bilinear(f, g, params, cfg)) <= bound
+
+
+def test_gram_matrix_entries_are_mu2(cfg, params):
+    rng = np.random.default_rng(79)
+    pool = bump_pool(rng, params.psi)
+    family = [table_smearing(rng, pool) for _ in range(4)]
+    family.append(family[1])  # a repeated member is guarded like a diagonal entry
+    N = gram_check(family, params, cfg)[0].matrix
+    for k in range(len(family)):
+        for l in range(k, len(family)):
+            value = mu2(family[k], family[l], params, cfg)
+            assert N[k, l] == value
+            assert N[l, k] == value.conjugate()
+
+
+@pytest.mark.parametrize(
+    "value, message", [(-1e-3 + 0.0j, "negative beyond budget"), (0.5 + 1e-3j, "exceeds error budget")]
+)
+def test_diagonal_positivity_guard(cfg, params, monkeypatch, value, message):
+    rng = np.random.default_rng(83)
+    f, g = random_smearing(rng), random_smearing(rng)
+    monkeypatch.setattr(state, "_two_point", lambda fr, gr, params: value)
+    with pytest.raises(PositivityError, match=message):
+        mu2(f, f, params, cfg)
+    with pytest.raises(PositivityError, match=message):
+        gram_check([f, g], params, cfg)
+    # only diagonal entries are guarded
+    assert mu2(f, g, params, cfg) == value
+    # as in mu2, the guard follows f_k == f_l, not k == l: entry (0, 1) of a
+    # repeated member raises although entry (0, 0) passed
+    entries = iter([1.0 + 0.0j, value])
+    monkeypatch.setattr(state, "_two_point", lambda fr, gr, params: next(entries))
+    with pytest.raises(PositivityError, match=message):
+        gram_check([f, f], params, cfg)
