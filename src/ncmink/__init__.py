@@ -27,7 +27,6 @@ from .testfn import (
     frame_smearings,
     mean,
     moment1,
-    project_psi,
     scalar_smearing,
     single_term,
     smearing_from_json,
@@ -50,11 +49,9 @@ from .state import (
     dm_bilinear,
     gram_check,
     krein_J,
-    log_minus_form,
     mu2,
     pair_condition,
     sigma,
-    sigma_indexed,
 )
 from .weyl import WeylCalculus, WeylElement
 from .geometry import (

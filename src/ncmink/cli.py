@@ -24,7 +24,8 @@ Config file (JSON)::
      "quadrature": {"rel_tol": 1e-3, "abs_tol": 1e-10, "max_evals": 20000000,
                     "mc_samples": 20000, "seed": 20260809}}
 
-Smearing families (JSON, see :func:`ncmink.testfn.smearing_from_json`)::
+No command reads a smearing family; its JSON form is the library format
+of :func:`ncmink.testfn.smearing_from_json`::
 
     [{"v": [v0, v1, v2, v3], "center": [t, x, y, z], "width": a, "weight": w}, ...]
 """

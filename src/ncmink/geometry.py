@@ -148,19 +148,23 @@ def causal(chi_p, chi_q, cfg):
     return gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_p, chi_q, cfg)
 
 
-def classify_causal(value, error, band=3.0):
-    """Map a causal value with its error onto a coarse relation label."""
-    err = max(error, 1e-12)
-    if abs(value) < band * err:
+def classify_causal(value, error):
+    """Map a causal value with its error onto a coarse relation label.
+
+    A value within three times its error (at least 1e-12) of 0, +1 or -1 is
+    spacelike, future or past; anything else is fuzzy.
+    """
+    band = 3.0 * max(error, 1e-12)
+    if abs(value) < band:
         return "spacelike"
-    if abs(value - 1.0) < band * err:
+    if abs(value - 1.0) < band:
         return "future"
-    if abs(value + 1.0) < band * err:
+    if abs(value + 1.0) < band:
         return "past"
     return "fuzzy"
 
 
-def causal_via_weyl(chi_p, chi_q, params, cfg, use_krein_pairing=False):
+def causal_via_weyl(chi_p, chi_q, params, cfg):
     """Causal functional through the algebra: triple products under tau.
 
     Builds W(f^(a)) W(g^(b)) W(-f^(a) - g^(b)) for the frame pairs with
@@ -168,18 +172,14 @@ def causal_via_weyl(chi_p, chi_q, params, cfg, use_krein_pairing=False):
     tau on each product, and frame-contracts the logarithms.  Every
     product collapses to a multiple of the unit, so |tau| must be 1;
     deviations beyond the rounding budget 1e-9 raise (branch-cut guard).
-    With the plain pairing this reproduces :func:`causal`; the
-    Krein-twisted pairing changes the frame contraction from 4 to 2 and is
-    exposed for diagnostics only.
+    The products use the plain pairing, so this reproduces :func:`causal`.
     """
     constants = params.constants
     if constants.kappa_sq == 0.0:
         raise ValueError("the Weyl route needs kappa > 0 (phases vanish otherwise)")
     fs = frame_smearings(chi_p, DEFAULT_FRAME)
     gs = frame_smearings(chi_q, DEFAULT_FRAME)
-    calc = WeylCalculus(
-        constants, cfg, u=params.u, pairing="krein" if use_krein_pairing else "plain"
-    )
+    calc = WeylCalculus(constants, cfg, pairing="plain")
     total = 0.0j
     for f, g, weight in zip(fs, gs, DEFAULT_FRAME.signature):
         prod = calc.mul(

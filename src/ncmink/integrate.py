@@ -169,20 +169,16 @@ def _lightcone_pair(b, delta, R):
     """Closed-form LIGHTCONE pair integral for delta >= 0.
 
     Phi(y-) + Phi(y+) - 1 - [phi(y-) - phi(y+)] / (y+ - y-) with
-    y+- = sqrt(b) (delta +- R).  The divided difference is taken through
-    sinh(b delta R) / (b delta R) below b delta R = 1, where the direct
-    difference cancels, and directly above it, where sinh overflows.
+    y+- = sqrt(b) (delta +- R).  Since phi(y+) = phi(y-) e^(-z) with
+    z = 2 b delta R, the divided difference is
+    phi(y-) sqrt(b) delta (1 - e^(-z)) / z, which expm1 evaluates without
+    cancelling for small z or overflowing for large z.
     """
     s = math.sqrt(0.5 * b)
     step = 0.5 * math.erfc(s * (R - delta)) - 0.5 * math.erfc(s * (R + delta))
-    z = b * delta * R
-    if z < 1.0:
-        sinhc = math.sinh(z) / z if z > 0.0 else 1.0
-        gauss = math.exp(-0.5 * b * (delta * delta + R * R))
-        slope = delta * s / math.sqrt(math.pi) * gauss * sinhc
-    else:
-        gap = math.exp(-((s * (delta - R)) ** 2)) - math.exp(-((s * (delta + R)) ** 2))
-        slope = gap / (2.0 * math.sqrt(2.0 * math.pi * b) * R)
+    z = 2.0 * b * delta * R
+    ratio = -math.expm1(-z) / z if z > 0.0 else 1.0
+    slope = delta * s / math.sqrt(math.pi) * math.exp(-((s * (delta - R)) ** 2)) * ratio
     return step - slope
 
 
@@ -504,15 +500,15 @@ def _momentum_integrand(P, coef, cpair, dt, sep):
     return (g_minus_1 @ coef) / P, (np.abs(g_minus_1) @ np.abs(coef)) / P
 
 
-def momentum_form(f, g, cfg, contraction=None):
+def momentum_form(f, g, cfg):
     """Momentum-space bilinear form built on the radial correlation kernel.
 
     Requires mean(f) = mean(g) = 0; otherwise the |p|^{-3} infrared
     divergence is unregulated and the form is rejected.  Returns a complex
     value; for f = g its real part reproduces -(1/16 pi^2) times the LOGABS
-    position-space form.
+    position-space form.  Covectors are contracted with the identity.
     """
-    coef, b, dt, sep = _term_pairs(f, g, np.eye(4) if contraction is None else contraction)
+    coef, b, dt, sep = _term_pairs(f, g, np.eye(4))
     for name, h in (("f", f), ("g", g)):
         scale = np.abs(smearing_arrays(h)[2]).sum()
         if np.max(np.abs(mean(h)), initial=0.0) > 1e-12 * max(scale, 1.0):
@@ -524,7 +520,10 @@ def momentum_form(f, g, cfg, contraction=None):
     p_max = math.sqrt(0.5 * _TAIL_EXPONENT / cpair.min())
     freq = float(np.max(np.abs(dt) + sep))
     n0 = min(4096, max(24, int(2.0 * freq * p_max / math.pi) + 1))
-    edges = np.linspace(0.0, p_max, n0 + 1)
+    # each pair's own cutoff is a panel edge: a pair whose support fits
+    # inside one uniform panel can make the 7- and 15-node rules agree by
+    # accident there, and refinement would stop before it resolves it
+    edges = np.union1d(np.linspace(0.0, p_max, n0 + 1), np.sqrt(0.5 * _TAIL_EXPONENT / cpair))
     total, err, magnitude, evals, converged = _refine(
         lambda P: _momentum_integrand(P, coef, cpair, dt, sep),
         edges[:-1], edges[1:], cfg, evals_per_node=len(coef),

@@ -89,9 +89,8 @@ class WeylElement:
 class WeylCalculus:
     """Product, involution and state evaluation with a fixed sigma pairing.
 
-    Sigma values are cached per ordered smearing pair with antisymmetry
-    folded in, and mu2 diagonals per smearing and state, so repeated
-    algebra does not re-integrate.
+    Sigma values are cached per ordered smearing pair, and mu2 diagonals
+    per smearing and state, so repeated algebra does not re-integrate.
     """
 
     def __init__(self, constants, cfg, u=(1.0, 0.0, 0.0, 0.0), pairing="krein"):
@@ -99,8 +98,6 @@ class WeylCalculus:
             raise ValueError(f"pairing must be one of {PAIRINGS}")
         self.constants = constants
         self.cfg = cfg
-        self.u = u
-        self.pairing = pairing
         # sigma(f, J g) is the light-cone form of f and g contracted with
         # eta J, the Krein matrix, so no twisted smearing is built
         self._contraction = krein_matrix(u) if pairing == "krein" else ETA
@@ -108,18 +105,17 @@ class WeylCalculus:
         self._mu2_cache = {}
 
     def sigma_value(self, f, g):
-        """Cached pairing value s(f, g) as a float."""
-        kf, kg = _smearing_key(f), _smearing_key(g)
-        if kf == kg:
+        """Cached pairing value s(f, g) as a float.
+
+        s(f, f) is 0 exactly, also for a Krein matrix that is not diagonal.
+        """
+        key = (_smearing_key(f), _smearing_key(g))
+        if key[0] == key[1]:
             return 0.0
-        swap = kf > kg
-        key = (kg, kf) if swap else (kf, kg)
         if key not in self._sigma_cache:
-            a, b = (g, f) if swap else (f, g)
-            form = bilinear_form(KernelKind.LIGHTCONE, a, b, self._contraction, self.cfg)
+            form = bilinear_form(KernelKind.LIGHTCONE, f, g, self._contraction, self.cfg)
             self._sigma_cache[key] = -self.constants.kappa_sq / (8.0 * math.pi) * form.value
-        s = self._sigma_cache[key]
-        return -s if swap else s
+        return self._sigma_cache[key]
 
     def mul(self, A, B):
         """Bilinear extension of W(f) W(g) = W(f+g) exp[-(i/2) s(f,g)]."""

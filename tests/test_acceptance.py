@@ -239,7 +239,7 @@ def test_criterion_6_state_positivity():
 
 
 def test_criterion_7_algebraic_exactness():
-    rep = verify_weyl(CFG, triples=50)
+    rep = verify_weyl(CFG)
     failed = [c["name"] for c in rep["checks"] if not c["passed"]]
     report("7 (algebraic exactness)", rep["passed"], f"failed checks: {failed or 'none'}")
     assert rep["passed"], rep

@@ -105,6 +105,30 @@ def test_negative_values_attach_with_equals(capsys):
     assert [row["value"] for row in json.loads(out)["rows"]] == [-1.0, 1.0]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["distance", "--p", "1,a,0,0", "--q", "0,0,0,0", "--width", "1"], "argument --p"),
+        (["sweep", "--axis", "width", "--range", "1:2"], "range must be start:stop:count"),
+        (["sweep", "--axis", "width", "--range", "1:2:x"], "argument --range"),
+        (["sweep", "--axis", "width", "--range", "1:2:0"], "count must be positive"),
+    ],
+)
+def test_malformed_arguments_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+
+
+def test_log_sweep_needs_positive_bounds(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--axis", "width", "--range=-1:10:3", "--log")
+    assert code == 2
+    assert out == ""
+    assert "log-scale sweeps need positive bounds" in err
+
+
 def test_missing_config_file_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys,

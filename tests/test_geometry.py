@@ -261,12 +261,13 @@ def test_causal_via_weyl_kappa_independent(cfg):
     assert values[0] == pytest.approx(values[1], rel=1e-12)
 
 
-def test_causal_via_weyl_krein_pairing_halves(cfg, params):
-    chi_p = GaussianBump((1.0, 0.1, 0, 0), 80.0)
-    chi_q = GaussianBump((0, 0, 0, 0), 80.0)
-    plain = causal_via_weyl(chi_p, chi_q, params, cfg)
-    twisted = causal_via_weyl(chi_p, chi_q, params, cfg, use_krein_pairing=True)
-    assert twisted.value == pytest.approx(0.5 * plain.value, rel=1e-12)
+def test_causal_via_weyl_needs_kappa(cfg):
+    params0 = DMStateParams(
+        state_alpha=1.0, psi=GaussianBump((0, 0, 0, 0), 25.0), constants=PhysicalConstants(0.0)
+    )
+    bump = GaussianBump((0.5, 0, 0, 0), 50.0)
+    with pytest.raises(ValueError, match="kappa > 0"):
+        causal_via_weyl(bump, bump, params0, cfg)
 
 
 def test_causal_via_weyl_coincident_is_zero(cfg, params):

@@ -22,9 +22,9 @@ from ncmink import (
     mc_oracle,
     momentum_form,
     mu2,
-    sigma_indexed,
 )
 from ncmink.integrate import _log_moment, _pair_cached, pair_integrals
+from ncmink.state import sigma_indexed
 from ncmink.testfn import VectorSmearing, scalar_smearing, single_term
 from ncmink.verify import MINVAR_CONSTANT_CORRECTED
 
@@ -57,8 +57,9 @@ def test_constant_kernel_is_exact():
 # sweeps); sqrt(b) R = 1e-9 and 1e-4; the Dawson quotient's half-width
 # h = R sqrt(b/2) either side of its Taylor cut 0.3, x h either side of 1,
 # and x h = 15 and 212 below the cut, where the Taylor recurrence would
-# amplify rounding past 1e-6; LIGHTCONE either side of b delta R = 1, far past sinh's overflow
-# (b delta R = 903 and 2.5e7), and a spacelike tail.
+# amplify rounding past 1e-6; LIGHTCONE either side of b delta R = 1, where
+# an earlier form switched from a sinh quotient to a Gaussian gap, far past
+# sinh's overflow (b delta R = 903 and 2.5e7), and a spacelike tail.
 PAIR_REFERENCES = [
     (KernelKind.LIGHTCONE, 0.01, 0.999, 1.0, 0.03972188327860468),
     (KernelKind.LIGHTCONE, 0.01, 1.001, 1.0, 0.03980167173481268),
@@ -408,6 +409,47 @@ def test_budget_exhaustion_flags_nonconverged():
     assert not r.converged
     assert r.evals >= starved.max_evals
     assert r.error_estimate > max(starved.abs_tol, starved.rel_tol * abs(r.value))
+
+
+def _mixed_width_profile():
+    """Difference profile whose narrow-width pairs all lie inside the first uniform momentum panel."""
+    d = (-0.008048220935472904, 0.012011772538134808, -0.0028120212390088883, -0.011511668328304149)
+    f = scalar_smearing(GaussianBump(d, 1.0907588769597651)) + scalar_smearing(
+        GaussianBump((0, 0, 0, 0), 289464.5405263968), -1.0
+    )
+    closed = -bilinear_form(KernelKind.LOGABS, f, f, I4, QuadratureConfig()).value / (16.0 * math.pi**2)
+    return f, closed
+
+
+def test_momentum_error_bounds_a_pair_inside_one_uniform_panel():
+    """Every pair's own cutoff is a panel edge, so its support is resolved.
+
+    On the uniform grid alone the 7- and 15-node rules agreed by accident on
+    this input: it reported error 5.6e-5 and converged for an actual 1.88e-4.
+    The added term is the rounding of the closed form.
+    """
+    f, closed = _mixed_width_profile()
+    m = momentum_form(f, f, QuadratureConfig())
+    assert m.converged
+    assert m.error_estimate + 4e-16 * abs(closed) >= abs(m.value.real - closed)
+
+
+def test_tighter_tolerance_refines_the_momentum_panels():
+    f, closed = _mixed_width_profile()
+    loose = momentum_form(f, f, QuadratureConfig(rel_tol=1e-3, abs_tol=1e-16))
+    tight = momentum_form(f, f, QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16))
+    assert tight.evals > loose.evals
+    assert loose.converged and tight.converged
+    assert abs(tight.value.real - closed) <= tight.error_estimate
+
+
+def test_mc_oracle_on_a_zero_smearing_costs_nothing():
+    from ncmink.testfn import ZERO_SMEARING
+
+    f = scalar_smearing(GaussianBump((0.5, 0.1, 0, 0), 6.0))
+    for left, right in ((ZERO_SMEARING, f), (f, ZERO_SMEARING)):
+        r = mc_oracle(KernelKind.LOGABS, left, right, I4, QuadratureConfig())
+        assert (r.value, r.error_estimate, r.evals) == (0.0, 0.0, 0)
 
 
 @pytest.mark.parametrize("b", [1e-2, 1.0, 1e4, 1e8])

@@ -139,6 +139,11 @@ def test_frame_rejects_non_orthonormal():
         Frame(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1)))
 
 
+def test_frame_needs_four_covectors():
+    with pytest.raises(ValueError, match="four covectors"):
+        Frame(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
+
+
 def test_constants_linkage():
     c = PhysicalConstants()
     assert c.kappa_sq == pytest.approx(16.0 * math.pi)

@@ -8,6 +8,7 @@ from ncmink import (
     ETA,
     DMStateParams,
     GaussianBump,
+    GramReport,
     KernelKind,
     PhysicalConstants,
     PositivityError,
@@ -17,18 +18,16 @@ from ncmink import (
     dm_bilinear,
     gram_check,
     krein_J,
-    log_minus_form,
     mc_oracle,
     mean,
     mu2,
     pair_condition,
-    project_psi,
     sigma,
-    sigma_indexed,
 )
 from ncmink import state
+from ncmink.state import log_minus_form, sigma_indexed
 from ncmink.integrate import _term_pairs, bump_arrays, pair_geometry, pair_integrals, smearing_arrays
-from ncmink.testfn import scalar_smearing, single_term
+from ncmink.testfn import project_psi, scalar_smearing, single_term
 
 
 def e0_smearing(bump, weight=1.0):
@@ -228,6 +227,11 @@ def test_gram_random_families(cfg, params):
         rep_n, rep_m = gram_check(family, params, cfg)
         assert rep_n.is_psd, rep_n.min_eigenvalue
         assert rep_m.is_psd, rep_m.min_eigenvalue
+
+
+def test_gram_report_rejects_a_non_hermitian_matrix():
+    with pytest.raises(ValueError, match="N matrix is not Hermitian"):
+        GramReport.from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]), "N")
 
 
 def test_pair_condition(cfg, params):

@@ -11,11 +11,10 @@ from ncmink import (
     frame_smearings,
     mean,
     moment1,
-    project_psi,
     smearing_from_json,
     smearing_to_json,
 )
-from ncmink.testfn import VectorSmearing, ZERO_SMEARING, single_term
+from ncmink.testfn import VectorSmearing, ZERO_SMEARING, project_psi, single_term
 
 
 def test_bump_normalization_constant():

@@ -7,11 +7,13 @@ import pytest
 
 from conftest import random_smearing
 from ncmink import (
+    DEFAULT_FRAME,
     DMStateParams,
     GaussianBump,
     PhysicalConstants,
     WeylCalculus,
     WeylElement,
+    frame_smearings,
     moment1,
     sigma,
 )
@@ -168,3 +170,38 @@ def test_shared_calculus_follows_the_state(cfg, constants, params):
 def test_pairing_flag_validation(cfg, constants):
     with pytest.raises(ValueError):
         WeylCalculus(constants, cfg, pairing="twisted")
+
+
+def test_krein_pairing_halves_the_frame_contracted_sigma(cfg, constants):
+    """Over the frame smearings, sum_a w_a s_krein(f_a, g_a) = 1/2 sum_a w_a s_plain(f_a, g_a)."""
+    fs = frame_smearings(GaussianBump((1.0, 0.1, 0, 0), 80.0), DEFAULT_FRAME)
+    gs = frame_smearings(GaussianBump((0, 0, 0, 0), 80.0), DEFAULT_FRAME)
+
+    def contracted(pairing):
+        calc = WeylCalculus(constants, cfg, pairing=pairing)
+        return sum(w * calc.sigma_value(f, g) for f, g, w in zip(fs, gs, DEFAULT_FRAME.signature))
+
+    plain = contracted("plain")
+    assert plain != 0.0
+    assert contracted("krein") == pytest.approx(0.5 * plain, rel=1e-12)
+
+
+def test_sigma_value_is_antisymmetric_and_zero_on_the_diagonal(cfg, constants):
+    rng = np.random.default_rng(41)
+    for pairing in ("plain", "krein"):
+        calc = WeylCalculus(constants, cfg, pairing=pairing)
+        for _ in range(5):
+            f, g = random_smearing(rng), random_smearing(rng)
+            assert calc.sigma_value(f, g) == -calc.sigma_value(g, f)
+            assert calc.sigma_value(f, f) == 0.0
+
+
+def test_scalar_multiple_and_difference():
+    rng = np.random.default_rng(43)
+    a = WeylElement.generator(random_smearing(rng), 0.3 - 1.2j) + WeylElement.generator(
+        random_smearing(rng), 2.0j
+    )
+    assert (a - a).terms == ()
+    doubled = 2 * a
+    assert [f for f, _ in doubled.terms] == [f for f, _ in a.terms]
+    assert [c for _, c in doubled.terms] == [2 * c for _, c in a.terms]
