@@ -23,7 +23,7 @@ from ncmink import (
     momentum_form,
     mu2,
 )
-from ncmink.integrate import _log_moment, _pair_cached, pair_integrals
+from ncmink.integrate import _log_moment, _pair_cached, _pair_table, pair_integrals
 from ncmink.state import sigma_indexed
 from ncmink.testfn import VectorSmearing, scalar_smearing, single_term
 from ncmink.verify import MINVAR_CONSTANT_CORRECTED
@@ -329,6 +329,42 @@ def test_mc_deterministic_across_workers_and_runs():
         KernelKind.LOGABS, f, f, I4, QuadratureConfig(mc_samples=50_000, seed=78)
     )
     assert other_seed.value != base.value
+
+
+def _mixture(rows):
+    return VectorSmearing([((1, 0, 0, 0), GaussianBump(c, a), w) for c, a, w in rows])
+
+
+def test_mc_pair_cdf_ends_at_one():
+    """A cumsum of these normalized weights ends at 0.9999999999999999, below
+    the largest uniform draw; the pair CDF must still map that draw to the
+    last pair instead of one past it."""
+    weights = [0.5041077502552221, 1.786106414881354, 0.5503783629581965]
+    assert np.cumsum(np.abs(weights) / np.sum(np.abs(weights)))[-1] < 1.0
+    f = _mixture([((0.1 * k, 0, 0, 0), 10.0, w) for k, w in enumerate(weights)])
+    g = _mixture([((0, 0, 0, 0), 20.0, 1.0)])
+    for left, right in ((f, g), (g, f), (f, f)):
+        _, cdf, _, _ = _pair_table(left, right, I4)
+        assert cdf[-1] == 1.0
+        assert np.searchsorted(cdf, np.nextafter(1.0, 0.0), side="right") == len(cdf) - 1
+
+
+@pytest.mark.parametrize("kind", [KernelKind.LIGHTCONE, KernelKind.LOGABS])
+def test_mc_agrees_on_mixtures_of_unequal_widths(kind, cfg):
+    """2 x 3 terms of mixed sign with widths 8 to 120: each pair draws its
+    own relative-coordinate law, so a wrong pair index or a wrong combined
+    width moves the estimate by many standard errors."""
+    f = _mixture([((0.3, 0.1, 0.0, 0.0), 8.0, 1.0), ((0.0, 0.2, 0.1, 0.0), 120.0, -0.6)])
+    g = _mixture(
+        [
+            ((0.0, 0.0, 0.0, 0.0), 15.0, 0.8),
+            ((0.1, 0.3, 0.0, 0.1), 60.0, -1.2),
+            ((-0.2, 0.0, 0.1, 0.0), 30.0, 0.5),
+        ]
+    )
+    det = bilinear_form(kind, f, g, I4, cfg)
+    mc = mc_oracle(kind, f, g, I4, QuadratureConfig(mc_samples=200_000, seed=4242))
+    assert abs(det.value - mc.value) <= 2.0 * (det.error_estimate + mc.error_estimate)
 
 
 def test_momentum_form_matches_position_space(tight_cfg):
