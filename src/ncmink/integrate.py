@@ -154,16 +154,21 @@ def _log_moment(mu, sigma):
     L = np.empty_like(ratio)
     F = np.empty_like(ratio)
     far = ratio >= _ASYMPTOTIC_CUT
-    series = np.vander((sigma / mu[far]) ** 2, len(_ASYMPTOTIC_COEFFS), increasing=True)
-    L[far] = np.log(np.abs(mu[far])) + series @ _ASYMPTOTIC_COEFFS
-    F[far] = sigma / (math.sqrt(2.0) * mu[far]) * (series @ _ASYMPTOTIC_SLOPE)
-    m = 0.5 * ratio[~far, None] ** 2
-    # m^j / j!, the Poisson weights without their common factor exp(-m),
-    # which the normalization by the weight sum removes
-    w = m**_ORDERS / _FACTORIALS
-    total = w.sum(axis=1)
-    L[~far] = math.log(sigma) + 0.5 * (math.log(2.0) + (w @ _PSI_HALF) / total)
-    F[~far] = mu[~far] / (math.sqrt(2.0) * sigma) * (w @ _ODD_RECIPROCALS) / total
+    # each branch runs only when it has elements: on the short arrays of a
+    # pair integral the numpy call overhead of an empty branch is the cost
+    if far.any():
+        series = np.vander((sigma / mu[far]) ** 2, len(_ASYMPTOTIC_COEFFS), increasing=True)
+        L[far] = np.log(np.abs(mu[far])) + series @ _ASYMPTOTIC_COEFFS
+        F[far] = sigma / (math.sqrt(2.0) * mu[far]) * (series @ _ASYMPTOTIC_SLOPE)
+    near = ~far
+    if near.any():
+        m = 0.5 * ratio[near, None] ** 2
+        # m^j / j!, the Poisson weights without their common factor exp(-m),
+        # which the normalization by the weight sum removes
+        w = m**_ORDERS / _FACTORIALS
+        total = w.sum(axis=1)
+        L[near] = math.log(sigma) + 0.5 * (math.log(2.0) + (w @ _PSI_HALF) / total)
+        F[near] = mu[near] / (math.sqrt(2.0) * sigma) * (w @ _ODD_RECIPROCALS) / total
     return L, F
 
 
@@ -290,6 +295,29 @@ def pair_geometry(centers_p, widths_p, centers_q, widths_q):
     # single vector, so R does not depend on how the pairs are batched
     spatial = d[..., 1:]
     return b, d[..., 0], np.sqrt((spatial[..., None, :] @ spatial[..., :, None])[..., 0, 0])
+
+
+def _kernel_table(centers, widths, kinds):
+    """Pair integrals among the distinct bumps of some term rows, one matrix per kind.
+
+    The rows' bumps, centers (n, 4) and widths (n,), match on the exact
+    bits of (center, width).  Returns each row's index into the distinct
+    bumps and, for each kind, the matrix K[i, j] of the pair integrals of
+    distinct bumps i and j, from one ``pair_geometry`` over their square and
+    one ``pair_integrals`` call.  A pair integral depends only on its two
+    bumps, ``pair_geometry`` is exactly symmetric in them and every value is
+    the same memoized function of (b, |delta|, R), so
+    K[index[p], index[q]] is the pair integral of rows p and q bit for bit,
+    however the rows are grouped.
+    """
+    rows = np.column_stack([centers, widths])
+    slots = {}
+    index = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in rows], dtype=np.intp)
+    distinct = np.empty((len(slots), 5))
+    distinct[index] = rows
+    c, a = distinct[:, :4], distinct[:, 4]
+    geometry = pair_geometry(c[:, None], a[:, None], c[None], a[None])
+    return index, [pair_integrals(kind, *geometry) for kind in kinds]
 
 
 def gaussian_pair_reduce(kind, bump_p, bump_q, cfg):

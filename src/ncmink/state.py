@@ -17,17 +17,24 @@ The building blocks assembled here:
 * ``mu2``: Delta_{alpha,psi}(f, J g), the positive scalar product whose Gram
   matrices certify state positivity.
 
-``dm_bilinear``, ``mu2`` and ``gram_check`` do not compose the functions
-above.  They evaluate all four terms from one term table: f's terms, psi
-carrying -mean(f), g's terms (Krein-twisted for mu2) and psi carrying
--mean(g), as arrays.  One ``pair_geometry`` covers the table, one LOGABS
-``pair_integrals`` call its nonzero-coefficient pairs, whose products give
-Q(Pf + Pg) and Q(Pf - Pg) as two exactly rounded sums (the g block's signs
-flipped in the second), and one LIGHTCONE call the f x psi, g x psi and
-f x g blocks.  Every product and sum is the one the composition computes,
-so for u = (1, 0, 0, 0) the result is bit-identical to it;
-``log_minus_form``, ``sigma_indexed``, ``project_psi``, ``krein_J`` and
-``sigma`` remain the definition the tests compare against.
+``dm_bilinear``, ``mu2``, ``gram_check`` and ``diagonal_moments`` (the
+second moments the Weyl calculus evaluates the state with) do not compose
+the functions above.  A pair integral depends only on its two bumps, never
+on the covectors, so each call first builds one kernel table: the LOGABS
+and the LIGHTCONE matrix over the distinct bumps of all its smearings and
+psi (``integrate._kernel_table``).  Each smearing becomes term rows, its
+weighted covectors with their indices into that table.  A value of the
+form is then covector algebra on the rows of f, psi carrying -mean(f), g
+(Krein-twisted for mu2) and psi carrying -mean(g): the LOGABS products of
+the nonzero-coefficient pairs give Q(Pf + Pg) and Q(Pf - Pg) as two exactly
+rounded sums (the g block's signs flipped in the second), and the f x psi,
+g x psi and f x g LIGHTCONE blocks give the regulator and sigma terms.  A
+family's Gram matrix reads one table for all its entries, and an element's
+second moments one table for all its terms.  Every product and sum is the
+one the composition computes, so for u = (1, 0, 0, 0) the result is
+bit-identical to it; ``log_minus_form``, ``sigma_indexed``,
+``project_psi``, ``krein_J`` and ``sigma`` remain the definition the tests
+compare against.
 
 Note the two distinct alpha-like parameters: ``state_alpha`` below is the
 state regulator, while Gaussian bumps carry their own ``width``.
@@ -43,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrate import (
+    _kernel_table,
     bilinear_form,
     bump_arrays,
     pair_coefficients,
@@ -115,13 +123,21 @@ def log_minus_form(f, g, contraction, cfg):
     return 0.25 * min(plus.value, 0.0) - 0.25 * min(minus.value, 0.0)
 
 
-class _TermRows(NamedTuple):
-    """A smearing's terms as arrays, in its canonical term order."""
+class _Kernels(NamedTuple):
+    """LOGABS and LIGHTCONE pair integrals among the distinct bumps of some smearings and psi."""
 
-    centers: np.ndarray  # (n, 4)
-    widths: np.ndarray  # (n,)
+    logabs: np.ndarray  # (m, m)
+    lightcone: np.ndarray  # (m, m)
+    psi: int  # psi's index into them
+
+
+class _TermRows(NamedTuple):
+    """A smearing's terms as arrays, in its canonical term order, on a kernel table."""
+
+    index: np.ndarray  # (n,), each term's bump in the table
     covectors: np.ndarray  # (n, 4), weight times covector
     mean: np.ndarray  # (4,), testfn.mean of the smearing
+    kernels: _Kernels
 
 
 @lru_cache(maxsize=16)
@@ -132,8 +148,8 @@ def _krein_map(u):
     return matrix
 
 
-def _term_rows(f, twist=None):
-    """Term rows of f, or with a twist matrix J those of f.map_covectors(J).
+def _term_arrays(f, twist=None):
+    """Centers, widths, weighted covector rows and mean of f, or of f.map_covectors(twist).
 
     The twisted rows are sorted into the canonical order of the twisted
     smearing, and the mean is summed in term order as ``testfn.mean`` sums
@@ -150,7 +166,20 @@ def _term_rows(f, twist=None):
     total = np.zeros(4)
     for row in rows:
         total += row
-    return _TermRows(centers, widths, rows, total)
+    return centers, widths, rows, total
+
+
+def _term_rows(arrays, psi):
+    """_TermRows of each entry of ``_term_arrays`` output, all on one kernel table with psi."""
+    psi_center, psi_width = bump_arrays([psi])
+    index, (logabs, lightcone) = _kernel_table(
+        np.concatenate([a[0] for a in arrays] + [psi_center]),
+        np.concatenate([a[1] for a in arrays] + [psi_width]),
+        (KernelKind.LOGABS, KernelKind.LIGHTCONE),
+    )
+    kernels = _Kernels(logabs, lightcone, int(index[-1]))
+    parts = np.split(index[:-1], np.cumsum([len(a[1]) for a in arrays[:-1]], dtype=int))
+    return [_TermRows(part, rows, mean, kernels) for part, (_, _, rows, mean) in zip(parts, arrays)]
 
 
 def _two_point(fr, gr, params):
@@ -158,38 +187,35 @@ def _two_point(fr, gr, params):
     kappa_sq = params.constants.kappa_sq
     if kappa_sq == 0.0:
         return 0.0 + 0.0j
-    nf, ng = len(fr.widths), len(gr.widths)
-    psi_center, psi_width = bump_arrays([params.psi])
-    centers = np.concatenate([fr.centers, psi_center, gr.centers, psi_center])
-    widths = np.concatenate([fr.widths, psi_width, gr.widths, psi_width])
+    nf, ng = len(fr.index), len(gr.index)
+    kernels = fr.kernels
+    psi = [kernels.psi]
+    index = np.concatenate([fr.index, psi, gr.index, psi])
     rows = np.concatenate([fr.covectors, -fr.mean[None], gr.covectors, -gr.mean[None]])
-    b, delta, R = pair_geometry(centers[:, None], widths[:, None], centers[None], widths[None])
     coef = pair_coefficients(rows, ETA, rows)
 
     pairs = coef != 0.0
-    products = coef[pairs] * pair_integrals(KernelKind.LOGABS, b[pairs], delta[pairs], R[pairs])
+    products = coef[pairs] * kernels.logabs[index[:, None], index][pairs]
     in_g = np.arange(nf + ng + 2) > nf
     cross = (in_g[:, None] != in_g[None, :])[pairs]
-    plus = math.fsum(products)
-    minus = math.fsum(np.where(cross, -products, products))
+    # fsum reads a list faster than an array, to the same exactly rounded sum
+    plus = math.fsum(products.tolist())
+    minus = math.fsum(np.where(cross, -products, products).tolist())
     log_term = 0.25 * min(plus, 0.0) - 0.25 * min(minus, 0.0)
     log_scale = kappa_sq / (16.0 * math.pi**2)
 
     mean_term = params.state_alpha * kappa_sq * float(fr.mean @ ETA @ gr.mean)
 
     # light-cone blocks: f x psi, g x psi and the nonzero pairs of f x g
-    g_rows = slice(nf + 1, nf + 1 + ng)
-    fg = coef[:nf, g_rows]
-    fg_pairs = fg != 0.0
-    blocks = [(a[:nf, nf], a[g_rows, nf], a[:nf, g_rows][fg_pairs]) for a in (b, delta, R)]
-    values = pair_integrals(KernelKind.LIGHTCONE, *(np.concatenate(x) for x in blocks))
     scale = kappa_sq / (8.0 * math.pi)
-    sf = -scale * (values[:nf] @ fr.covectors)
-    sg = -scale * (values[nf : nf + ng] @ gr.covectors)
+    sf = -scale * (kernels.lightcone[fr.index, kernels.psi] @ fr.covectors)
+    sg = -scale * (kernels.lightcone[gr.index, kernels.psi] @ gr.covectors)
     reg_scale = 1.0 / (4.0 * params.state_alpha * kappa_sq)
     reg_term = reg_scale * float(sf @ ETA @ sg)
 
-    sig = -scale * math.fsum(fg[fg_pairs] * values[nf + ng :])
+    fg = coef[:nf, nf + 1 : nf + 1 + ng]
+    fg_pairs = fg != 0.0
+    sig = -scale * math.fsum(fg[fg_pairs] * kernels.lightcone[fr.index[:, None], gr.index][fg_pairs])
     return -log_scale * log_term + mean_term + reg_term + 0.5j * sig
 
 
@@ -198,13 +224,13 @@ def dm_bilinear(f, g, params, cfg):
 
     The expanded four-term shape -kappa^2/16pi^2 log_minus_form(Pf, Pg, eta)
     + mean term + regulator term from sigma_indexed + (i/2) sigma(f, g),
-    evaluated from one term table of f, g and their psi projections (see
-    the module docstring) with the same products and sums.  The imaginary
+    evaluated from the term rows of f and g on one kernel table (see the
+    module docstring) with the same products and sums.  The imaginary
     part equals (1/2) sigma(f, g) exactly because it is attached once rather
     than integrated separately.  With kappa = 0 every term vanishes
     (classical limit).
     """
-    return _two_point(_term_rows(f), _term_rows(g), params)
+    return _two_point(*_term_rows([_term_arrays(f), _term_arrays(g)], params.psi), params)
 
 
 def _check_diagonal(value):
@@ -224,10 +250,33 @@ def mu2(f, g, params, cfg):
     the real part must be non-negative; violations beyond the rounding
     budget 1e-10 (1 + |value|) raise :class:`PositivityError`.
     """
-    value = _two_point(_term_rows(f), _term_rows(g, _krein_map(tuple(params.u))), params)
+    arrays = [_term_arrays(f), _term_arrays(g, _krein_map(tuple(params.u)))]
+    value = _two_point(*_term_rows(arrays, params.psi), params)
     if f == g:
         _check_diagonal(value)
     return value
+
+
+def diagonal_moments(smearings, params, twisted=True):
+    """mu2(f, f) of each smearing, or Delta(f, f) when not twisted, as a list.
+
+    One kernel table serves all of them.  mu2's positivity guard runs on
+    every twisted value.  The zero smearing's moment is 0 exactly, so it is
+    not evaluated.
+    """
+    live = [f for f in smearings if not f.is_zero()]
+    arrays = [_term_arrays(f) for f in live]
+    if twisted:
+        twist = _krein_map(tuple(params.u))
+        arrays += [_term_arrays(f, twist) for f in live]
+    rows = _term_rows(arrays, params.psi)
+    values = []
+    for fr, gr in zip(rows, rows[len(live) :] if twisted else rows):
+        values.append(_two_point(fr, gr, params))
+        if twisted:
+            _check_diagonal(values[-1])
+    moments = iter(values)
+    return [0.0 if f.is_zero() else next(moments) for f in smearings]
 
 
 @dataclass(frozen=True)
@@ -255,19 +304,20 @@ def gram_check(family, params, cfg):
 
     N_kl is mu2(f_k, f_l), which already carries the (i/2) sigma part in its
     imaginary component.  Each member's plain and Krein-twisted term rows
-    are built once, and every entry is one term table of them, with mu2's
-    positivity guard wherever f_k == f_l.  Only the upper triangle is
-    integrated, the lower one is its conjugate (Hermiticity is an identity
-    of the form, not a numerical accident).  The reported M is the diagonal
-    congruence rescaling exp[N_kl - (N_kk + N_ll)/2] of the elementwise
-    exponential; it shares the positivity verdict with exp(N) by
-    Sylvester's law while staying inside floating-point range for large
-    mu2 values.
+    are built once on one kernel table of the family and psi, and every
+    entry reads them, with mu2's positivity guard wherever f_k == f_l.
+    Only the upper triangle is evaluated, the lower one is its conjugate
+    (Hermiticity is an identity of the form, not a numerical accident).
+    The reported M is the diagonal congruence rescaling
+    exp[N_kl - (N_kk + N_ll)/2] of the elementwise exponential; it shares
+    the positivity verdict with exp(N) by Sylvester's law while staying
+    inside floating-point range for large mu2 values.
     """
     n = len(family)
     twist = _krein_map(tuple(params.u))
-    plain = [_term_rows(f) for f in family]
-    twisted = [_term_rows(f, twist) for f in family]
+    arrays = [_term_arrays(f) for f in family] + [_term_arrays(f, twist) for f in family]
+    rows = _term_rows(arrays, params.psi)
+    plain, twisted = rows[:n], rows[n:]
     N = np.zeros((n, n), dtype=complex)
     for k in range(n):
         for l in range(k, n):

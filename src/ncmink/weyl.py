@@ -9,11 +9,14 @@ product follows the exponentiated commutation rule
 where the pairing s is either the plain symplectic form sigma or its
 Krein-twisted version sigma(., J.): the twisted pairing is the one under
 which the regularized state is positive, the plain one drives the causal
-functional.  :class:`WeylCalculus` fixes that choice once and caches sigma
-values per smearing pair.  Sigma and the second moments are closed forms,
-so the product phases and coefficients are exact up to rounding: elements
-carry no error, and ``eval_omega`` and ``eval_tau`` return ANALYTIC
-results (error 0, evals 0, converged).
+functional.  :class:`WeylCalculus` fixes that choice once.  A product
+reads the sigma of every term pair of its two factors from one LIGHTCONE
+table over their bumps, and a state evaluation reads the second moment of
+every term of the element from one kernel table, so neither evaluates a
+bump pair twice.  Sigma and the second moments are closed forms, so the
+product phases and coefficients are exact up to rounding: elements carry
+no error, and ``eval_omega`` and ``eval_tau`` return ANALYTIC results
+(error 0, evals 0, converged).
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .integrate import _analytic, bilinear_form
+import numpy as np
+
+from .integrate import _analytic, _check_contraction, _kernel_table, bump_arrays, pair_coefficients
 from .kernels import KernelKind
 from .minkowski import ETA, krein_matrix
-from .state import dm_bilinear, mu2
+from .state import diagonal_moments
 from .testfn import ZERO_SMEARING, moment1
 
 PAIRINGS = ("plain", "krein")
@@ -89,8 +94,12 @@ class WeylElement:
 class WeylCalculus:
     """Product, involution and state evaluation with a fixed sigma pairing.
 
-    Sigma values are cached per ordered smearing pair, and mu2 diagonals
-    per smearing and state, so repeated algebra does not re-integrate.
+    Nothing is cached on the calculus, so one calculus serves any number of
+    states.  A product takes the sigma values of all its term pairs from one
+    LIGHTCONE table over the bumps of both factors, and a state evaluation
+    the second moments of all of an element's terms from one kernel table
+    (``state.diagonal_moments``).  Repeated pair integrals are served by the
+    process-wide pair memo below both.
     """
 
     def __init__(self, constants, cfg, u=(1.0, 0.0, 0.0, 0.0), pairing="krein"):
@@ -100,29 +109,46 @@ class WeylCalculus:
         self.cfg = cfg
         # sigma(f, J g) is the light-cone form of f and g contracted with
         # eta J, the Krein matrix, so no twisted smearing is built
-        self._contraction = krein_matrix(u) if pairing == "krein" else ETA
-        self._sigma_cache = {}
-        self._mu2_cache = {}
+        self._contraction = _check_contraction(krein_matrix(u) if pairing == "krein" else ETA)
+
+    def _sigmas(self, fs, gs):
+        """Pairing values s(f, g) for f in fs (rows) and g in gs (columns), as floats.
+
+        The term-pair coefficients, their nonzero filter and the exactly
+        rounded sum are those of ``bilinear_form``, and the pair integrals
+        are read from one LIGHTCONE table over the bumps of fs and gs, so
+        each value is bit for bit the one ``bilinear_form`` gives.  s(f, f)
+        is 0 exactly, also for a Krein matrix that is not diagonal.
+        """
+        smearings = (*fs, *gs)
+        terms = [t for h in smearings for t in h.terms]
+        index, (lightcone,) = _kernel_table(*bump_arrays([t.bump for t in terms]), (KernelKind.LIGHTCONE,))
+        weights = np.array([t.weight for t in terms], dtype=float)
+        rows = weights[:, None] * np.array([t.covector for t in terms], dtype=float).reshape(-1, 4)
+        cuts = np.cumsum([len(h.terms) for h in smearings[:-1]], dtype=int)
+        blocks = list(zip(np.split(index, cuts), np.split(rows, cuts)))
+        scale = -self.constants.kappa_sq / (8.0 * math.pi)
+        values = [[0.0] * len(gs) for _ in fs]
+        for k, (f, (fi, fr)) in enumerate(zip(fs, blocks)):
+            for l, (g, (gi, gr)) in enumerate(zip(gs, blocks[len(fs) :])):
+                if f != g:
+                    coef = pair_coefficients(fr, self._contraction, gr)
+                    pairs = coef != 0.0
+                    kernel = lightcone[fi[:, None], gi]
+                    values[k][l] = scale * math.fsum((coef[pairs] * kernel[pairs]).tolist())
+        return values
 
     def sigma_value(self, f, g):
-        """Cached pairing value s(f, g) as a float.
-
-        s(f, f) is 0 exactly, also for a Krein matrix that is not diagonal.
-        """
-        key = (_smearing_key(f), _smearing_key(g))
-        if key[0] == key[1]:
-            return 0.0
-        if key not in self._sigma_cache:
-            form = bilinear_form(KernelKind.LIGHTCONE, f, g, self._contraction, self.cfg)
-            self._sigma_cache[key] = -self.constants.kappa_sq / (8.0 * math.pi) * form.value
-        return self._sigma_cache[key]
+        """Pairing value s(f, g) as a float: the one-pair case of a product's table."""
+        return self._sigmas([f], [g])[0][0]
 
     def mul(self, A, B):
         """Bilinear extension of W(f) W(g) = W(f+g) exp[-(i/2) s(f,g)]."""
+        sigmas = self._sigmas([f for f, _ in A.terms], [g for g, _ in B.terms])
         coeffs = {}
-        for f, a in A.terms:
-            for g, b in B.terms:
-                phase = cmath.exp(-0.5j * self.sigma_value(f, g))
+        for (f, a), row in zip(A.terms, sigmas):
+            for (g, b), s in zip(B.terms, row):
+                phase = cmath.exp(-0.5j * s)
                 h = f + g
                 coeffs[h] = coeffs.get(h, 0.0) + a * b * phase
         return WeylElement.from_dict(coeffs)
@@ -130,15 +156,9 @@ class WeylCalculus:
     def star(self, A):
         return A.star()
 
-    def _mu2_diag(self, f, params):
-        key = (_smearing_key(f), params)
-        if key not in self._mu2_cache:
-            self._mu2_cache[key] = mu2(f, f, params, self.cfg)
-        return self._mu2_cache[key]
-
     def eval_omega(self, A, params):
         """The quasi-free state: sum_k alpha_k exp[i mu1(f_k) - mu2(f_k,f_k)/2]."""
-        return self._evaluate(A, lambda f: self._mu2_diag(f, params))
+        return self._evaluate(A, diagonal_moments([f for f, _ in A.terms], params))
 
     def eval_tau(self, A, params):
         """The non-positive functional built on Delta directly (no J twist).
@@ -147,12 +167,12 @@ class WeylCalculus:
         that is what makes tau the physically sensible functional for the
         geometric observables.
         """
-        return self._evaluate(A, lambda f: dm_bilinear(f, f, params, self.cfg))
+        return self._evaluate(A, diagonal_moments([f for f, _ in A.terms], params, twisted=False))
 
     @staticmethod
-    def _evaluate(A, second_moment):
-        """sum_k alpha_k exp[i mu1(f_k) - second_moment(f_k).real / 2] as an ANALYTIC result."""
+    def _evaluate(A, moments):
+        """sum_k alpha_k exp[i mu1(f_k) - moments[k].real / 2] as an ANALYTIC result."""
         total = 0.0j
-        for f, c in A.terms:
-            total += c * cmath.exp(1j * moment1(f) - 0.5 * second_moment(f).real)
+        for (f, c), moment in zip(A.terms, moments):
+            total += c * cmath.exp(1j * moment1(f) - 0.5 * moment.real)
         return _analytic(total)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncmink import DMStateParams, GaussianBump, PhysicalConstants, QuadratureConfig
+from ncmink import DMStateParams, GaussianBump, PhysicalConstants, QuadratureConfig, VectorSmearing
 from ncmink.testfn import single_term
 
 
@@ -40,3 +40,26 @@ def random_bump(rng, center_scale=1.0, width_lo=5.0, width_hi=5e3):
     center = tuple(rng.normal(scale=center_scale, size=4))
     width = float(np.exp(rng.uniform(np.log(width_lo), np.log(width_hi))))
     return GaussianBump(center, width)
+
+
+def table_smearing(rng, pool):
+    """1-4 terms on a shared bump pool, so one bump can carry several covectors.
+
+    Covector sizes span four decades, so the order in which a bump's terms
+    are summed shows in the last bits.  About a third of the covectors have
+    a zero time component: the rest-frame Krein map keeps those, so f and
+    J f share terms that merge in Pf + PJf.
+    """
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        v = rng.normal(size=4) * 10.0 ** rng.uniform(-2.0, 2.0)
+        if rng.uniform() < 0.35:
+            v[0] = 0.0
+        weight = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        terms.append((tuple(v), pool[int(rng.integers(len(pool)))], weight))
+    return VectorSmearing(tuple(terms))
+
+
+def bump_pool(rng, psi):
+    pool = [GaussianBump(tuple(rng.normal(scale=0.6, size=4)), rng.uniform(8.0, 40.0)) for _ in range(3)]
+    return pool + [psi]

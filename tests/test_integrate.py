@@ -23,7 +23,14 @@ from ncmink import (
     momentum_form,
     mu2,
 )
-from ncmink.integrate import _log_moment, _pair_cached, _pair_table, pair_integrals
+from ncmink.integrate import (
+    _kernel_table,
+    _log_moment,
+    _pair_cached,
+    _pair_table,
+    bump_arrays,
+    pair_integrals,
+)
 from ncmink.state import sigma_indexed
 from ncmink.testfn import VectorSmearing, scalar_smearing, single_term
 from ncmink.verify import MINVAR_CONSTANT_CORRECTED
@@ -215,6 +222,38 @@ def test_logabs_swap_symmetry_is_exact(cfg):
             gaussian_pair_reduce(KernelKind.LOGABS, bp, bq, cfg).value
             == gaussian_pair_reduce(KernelKind.LOGABS, bq, bp, cfg).value
         )
+
+
+def test_kernel_table_reads_every_row_pair_bit_for_bit(cfg):
+    """Rows match on center and width together; repeats share one distinct bump."""
+    rng = np.random.default_rng(19)
+    base = [random_bump(rng) for _ in range(3)]
+    same_center = GaussianBump(base[0].center, 2.0 * base[0].width)
+    same_width = GaussianBump(base[1].center.components[::-1], base[1].width)
+    bumps = [base[0], same_center, base[1], base[0], same_width, base[2], base[1]]
+    kinds = (KernelKind.LOGABS, KernelKind.LIGHTCONE)
+    index, tables = _kernel_table(*bump_arrays(bumps), kinds)
+    assert index.tolist() == [0, 1, 2, 0, 3, 4, 2]
+    for kind, table in zip(kinds, tables):
+        assert table.shape == (5, 5)
+        for p, bp in enumerate(bumps):
+            for q, bq in enumerate(bumps):
+                assert table[index[p], index[q]] == gaussian_pair_reduce(kind, bp, bq, cfg).value
+
+
+def test_log_moment_branches_are_independent():
+    """A mixed array gives each branch what a call on that branch alone gives.
+
+    A call whose elements all sit in one branch skips the other one.
+    """
+    sigma = 0.3
+    mu = sigma * np.array([-20.0, -9.0, -8.999, -1.0, 0.0, 0.5, 8.5, 9.0, 40.0])
+    far = np.abs(mu) / sigma >= 9.0
+    assert far.tolist() == [True, True, False, False, False, False, False, True, True]
+    mixed = _log_moment(mu, sigma)
+    for branch in (far, ~far):
+        alone = _log_moment(mu[branch], sigma)
+        assert [v[branch].tolist() for v in mixed] == [v.tolist() for v in alone]
 
 
 @pytest.mark.parametrize("width", [10.0, 1e2, 1e4])

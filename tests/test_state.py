@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_smearing
+from conftest import bump_pool, random_smearing, table_smearing
 from ncmink import (
     ETA,
     DMStateParams,
@@ -13,7 +13,6 @@ from ncmink import (
     PhysicalConstants,
     PositivityError,
     QuadratureConfig,
-    VectorSmearing,
     bilinear_form,
     dm_bilinear,
     gram_check,
@@ -298,29 +297,6 @@ def composed_magnitude(f, g, params):
         4.0 * params.state_alpha * kappa_sq
     )
     return log_part + mean_part + reg_part + 0.5 * scale * total(KernelKind.LIGHTCONE, f, g)
-
-
-def table_smearing(rng, pool):
-    """1-4 terms on a shared bump pool, so one bump can carry several covectors.
-
-    Covector sizes span four decades, so the order in which a bump's terms
-    are summed shows in the last bits.  About a third of the covectors have
-    a zero time component: the rest-frame Krein map keeps those, so f and
-    J f share terms that merge in Pf + PJf.
-    """
-    terms = []
-    for _ in range(int(rng.integers(1, 5))):
-        v = rng.normal(size=4) * 10.0 ** rng.uniform(-2.0, 2.0)
-        if rng.uniform() < 0.35:
-            v[0] = 0.0
-        weight = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-        terms.append((tuple(v), pool[int(rng.integers(len(pool)))], weight))
-    return VectorSmearing(tuple(terms))
-
-
-def bump_pool(rng, psi):
-    pool = [GaussianBump(tuple(rng.normal(scale=0.6, size=4)), rng.uniform(8.0, 40.0)) for _ in range(3)]
-    return pool + [psi]
 
 
 def test_one_table_matches_composition_bit_for_bit(cfg, params):

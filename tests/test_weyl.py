@@ -5,18 +5,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_smearing
+from conftest import bump_pool, random_smearing, table_smearing
+from test_state import composed_dm_bilinear, composed_magnitude
 from ncmink import (
     DEFAULT_FRAME,
     DMStateParams,
     GaussianBump,
+    KernelKind,
     PhysicalConstants,
+    PositivityError,
     WeylCalculus,
     WeylElement,
+    bilinear_form,
     frame_smearings,
+    krein_J,
+    krein_matrix,
     moment1,
+    mu2,
     sigma,
 )
+from ncmink import state
 from ncmink.testfn import single_term
 
 
@@ -205,3 +213,96 @@ def test_scalar_multiple_and_difference():
     doubled = 2 * a
     assert [f for f, _ in doubled.terms] == [f for f, _ in a.terms]
     assert [c for _, c in doubled.terms] == [2 * c for _, c in a.terms]
+
+
+# ---------------------------------------------------------------------------
+# Products and omega read one kernel table per call; the references below
+# evaluate each product phase and each second moment on its own.
+
+
+def square_on_a_table_family(rng, psi):
+    """a* a for a on four members over shared bumps, one member repeated.
+
+    The members are scaled so that the second moments of a* a's terms
+    span 1e-2 to 1e2 and every term of omega shows in the sum.
+    """
+    pool = bump_pool(rng, psi)
+    family = [table_smearing(rng, pool).scaled(0.03) for _ in range(4)]
+    family.append(family[1])
+    a = WeylElement.from_dict({})
+    for f in family:
+        a = a + WeylElement.generator(f, complex(rng.normal(), rng.normal()))
+    return a
+
+
+def term_by_term_square(a, constants, cfg, u):
+    """Coefficients of a* a from one bilinear_form sigma per term pair."""
+    scale = -constants.kappa_sq / (8.0 * math.pi)
+    coeffs = {}
+    for f, alpha in a.star().terms:
+        for g, beta in a.terms:
+            s = 0.0 if f == g else scale * bilinear_form(KernelKind.LIGHTCONE, f, g, krein_matrix(u), cfg).value
+            coeffs[f + g] = coeffs.get(f + g, 0.0) + alpha * beta * cmath.exp(-0.5j * s)
+    return WeylElement.from_dict(coeffs)
+
+
+def test_omega_of_a_square_matches_per_term_evaluation_bit_for_bit(cfg, constants, params):
+    assert params.u == (1.0, 0.0, 0.0, 0.0)
+    calc = WeylCalculus(constants, cfg, u=params.u)
+    rng = np.random.default_rng(89)
+    for _ in range(8):
+        a = square_on_a_table_family(rng, params.psi)
+        product = calc.mul(calc.star(a), a)
+        expected = term_by_term_square(a, constants, cfg, params.u)
+        assert product == expected
+        total = 0.0j
+        for h, c in expected.terms:
+            total += c * cmath.exp(1j * moment1(h) - 0.5 * mu2(h, h, params, cfg).real)
+        assert calc.eval_omega(product, params).value == total
+
+
+def test_omega_of_a_square_matches_the_composition_in_a_boosted_frame(cfg, constants):
+    boost = np.array([0.4, -0.2, 0.1])
+    u = tuple(np.concatenate([[math.sqrt(1 + boost @ boost)], boost]))
+    psi = GaussianBump((0.1, 0.0, 0.2, 0.0), 25.0)
+    params = DMStateParams(state_alpha=1.0, psi=psi, constants=constants, u=u)
+    calc = WeylCalculus(constants, cfg, u=u)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(97)
+    for _ in range(4):
+        a = square_on_a_table_family(rng, psi)
+        product = calc.mul(calc.star(a), a)
+        assert product == term_by_term_square(a, constants, cfg, u)
+        total, bound = 0.0j, 0.0
+        for h, c in product.terms:
+            jh = krein_J(h, u)
+            term = c * cmath.exp(1j * moment1(h) - 0.5 * composed_dm_bilinear(h, jh, params, cfg).real)
+            total += term
+            # a second moment moves by at most 8 eps composed_magnitude (the
+            # one-table boosted bound), its term by half that times |term|
+            bound += abs(term) * 0.5 * 8.0 * eps * composed_magnitude(h, jh, params)
+        assert abs(calc.eval_omega(product, params).value - total) <= bound
+
+
+@pytest.mark.parametrize(
+    "value, message", [(-1e-3 + 0.0j, "negative beyond budget"), (0.5 + 1e-3j, "exceeds error budget")]
+)
+def test_omega_guards_every_second_moment(calc, params, monkeypatch, value, message):
+    rng = np.random.default_rng(101)
+    f, g = random_smearing(rng), random_smearing(rng)
+    a = WeylElement.generator(f, 0.7) + WeylElement.generator(g, -0.2j)
+    monkeypatch.setattr(state, "_two_point", lambda fr, gr, params: value)
+    with pytest.raises(PositivityError, match=message):
+        calc.eval_omega(a, params)
+
+
+def test_omega_gives_the_unit_term_exp_zero(calc, params, monkeypatch):
+    rng = np.random.default_rng(103)
+    f = random_smearing(rng)
+    a = WeylElement.unit() + WeylElement.generator(f, 0.4 - 0.3j)
+    # mu2(f, f) = 0.5; the unit term is not evaluated, so a bad value would not reach it
+    monkeypatch.setattr(state, "_two_point", lambda fr, gr, params: 0.5 + 0.0j)
+    expected = 0.0j + 1.0 * cmath.exp(0.0j) + (0.4 - 0.3j) * cmath.exp(1j * moment1(f) - 0.25)
+    assert calc.eval_omega(a, params).value == expected
+    monkeypatch.setattr(state, "_two_point", lambda fr, gr, params: -1.0 + 0.0j)
+    assert calc.eval_omega(WeylElement.unit(), params).value == 1.0 + 0.0j
