@@ -14,8 +14,9 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   average over the relative time is closed-form, and Stein's identity
   reduces the remaining radial average to erfc and Gaussian terms for the
   light cone, and to the noncentral chi-square log moment plus a Dawson
-  difference quotient for the log kernel.  A form collects every term pair
-  first, so each distinct pair is evaluated once.
+  difference quotient for the log kernel.  A form evaluates each distinct
+  term pair once; many forms over shared bumps read their pair integrals
+  from one kernel table over the distinct bumps of their arguments.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  It draws a component pair and
   then y = x - x' from that pair's exact law, the Gaussian convolution of
@@ -36,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -297,27 +299,32 @@ def pair_geometry(centers_p, widths_p, centers_q, widths_q):
     return b, d[..., 0], np.sqrt((spatial[..., None, :] @ spatial[..., :, None])[..., 0, 0])
 
 
-def _kernel_table(centers, widths, kinds):
-    """Pair integrals among the distinct bumps of some term rows, one matrix per kind.
+def _kernel_table(blocks, kinds):
+    """Pair integrals among the distinct bumps of some blocks of bumps, one matrix per kind.
 
-    The rows' bumps, centers (n, 4) and widths (n,), match on the exact
-    bits of (center, width).  Returns each row's index into the distinct
-    bumps and, for each kind, the matrix K[i, j] of the pair integrals of
-    distinct bumps i and j, from one ``pair_geometry`` over their square and
-    one ``pair_integrals`` call.  A pair integral depends only on its two
-    bumps, ``pair_geometry`` is exactly symmetric in them and every value is
-    the same memoized function of (b, |delta|, R), so
-    K[index[p], index[q]] is the pair integral of rows p and q bit for bit,
-    however the rows are grouped.
+    Each block is the centers (n, 4) and widths (n,) of one smearing's terms
+    (or of one bump), and bumps match on the exact bits of (center, width).
+    Returns each block's index array into the distinct bumps and, for each
+    kind, the matrix K[i, j] of the pair integrals of distinct bumps i and
+    j, from one ``pair_geometry`` over their square and one
+    ``pair_integrals`` call.  A pair integral depends only on its two bumps,
+    ``pair_geometry`` is exactly symmetric in them and every value is the
+    same memoized function of (b, |delta|, R), so K[index[p], index[q]] is
+    the pair integral of bumps p and q bit for bit, however the bumps are
+    grouped.  No blocks, or only empty ones, give empty matrices.
     """
-    rows = np.column_stack([centers, widths])
+    # all blocks in one array: numpy calls per block would cost more than the
+    # rest of the table on the many small blocks of a Weyl element
+    empty = (np.empty((0, 4)), np.empty(0))
+    rows = np.column_stack([np.concatenate(part) for part in zip(empty, *blocks)])
     slots = {}
     index = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in rows], dtype=np.intp)
-    distinct = np.empty((len(slots), 5))
-    distinct[index] = rows
+    ends = list(accumulate(len(widths) for _, widths in blocks))
+    indices = [index[start:end] for start, end in zip([0] + ends, ends)]
+    distinct = np.frombuffer(b"".join(slots), dtype=float).reshape(-1, 5)
     c, a = distinct[:, :4], distinct[:, 4]
     geometry = pair_geometry(c[:, None], a[:, None], c[None], a[None])
-    return index, [pair_integrals(kind, *geometry) for kind in kinds]
+    return indices, [pair_integrals(kind, *geometry) for kind in kinds]
 
 
 def gaussian_pair_reduce(kind, bump_p, bump_q, cfg):
@@ -335,10 +342,15 @@ def _check_contraction(contraction):
 
 
 def smearing_arrays(f):
-    """Centers (n, 4), widths (n,), weights (n,) and covectors (n, 4) of f's terms."""
-    centers, widths = bump_arrays([t.bump for t in f.terms])
-    covectors = np.array([t.covector for t in f.terms], dtype=float).reshape(-1, 4)
-    return centers, widths, np.array([t.weight for t in f.terms], dtype=float), covectors
+    """Centers (n, 4), widths (n,), weights (n,) and covectors (n, 4) of f's terms.
+
+    They are column views of one array: a numpy call per column would cost
+    more than the columns on the one- to four-term smearings of a state.
+    """
+    terms = np.array(
+        [(*t.bump.center.components, t.bump.width, t.weight, *t.covector) for t in f.terms], dtype=float
+    ).reshape(-1, 10)
+    return terms[:, :4], terms[:, 4], terms[:, 5], terms[:, 6:]
 
 
 def pair_coefficients(left, contraction, right):
@@ -354,8 +366,9 @@ def pair_coefficients(left, contraction, right):
 def _term_pairs(f, g, contraction):
     """Nonzero term-pair coefficients (w v) . c . (w' v') with their (b, delta, R).
 
-    The one term table of the reduced and momentum routes; pairs come in
-    row-major (f term, g term) order.
+    The term table of ``bilinear_form`` and the momentum route, and the
+    per-pair statement of what ``_forms`` reads from a kernel table; pairs
+    come in row-major (f term, g term) order.
     """
     c = _check_contraction(contraction)
     cf, af, wf, vf = smearing_arrays(f)
@@ -366,6 +379,29 @@ def _term_pairs(f, g, contraction):
     return coef[pairs], b[pairs], delta[pairs], R[pairs]
 
 
+def _forms(kind, fs, gs, contraction):
+    """Forms of every f in fs (rows) against every g in gs (columns), as lists of floats.
+
+    One kernel table over the bumps of fs and gs serves all of them.  Each
+    value is the exactly rounded sum of the nonzero term-pair coefficients
+    (w v) . contraction . (w' v') times their table entries, in row-major
+    (f term, g term) order; zero-coefficient pairs are left out of the sum,
+    although their table entries are evaluated.
+    """
+    c = _check_contraction(contraction)
+    arrays = [smearing_arrays(h) for h in (*fs, *gs)]
+    indices, (table,) = _kernel_table([a[:2] for a in arrays], (kind,))
+    rows = [(index, a[2][:, None] * a[3]) for index, a in zip(indices, arrays)]
+
+    def form(fi, fr, gi, gr):
+        coef = pair_coefficients(fr, c, gr)
+        pairs = coef != 0.0
+        # fsum reads a list faster than an array, to the same exactly rounded sum
+        return math.fsum((coef[pairs] * table[fi[:, None], gi][pairs]).tolist())
+
+    return [[form(*f, *g) for g in rows[len(fs) :]] for f in rows[: len(fs)]]
+
+
 def bilinear_form(kind, f, g, contraction, cfg):
     """Sum of (w v . contraction . w' v')-weighted scalar pair integrals.
 
@@ -374,7 +410,8 @@ def bilinear_form(kind, f, g, contraction, cfg):
     pairs with a zero coefficient are not evaluated.  The sum is exactly
     rounded, so it does not depend on the term order: for the diagonal
     contractions (eta, identity) swapping f and g negates a LIGHTCONE form
-    and keeps a LOGABS form bit for bit.
+    and keeps a LOGABS form bit for bit.  ``_forms`` gives the same value
+    from a kernel table, for many forms over shared bumps.
     """
     coef, b, delta, R = _term_pairs(f, g, contraction)
     return _analytic(math.fsum(coef * pair_integrals(kind, b, delta, R)))

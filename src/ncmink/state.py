@@ -19,12 +19,15 @@ The building blocks assembled here:
 
 ``dm_bilinear``, ``mu2``, ``gram_check`` and ``diagonal_moments`` (the
 second moments the Weyl calculus evaluates the state with) do not compose
-the functions above.  A pair integral depends only on its two bumps, never
-on the covectors, so each call first builds one kernel table: the LOGABS
+the functions above; each is a few lines around ``_moments``, the one loop
+over the form.  A pair integral depends only on its two bumps, never on
+the covectors, so ``_moments`` first builds one kernel table: the LOGABS
 and the LIGHTCONE matrix over the distinct bumps of all its smearings and
 psi (``integrate._kernel_table``).  Each smearing becomes term rows, its
-weighted covectors with their indices into that table.  A value of the
-form is then covector algebra on the rows of f, psi carrying -mean(f), g
+weighted covectors with their indices into that table, and ``_moments``
+evaluates the requested (f_k, g_l) entries from them, with mu2's
+positivity guard on every Krein-twisted entry where f_k == g_l.  A value
+of the form is covector algebra on the rows of f, psi carrying -mean(f), g
 (Krein-twisted for mu2) and psi carrying -mean(g): the LOGABS products of
 the nonzero-coefficient pairs give Q(Pf + Pg) and Q(Pf - Pg) as two exactly
 rounded sums (the g block's signs flipped in the second), and the f x psi,
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -140,14 +142,6 @@ class _TermRows(NamedTuple):
     kernels: _Kernels
 
 
-@lru_cache(maxsize=16)
-def _krein_map(u):
-    """krein_covector_map(u) for a tuple u, built once per u and read-only."""
-    matrix = krein_covector_map(u)
-    matrix.setflags(write=False)
-    return matrix
-
-
 def _term_arrays(f, twist=None):
     """Centers, widths, weighted covector rows and mean of f, or of f.map_covectors(twist).
 
@@ -167,19 +161,6 @@ def _term_arrays(f, twist=None):
     for row in rows:
         total += row
     return centers, widths, rows, total
-
-
-def _term_rows(arrays, psi):
-    """_TermRows of each entry of ``_term_arrays`` output, all on one kernel table with psi."""
-    psi_center, psi_width = bump_arrays([psi])
-    index, (logabs, lightcone) = _kernel_table(
-        np.concatenate([a[0] for a in arrays] + [psi_center]),
-        np.concatenate([a[1] for a in arrays] + [psi_width]),
-        (KernelKind.LOGABS, KernelKind.LIGHTCONE),
-    )
-    kernels = _Kernels(logabs, lightcone, int(index[-1]))
-    parts = np.split(index[:-1], np.cumsum([len(a[1]) for a in arrays[:-1]], dtype=int))
-    return [_TermRows(part, rows, mean, kernels) for part, (_, _, rows, mean) in zip(parts, arrays)]
 
 
 def _two_point(fr, gr, params):
@@ -219,6 +200,42 @@ def _two_point(fr, gr, params):
     return -log_scale * log_term + mean_term + reg_term + 0.5j * sig
 
 
+def _check_diagonal(value):
+    """mu2(f, f) must be real and non-negative within the rounding budget."""
+    budget = 1e-10 * (1.0 + abs(value))
+    if abs(value.imag) > budget:
+        raise PositivityError(f"Im mu2(f,f) = {value.imag!r} exceeds error budget {budget!r}")
+    if value.real < -budget:
+        raise PositivityError(f"Re mu2(f,f) = {value.real!r} negative beyond budget {budget!r}")
+
+
+def _moments(fs, gs, params, twisted, entries):
+    """Delta_{alpha,psi}(fs[k], gs[l]), or mu2 when twisted, for each (k, l) in entries.
+
+    The term rows of fs, of gs (Krein-twisted when ``twisted``) and of psi
+    share one kernel table, and the values come in the order of entries.
+    Untwisted, the same list as fs and gs builds its rows once.
+    mu2's positivity guard runs on every twisted entry with fs[k] == gs[l].
+    """
+    arrays = [_term_arrays(f) for f in fs]
+    if twisted or gs is not fs:
+        twist = krein_covector_map(params.u) if twisted else None
+        arrays += [_term_arrays(g, twist) for g in gs]
+    indices, (logabs, lightcone) = _kernel_table(
+        [a[:2] for a in arrays] + [bump_arrays([params.psi])], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
+    )
+    kernels = _Kernels(logabs, lightcone, int(indices[-1][0]))
+    rows = [_TermRows(index, a[2], a[3], kernels) for index, a in zip(indices, arrays)]
+    # gs's rows follow fs's, or are fs's own
+    offset = len(arrays) - len(gs)
+    values = []
+    for k, l in entries:
+        values.append(_two_point(rows[k], rows[offset + l], params))
+        if twisted and fs[k] == gs[l]:
+            _check_diagonal(values[-1])
+    return values
+
+
 def dm_bilinear(f, g, params, cfg):
     """The regularized bilinear form Delta_{alpha,psi}(f, g) as a complex number.
 
@@ -230,16 +247,7 @@ def dm_bilinear(f, g, params, cfg):
     than integrated separately.  With kappa = 0 every term vanishes
     (classical limit).
     """
-    return _two_point(*_term_rows([_term_arrays(f), _term_arrays(g)], params.psi), params)
-
-
-def _check_diagonal(value):
-    """mu2(f, f) must be real and non-negative within the rounding budget."""
-    budget = 1e-10 * (1.0 + abs(value))
-    if abs(value.imag) > budget:
-        raise PositivityError(f"Im mu2(f,f) = {value.imag!r} exceeds error budget {budget!r}")
-    if value.real < -budget:
-        raise PositivityError(f"Re mu2(f,f) = {value.real!r} negative beyond budget {budget!r}")
+    return _moments([f], [g], params, False, [(0, 0)])[0]
 
 
 def mu2(f, g, params, cfg):
@@ -250,11 +258,7 @@ def mu2(f, g, params, cfg):
     the real part must be non-negative; violations beyond the rounding
     budget 1e-10 (1 + |value|) raise :class:`PositivityError`.
     """
-    arrays = [_term_arrays(f), _term_arrays(g, _krein_map(tuple(params.u)))]
-    value = _two_point(*_term_rows(arrays, params.psi), params)
-    if f == g:
-        _check_diagonal(value)
-    return value
+    return _moments([f], [g], params, True, [(0, 0)])[0]
 
 
 def diagonal_moments(smearings, params, twisted=True):
@@ -265,17 +269,7 @@ def diagonal_moments(smearings, params, twisted=True):
     not evaluated.
     """
     live = [f for f in smearings if not f.is_zero()]
-    arrays = [_term_arrays(f) for f in live]
-    if twisted:
-        twist = _krein_map(tuple(params.u))
-        arrays += [_term_arrays(f, twist) for f in live]
-    rows = _term_rows(arrays, params.psi)
-    values = []
-    for fr, gr in zip(rows, rows[len(live) :] if twisted else rows):
-        values.append(_two_point(fr, gr, params))
-        if twisted:
-            _check_diagonal(values[-1])
-    moments = iter(values)
+    moments = iter(_moments(live, live, params, twisted, [(k, k) for k in range(len(live))]))
     return [0.0 if f.is_zero() else next(moments) for f in smearings]
 
 
@@ -303,30 +297,25 @@ def gram_check(family, params, cfg):
     """Build and test the Gram matrices N and M of a smearing family.
 
     N_kl is mu2(f_k, f_l), which already carries the (i/2) sigma part in its
-    imaginary component.  Each member's plain and Krein-twisted term rows
-    are built once on one kernel table of the family and psi, and every
-    entry reads them, with mu2's positivity guard wherever f_k == f_l.
-    Only the upper triangle is evaluated, the lower one is its conjugate
-    (Hermiticity is an identity of the form, not a numerical accident).
+    imaginary component.  ``_moments`` builds each member's plain and
+    Krein-twisted term rows once on one kernel table of the family and psi
+    and evaluates the upper triangle row by row from them, with mu2's
+    positivity guard wherever f_k == f_l.  The lower triangle is its
+    conjugate (Hermiticity is an identity of the form, not a numerical
+    accident); a diagonal entry keeps mu2's own value, whose imaginary
+    rounding is not 0 in every frame.
     The reported M is the diagonal congruence rescaling
     exp[N_kl - (N_kk + N_ll)/2] of the elementwise exponential; it shares
     the positivity verdict with exp(N) by Sylvester's law while staying
     inside floating-point range for large mu2 values.
     """
     n = len(family)
-    twist = _krein_map(tuple(params.u))
-    arrays = [_term_arrays(f) for f in family] + [_term_arrays(f, twist) for f in family]
-    rows = _term_rows(arrays, params.psi)
-    plain, twisted = rows[:n], rows[n:]
+    entries = [(k, l) for k in range(n) for l in range(k, n)]
     N = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(k, n):
-            value = _two_point(plain[k], twisted[l], params)
-            if family[k] == family[l]:
-                _check_diagonal(value)
-            N[k, l] = value
-            if l != k:
-                N[l, k] = N[k, l].conjugate()
+    for (k, l), value in zip(entries, _moments(family, family, params, True, entries)):
+        # conjugate first, so that a diagonal entry keeps its own value
+        N[l, k] = value.conjugate()
+        N[k, l] = value
     diag = np.real(np.diag(N))
     M = np.exp(N - 0.5 * (diag[:, None] + diag[None, :]))
     return (

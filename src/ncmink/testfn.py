@@ -198,12 +198,28 @@ def smearing_to_json(f):
 
 
 def smearing_from_json(doc):
-    """Load a smearing from a JSON document (string or parsed list)."""
+    """Load a smearing from a JSON document (string or parsed list).
+
+    Every entry is an object with the keys ``v``, ``center`` and ``width``
+    and an optional ``weight`` (default 1.0).  A document that is not a
+    list, an entry that is not an object, a missing key and an unknown key
+    raise ValueError naming the entry and the key, so a misspelt weight is
+    not silently read as 1.0.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    return VectorSmearing(
-        tuple(
-            (entry["v"], GaussianBump(entry["center"], entry["width"]), entry.get("weight", 1.0))
-            for entry in doc
-        )
-    )
+    if not isinstance(doc, list):
+        raise ValueError("smearing must be a JSON list of terms")
+    terms = []
+    for i, entry in enumerate(doc):
+        where = f"smearing[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be a JSON object")
+        unknown = sorted(entry.keys() - {"v", "center", "width", "weight"})
+        if unknown:
+            raise ValueError(f"unknown smearing key {where}.{unknown[0]}")
+        missing = [key for key in ("v", "center", "width") if key not in entry]
+        if missing:
+            raise ValueError(f"missing smearing key {where}.{missing[0]}")
+        terms.append((entry["v"], GaussianBump(entry["center"], entry["width"]), entry.get("weight", 1.0)))
+    return VectorSmearing(tuple(terms))

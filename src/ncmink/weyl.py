@@ -11,9 +11,10 @@ Krein-twisted version sigma(., J.): the twisted pairing is the one under
 which the regularized state is positive, the plain one drives the causal
 functional.  :class:`WeylCalculus` fixes that choice once.  A product
 reads the sigma of every term pair of its two factors from one LIGHTCONE
-table over their bumps, and a state evaluation reads the second moment of
-every term of the element from one kernel table, so neither evaluates a
-bump pair twice.  Sigma and the second moments are closed forms, so the
+table over their bumps (``integrate._forms``), and a state evaluation
+reads the second moment of every term of the element from one kernel
+table (``state.diagonal_moments``), so neither evaluates a bump pair
+twice.  Sigma and the second moments are closed forms, so the
 product phases and coefficients are exact up to rounding: elements carry
 no error, and ``eval_omega`` and ``eval_tau`` return ANALYTIC results
 (error 0, evals 0, converged).
@@ -25,9 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .integrate import _analytic, _check_contraction, _kernel_table, bump_arrays, pair_coefficients
+from .integrate import _analytic, _forms
 from .kernels import KernelKind
 from .minkowski import ETA, krein_matrix
 from .state import diagonal_moments
@@ -99,44 +98,28 @@ class WeylCalculus:
     LIGHTCONE table over the bumps of both factors, and a state evaluation
     the second moments of all of an element's terms from one kernel table
     (``state.diagonal_moments``).  Repeated pair integrals are served by the
-    process-wide pair memo below both.
+    process-wide pair memo below both.  Every value is a closed form, so
+    the ``cfg`` argument is accepted and not read.
     """
 
     def __init__(self, constants, cfg, u=(1.0, 0.0, 0.0, 0.0), pairing="krein"):
         if pairing not in PAIRINGS:
             raise ValueError(f"pairing must be one of {PAIRINGS}")
         self.constants = constants
-        self.cfg = cfg
         # sigma(f, J g) is the light-cone form of f and g contracted with
         # eta J, the Krein matrix, so no twisted smearing is built
-        self._contraction = _check_contraction(krein_matrix(u) if pairing == "krein" else ETA)
+        self._contraction = krein_matrix(u) if pairing == "krein" else ETA
 
     def _sigmas(self, fs, gs):
         """Pairing values s(f, g) for f in fs (rows) and g in gs (columns), as floats.
 
-        The term-pair coefficients, their nonzero filter and the exactly
-        rounded sum are those of ``bilinear_form``, and the pair integrals
-        are read from one LIGHTCONE table over the bumps of fs and gs, so
-        each value is bit for bit the one ``bilinear_form`` gives.  s(f, f)
-        is 0 exactly, also for a Krein matrix that is not diagonal.
+        The scaled LIGHTCONE case of ``integrate._forms``, so each value is
+        bit for bit the one ``bilinear_form`` gives.  s(f, f) is 0 exactly,
+        also for a Krein matrix that is not diagonal.
         """
-        smearings = (*fs, *gs)
-        terms = [t for h in smearings for t in h.terms]
-        index, (lightcone,) = _kernel_table(*bump_arrays([t.bump for t in terms]), (KernelKind.LIGHTCONE,))
-        weights = np.array([t.weight for t in terms], dtype=float)
-        rows = weights[:, None] * np.array([t.covector for t in terms], dtype=float).reshape(-1, 4)
-        cuts = np.cumsum([len(h.terms) for h in smearings[:-1]], dtype=int)
-        blocks = list(zip(np.split(index, cuts), np.split(rows, cuts)))
         scale = -self.constants.kappa_sq / (8.0 * math.pi)
-        values = [[0.0] * len(gs) for _ in fs]
-        for k, (f, (fi, fr)) in enumerate(zip(fs, blocks)):
-            for l, (g, (gi, gr)) in enumerate(zip(gs, blocks[len(fs) :])):
-                if f != g:
-                    coef = pair_coefficients(fr, self._contraction, gr)
-                    pairs = coef != 0.0
-                    kernel = lightcone[fi[:, None], gi]
-                    values[k][l] = scale * math.fsum((coef[pairs] * kernel[pairs]).tolist())
-        return values
+        forms = _forms(KernelKind.LIGHTCONE, fs, gs, self._contraction)
+        return [[0.0 if f == g else scale * s for g, s in zip(gs, row)] for f, row in zip(fs, forms)]
 
     def sigma_value(self, f, g):
         """Pairing value s(f, g) as a float: the one-pair case of a product's table."""

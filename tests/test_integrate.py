@@ -19,15 +19,18 @@ from ncmink import (
     distance,
     dm_bilinear,
     gaussian_pair_reduce,
+    krein_matrix,
     mc_oracle,
     momentum_form,
     mu2,
 )
 from ncmink.integrate import (
+    _forms,
     _kernel_table,
     _log_moment,
     _pair_cached,
     _pair_table,
+    _term_pairs,
     bump_arrays,
     pair_integrals,
 )
@@ -225,20 +228,28 @@ def test_logabs_swap_symmetry_is_exact(cfg):
 
 
 def test_kernel_table_reads_every_row_pair_bit_for_bit(cfg):
-    """Rows match on center and width together; repeats share one distinct bump."""
+    """Rows match on center and width together; repeats share one distinct bump.
+
+    The rows come in blocks, an empty one among them, and each block gets
+    its own indices into the one table.  No blocks give empty tables.
+    """
     rng = np.random.default_rng(19)
     base = [random_bump(rng) for _ in range(3)]
     same_center = GaussianBump(base[0].center, 2.0 * base[0].width)
     same_width = GaussianBump(base[1].center.components[::-1], base[1].width)
     bumps = [base[0], same_center, base[1], base[0], same_width, base[2], base[1]]
     kinds = (KernelKind.LOGABS, KernelKind.LIGHTCONE)
-    index, tables = _kernel_table(*bump_arrays(bumps), kinds)
-    assert index.tolist() == [0, 1, 2, 0, 3, 4, 2]
+    blocks = [bumps[:2], [], bumps[2:5], bumps[5:]]
+    indices, tables = _kernel_table([bump_arrays(block) for block in blocks], kinds)
+    assert [block.tolist() for block in indices] == [[0, 1], [], [2, 0, 3], [4, 2]]
+    index = np.concatenate(indices)
     for kind, table in zip(kinds, tables):
         assert table.shape == (5, 5)
         for p, bp in enumerate(bumps):
             for q, bq in enumerate(bumps):
                 assert table[index[p], index[q]] == gaussian_pair_reduce(kind, bp, bq, cfg).value
+    indices, tables = _kernel_table([], kinds)
+    assert indices == [] and [table.shape for table in tables] == [(0, 0), (0, 0)]
 
 
 def test_log_moment_branches_are_independent():
@@ -597,6 +608,56 @@ def test_bilinear_form_matches_term_by_term_loop(kind, contraction, cfg):
         assert swapped == (-forward if kind is KernelKind.LIGHTCONE else forward)
     if kind is KernelKind.LIGHTCONE:
         assert bilinear_form(kind, f, f, contraction, cfg).value == 0.0
+
+
+_BOOST = np.array([0.4, -0.2, 0.1])
+_KREIN_BOOSTED = krein_matrix(tuple(np.concatenate([[math.sqrt(1 + _BOOST @ _BOOST)], _BOOST])))
+
+
+@pytest.mark.parametrize("contraction", [ETA, I4, _KREIN_BOOSTED], ids=["eta", "identity", "krein-boosted"])
+@pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.name.lower())
+def test_forms_read_the_table_as_the_per_pair_sum(kind, contraction, cfg):
+    """The kernel-table route sums exactly the products of the per-pair route.
+
+    ``_forms`` of [f, g] against [g, f] gives each of its four forms bit for
+    bit as ``bilinear_form`` does.  Smearings share a bump pool: repeated
+    bumps, two bumps at one time center, and covectors orthogonal under
+    the contraction, whose term pairs have coefficient exactly 0 and are
+    left out of both sums.
+    """
+    rng = np.random.default_rng(101)
+    pool = [random_bump(rng, 0.6, 8.0, 40.0) for _ in range(3)]
+    t0 = pool[0].center.components[0]
+    pool.append(GaussianBump((t0, *rng.normal(scale=0.6, size=3)), 17.0))
+    # (w_1, w_2) = (c_02, -c_01) makes e_0 . c . w vanish exactly; scaling
+    # by powers of two keeps it exact
+    c = np.asarray(contraction)
+    covectors = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), tuple(rng.normal(size=4))]
+    if c[0, 1] or c[0, 2]:
+        covectors.append((0.0, c[0, 2], -c[0, 1], 0.0))
+    zero_pairs = coincident = 0
+    for _ in range(12):
+        f, g = (
+            VectorSmearing(
+                tuple(
+                    (
+                        covectors[rng.integers(len(covectors))],
+                        pool[rng.integers(len(pool))],
+                        float(rng.choice([-2.0, -0.5, 1.0, 4.0])),
+                    )
+                    for _ in range(int(rng.integers(1, 5)))
+                )
+            )
+            for _ in range(2)
+        )
+        (fg, ff), (gg, gf) = _forms(kind, [f, g], [g, f], contraction)
+        for (a, b), value in zip(((f, g), (f, f), (g, g), (g, f)), (fg, ff, gg, gf)):
+            coef, bb, delta, R = _term_pairs(a, b, contraction)
+            expected = math.fsum(coef * pair_integrals(kind, bb, delta, R))
+            assert value == expected == bilinear_form(kind, a, b, contraction, cfg).value
+            zero_pairs += len(a.terms) * len(b.terms) - len(coef)
+            coincident += int(((delta == 0.0) & (R > 0.0)).sum())
+    assert zero_pairs >= 5 and coincident >= 5
 
 
 def test_config_validation():

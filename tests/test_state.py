@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ from ncmink import (
     sigma,
 )
 from ncmink import state
-from ncmink.state import log_minus_form, sigma_indexed
+from ncmink.state import diagonal_moments, log_minus_form, sigma_indexed
 from ncmink.integrate import _term_pairs, bump_arrays, pair_geometry, pair_integrals, smearing_arrays
-from ncmink.testfn import project_psi, scalar_smearing, single_term
+from ncmink.testfn import ZERO_SMEARING, project_psi, scalar_smearing, single_term
 
 
 def e0_smearing(bump, weight=1.0):
@@ -315,35 +316,70 @@ def test_one_table_matches_composition_bit_for_bit(cfg, params):
     assert shared_terms >= 10 and zero_time >= 10
 
 
-def test_one_table_matches_composition_in_a_boosted_frame(cfg, constants):
+@pytest.fixture(scope="module")
+def boosted_params(params):
+    """The state of ``params`` with its Krein involution built on a boosted u."""
     boost = np.array([0.4, -0.2, 0.1])
-    u = tuple(np.concatenate([[math.sqrt(1 + boost @ boost)], boost]))
-    psi = GaussianBump((0.1, 0.0, 0.2, 0.0), 25.0)
-    params = DMStateParams(state_alpha=1.0, psi=psi, constants=constants, u=u)
+    return replace(params, u=tuple(np.concatenate([[math.sqrt(1 + boost @ boost)], boost])))
+
+
+def test_one_table_matches_composition_in_a_boosted_frame(cfg, boosted_params):
+    params = boosted_params
     eps = np.finfo(float).eps
     rng = np.random.default_rng(73)
-    pool = bump_pool(rng, psi)
+    pool = bump_pool(rng, params.psi)
     for i in range(20):
         f = table_smearing(rng, pool)
         g = f if i % 4 == 0 else table_smearing(rng, pool)
-        jg = krein_J(g, u)
+        jg = krein_J(g, params.u)
         bound = 8.0 * eps * composed_magnitude(f, jg, params)
         assert abs(mu2(f, g, params, cfg) - composed_dm_bilinear(f, jg, params, cfg)) <= bound
         bound = 8.0 * eps * composed_magnitude(f, g, params)
         assert abs(dm_bilinear(f, g, params, cfg) - composed_dm_bilinear(f, g, params, cfg)) <= bound
 
 
-def test_gram_matrix_entries_are_mu2(cfg, params):
+def test_gram_matrix_entries_are_mu2(cfg, params, boosted_params):
+    """N's upper triangle is mu2, its lower one the conjugate, its diagonal mu2 itself.
+
+    In the rest frame mu2(f, f) is exactly real, so the diagonal also equals
+    its conjugate.  In the boosted frame some mu2(f, f) carry an imaginary
+    rounding, so a diagonal overwritten by its own conjugate shows there.
+    """
     rng = np.random.default_rng(79)
-    pool = bump_pool(rng, params.psi)
-    family = [table_smearing(rng, pool) for _ in range(4)]
-    family.append(family[1])  # a repeated member is guarded like a diagonal entry
-    N = gram_check(family, params, cfg)[0].matrix
-    for k in range(len(family)):
-        for l in range(k, len(family)):
-            value = mu2(family[k], family[l], params, cfg)
-            assert N[k, l] == value
-            assert N[l, k] == value.conjugate()
+    for state_params in (params, boosted_params):
+        pool = bump_pool(rng, state_params.psi)
+        family = [table_smearing(rng, pool) for _ in range(4)]
+        family.append(family[1])  # a repeated member is guarded like a diagonal entry
+        N = gram_check(family, state_params, cfg)[0].matrix
+        for k in range(len(family)):
+            for l in range(k, len(family)):
+                value = mu2(family[k], family[l], state_params, cfg)
+                assert N[k, l] == value
+                if l != k or state_params is params:
+                    assert N[l, k] == value.conjugate()
+    # the boosted family has a diagonal whose conjugate differs from it
+    assert (np.diag(N).imag != 0.0).any()
+
+
+def test_diagonal_moments_are_mu2_and_delta_of_each_smearing(cfg, params, boosted_params):
+    """One table for all smearings gives each one's own mu2(f, f) and Delta(f, f).
+
+    The list repeats a member and holds the zero smearing in the middle,
+    whose moment is exactly 0.0 and not evaluated.
+    """
+    rng = np.random.default_rng(89)
+    for state_params in (params, boosted_params):
+        pool = bump_pool(rng, state_params.psi)
+        fs = [table_smearing(rng, pool) for _ in range(3)]
+        smearings = [fs[0], fs[1], ZERO_SMEARING, fs[2], fs[1]]
+        live = [f for f in smearings if not f.is_zero()]
+        twisted = diagonal_moments(smearings, state_params)
+        plain = diagonal_moments(smearings, state_params, twisted=False)
+        for moments in (twisted, plain):
+            assert type(moments[2]) is float and moments[2] == 0.0
+            del moments[2]
+        assert twisted == [mu2(f, f, state_params, cfg) for f in live]
+        assert plain == [dm_bilinear(f, f, state_params, cfg) for f in live]
 
 
 @pytest.mark.parametrize(

@@ -155,3 +155,23 @@ def test_json_round_trip():
     )
     doc = smearing_to_json(f)
     assert smearing_from_json(json.dumps(doc)) == f
+
+
+_TERM = {"v": [1, 0, 0, 0], "center": [0, 0, 0, 0], "width": 2.0}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([{**_TERM, "wieght": 3.0}], r"unknown smearing key smearing\[0\]\.wieght"),
+        ([_TERM, {"center": [0, 0, 0, 0], "width": 2.0}], r"missing smearing key smearing\[1\]\.v"),
+        (_TERM, "must be a JSON list"),
+        ([[1, 0, 0, 0]], r"smearing\[0\] must be a JSON object"),
+    ],
+    ids=["misspelt-weight", "missing-v", "not-a-list", "entry-not-an-object"],
+)
+def test_json_rejects_what_it_would_drop(doc, message):
+    """A misspelt key is not read as the default weight, and bad shapes are ValueErrors."""
+    for form in (doc, json.dumps(doc)):
+        with pytest.raises(ValueError, match=message):
+            smearing_from_json(form)

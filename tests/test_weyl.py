@@ -204,6 +204,18 @@ def test_sigma_value_is_antisymmetric_and_zero_on_the_diagonal(cfg, constants):
             assert calc.sigma_value(f, f) == 0.0
 
 
+@pytest.mark.parametrize("pairing", ["plain", "krein"])
+def test_zero_element_through_the_product(cfg, constants, params, pairing):
+    """The empty element times anything is empty, and both functionals give it 0."""
+    calc = WeylCalculus(constants, cfg, u=params.u, pairing=pairing)
+    z = WeylElement.from_dict({})
+    a = WeylElement.generator(random_smearing(np.random.default_rng(47)), 0.5j) + WeylElement.unit()
+    for product in (calc.mul(z, z), calc.mul(z, a), calc.mul(a, z)):
+        assert product.terms == ()
+    assert calc.eval_omega(z, params).value == 0.0
+    assert calc.eval_tau(z, params).value == 0.0
+
+
 def test_scalar_multiple_and_difference():
     rng = np.random.default_rng(43)
     a = WeylElement.generator(random_smearing(rng), 0.3 - 1.2j) + WeylElement.generator(
