@@ -379,27 +379,35 @@ def _term_pairs(f, g, contraction):
     return coef[pairs], b[pairs], delta[pairs], R[pairs]
 
 
+def _products(table, a_index, a_rows, contraction, b_index, b_rows):
+    """Nonzero coefficients a_rows[i] . contraction . b_rows[j] times table[a_index[i], b_index[j]].
+
+    The rows are weighted covectors and the indices their bumps in a kernel
+    table; the products come as a flat array in row-major (i, j) order,
+    with the zero-coefficient pairs left out.
+    """
+    coef = pair_coefficients(a_rows, contraction, b_rows)
+    pairs = coef != 0.0
+    return coef[pairs] * table[a_index[:, None], b_index][pairs]
+
+
 def _forms(kind, fs, gs, contraction):
     """Forms of every f in fs (rows) against every g in gs (columns), as lists of floats.
 
     One kernel table over the bumps of fs and gs serves all of them.  Each
-    value is the exactly rounded sum of the nonzero term-pair coefficients
-    (w v) . contraction . (w' v') times their table entries, in row-major
-    (f term, g term) order; zero-coefficient pairs are left out of the sum,
-    although their table entries are evaluated.
+    value is the exactly rounded sum of ``_products`` of f's and g's rows;
+    zero-coefficient pairs are left out of the sum, although their table
+    entries are evaluated.
     """
     c = _check_contraction(contraction)
     arrays = [smearing_arrays(h) for h in (*fs, *gs)]
     indices, (table,) = _kernel_table([a[:2] for a in arrays], (kind,))
     rows = [(index, a[2][:, None] * a[3]) for index, a in zip(indices, arrays)]
-
-    def form(fi, fr, gi, gr):
-        coef = pair_coefficients(fr, c, gr)
-        pairs = coef != 0.0
-        # fsum reads a list faster than an array, to the same exactly rounded sum
-        return math.fsum((coef[pairs] * table[fi[:, None], gi][pairs]).tolist())
-
-    return [[form(*f, *g) for g in rows[len(fs) :]] for f in rows[: len(fs)]]
+    # fsum reads a list faster than an array, to the same exactly rounded sum
+    return [
+        [math.fsum(_products(table, fi, fr, c, gi, gr).tolist()) for gi, gr in rows[len(fs) :]]
+        for fi, fr in rows[: len(fs)]
+    ]
 
 
 def bilinear_form(kind, f, g, contraction, cfg):

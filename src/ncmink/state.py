@@ -23,21 +23,24 @@ the functions above; each is a few lines around ``_moments``, the one loop
 over the form.  A pair integral depends only on its two bumps, never on
 the covectors, so ``_moments`` first builds one kernel table: the LOGABS
 and the LIGHTCONE matrix over the distinct bumps of all its smearings and
-psi (``integrate._kernel_table``).  Each smearing becomes term rows, its
-weighted covectors with their indices into that table, and ``_moments``
-evaluates the requested (f_k, g_l) entries from them, with mu2's
-positivity guard on every Krein-twisted entry where f_k == g_l.  A value
-of the form is covector algebra on the rows of f, psi carrying -mean(f), g
-(Krein-twisted for mu2) and psi carrying -mean(g): the LOGABS products of
-the nonzero-coefficient pairs give Q(Pf + Pg) and Q(Pf - Pg) as two exactly
-rounded sums (the g block's signs flipped in the second), and the f x psi,
-g x psi and f x g LIGHTCONE blocks give the regulator and sigma terms.  A
-family's Gram matrix reads one table for all its entries, and an element's
-second moments one table for all its terms.  Every product and sum is the
-one the composition computes, so for u = (1, 0, 0, 0) the result is
-bit-identical to it; ``log_minus_form``, ``sigma_indexed``,
-``project_psi``, ``krein_J`` and ``sigma`` remain the definition the tests
-compare against.
+psi (``integrate._kernel_table``).  Each smearing becomes one block on that
+table: its weighted covector rows with their bump indices, psi carrying
+-mean(f) as a last row, the LOGABS products of those rows with themselves
+under eta, and sigma(f, psi).  A value of the form reads two blocks and a
+contraction c between them: eta for Delta, and for mu2 the Krein matrix
+eta J, so that Delta(f, J g) needs no twisted rows of g; since
+J^T eta J = eta, g's own products serve both.  Q(Pf + Pg) and Q(Pf - Pg)
+are the exactly rounded sums of both blocks' own products and plus or
+minus twice the f x g products under c, the mean term is mean(f) c
+mean(g), the regulator term sigma(f, psi) c sigma(g, psi), and sigma(f, g)
+the sum of the LIGHTCONE f x g products under c.  mu2's positivity guard
+runs on every entry with f_k == g_l.  A family's Gram matrix reads one
+table and one block per member for all its entries, and an element's
+second moments one table for all its terms.  Every sum of the form is
+exactly rounded, so term order never matters, and for u = (1, 0, 0, 0)
+(where eta J is the identity) the result is bit-identical to the
+composition; ``log_minus_form``, ``sigma_indexed``, ``project_psi``,
+``krein_J`` and ``sigma`` remain the definition the tests compare against.
 
 Note the two distinct alpha-like parameters: ``state_alpha`` below is the
 state regulator, while Gaussian bumps carry their own ``width``.
@@ -53,16 +56,16 @@ import numpy as np
 
 from .integrate import (
     _kernel_table,
+    _products,
     bilinear_form,
     bump_arrays,
-    pair_coefficients,
     pair_geometry,
     pair_integrals,
     smearing_arrays,
 )
 from .kernels import KernelKind
-from .minkowski import ETA, PhysicalConstants, krein_covector_map, validate_unit_timelike
-from .testfn import GaussianBump
+from .minkowski import ETA, PhysicalConstants, krein_covector_map, krein_matrix, validate_unit_timelike
+from .testfn import GaussianBump, _fsum_columns
 
 
 class PositivityError(ArithmeticError):
@@ -101,12 +104,12 @@ def sigma_indexed(f, psi, constants, cfg):
 
     Returns the components as an ndarray: the free covector index of f
     survives while its profiles are paired against psi through the
-    light-cone kernel.
+    light-cone kernel.  Each component is an exactly rounded sum.
     """
     scale = constants.kappa_sq / (8.0 * math.pi)
     centers, widths, weights, covectors = smearing_arrays(f)
     values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(centers, widths, *bump_arrays([psi])))
-    return -scale * (values @ (weights[:, None] * covectors))
+    return -scale * _fsum_columns(values[:, None] * (weights[:, None] * covectors))
 
 
 def krein_J(f, u=(1.0, 0.0, 0.0, 0.0)):
@@ -125,78 +128,34 @@ def log_minus_form(f, g, contraction, cfg):
     return 0.25 * min(plus.value, 0.0) - 0.25 * min(minus.value, 0.0)
 
 
-class _Kernels(NamedTuple):
-    """LOGABS and LIGHTCONE pair integrals among the distinct bumps of some smearings and psi."""
+class _Block(NamedTuple):
+    """A smearing on a kernel table, with psi carrying -mean(f) as its last row."""
 
-    logabs: np.ndarray  # (m, m)
-    lightcone: np.ndarray  # (m, m)
-    psi: int  # psi's index into them
-
-
-class _TermRows(NamedTuple):
-    """A smearing's terms as arrays, in its canonical term order, on a kernel table."""
-
-    index: np.ndarray  # (n,), each term's bump in the table
-    covectors: np.ndarray  # (n, 4), weight times covector
-    mean: np.ndarray  # (4,), testfn.mean of the smearing
-    kernels: _Kernels
+    index: np.ndarray  # (n + 1,), each term's bump in the table, then psi's
+    rows: np.ndarray  # (n + 1, 4), weight times covector, then -mean(f)
+    own: list  # LOGABS products of the rows with themselves under eta
+    sigma: np.ndarray  # (4,), sigma(f, psi)
 
 
-def _term_arrays(f, twist=None):
-    """Centers, widths, weighted covector rows and mean of f, or of f.map_covectors(twist).
-
-    The twisted rows are sorted into the canonical order of the twisted
-    smearing, and the mean is summed in term order as ``testfn.mean`` sums
-    it, so every number equals the one the smearing route computes.
-    """
-    centers, widths, weights, covectors = smearing_arrays(f)
-    if twist is not None:
-        covectors = covectors @ twist.T
-        order = np.lexsort((weights, *covectors.T[::-1], widths, *centers.T[::-1]))
-        centers, widths, weights, covectors = (
-            a[order] for a in (centers, widths, weights, covectors)
-        )
-    rows = weights[:, None] * covectors
-    total = np.zeros(4)
-    for row in rows:
-        total += row
-    return centers, widths, rows, total
-
-
-def _two_point(fr, gr, params):
-    """Delta_{alpha,psi} of the smearings with term rows fr and gr (see module doc)."""
+def _two_point(f, g, tables, contraction, params):
+    """Delta_{alpha,psi} of the blocks f and g paired through the contraction (see module doc)."""
     kappa_sq = params.constants.kappa_sq
     if kappa_sq == 0.0:
         return 0.0 + 0.0j
-    nf, ng = len(fr.index), len(gr.index)
-    kernels = fr.kernels
-    psi = [kernels.psi]
-    index = np.concatenate([fr.index, psi, gr.index, psi])
-    rows = np.concatenate([fr.covectors, -fr.mean[None], gr.covectors, -gr.mean[None]])
-    coef = pair_coefficients(rows, ETA, rows)
-
-    pairs = coef != 0.0
-    products = coef[pairs] * kernels.logabs[index[:, None], index][pairs]
-    in_g = np.arange(nf + ng + 2) > nf
-    cross = (in_g[:, None] != in_g[None, :])[pairs]
+    logabs, lightcone = tables
+    own = f.own + g.own
+    cross = 2.0 * _products(logabs, f.index, f.rows, contraction, g.index, g.rows)
     # fsum reads a list faster than an array, to the same exactly rounded sum
-    plus = math.fsum(products.tolist())
-    minus = math.fsum(np.where(cross, -products, products).tolist())
+    plus = math.fsum(own + cross.tolist())
+    minus = math.fsum(own + (-cross).tolist())
     log_term = 0.25 * min(plus, 0.0) - 0.25 * min(minus, 0.0)
     log_scale = kappa_sq / (16.0 * math.pi**2)
-
-    mean_term = params.state_alpha * kappa_sq * float(fr.mean @ ETA @ gr.mean)
-
-    # light-cone blocks: f x psi, g x psi and the nonzero pairs of f x g
-    scale = kappa_sq / (8.0 * math.pi)
-    sf = -scale * (kernels.lightcone[fr.index, kernels.psi] @ fr.covectors)
-    sg = -scale * (kernels.lightcone[gr.index, kernels.psi] @ gr.covectors)
+    # the last rows are -mean(f) and -mean(g); their signs cancel exactly
+    mean_term = params.state_alpha * kappa_sq * float(f.rows[-1] @ contraction @ g.rows[-1])
     reg_scale = 1.0 / (4.0 * params.state_alpha * kappa_sq)
-    reg_term = reg_scale * float(sf @ ETA @ sg)
-
-    fg = coef[:nf, nf + 1 : nf + 1 + ng]
-    fg_pairs = fg != 0.0
-    sig = -scale * math.fsum(fg[fg_pairs] * kernels.lightcone[fr.index[:, None], gr.index][fg_pairs])
+    reg_term = reg_scale * float(f.sigma @ contraction @ g.sigma)
+    fg = _products(lightcone, f.index[:-1], f.rows[:-1], contraction, g.index[:-1], g.rows[:-1])
+    sig = -kappa_sq / (8.0 * math.pi) * math.fsum(fg.tolist())
     return -log_scale * log_term + mean_term + reg_term + 0.5j * sig
 
 
@@ -209,29 +168,31 @@ def _check_diagonal(value):
         raise PositivityError(f"Re mu2(f,f) = {value.real!r} negative beyond budget {budget!r}")
 
 
-def _moments(fs, gs, params, twisted, entries):
-    """Delta_{alpha,psi}(fs[k], gs[l]), or mu2 when twisted, for each (k, l) in entries.
+def _moments(smearings, params, twisted, entries):
+    """Delta_{alpha,psi}(f_k, f_l), or mu2 when twisted, for each (k, l) in entries.
 
-    The term rows of fs, of gs (Krein-twisted when ``twisted``) and of psi
-    share one kernel table, and the values come in the order of entries.
-    Untwisted, the same list as fs and gs builds its rows once.
-    mu2's positivity guard runs on every twisted entry with fs[k] == gs[l].
+    Every smearing and psi share one kernel table, each smearing is one
+    block on it, and the values come in the order of entries.  mu2's
+    positivity guard runs on every twisted entry with f_k == f_l.
     """
-    arrays = [_term_arrays(f) for f in fs]
-    if twisted or gs is not fs:
-        twist = krein_covector_map(params.u) if twisted else None
-        arrays += [_term_arrays(g, twist) for g in gs]
-    indices, (logabs, lightcone) = _kernel_table(
+    arrays = [smearing_arrays(f) for f in smearings]
+    indices, tables = _kernel_table(
         [a[:2] for a in arrays] + [bump_arrays([params.psi])], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
     )
-    kernels = _Kernels(logabs, lightcone, int(indices[-1][0]))
-    rows = [_TermRows(index, a[2], a[3], kernels) for index, a in zip(indices, arrays)]
-    # gs's rows follow fs's, or are fs's own
-    offset = len(arrays) - len(gs)
+    logabs, lightcone = tables
+    psi = indices[-1]
+    scale = params.constants.kappa_sq / (8.0 * math.pi)
+    blocks = []
+    for index, (_, _, weights, covectors) in zip(indices, arrays):
+        rows = weights[:, None] * covectors
+        sig = -scale * _fsum_columns(lightcone[index, psi[0]][:, None] * rows)
+        index, rows = np.concatenate([index, psi]), np.vstack([rows, -_fsum_columns(rows)])
+        blocks.append(_Block(index, rows, _products(logabs, index, rows, ETA, index, rows).tolist(), sig))
+    contraction = krein_matrix(params.u) if twisted else ETA
     values = []
     for k, l in entries:
-        values.append(_two_point(rows[k], rows[offset + l], params))
-        if twisted and fs[k] == gs[l]:
+        values.append(_two_point(blocks[k], blocks[l], tables, contraction, params))
+        if twisted and smearings[k] == smearings[l]:
             _check_diagonal(values[-1])
     return values
 
@@ -241,24 +202,25 @@ def dm_bilinear(f, g, params, cfg):
 
     The expanded four-term shape -kappa^2/16pi^2 log_minus_form(Pf, Pg, eta)
     + mean term + regulator term from sigma_indexed + (i/2) sigma(f, g),
-    evaluated from the term rows of f and g on one kernel table (see the
+    evaluated from the blocks of f and g on one kernel table (see the
     module docstring) with the same products and sums.  The imaginary
     part equals (1/2) sigma(f, g) exactly because it is attached once rather
     than integrated separately.  With kappa = 0 every term vanishes
     (classical limit).
     """
-    return _moments([f], [g], params, False, [(0, 0)])[0]
+    return _moments([f, g], params, False, [(0, 1)])[0]
 
 
 def mu2(f, g, params, cfg):
     """Twisted two-point functional Delta_{alpha,psi}(f, J g) as a complex number.
 
-    The Krein map is applied to g's covector rows, not through krein_J(g).
+    The Krein twist is the contraction eta J between the blocks of f and g,
+    not a twisted smearing krein_J(g).
     On the diagonal the imaginary part must vanish (sigma(f, Jf) = 0) and
     the real part must be non-negative; violations beyond the rounding
     budget 1e-10 (1 + |value|) raise :class:`PositivityError`.
     """
-    return _moments([f], [g], params, True, [(0, 0)])[0]
+    return _moments([f, g], params, True, [(0, 1)])[0]
 
 
 def diagonal_moments(smearings, params, twisted=True):
@@ -269,7 +231,7 @@ def diagonal_moments(smearings, params, twisted=True):
     not evaluated.
     """
     live = [f for f in smearings if not f.is_zero()]
-    moments = iter(_moments(live, live, params, twisted, [(k, k) for k in range(len(live))]))
+    moments = iter(_moments(live, params, twisted, [(k, k) for k in range(len(live))]))
     return [0.0 if f.is_zero() else next(moments) for f in smearings]
 
 
@@ -297,13 +259,12 @@ def gram_check(family, params, cfg):
     """Build and test the Gram matrices N and M of a smearing family.
 
     N_kl is mu2(f_k, f_l), which already carries the (i/2) sigma part in its
-    imaginary component.  ``_moments`` builds each member's plain and
-    Krein-twisted term rows once on one kernel table of the family and psi
-    and evaluates the upper triangle row by row from them, with mu2's
-    positivity guard wherever f_k == f_l.  The lower triangle is its
-    conjugate (Hermiticity is an identity of the form, not a numerical
-    accident); a diagonal entry keeps mu2's own value, whose imaginary
-    rounding is not 0 in every frame.
+    imaginary component.  ``_moments`` builds each member's block once on
+    one kernel table of the family and psi and evaluates the upper triangle
+    row by row from them, with mu2's positivity guard wherever f_k == f_l.
+    The lower triangle is its conjugate (Hermiticity is an identity of the
+    form, not a numerical accident); a diagonal entry keeps mu2's own
+    value, whose imaginary rounding is not 0 in every frame.
     The reported M is the diagonal congruence rescaling
     exp[N_kl - (N_kk + N_ll)/2] of the elementwise exponential; it shares
     the positivity verdict with exp(N) by Sylvester's law while staying
@@ -312,7 +273,7 @@ def gram_check(family, params, cfg):
     n = len(family)
     entries = [(k, l) for k in range(n) for l in range(k, n)]
     N = np.zeros((n, n), dtype=complex)
-    for (k, l), value in zip(entries, _moments(family, family, params, True, entries)):
+    for (k, l), value in zip(entries, _moments(family, params, True, entries)):
         # conjugate first, so that a diagonal entry keeps its own value
         N[l, k] = value.conjugate()
         N[k, l] = value

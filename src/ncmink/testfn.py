@@ -81,6 +81,8 @@ class VectorSmearing:
             bump = bump if isinstance(bump, GaussianBump) else GaussianBump(*bump)
             key = (v, bump)
             merged[key] = merged.get(key, 0.0) + float(w)
+        if not all(math.isfinite(w) for w in merged.values()):
+            raise ValueError("smearing weights must be finite")
         kept = [
             SmearingTerm(v, bump, w)
             for (v, bump), w in merged.items()
@@ -143,16 +145,22 @@ def evaluate(f, x):
     return FourCovector(tuple(total))
 
 
+def _fsum_columns(rows):
+    """Exactly rounded sum of each column of an (n, 4) array, as a (4,) array.
+
+    The sum does not depend on the row order, so every route that sums the
+    same products gives the same bits.
+    """
+    return np.array([math.fsum(column) for column in rows.T.tolist()])
+
+
 def mean(f):
     """Mean vector integral of f_mu over spacetime, evaluated analytically.
 
-    Each normalized bump integrates to 1, so the mean is just the
-    weight-covector sum.
+    Each normalized bump integrates to 1, so the mean is the weight-covector
+    sum, exactly rounded per component.
     """
-    total = np.zeros(4)
-    for t in f.terms:
-        total += t.weight * np.array(t.covector)
-    return total
+    return _fsum_columns(np.array([t.weight * np.array(t.covector) for t in f.terms]).reshape(-1, 4))
 
 
 def moment1(f):
@@ -197,14 +205,20 @@ def smearing_to_json(f):
     ]
 
 
+def _is_number(value):
+    # bool is an int subclass, and JSON true is not a number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def smearing_from_json(doc):
     """Load a smearing from a JSON document (string or parsed list).
 
     Every entry is an object with the keys ``v``, ``center`` and ``width``
     and an optional ``weight`` (default 1.0).  A document that is not a
-    list, an entry that is not an object, a missing key and an unknown key
+    list, an entry that is not an object, a missing key, an unknown key and
+    a value that is not a number (``v`` and ``center``: a list of numbers)
     raise ValueError naming the entry and the key, so a misspelt weight is
-    not silently read as 1.0.
+    not silently read as 1.0 and null, true or "2" is not read as a number.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -221,5 +235,10 @@ def smearing_from_json(doc):
         missing = [key for key in ("v", "center", "width") if key not in entry]
         if missing:
             raise ValueError(f"missing smearing key {where}.{missing[0]}")
+        for key, value in entry.items():
+            listed = key in ("v", "center")
+            if not (isinstance(value, list) and all(map(_is_number, value)) if listed else _is_number(value)):
+                kind = "a list of numbers" if listed else "a number"
+                raise ValueError(f"smearing key {where}.{key} must be {kind}")
         terms.append((entry["v"], GaussianBump(entry["center"], entry["width"]), entry.get("weight", 1.0)))
     return VectorSmearing(tuple(terms))

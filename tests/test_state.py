@@ -316,6 +316,41 @@ def test_one_table_matches_composition_bit_for_bit(cfg, params):
     assert shared_terms >= 10 and zero_time >= 10
 
 
+def test_sums_of_the_form_are_exactly_rounded(cfg, params):
+    """Time components 1e16, 1 and -1e16 on distinct bumps sum to exactly 1.
+
+    A sum in term order loses the 1 (1e16 + 1 rounds to 1e16), so the mean,
+    sigma(f, psi) and with them the real part of Delta would read 0 or a
+    wrong value.  The outer bumps mirror each other about psi, so their
+    light-cone values against psi are equal and cancel exactly as well.
+    Q(Pf +- Pg) are both positive here, so the clipped log term is exactly
+    0 and the real part of Delta is the mean and regulator terms alone.
+    """
+    e0 = (1.0, 0.0, 0.0, 0.0)
+    bumps = [GaussianBump((0.5, -0.3, 0, 0), 20.0), GaussianBump((0.5, 0, 0.1, 0), 30.0), GaussianBump((0.5, 0.3, 0, 0), 20.0)]
+    weights = [1e16, 1.0, -1e16]
+    f = sum((single_term(e0, bump, w) for bump, w in zip(bumps[1:], weights[1:])), single_term(e0, bumps[0], weights[0]))
+    g = single_term(e0, GaussianBump((-0.4, 0.1, 0, 0), 25.0), 1.0)
+    assert [t.weight for t in f.terms] == weights
+    assert np.array_equal(mean(f), [1.0, 0.0, 0.0, 0.0])
+
+    kappa_sq = params.constants.kappa_sq
+    scale = kappa_sq / (8.0 * math.pi)
+
+    def exact_sigma_indexed(h):
+        centers, widths, hw, covectors = smearing_arrays(h)
+        values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(centers, widths, *bump_arrays([params.psi])))
+        return -scale * np.array([math.fsum(values * hw * column) for column in covectors.T])
+
+    sf, sg = exact_sigma_indexed(f), exact_sigma_indexed(g)
+    assert sf[0] != 0.0 and np.array_equal(sigma_indexed(f, params.psi, params.constants, cfg), sf)
+    assert log_minus_form(project_psi(f, params.psi), project_psi(g, params.psi), ETA, cfg) == 0.0
+    mean_term = params.state_alpha * kappa_sq * float(mean(f) @ ETA @ mean(g))
+    reg_term = 1.0 / (4.0 * params.state_alpha * kappa_sq) * float(sf @ ETA @ sg)
+    expected = mean_term + reg_term + 0.5j * sigma(f, g, params.constants, cfg)
+    assert expected.real != 0.0 and dm_bilinear(f, g, params, cfg) == expected
+
+
 @pytest.fixture(scope="module")
 def boosted_params(params):
     """The state of ``params`` with its Krein involution built on a boosted u."""
@@ -388,7 +423,7 @@ def test_diagonal_moments_are_mu2_and_delta_of_each_smearing(cfg, params, booste
 def test_diagonal_positivity_guard(cfg, params, monkeypatch, value, message):
     rng = np.random.default_rng(83)
     f, g = random_smearing(rng), random_smearing(rng)
-    monkeypatch.setattr(state, "_two_point", lambda fr, gr, params: value)
+    monkeypatch.setattr(state, "_two_point", lambda f, g, tables, contraction, params: value)
     with pytest.raises(PositivityError, match=message):
         mu2(f, f, params, cfg)
     with pytest.raises(PositivityError, match=message):
@@ -398,6 +433,6 @@ def test_diagonal_positivity_guard(cfg, params, monkeypatch, value, message):
     # as in mu2, the guard follows f_k == f_l, not k == l: entry (0, 1) of a
     # repeated member raises although entry (0, 0) passed
     entries = iter([1.0 + 0.0j, value])
-    monkeypatch.setattr(state, "_two_point", lambda fr, gr, params: next(entries))
+    monkeypatch.setattr(state, "_two_point", lambda f, g, tables, contraction, params: next(entries))
     with pytest.raises(PositivityError, match=message):
         gram_check([f, f], params, cfg)

@@ -149,6 +149,18 @@ def test_canonicalization_merges_and_sorts():
     assert hash(f) == hash(VectorSmearing(f.terms))
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [[math.nan], [math.inf], [-math.inf], [1e308, 1e308]],
+    ids=["nan", "inf", "minus-inf", "overflowing-merge"],
+)
+def test_smearing_rejects_non_finite_weights(weights):
+    """A non-finite merged weight would give nan second moments without a PositivityError."""
+    bump = GaussianBump((0, 0, 0, 0), 2.0)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        VectorSmearing(tuple(((1, 0, 0, 0), bump, w) for w in weights))
+
+
 def test_json_round_trip():
     f = single_term((1, 0, -2, 0), GaussianBump((0.5, 0, 0, 0), 3.0), 1.5) + single_term(
         (0, 1, 0, 0), GaussianBump((0, 0, 0, 0), 7.0), -0.5
@@ -167,11 +179,40 @@ _TERM = {"v": [1, 0, 0, 0], "center": [0, 0, 0, 0], "width": 2.0}
         ([_TERM, {"center": [0, 0, 0, 0], "width": 2.0}], r"missing smearing key smearing\[1\]\.v"),
         (_TERM, "must be a JSON list"),
         ([[1, 0, 0, 0]], r"smearing\[0\] must be a JSON object"),
+        ([_TERM, {**_TERM, "width": True}], r"smearing key smearing\[1\]\.width must be a number"),
+        ([{**_TERM, "width": "2"}], r"smearing key smearing\[0\]\.width must be a number"),
+        ([{**_TERM, "width": None}], r"smearing key smearing\[0\]\.width must be a number"),
+        ([{**_TERM, "weight": None}], r"smearing key smearing\[0\]\.weight must be a number"),
+        ([{**_TERM, "weight": False}], r"smearing key smearing\[0\]\.weight must be a number"),
+        ([{**_TERM, "weight": "1.5"}], r"smearing key smearing\[0\]\.weight must be a number"),
+        ([{**_TERM, "v": [1, None, 0, 0]}], r"smearing key smearing\[0\]\.v must be a list of numbers"),
+        ([{**_TERM, "v": [1, 0, True, 0]}], r"smearing key smearing\[0\]\.v must be a list of numbers"),
+        ([{**_TERM, "v": "1,0,0,0"}], r"smearing key smearing\[0\]\.v must be a list of numbers"),
+        ([{**_TERM, "center": None}], r"smearing key smearing\[0\]\.center must be a list of numbers"),
+        ([{**_TERM, "center": [0, 0, False, 0]}], r"smearing key smearing\[0\]\.center must be a list of numbers"),
+        ([{**_TERM, "center": [0, "0", 0, 0]}], r"smearing key smearing\[0\]\.center must be a list of numbers"),
     ],
-    ids=["misspelt-weight", "missing-v", "not-a-list", "entry-not-an-object"],
+    ids=[
+        "misspelt-weight",
+        "missing-v",
+        "not-a-list",
+        "entry-not-an-object",
+        "width-true",
+        "width-string",
+        "width-null",
+        "weight-null",
+        "weight-false",
+        "weight-string",
+        "v-null-component",
+        "v-true-component",
+        "v-string",
+        "center-null",
+        "center-false-component",
+        "center-string-component",
+    ],
 )
 def test_json_rejects_what_it_would_drop(doc, message):
-    """A misspelt key is not read as the default weight, and bad shapes are ValueErrors."""
+    """A misspelt key is not read as the default weight, and bad shapes and non-numbers are ValueErrors."""
     for form in (doc, json.dumps(doc)):
         with pytest.raises(ValueError, match=message):
             smearing_from_json(form)

@@ -303,7 +303,7 @@ def test_omega_guards_every_second_moment(calc, params, monkeypatch, value, mess
     rng = np.random.default_rng(101)
     f, g = random_smearing(rng), random_smearing(rng)
     a = WeylElement.generator(f, 0.7) + WeylElement.generator(g, -0.2j)
-    monkeypatch.setattr(state, "_two_point", lambda fr, gr, params: value)
+    monkeypatch.setattr(state, "_two_point", lambda f, g, tables, contraction, params: value)
     with pytest.raises(PositivityError, match=message):
         calc.eval_omega(a, params)
 
@@ -313,8 +313,8 @@ def test_omega_gives_the_unit_term_exp_zero(calc, params, monkeypatch):
     f = random_smearing(rng)
     a = WeylElement.unit() + WeylElement.generator(f, 0.4 - 0.3j)
     # mu2(f, f) = 0.5; the unit term is not evaluated, so a bad value would not reach it
-    monkeypatch.setattr(state, "_two_point", lambda fr, gr, params: 0.5 + 0.0j)
+    monkeypatch.setattr(state, "_two_point", lambda f, g, tables, contraction, params: 0.5 + 0.0j)
     expected = 0.0j + 1.0 * cmath.exp(0.0j) + (0.4 - 0.3j) * cmath.exp(1j * moment1(f) - 0.25)
     assert calc.eval_omega(a, params).value == expected
-    monkeypatch.setattr(state, "_two_point", lambda fr, gr, params: -1.0 + 0.0j)
+    monkeypatch.setattr(state, "_two_point", lambda f, g, tables, contraction, params: -1.0 + 0.0j)
     assert calc.eval_omega(WeylElement.unit(), params).value == 1.0 + 0.0j
