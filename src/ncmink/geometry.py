@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .integrate import (
+    EULER_GAMMA,
     _analytic,
     bump_arrays,
     gaussian_pair_reduce,
@@ -60,11 +61,16 @@ def classical_term(chi_p, chi_q):
 
 
 def _log_quadratic(chi_p, chi_q):
-    """Scalar LOGABS quadratic form of the difference profile chi_p - chi_q."""
+    """Scalar LOGABS quadratic form of the difference profile chi_p - chi_q.
+
+    Only the cross pair goes through ``pair_integrals``; a self pair is the
+    closed form 1 - gamma - ln(2b) at its combined width b = a a / (a + a).
+    """
     centers, widths = bump_arrays([chi_p, chi_q])
-    first, second = [0, 1, 0], [0, 1, 1]  # pairs (p, p), (q, q), (p, q)
-    geometry = pair_geometry(centers[first], widths[first], centers[second], widths[second])
-    self_p, self_q, cross = pair_integrals(KernelKind.LOGABS, *geometry)
+    (cross,) = pair_integrals(
+        KernelKind.LOGABS, *pair_geometry(centers[:1], widths[:1], centers[1:], widths[1:])
+    )
+    self_p, self_q = (1.0 - EULER_GAMMA - math.log(2.0 * (a * a / (a + a))) for a in widths.tolist())
     return float(self_p + self_q - 2.0 * cross)
 
 

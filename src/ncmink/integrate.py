@@ -14,9 +14,12 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   average over the relative time is closed-form, and Stein's identity
   reduces the remaining radial average to erfc and Gaussian terms for the
   light cone, and to the noncentral chi-square log moment plus a Dawson
-  difference quotient for the log kernel.  A form evaluates each distinct
-  term pair once; many forms over shared bumps read their pair integrals
-  from one kernel table over the distinct bumps of their arguments.
+  difference quotient for the log kernel.  The log pairs of a call are
+  evaluated in one array pass with no memo, and a value depends only on
+  its own pair; the light-cone pairs go through a process-wide memo.  A
+  form evaluates each distinct term pair once; many forms over shared
+  bumps read their pair integrals from one kernel table, the upper
+  triangle over the distinct bumps of their arguments mirrored.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  It draws a component pair and
   then y = x - x' from that pair's exact law, the Gaussian convolution of
@@ -134,43 +137,57 @@ _ASYMPTOTIC_COEFFS = np.concatenate(
 )
 # mu dL/dmu of that series, term by term: 1 from ln|mu|, -2k c_k from the rest
 _ASYMPTOTIC_SLOPE = np.concatenate([[1.0], -2.0 * np.arange(1, 31) * _ASYMPTOTIC_COEFFS[1:]])
+# the row products of each branch, one coefficient row each: the weight
+# sum, the psi and the odd-reciprocal sums near, the series and its slope far
+_NEAR_ROWS = np.stack([np.ones(_POISSON_TERMS), _PSI_HALF, _ODD_RECIPROCALS])
+_FAR_ROWS = np.stack([_ASYMPTOTIC_COEFFS, _ASYMPTOTIC_SLOPE])
 # Below this half-width h of the Dawson difference quotient, and while
 # x h <= 1 about its midpoint x, the Taylor series in h replaces the
 # cancelling direct difference; 10 odd terms leave a remainder below 1e-17.
 _TAYLOR_CUT = 0.3
 _TAYLOR_TERMS = 10
+_PAIR_OFFSETS = np.array([[-1.0], [1.0], [0.0]])
 
 
 def _log_moment(mu, sigma):
     """L(mu) = E ln|mu + sigma Z| and Dawson's F(mu / (sigma sqrt 2)), elementwise.
 
+    sigma is one float for every element or an array that broadcasts to mu.
     (mu + sigma Z)^2 / sigma^2 is noncentral chi-square with one degree of
     freedom and noncentrality mu^2 / sigma^2, whose log moment is the
     Poisson mixture ln 2 + sum_j Pois(j; mu^2 / 2 sigma^2) psi(1/2 + j).
     With x = mu / (sigma sqrt 2) the same weights give Dawson's integral,
     F(x) = x sum_j Pois(j; x^2) / (1 + 2j), which is (sigma / sqrt 2) dL/dmu.
     Far from the origin the asymptotic series in (sigma / mu)^2 and its
-    derivative are used.  Returns (L, F).
+    derivative are used.  Each row product is summed within its element
+    (a matrix product would round differently as the row count changes),
+    so an element's value does not depend on the other elements of the
+    call.  Returns (L, F).
     """
+    sigma = np.full(mu.shape, sigma)
     ratio = np.abs(mu) / sigma
     L = np.empty_like(ratio)
     F = np.empty_like(ratio)
     far = ratio >= _ASYMPTOTIC_CUT
-    # each branch runs only when it has elements: on the short arrays of a
-    # pair integral the numpy call overhead of an empty branch is the cost
-    if far.any():
-        series = np.vander((sigma / mu[far]) ** 2, len(_ASYMPTOTIC_COEFFS), increasing=True)
-        L[far] = np.log(np.abs(mu[far])) + series @ _ASYMPTOTIC_COEFFS
-        F[far] = sigma / (math.sqrt(2.0) * mu[far]) * (series @ _ASYMPTOTIC_SLOPE)
-    near = ~far
-    if near.any():
-        m = 0.5 * ratio[near, None] ** 2
+    # each branch runs only when it has elements: on short arrays the numpy
+    # call overhead of an empty branch is the cost
+    far_count = np.count_nonzero(far)
+    if far_count:
+        mu_far, sigma_far = mu[far], sigma[far]
+        series = np.vander((sigma_far / mu_far) ** 2, len(_ASYMPTOTIC_COEFFS), increasing=True)
+        log_sum, slope_sum = (series[:, None] * _FAR_ROWS).sum(axis=2).T
+        L[far] = np.log(np.abs(mu_far)) + log_sum
+        F[far] = sigma_far / (math.sqrt(2.0) * mu_far) * slope_sum
+    if far_count < mu.size:
+        near = ~far
+        sigma_near = sigma[near]
+        m = 0.5 * ratio[near] ** 2
         # m^j / j!, the Poisson weights without their common factor exp(-m),
         # which the normalization by the weight sum removes
-        w = m**_ORDERS / _FACTORIALS
-        total = w.sum(axis=1)
-        L[near] = math.log(sigma) + 0.5 * (math.log(2.0) + (w @ _PSI_HALF) / total)
-        F[near] = mu[near] / (math.sqrt(2.0) * sigma) * (w @ _ODD_RECIPROCALS) / total
+        w = m[:, None] ** _ORDERS / _FACTORIALS
+        total, psi_sum, odd_sum = (w[:, None] * _NEAR_ROWS).sum(axis=2).T
+        L[near] = np.log(sigma_near) + 0.5 * (math.log(2.0) + psi_sum / total)
+        F[near] = mu[near] / (math.sqrt(2.0) * sigma_near) * odd_sum / total
     return L, F
 
 
@@ -198,32 +215,39 @@ def _lightcone_pair(b, delta, R):
     return step - slope
 
 
-def _logabs_pair(b, delta, R):
-    """Closed-form LOGABS pair integral.
+def _logabs_pairs(b, delta, R):
+    """Closed-form LOGABS pair integrals for delta >= 0, elementwise over 1-d arrays, as a list.
 
     L(delta - R) + L(delta + R) + [F(x+) - F(x-)] / (x+ - x-) with
     x+- = x +- h, x = delta sqrt(b/2), h = R sqrt(b/2), L the log moment at
     sigma = 1/sqrt(b) and F Dawson's integral.  For small h the divided
     difference is its Taylor series sum_j F^(2j+1)(x) h^2j / (2j+1)!, with
     the derivatives from F' = 1 - 2xF and F^(n+1) = -2x F^(n) - 2n F^(n-1).
+    One ``_log_moment`` call serves every pair, and the quotient is taken
+    per pair on floats, so a value depends only on its own (b, delta, R).
     """
-    sigma = 1.0 / math.sqrt(b)
-    (l_minus, l_plus, _), (f_minus, f_plus, f_mid) = (
-        v.tolist() for v in _log_moment(np.array([delta - R, delta + R, delta]), sigma)
-    )
-    s = math.sqrt(0.5 * b)
-    h, x = R * s, delta * s
-    # the recurrence amplifies rounding by about (2 x h)^2j in term j
-    if h > _TAYLOR_CUT or x * h > 1.0:
-        return l_minus + l_plus + (f_plus - f_minus) / (2.0 * h)
-    # g = F^(n)(x) h^(n-1) and lower = F^(n-1)(x) h^n stay bounded
-    lower, g = h * f_mid, 1.0 - 2.0 * x * f_mid
-    slope = 0.0
-    for n in range(1, 2 * _TAYLOR_TERMS):
-        if n % 2:
-            slope += g / math.factorial(n)
-        lower, g = h * h * g, -2.0 * x * h * g - 2.0 * n * lower
-    return l_minus + l_plus + slope
+    # one row per log moment argument: delta - R, delta + R and delta
+    moments = _log_moment(delta + _PAIR_OFFSETS * R, 1.0 / np.sqrt(b))
+    L, F = (v.T.tolist() for v in moments)
+    values = []
+    for (l_minus, l_plus, _), (f_minus, f_plus, f_mid), b_k, delta_k, R_k in zip(
+        L, F, b.tolist(), delta.tolist(), R.tolist()
+    ):
+        s = math.sqrt(0.5 * b_k)
+        h, x = R_k * s, delta_k * s
+        # the recurrence amplifies rounding by about (2 x h)^2j in term j
+        if h > _TAYLOR_CUT or x * h > 1.0:
+            values.append(l_minus + l_plus + (f_plus - f_minus) / (2.0 * h))
+            continue
+        # g = F^(n)(x) h^(n-1) and lower = F^(n-1)(x) h^n stay bounded
+        lower, g = h * f_mid, 1.0 - 2.0 * x * f_mid
+        slope = 0.0
+        for n in range(1, 2 * _TAYLOR_TERMS):
+            if n % 2:
+                slope += g / math.factorial(n)
+            lower, g = h * h * g, -2.0 * x * h * g - 2.0 * n * lower
+        values.append(l_minus + l_plus + slope)
+    return values
 
 
 def _reduce_2d(kind, b, delta, R):
@@ -234,32 +258,39 @@ def _reduce_2d(kind, b, delta, R):
     time-averaged kernels are even in r, so the pair integral is
     E[(X/R) K(X)] with X ~ N(R, 1/(2b)).  Stein's identity
     E[(X - R) h(X)] = Var(X) E[h'(X)] turns that into the closed forms of
-    ``_lightcone_pair`` and ``_logabs_pair``, exact up to rounding.
+    ``_lightcone_pair`` and ``_logabs_pairs``, exact up to rounding; a
+    LOGABS value is the one-pair case of ``_logabs_pairs``.
     Returns (value, 0.0, 0, True): the error and eval slots are kept because
     the benchmark's tracer (``perfbench/tracer.py``) wraps this function by
-    name and reads them.
+    name and reads them.  Only the LIGHTCONE memo below calls it on the
+    package's own paths.
     """
-    pair = _lightcone_pair if kind is KernelKind.LIGHTCONE else _logabs_pair
-    return pair(b, delta, R), 0.0, 0, True
+    if kind is KernelKind.LIGHTCONE:
+        return _lightcone_pair(b, delta, R), 0.0, 0, True
+    (value,) = _logabs_pairs(np.array([b]), np.array([delta]), np.array([R]))
+    return value, 0.0, 0, True
 
 
 @lru_cache(maxsize=100_000)
-def _pair_cached(kind_value, b, delta, R):
-    """Process-wide memo of ``_reduce_2d``; ``perfbench/`` uses it by name."""
-    return _reduce_2d(KernelKind(kind_value), b, delta, R)
+def _pair_cached(b, delta, R):
+    """Process-wide memo of the LIGHTCONE ``_reduce_2d``; ``perfbench/`` clears and wraps it by name."""
+    return _reduce_2d(KernelKind.LIGHTCONE, b, delta, R)
 
 
 def pair_integrals(kind, b, delta, R):
     """Pair integrals of normalized bumps, elementwise over equal-shape arrays.
 
     Each pair has combined width b, time separation delta and spatial
-    separation R.  CONSTANT is the exact normalization 1.  LIGHTCONE with
-    coincident time centers vanishes by antisymmetry (odd integrand in the
-    relative time), and negative time separations are folded to positive
-    ones, which makes the antisymmetry under argument swap exact.  LOGABS
-    depends on |delta| only, and its self pair (delta = R = 0) is
-    1 - gamma - ln(2b).  The remaining pairs are collapsed to their
-    distinct (b, |delta|, R) and each is evaluated once in closed form.
+    separation R.  CONSTANT is the exact normalization 1.  LOGABS depends
+    on |delta| only; its self pair (delta = R = 0) is 1 - gamma - ln(2b),
+    and every other pair comes from one array pass of ``_logabs_pairs``,
+    which keeps no memo.  LIGHTCONE with coincident time centers vanishes
+    by antisymmetry (odd integrand in the relative time), and negative time
+    separations are folded to positive ones, which makes the antisymmetry
+    under argument swap exact; the remaining pairs are collapsed to their
+    distinct (b, |delta|, R), and each is evaluated once in closed form
+    through the process-wide memo ``_pair_cached``.  Every value depends
+    only on its own pair, never on the other elements of the call.
     """
     b, delta, R = (np.asarray(x, dtype=float) for x in (b, delta, R))
     values = np.zeros(b.shape)
@@ -268,14 +299,14 @@ def pair_integrals(kind, b, delta, R):
     if kind is KernelKind.LOGABS:
         closed = (delta == 0.0) & (R == 0.0)
         values[closed] = 1.0 - EULER_GAMMA - np.log(2.0 * b[closed])
-    else:
-        closed = delta == 0.0
-    rest = ~closed
+        rest = ~closed
+        values[rest] = _logabs_pairs(b[rest], np.abs(delta[rest]), R[rest])
+        return values
+    rest = delta != 0.0
     keys = list(zip(b[rest].tolist(), np.abs(delta[rest]).tolist(), R[rest].tolist()))
-    done = {key: _pair_cached(kind.value, *key)[0] for key in dict.fromkeys(keys)}
+    done = {key: _pair_cached(*key)[0] for key in dict.fromkeys(keys)}
     values[rest] = [done[key] for key in keys]
-    if kind is KernelKind.LIGHTCONE:
-        values *= np.sign(delta)
+    values *= np.sign(delta)
     return values
 
 
@@ -306,12 +337,15 @@ def _kernel_table(blocks, kinds):
     (or of one bump), and bumps match on the exact bits of (center, width).
     Returns each block's index array into the distinct bumps and, for each
     kind, the matrix K[i, j] of the pair integrals of distinct bumps i and
-    j, from one ``pair_geometry`` over their square and one
-    ``pair_integrals`` call.  A pair integral depends only on its two bumps,
-    ``pair_geometry`` is exactly symmetric in them and every value is the
-    same memoized function of (b, |delta|, R), so K[index[p], index[q]] is
-    the pair integral of bumps p and q bit for bit, however the bumps are
-    grouped.  No blocks, or only empty ones, give empty matrices.
+    j, from one ``pair_geometry`` over the upper triangle of their square
+    (diagonal included) and one ``pair_integrals`` call.  A pair integral
+    depends only on its two bumps and ``pair_geometry`` is exactly
+    symmetric in them (delta changes sign), so the lower triangle mirrors
+    the upper one: LOGABS as is, LIGHTCONE negated as 0.0 - v, which keeps
+    +0.0 where delta = 0.  Since every value is the same function of
+    (b, |delta|, R) and its sign, K[index[p], index[q]] is the pair
+    integral of bumps p and q bit for bit, however the bumps are grouped.
+    No blocks, or only empty ones, give empty matrices.
     """
     # all blocks in one array: numpy calls per block would cost more than the
     # rest of the table on the many small blocks of a Weyl element
@@ -323,13 +357,22 @@ def _kernel_table(blocks, kinds):
     indices = [index[start:end] for start, end in zip([0] + ends, ends)]
     distinct = np.frombuffer(b"".join(slots), dtype=float).reshape(-1, 5)
     c, a = distinct[:, :4], distinct[:, 4]
-    geometry = pair_geometry(c[:, None], a[:, None], c[None], a[None])
-    return indices, [pair_integrals(kind, *geometry) for kind in kinds]
+    upper = np.triu_indices(len(a))
+    geometry = pair_geometry(c[upper[0]], a[upper[0]], c[upper[1]], a[upper[1]])
+    tables = []
+    for kind in kinds:
+        values = pair_integrals(kind, *geometry)
+        table = np.empty((len(a), len(a)))
+        table[upper[::-1]] = 0.0 - values if kind is KernelKind.LIGHTCONE else values
+        table[upper] = values
+        tables.append(table)
+    return indices, tables
 
 
 def gaussian_pair_reduce(kind, bump_p, bump_q, cfg):
     """Scalar pair integral of two normalized bumps against a kernel."""
-    geometry = pair_geometry(*bump_arrays([bump_p]), *bump_arrays([bump_q]))
+    centers, widths = bump_arrays([bump_p, bump_q])
+    geometry = pair_geometry(centers[:1], widths[:1], centers[1:], widths[1:])
     return _analytic(float(pair_integrals(kind, *geometry)[0]))
 
 

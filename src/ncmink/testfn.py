@@ -210,15 +210,33 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
+
+
+#: The shape and range check of each key's value, run after its type check.
+_VALUE_CHECKS = {
+    "v": lambda value: as_components(value, "covector"),
+    "center": lambda value: as_components(value, "center"),
+    "width": lambda value: GaussianBump(ZERO_COVECTOR, value).width,
+    "weight": _finite,
+}
+
+
 def smearing_from_json(doc):
     """Load a smearing from a JSON document (string or parsed list).
 
     Every entry is an object with the keys ``v``, ``center`` and ``width``
     and an optional ``weight`` (default 1.0).  A document that is not a
-    list, an entry that is not an object, a missing key, an unknown key and
-    a value that is not a number (``v`` and ``center``: a list of numbers)
-    raise ValueError naming the entry and the key, so a misspelt weight is
-    not silently read as 1.0 and null, true or "2" is not read as a number.
+    list, an entry that is not an object, a missing key, an unknown key, a
+    value that is not a number (``v`` and ``center``: a list of numbers)
+    and a number of the wrong shape or range (not 4 components, a width
+    that is not positive, a value that overflows to infinity) raise
+    ValueError naming the entry and the key, so a misspelt weight is not
+    silently read as 1.0 and null, true or "2" is not read as a number.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -240,5 +258,11 @@ def smearing_from_json(doc):
             if not (isinstance(value, list) and all(map(_is_number, value)) if listed else _is_number(value)):
                 kind = "a list of numbers" if listed else "a number"
                 raise ValueError(f"smearing key {where}.{key} must be {kind}")
-        terms.append((entry["v"], GaussianBump(entry["center"], entry["width"]), entry.get("weight", 1.0)))
+        values = {"weight": 1.0, **entry}
+        for key, check in _VALUE_CHECKS.items():
+            try:
+                values[key] = check(values[key])
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"smearing key {where}.{key}: {exc}") from None
+        terms.append((values["v"], GaussianBump(values["center"], values["width"]), values["weight"]))
     return VectorSmearing(tuple(terms))

@@ -97,8 +97,9 @@ class WeylCalculus:
     states.  A product takes the sigma values of all its term pairs from one
     LIGHTCONE table over the bumps of both factors, and a state evaluation
     the second moments of all of an element's terms from one kernel table
-    (``state.diagonal_moments``).  Repeated pair integrals are served by the
-    process-wide pair memo below both.  Every value is a closed form, so
+    (``state.diagonal_moments``).  Each table evaluates its log pairs afresh,
+    and the process-wide light-cone memo below both serves repeated
+    light-cone pairs.  Every value is a closed form, so
     the ``cfg`` argument is accepted and not read.
     """
 

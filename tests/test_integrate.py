@@ -28,6 +28,7 @@ from ncmink.integrate import (
     _forms,
     _kernel_table,
     _log_moment,
+    _logabs_pairs,
     _pair_cached,
     _pair_table,
     _term_pairs,
@@ -265,6 +266,65 @@ def test_log_moment_branches_are_independent():
     for branch in (far, ~far):
         alone = _log_moment(mu[branch], sigma)
         assert [v[branch].tolist() for v in mixed] == [v.tolist() for v in alone]
+
+
+def test_log_moment_does_not_depend_on_the_batch():
+    """An element's L and F are those of a call on it alone, with one sigma or one per element.
+
+    The row products are summed within each element.  As one matrix product
+    they rounded by the row count: F at mu = -8.999 sigma, sigma = 0.3, took
+    another last bit inside a call with four other near elements than alone.
+    """
+    sigma = 0.3
+    mu = sigma * np.array([-8.999, -1.0, 0.0, 0.5, 8.5, 9.0, -20.0])
+    batch = _log_moment(mu, sigma)
+    per_element = _log_moment(mu, np.full(len(mu), sigma))
+    for k in range(len(mu)):
+        alone = _log_moment(mu[k : k + 1], sigma)
+        assert [v[k] for v in batch] == [v[k] for v in per_element] == [v[0] for v in alone]
+
+
+def test_logabs_pairs_do_not_depend_on_the_batch():
+    """4000 seeded pairs in one call give each pair's one-pair value bit for bit, in any order.
+
+    The sweep spans the Taylor and the direct quotient, the near and the far
+    log moment, R = 0 and delta = 0; it ends with the pair whose delta - R
+    sits at -8.999 sigma, sigma = 1/sqrt(b) ~ 0.3, next to a near pair.
+    """
+    from ncmink.integrate import _reduce_2d
+
+    rng = np.random.default_rng(84)
+    n = 4000
+    b = 10.0 ** rng.uniform(-2.0, 8.0, n)
+    scale = 1.0 / np.sqrt(b)
+    delta = scale * np.abs(rng.normal(size=n)) * 10.0 ** rng.uniform(-2.0, 1.5, n)
+    radius = scale * 10.0 ** rng.uniform(-3.0, 1.5, n)
+    radius[::10] = 0.0
+    delta[5::10] = 0.0
+    b[-2:] = 1.0 / 0.09
+    sigma = 1.0 / math.sqrt(b[-1])
+    delta[-2:], radius[-2:] = (0.0, 0.5 * sigma), (8.999 * sigma, 0.5 * sigma)
+    batch = _logabs_pairs(b, delta, radius)
+    one_pair = [_reduce_2d(KernelKind.LOGABS, *pair)[0] for pair in zip(b.tolist(), delta.tolist(), radius.tolist())]
+    assert batch == one_pair
+    order = rng.permutation(n)
+    assert _logabs_pairs(b[order], delta[order], radius[order]) == [batch[k] for k in order]
+    assert pair_integrals(KernelKind.LOGABS, b[-2:], delta[-2:], radius[-2:]).tolist() == batch[-2:]
+
+
+def test_lightcone_kernel_table_is_exactly_antisymmetric():
+    """The mirrored LIGHTCONE table is -K^T bit for bit, with +0.0 wherever the time centers coincide."""
+    rng = np.random.default_rng(20)
+    bumps = [random_bump(rng) for _ in range(8)]
+    bumps.append(GaussianBump((bumps[0].center.components[0], *rng.normal(size=3)), 30.0))
+    bumps.append(GaussianBump(bumps[1].center, 70.0))
+    (index,), (table,) = _kernel_table([bump_arrays(bumps)], (KernelKind.LIGHTCONE,))
+    assert index.tolist() == list(range(len(bumps)))
+    assert (table == -table.T).all()
+    times = np.array([bump.center.components[0] for bump in bumps])
+    coincident = times[:, None] == times[None, :]
+    assert coincident.sum() == len(bumps) + 4
+    assert (table[coincident] == 0.0).all() and not np.signbit(table[coincident]).any()
 
 
 @pytest.mark.parametrize("width", [10.0, 1e2, 1e4])

@@ -216,3 +216,39 @@ def test_json_rejects_what_it_would_drop(doc, message):
     for form in (doc, json.dumps(doc)):
         with pytest.raises(ValueError, match=message):
             smearing_from_json(form)
+
+
+def _entry(v="[1, 0, 0, 0]", center="[0, 0, 0, 0]", width="2", weight="1"):
+    """One JSON entry, written as text so that literals such as 1e309 reach the parser."""
+    return f'{{"v": {v}, "center": {center}, "width": {width}, "weight": {weight}}}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"[{_entry(v='[1, 0, 0]')}]", r"smearing\[0\]\.v: covector needs exactly 4"),
+        (f"[{_entry(width='-1')}]", r"smearing\[0\]\.width: width must be positive"),
+        (f"[{_entry(v='[1e309, 0, 0, 0]')}]", r"smearing\[0\]\.v: covector has non-finite"),
+        (f"[{_entry(center='[0, 0, 0, 0, 0]')}]", r"smearing\[0\]\.center: center needs exactly 4"),
+        (f"[{_entry(width='0')}]", r"smearing\[0\]\.width: width must be positive"),
+        (f"[{_entry(width='1e400')}]", r"smearing\[0\]\.width: width must be positive"),
+        (f"[{_entry(width='1' + '0' * 400)}]", r"smearing\[0\]\.width: int too large"),
+        (f"[{_entry(weight='-1e309')}]", r"smearing\[0\]\.weight: must be finite"),
+        (f"[{_entry()}, {_entry(center='[0, 0, 0]')}]", r"smearing\[1\]\.center: center needs exactly 4"),
+    ],
+    ids=[
+        "v-three-components",
+        "width-negative",
+        "v-overflows",
+        "center-five-components",
+        "width-zero",
+        "width-overflows",
+        "width-huge-integer",
+        "weight-overflows",
+        "second-entry-center",
+    ],
+)
+def test_json_names_the_entry_and_key_of_a_bad_shape_or_range(text, message):
+    """A value of the right type but the wrong shape or range is reported with its entry and key."""
+    with pytest.raises(ValueError, match=message):
+        smearing_from_json(text)
