@@ -50,7 +50,6 @@ from .state import (
     gram_check,
     krein_J,
     mu2,
-    pair_condition,
     sigma,
 )
 from .weyl import WeylCalculus, WeylElement

@@ -94,7 +94,12 @@ def _range_spec(text):
 
 
 def _merge(base, override, path="config"):
-    """Overlay ``override`` on ``base``; every key must exist in ``base``."""
+    """Overlay ``override`` on ``base``; every key must exist in ``base``.
+
+    A value must have the JSON type of its default: an integer, a number,
+    or a list of as many numbers (true and false are not numbers), so that
+    the echoed config reproduces the run.
+    """
     if not isinstance(override, dict):
         raise ValueError(f"{path} must be a JSON object")
     out = dict(base)
@@ -108,6 +113,10 @@ def _merge(base, override, path="config"):
             raise ValueError(f"{where} must be an integer")
         elif type(base[key]) is float and type(value) not in (int, float):
             raise ValueError(f"{where} must be a number")
+        elif type(base[key]) is list and not (
+            type(value) is list and len(value) == len(base[key]) and all(type(x) in (int, float) for x in value)
+        ):
+            raise ValueError(f"{where} must be a list of {len(base[key])} numbers")
         out[key] = value
     return out
 

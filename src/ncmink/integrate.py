@@ -16,10 +16,10 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   light cone, and to the noncentral chi-square log moment plus a Dawson
   difference quotient for the log kernel.  The log pairs of a call are
   evaluated in one array pass with no memo, and a value depends only on
-  its own pair; the light-cone pairs go through a process-wide memo.  A
-  form evaluates each distinct term pair once; many forms over shared
-  bumps read their pair integrals from one kernel table, the upper
-  triangle over the distinct bumps of their arguments mirrored.
+  its own pair; the light-cone pairs go through a process-wide memo.
+  Forms read their pair integrals from one kernel table over the distinct
+  bumps of their arguments (the smearings' center and width columns), its
+  upper triangle mirrored; ``bilinear_form`` is the one-pair case.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  It draws a component pair and
   then y = x - x' from that pair's exact law, the Gaussian convolution of
@@ -384,18 +384,6 @@ def _check_contraction(contraction):
     return c
 
 
-def smearing_arrays(f):
-    """Centers (n, 4), widths (n,), weights (n,) and covectors (n, 4) of f's terms.
-
-    They are column views of one array: a numpy call per column would cost
-    more than the columns on the one- to four-term smearings of a state.
-    """
-    terms = np.array(
-        [(*t.bump.center.components, t.bump.width, t.weight, *t.covector) for t in f.terms], dtype=float
-    ).reshape(-1, 10)
-    return terms[:, :4], terms[:, 4], terms[:, 5], terms[:, 6:]
-
-
 def pair_coefficients(left, contraction, right):
     """Coefficients left_i . contraction . right_j of weighted covector rows, shape (n, m).
 
@@ -409,16 +397,14 @@ def pair_coefficients(left, contraction, right):
 def _term_pairs(f, g, contraction):
     """Nonzero term-pair coefficients (w v) . c . (w' v') with their (b, delta, R).
 
-    The term table of ``bilinear_form`` and the momentum route, and the
-    per-pair statement of what ``_forms`` reads from a kernel table; pairs
-    come in row-major (f term, g term) order.
+    The term table of the momentum route, and the per-pair statement of
+    what ``_forms`` reads from a kernel table; pairs come in row-major
+    (f term, g term) order.
     """
     c = _check_contraction(contraction)
-    cf, af, wf, vf = smearing_arrays(f)
-    cg, ag, wg, vg = smearing_arrays(g)
-    coef = pair_coefficients(wf[:, None] * vf, c, wg[:, None] * vg)
+    coef = pair_coefficients(f.weights[:, None] * f.covectors, c, g.weights[:, None] * g.covectors)
     pairs = coef != 0.0
-    b, delta, R = pair_geometry(cf[:, None], af[:, None], cg[None], ag[None])
+    b, delta, R = pair_geometry(f.centers[:, None], f.widths[:, None], g.centers[None], g.widths[None])
     return coef[pairs], b[pairs], delta[pairs], R[pairs]
 
 
@@ -443,9 +429,9 @@ def _forms(kind, fs, gs, contraction):
     entries are evaluated.
     """
     c = _check_contraction(contraction)
-    arrays = [smearing_arrays(h) for h in (*fs, *gs)]
-    indices, (table,) = _kernel_table([a[:2] for a in arrays], (kind,))
-    rows = [(index, a[2][:, None] * a[3]) for index, a in zip(indices, arrays)]
+    smearings = (*fs, *gs)
+    indices, (table,) = _kernel_table([(h.centers, h.widths) for h in smearings], (kind,))
+    rows = [(index, h.weights[:, None] * h.covectors) for index, h in zip(indices, smearings)]
     # fsum reads a list faster than an array, to the same exactly rounded sum
     return [
         [math.fsum(_products(table, fi, fr, c, gi, gr).tolist()) for gi, gr in rows[len(fs) :]]
@@ -456,16 +442,14 @@ def _forms(kind, fs, gs, contraction):
 def bilinear_form(kind, f, g, contraction, cfg):
     """Sum of (w v . contraction . w' v')-weighted scalar pair integrals.
 
-    The contraction is passed explicitly because the same cached scalar
-    integrals serve the Minkowski, Krein and frame-summed pairings.  Term
-    pairs with a zero coefficient are not evaluated.  The sum is exactly
-    rounded, so it does not depend on the term order: for the diagonal
-    contractions (eta, identity) swapping f and g negates a LIGHTCONE form
-    and keeps a LOGABS form bit for bit.  ``_forms`` gives the same value
-    from a kernel table, for many forms over shared bumps.
+    The contraction is passed explicitly because the same scalar integrals
+    serve the Minkowski, Krein and frame-summed pairings.  This is the
+    one-pair case of ``_forms``.  The sum is exactly rounded, so it does not
+    depend on the term order: for the diagonal contractions (eta, identity)
+    swapping f and g negates a LIGHTCONE form and keeps a LOGABS form bit
+    for bit.
     """
-    coef, b, delta, R = _term_pairs(f, g, contraction)
-    return _analytic(math.fsum(coef * pair_integrals(kind, b, delta, R)))
+    return _analytic(_forms(kind, [f], [g], contraction)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +465,17 @@ def _pair_table(f, g, contraction):
     of y = x - x' for that pair.  The CDF is divided by its own last entry,
     so it ends at exactly 1.0 and every uniform draw maps to a pair.
     """
-    cf, af, wf, vf = smearing_arrays(f)
-    cg, ag, wg, vg = smearing_arrays(g)
     coeff = (
-        np.sign(wf)[:, None]
-        * np.sign(wg)[None, :]
-        * (vf @ contraction @ vg.T)
-        * np.abs(wf).sum()
-        * np.abs(wg).sum()
+        np.sign(f.weights)[:, None]
+        * np.sign(g.weights)[None, :]
+        * (f.covectors @ contraction @ g.covectors.T)
+        * np.abs(f.weights).sum()
+        * np.abs(g.weights).sum()
     )
-    cdf = np.cumsum(np.outer(np.abs(wf), np.abs(wg)))
+    cdf = np.cumsum(np.outer(np.abs(f.weights), np.abs(g.weights)))
     cdf /= cdf[-1]
-    shift = (cf[:, None] - cg[None]).reshape(-1, 4)
-    scale = np.sqrt(0.5 / af[:, None] + 0.5 / ag[None]).ravel()
+    shift = (f.centers[:, None] - g.centers[None]).reshape(-1, 4)
+    scale = np.sqrt(0.5 / f.widths[:, None] + 0.5 / g.widths[None]).ravel()
     return coeff.ravel(), cdf, shift, scale
 
 
@@ -648,7 +630,7 @@ def momentum_form(f, g, cfg):
     """
     coef, b, dt, sep = _term_pairs(f, g, np.eye(4))
     for name, h in (("f", f), ("g", g)):
-        scale = np.abs(smearing_arrays(h)[2]).sum()
+        scale = np.abs(h.weights).sum()
         if np.max(np.abs(mean(h)), initial=0.0) > 1e-12 * max(scale, 1.0):
             raise ValueError(f"momentum_form requires mean({name}) = 0")
     if not coef.size:

@@ -23,8 +23,9 @@ the functions above; each is a few lines around ``_moments``, the one loop
 over the form.  A pair integral depends only on its two bumps, never on
 the covectors, so ``_moments`` first builds one kernel table: the LOGABS
 and the LIGHTCONE matrix over the distinct bumps of all its smearings and
-psi (``integrate._kernel_table``).  Each smearing becomes one block on that
-table: its weighted covector rows with their bump indices, psi carrying
+psi (``integrate._kernel_table``, read from the smearings' center and
+width columns).  Each smearing becomes one block on that table: its
+weighted covector rows with their bump indices, psi carrying
 -mean(f) as a last row, the LOGABS products of those rows with themselves
 under eta, and sigma(f, psi).  A value of the form reads two blocks and a
 contraction c between them: eta for Delta, and for mu2 the Krein matrix
@@ -61,7 +62,6 @@ from .integrate import (
     bump_arrays,
     pair_geometry,
     pair_integrals,
-    smearing_arrays,
 )
 from .kernels import KernelKind
 from .minkowski import ETA, PhysicalConstants, krein_covector_map, krein_matrix, validate_unit_timelike
@@ -107,9 +107,8 @@ def sigma_indexed(f, psi, constants, cfg):
     light-cone kernel.  Each component is an exactly rounded sum.
     """
     scale = constants.kappa_sq / (8.0 * math.pi)
-    centers, widths, weights, covectors = smearing_arrays(f)
-    values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(centers, widths, *bump_arrays([psi])))
-    return -scale * _fsum_columns(values[:, None] * (weights[:, None] * covectors))
+    values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(f.centers, f.widths, *bump_arrays([psi])))
+    return -scale * _fsum_columns(values[:, None] * (f.weights[:, None] * f.covectors))
 
 
 def krein_J(f, u=(1.0, 0.0, 0.0, 0.0)):
@@ -175,16 +174,16 @@ def _moments(smearings, params, twisted, entries):
     block on it, and the values come in the order of entries.  mu2's
     positivity guard runs on every twisted entry with f_k == f_l.
     """
-    arrays = [smearing_arrays(f) for f in smearings]
     indices, tables = _kernel_table(
-        [a[:2] for a in arrays] + [bump_arrays([params.psi])], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
+        [(f.centers, f.widths) for f in smearings] + [bump_arrays([params.psi])],
+        (KernelKind.LOGABS, KernelKind.LIGHTCONE),
     )
     logabs, lightcone = tables
     psi = indices[-1]
     scale = params.constants.kappa_sq / (8.0 * math.pi)
     blocks = []
-    for index, (_, _, weights, covectors) in zip(indices, arrays):
-        rows = weights[:, None] * covectors
+    for index, f in zip(indices, smearings):
+        rows = f.weights[:, None] * f.covectors
         sig = -scale * _fsum_columns(lightcone[index, psi[0]][:, None] * rows)
         index, rows = np.concatenate([index, psi]), np.vstack([rows, -_fsum_columns(rows)])
         blocks.append(_Block(index, rows, _products(logabs, index, rows, ETA, index, rows).tolist(), sig))
@@ -283,16 +282,3 @@ def gram_check(family, params, cfg):
         GramReport.from_matrix(N, "N_MATRIX"),
         GramReport.from_matrix(M, "M_MATRIX"),
     )
-
-
-def pair_condition(f, g, params, cfg):
-    """State condition margin mu2(f,f) mu2(g,g) - (1/4) sigma(f, Jg)^2.
-
-    Returns (condition holds, margin); the sigma entering here is the
-    Krein-twisted pairing, consistent with the mu2 construction.
-    """
-    m_ff = mu2(f, f, params, cfg).real
-    m_gg = mu2(g, g, params, cfg).real
-    s = sigma(f, krein_J(g, params.u), params.constants, cfg)
-    margin = m_ff * m_gg - 0.25 * s**2
-    return margin >= 0.0, margin

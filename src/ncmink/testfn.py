@@ -3,8 +3,12 @@
 A :class:`GaussianBump` is a positive profile with unit integral (mean 1),
 so in the narrow-width limit it localizes a spacetime point.  A
 :class:`VectorSmearing` is a finite linear combination of covector-weighted
-bumps; all zeroth and first moments are evaluated analytically so that the
-classical-limit identities hold exactly.
+bumps, held as one canonical read-only array with a row (covector, center,
+width, weight) per term.  Sums, scaling and covector maps are array
+operations, and the forms, the state and the Weyl calculus read its column
+views, so no per-term object is built on their paths.  All zeroth and first
+moments are evaluated analytically so that the classical-limit identities
+hold exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,47 +57,97 @@ class GaussianBump:
         return vals[0] if np.asarray(points).ndim == 1 else vals
 
 
-@dataclass(frozen=True)
-class SmearingTerm:
+class SmearingTerm(NamedTuple):
+    """One term of a smearing; ``VectorSmearing.terms`` builds them on demand."""
+
     covector: tuple
     bump: GaussianBump
     weight: float
 
 
-@dataclass(frozen=True)
+# np.lexsort keys of a row, least significant first: the terms sort by
+# (center, width, covector)
+_SORT_KEYS = np.array([3, 2, 1, 0, 8, 7, 6, 5, 4])
+
+
 class VectorSmearing:
     """Finite sum f_mu(x) = sum_k weight_k v_mu^(k) bump_k(x), in canonical form.
 
-    Canonicalization merges terms with identical (covector, bump), prunes
-    zero weights and zero covectors, and sorts terms, so equal smearings
-    compare and hash equal.  The zero smearing has an empty term tuple.
+    The terms are the rows of one read-only (n, 10) array ``rows``, with the
+    columns (covector, center, width, weight).  Canonicalization merges terms
+    with identical (covector, center, width) into their first occurrence,
+    summing the weights in input order, prunes zero weights and zero
+    covectors, and sorts the rows by (center, width, covector) with a stable
+    sort.  ``key``, the rows as a tuple of tuples, is what equality, hashing
+    and the term order of Weyl elements read, so equal smearings compare and
+    hash equal (a -0.0 entry equals 0.0).  The zero smearing has shape
+    (0, 10).  Sums, scaling and covector maps work on the array; only
+    ``terms`` builds per-term objects.
     """
 
-    terms: tuple
+    __slots__ = ("rows", "key")
 
     def __init__(self, terms):
-        merged = {}
-        for term in terms:
-            if isinstance(term, SmearingTerm):
-                v, bump, w = term.covector, term.bump, term.weight
-            else:
-                v, bump, w = term
-            v = as_components(v, "covector")
+        rows = []
+        for v, bump, w in terms:
             bump = bump if isinstance(bump, GaussianBump) else GaussianBump(*bump)
-            key = (v, bump)
-            merged[key] = merged.get(key, 0.0) + float(w)
-        if not all(math.isfinite(w) for w in merged.values()):
+            rows.append((*as_components(v, "covector"), *bump.center.components, bump.width, float(w)))
+        self._canonicalize(np.array(rows, dtype=float).reshape(-1, 10))
+
+    def _canonicalize(self, rows):
+        """Set rows and key from (n, 10) rows in input order (see the class docstring)."""
+        rows = rows[np.lexsort(rows.T[_SORT_KEYS])]
+        listed = rows.tolist()
+        # equal terms are adjacent now, in input order: each group keeps its
+        # first row and sums its weights one by one
+        merged = listed[:1]
+        for row in listed[1:]:
+            if row[:9] == merged[-1][:9]:
+                merged[-1][9] += row[9]
+            else:
+                merged.append(row)
+        if not all(math.isfinite(row[9]) for row in merged):
             raise ValueError("smearing weights must be finite")
-        kept = [
-            SmearingTerm(v, bump, w)
-            for (v, bump), w in merged.items()
-            if w != 0.0 and v != ZERO_COVECTOR
-        ]
-        kept.sort(key=lambda t: (t.bump.center.components, t.bump.width, t.covector, t.weight))
-        object.__setattr__(self, "terms", tuple(kept))
+        kept = [row for row in merged if row[9] != 0.0 and any(row[:4])]
+        if len(kept) < len(listed):
+            rows = np.array(kept, dtype=float).reshape(-1, 10)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "key", tuple(map(tuple, kept)))
+
+    @classmethod
+    def _from_rows(cls, rows):
+        f = object.__new__(cls)
+        f._canonicalize(rows)
+        return f
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VectorSmearing is immutable")
+
+    def __eq__(self, other):
+        return self.key == other.key if isinstance(other, VectorSmearing) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return f"VectorSmearing(rows={self.rows.tolist()!r})"
+
+    # read-only column views of the rows
+    covectors = property(lambda self: self.rows[:, :4])
+    centers = property(lambda self: self.rows[:, 4:8])
+    widths = property(lambda self: self.rows[:, 8])
+    weights = property(lambda self: self.rows[:, 9])
+
+    @property
+    def terms(self):
+        """The terms as SmearingTerm objects, in canonical order."""
+        return tuple(
+            SmearingTerm(tuple(row[:4]), GaussianBump(tuple(row[4:8]), row[8]), row[9]) for row in self.rows.tolist()
+        )
 
     def __add__(self, other):
-        return VectorSmearing(self.terms + other.terms)
+        return VectorSmearing._from_rows(np.concatenate((self.rows, other.rows)))
 
     def __neg__(self):
         return self.scaled(-1.0)
@@ -101,23 +156,23 @@ class VectorSmearing:
         return self + (-other)
 
     def scaled(self, c):
-        c = float(c)
-        return VectorSmearing(
-            tuple(SmearingTerm(t.covector, t.bump, c * t.weight) for t in self.terms)
-        )
+        rows = self.rows.copy()
+        # an overflow is rejected as a non-finite weight, not warned about
+        with np.errstate(over="ignore"):
+            rows[:, 9] *= float(c)
+        return VectorSmearing._from_rows(rows)
 
     def is_zero(self):
-        return not self.terms
+        return not len(self.rows)
 
     def map_covectors(self, matrix):
         """Apply a mixed-index 4x4 matrix to every covector, profiles untouched."""
         matrix = np.asarray(matrix, dtype=float)
-        return VectorSmearing(
-            tuple(
-                SmearingTerm(tuple(matrix @ np.array(t.covector)), t.bump, t.weight)
-                for t in self.terms
-            )
-        )
+        rows = self.rows.copy()
+        # a matrix-vector product per term: one matrix product over all the
+        # rows may round differently
+        rows[:, :4] = np.reshape([as_components(matrix @ v, "covector") for v in self.covectors], (-1, 4))
+        return VectorSmearing._from_rows(rows)
 
 
 ZERO_SMEARING = VectorSmearing(())
@@ -160,7 +215,7 @@ def mean(f):
     Each normalized bump integrates to 1, so the mean is the weight-covector
     sum, exactly rounded per component.
     """
-    return _fsum_columns(np.array([t.weight * np.array(t.covector) for t in f.terms]).reshape(-1, 4))
+    return _fsum_columns(f.weights[:, None] * f.covectors)
 
 
 def moment1(f):
@@ -170,8 +225,9 @@ def moment1(f):
     contributes weight * (v_mu center^mu) with the plain index contraction.
     """
     total = 0.0
-    for t in f.terms:
-        total += t.weight * float(np.dot(t.covector, t.bump.center.components))
+    # a running sum in term order, each term's dot product on fresh arrays
+    for row in f.rows.tolist():
+        total += row[9] * float(np.dot(row[:4], row[4:8]))
     return total
 
 
@@ -194,15 +250,7 @@ def frame_smearings(chi, frame):
 
 def smearing_to_json(f):
     """Serialize to the documented list-of-terms JSON schema."""
-    return [
-        {
-            "v": list(t.covector),
-            "center": list(t.bump.center.components),
-            "width": t.bump.width,
-            "weight": t.weight,
-        }
-        for t in f.terms
-    ]
+    return [{"v": row[:4], "center": row[4:8], "width": row[8], "weight": row[9]} for row in f.rows.tolist()]
 
 
 def _is_number(value):

@@ -1,8 +1,9 @@
 """Finite Weyl-algebra elements and the functionals evaluated on them.
 
 Elements are finite complex combinations sum_k alpha_k W(f_k) kept in a
-canonical form (smearings canonicalized, zero coefficients pruned).  The
-product follows the exponentiated commutation rule
+canonical form (smearings canonicalized, zero coefficients pruned, terms
+sorted by the smearings' ``key``).  The product follows the exponentiated
+commutation rule
 
     W(f) W(g) = W(f + g) exp[-(i/2) s(f, g)]
 
@@ -35,18 +36,14 @@ from .testfn import ZERO_SMEARING, moment1
 PAIRINGS = ("plain", "krein")
 
 
-def _smearing_key(f):
-    return tuple(
-        (t.covector, t.bump.center.components, t.bump.width, t.weight) for t in f.terms
-    )
-
-
 @dataclass(frozen=True)
 class WeylElement:
     """Canonical finite combination of Weyl generators.
 
-    ``terms`` maps canonicalized smearings to complex coefficients (stored
-    as a sorted tuple of pairs so elements hash and compare by value).
+    ``terms`` maps canonicalized smearings to complex coefficients, stored
+    as a tuple of pairs sorted by each smearing's ``key`` (its rows term by
+    term: covector, center, width, weight), so elements hash and compare
+    by value.
     """
 
     terms: tuple
@@ -56,7 +53,7 @@ class WeylElement:
         kept = tuple(
             sorted(
                 ((f, complex(c)) for f, c in coeffs.items() if c != 0.0),
-                key=lambda item: _smearing_key(item[0]),
+                key=lambda item: item[0].key,
             )
         )
         return cls(kept)

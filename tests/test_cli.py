@@ -295,7 +295,12 @@ def test_sweep_space_direction(capsys):
         ({"quadrature": {"seed": 7.5, "mc_samples": 2e4}}, "config.quadrature.seed must be an integer"),
         ({"quadrature": {"mc_samples": 2e4}}, "config.quadrature.mc_samples must be an integer"),
         ({"quadrature": {"max_evals": 0}}, "max_evals must be at least 1"),
-        ({"constants": {"u": 5}}, ""),
+        ({"constants": {"u": 5}}, "config.constants.u must be a list of 4 numbers"),
+        ({"constants": {"u": "1000"}}, "config.constants.u must be a list of 4 numbers"),
+        ({"constants": {"u": [True, 0, 0, 0]}}, "config.constants.u must be a list of 4 numbers"),
+        ({"constants": {"u": [1, 0, 0]}}, "config.constants.u must be a list of 4 numbers"),
+        ({"state": {"psi": {"center": "1234", "width": 25}}}, "config.state.psi.center must be a list of 4 numbers"),
+        ({"state": {"psi": {"center": [0, None, 0, 0]}}}, "config.state.psi.center must be a list of 4 numbers"),
     ],
 )
 def test_bad_config_file_is_usage_error(capsys, tmp_path, config, named):

@@ -677,13 +677,13 @@ _KREIN_BOOSTED = krein_matrix(tuple(np.concatenate([[math.sqrt(1 + _BOOST @ _BOO
 @pytest.mark.parametrize("contraction", [ETA, I4, _KREIN_BOOSTED], ids=["eta", "identity", "krein-boosted"])
 @pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.name.lower())
 def test_forms_read_the_table_as_the_per_pair_sum(kind, contraction, cfg):
-    """The kernel-table route sums exactly the products of the per-pair route.
+    """The kernel-table route sums exactly the products of the per-pair statement ``_term_pairs``.
 
     ``_forms`` of [f, g] against [g, f] gives each of its four forms bit for
-    bit as ``bilinear_form`` does.  Smearings share a bump pool: repeated
-    bumps, two bumps at one time center, and covectors orthogonal under
-    the contraction, whose term pairs have coefficient exactly 0 and are
-    left out of both sums.
+    bit as that sum and as the one-pair ``bilinear_form``.  Smearings share
+    a bump pool: repeated bumps, two bumps at one time center, and
+    covectors orthogonal under the contraction, whose term pairs have
+    coefficient exactly 0 and are left out of both sums.
     """
     rng = np.random.default_rng(101)
     pool = [random_bump(rng, 0.6, 8.0, 40.0) for _ in range(3)]

@@ -21,12 +21,11 @@ from ncmink import (
     mc_oracle,
     mean,
     mu2,
-    pair_condition,
     sigma,
 )
 from ncmink import state
 from ncmink.state import diagonal_moments, log_minus_form, sigma_indexed
-from ncmink.integrate import _term_pairs, bump_arrays, pair_geometry, pair_integrals, smearing_arrays
+from ncmink.integrate import _term_pairs, bump_arrays, pair_geometry, pair_integrals
 from ncmink.testfn import ZERO_SMEARING, project_psi, scalar_smearing, single_term
 
 
@@ -234,16 +233,6 @@ def test_gram_report_rejects_a_non_hermitian_matrix():
         GramReport.from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]), "N")
 
 
-def test_pair_condition(cfg, params):
-    rng = np.random.default_rng(61)
-    f = random_smearing(rng)
-    ok, margin = pair_condition(f, f, params, cfg)
-    assert ok and margin >= 0.0
-    g = random_smearing(rng)
-    ok, margin = pair_condition(f, g, params, cfg)
-    assert margin >= -1e-9
-
-
 def test_params_validation(constants):
     psi = GaussianBump((0, 0, 0, 0), 2.0)
     with pytest.raises(ValueError):
@@ -281,11 +270,10 @@ def composed_magnitude(f, g, params):
         return math.fsum(np.abs(coef * pair_integrals(kind, bb, delta, R)))
 
     def abs_sigma_indexed(h):
-        centers, widths, weights, covectors = smearing_arrays(h)
         values = pair_integrals(
-            KernelKind.LIGHTCONE, *pair_geometry(centers, widths, *bump_arrays([params.psi]))
+            KernelKind.LIGHTCONE, *pair_geometry(h.centers, h.widths, *bump_arrays([params.psi]))
         )
-        return np.abs(values) @ np.abs(weights[:, None] * covectors)
+        return np.abs(values) @ np.abs(h.weights[:, None] * h.covectors)
 
     kappa_sq = params.constants.kappa_sq
     scale = kappa_sq / (8.0 * math.pi)
@@ -338,9 +326,8 @@ def test_sums_of_the_form_are_exactly_rounded(cfg, params):
     scale = kappa_sq / (8.0 * math.pi)
 
     def exact_sigma_indexed(h):
-        centers, widths, hw, covectors = smearing_arrays(h)
-        values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(centers, widths, *bump_arrays([params.psi])))
-        return -scale * np.array([math.fsum(values * hw * column) for column in covectors.T])
+        values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(h.centers, h.widths, *bump_arrays([params.psi])))
+        return -scale * np.array([math.fsum(values * h.weights * column) for column in h.covectors.T])
 
     sf, sg = exact_sigma_indexed(f), exact_sigma_indexed(g)
     assert sf[0] != 0.0 and np.array_equal(sigma_indexed(f, params.psi, params.constants, cfg), sf)

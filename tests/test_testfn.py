@@ -6,14 +6,21 @@ import pytest
 
 from ncmink import (
     DEFAULT_FRAME,
+    ETA,
     GaussianBump,
+    KernelKind,
+    WeylCalculus,
+    WeylElement,
     evaluate,
     frame_smearings,
+    gram_check,
     mean,
     moment1,
     smearing_from_json,
     smearing_to_json,
 )
+from ncmink.integrate import _forms
+from ncmink.minkowski import as_components
 from ncmink.testfn import VectorSmearing, ZERO_SMEARING, project_psi, single_term
 
 
@@ -147,6 +154,64 @@ def test_canonicalization_merges_and_sorts():
     g = f + f.scaled(-1.0)
     assert g.is_zero()
     assert hash(f) == hash(VectorSmearing(f.terms))
+    # one read-only row per term: (covector, center, width, weight)
+    assert f.rows.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 3.0]]
+    for view in (f.rows, f.covectors, f.centers, f.widths, f.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            view[...] = 0.0
+    # terms sort by (center, width, covector), whatever the input order
+    late, wide = GaussianBump((1, -5, 0, 0), 1.0), GaussianBump((0, 0, 0, 0), 3.0)
+    terms = [((0, 1, 0, 0), late, 1.0), ((0, 0, 0, 1), wide, 1.0), ((0, 1, 0, 0), bump, 1.0), ((1, 0, 0, 0), bump, 1.0)]
+    expected = [terms[2], terms[3], terms[1], terms[0]]
+    for order in (terms, terms[::-1]):
+        h = VectorSmearing(order)
+        assert [(t.covector, t.bump) for t in h.terms] == [(as_components(v), b) for v, b, _ in expected]
+    # -0.0 and 0.0 are one term: it keeps the first occurrence's bits, and
+    # smearings that differ only in the sign of a zero are equal
+    first = VectorSmearing((((-0.0, 1, 0, 0), GaussianBump((0.0, -0.0, 0, 0), 2.0), 1.0), ((0.0, 1, 0, 0), bump, 2.0)))
+    second = VectorSmearing((((0.0, 1, 0, 0), bump, 1.0), ((-0.0, 1, 0, 0), GaussianBump((0.0, -0.0, 0, 0), 2.0), 2.0)))
+    signs = [math.copysign(1.0, x) for x in first.rows[0, :6]]
+    assert first.rows.shape == (1, 10) and first.weights[0] == 3.0 and signs == [-1, 1, 1, 1, 1, -1]
+    assert math.copysign(1.0, second.rows[0, 0]) == 1.0
+    assert first == second and hash(first) == hash(second)
+
+
+def test_duplicate_terms_merge_in_input_order():
+    """Weights of duplicate terms are summed one by one, in input order.
+
+    1 + 2^-53 rounds back to 1, so the running sum of [1, 2^-53, ...] is 1,
+    while that of [2^-53, ..., 1] keeps the small weights, and so does
+    numpy's pairwise sum of the first order.
+    """
+    bump = GaussianBump((0.5, 0, 0, 0), 2.0)
+    other = GaussianBump((0.0, 0, 0, 0), 3.0)
+    small = [2.0**-53] * 11
+    orders = ([1.0] + small, small + [1.0])
+    sums = []
+    for weights in orders:
+        running = 0.0
+        for w in weights:
+            running += w
+        sums.append(running)
+        terms = [((1, 2, 0, 0), bump, w) for w in weights]
+        # a term on another bump between the duplicates
+        f = VectorSmearing(terms[:5] + [((1, 2, 0, 0), other, 1.0)] + terms[5:])
+        assert f.rows.shape == (2, 10) and f.weights[1] == running
+    assert sums[0] == 1.0 and sums[1] > 1.0
+    assert np.add.reduce(np.array(orders[0])) > 1.0
+
+
+def test_zero_smearing_is_an_empty_array(params, cfg):
+    assert ZERO_SMEARING.rows.shape == (0, 10) and ZERO_SMEARING.is_zero()
+    assert VectorSmearing(()) == ZERO_SMEARING and ZERO_SMEARING.scaled(2.0) == ZERO_SMEARING
+    assert np.array_equal(mean(ZERO_SMEARING), np.zeros(4)) and moment1(ZERO_SMEARING) == 0.0
+    f = single_term((1, 0.5, 0, 0), GaussianBump((0.2, 0, 0, 0), 10.0), 1.0)
+    for kind in KernelKind:
+        assert _forms(kind, [ZERO_SMEARING, f], [ZERO_SMEARING, f], ETA)[0] == [0.0, 0.0]
+    rep_n, rep_m = gram_check([ZERO_SMEARING, f], params, cfg)
+    assert rep_n.matrix[0].tolist() == [0.0, 0.0] and rep_n.is_psd and rep_m.is_psd
+    calc = WeylCalculus(params.constants, cfg)
+    assert calc.eval_omega(WeylElement.generator(ZERO_SMEARING, 2.0), params).value == 2.0
 
 
 @pytest.mark.parametrize(

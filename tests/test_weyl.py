@@ -216,6 +216,28 @@ def test_zero_element_through_the_product(cfg, constants, params, pairing):
     assert calc.eval_tau(z, params).value == 0.0
 
 
+def test_from_dict_orders_terms_by_per_term_covector_center_width_weight():
+    """Elements sort their smearings term by term on (covector, center, width, weight).
+
+    Inside a smearing the terms sort by (center, width, covector), so the
+    element order is not the smearing order of the first terms' bumps.
+    """
+    early, late = GaussianBump((-1, 0, 0, 0), 2.0), GaussianBump((1, 0, 0, 0), 2.0)
+    wide = GaussianBump((-1, 0, 0, 0), 3.0)
+    expected = [
+        single_term((0, 1, 0, 0), late, 1.0),  # covector first: (0, 1) before (1, 0)
+        single_term((1, 0, 0, 0), early, 2.0),  # a prefix of the next one
+        single_term((1, 0, 0, 0), early, 2.0) + single_term((1, 0, 0, 0), late, 1.0),
+        single_term((1, 0, 0, 0), early, 2.0) + single_term((1, 0, 0, 0), late, 3.0),
+        single_term((1, 0, 0, 0), early, 5.0),  # weight, before a second term
+        single_term((1, 0, 0, 0), wide, -1.0),  # width
+        single_term((1, 0, 0, 0), late, -2.0),  # center
+    ]
+    for shuffle in (expected[::-1], expected[2::3] + expected[::3] + expected[1::3]):
+        element = WeylElement.from_dict({f: 1.0 + k for k, f in enumerate(shuffle)})
+        assert [f for f, _ in element.terms] == expected
+
+
 def test_scalar_multiple_and_difference():
     rng = np.random.default_rng(43)
     a = WeylElement.generator(random_smearing(rng), 0.3 - 1.2j) + WeylElement.generator(
