@@ -15,6 +15,11 @@ clone.  The digest holds
   subprocess that imports ``src`` and ``perfbench`` of the checkout;
 * the sha256 of the matrix bytes of every op output that has a matrix
   (the N and M Gram reports of a ``state`` op);
+* the ``state`` inputs of each seed once more in a boosted frame, u with
+  spatial part ``BOOST``, under the key ``state (boosted)``: the sha256 of
+  the ``gram_check`` N and M bytes and ``eval_omega(a* a)`` under a Krein
+  calculus at that u, so the digest also covers a Krein matrix that is not
+  diagonal (skipped when the checkout has no ``state`` workload);
 * the stdout and exit code of every CLI command of ``bench/collect.py``,
   in text and in JSON format.
 
@@ -30,6 +35,7 @@ anything moved, else 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -38,10 +44,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 from collect import CLI_COMMANDS, _git
 
 HERE = Path(__file__).resolve().parent
 SEEDS = (101, 102, 105)
+#: Spatial part of the boosted frame's u, the boost of the state tests.
+BOOST = (0.4, -0.2, 0.1)
 FORMATS = {"text": [], "json": ["--format", "json"]}
 # one BLAS thread, as perfbench/run.py pins it, so eigenvalues do not
 # depend on how the host splits the work
@@ -59,7 +68,8 @@ def workload_digest():
     """Every op's results and matrix hashes, by workload and seed.
 
     Runs inside the subprocess, where ``workloads`` and ``ncmink`` are the
-    checkout's.  An op that raises is recorded by its exception.
+    checkout's.  An op that raises is recorded by its exception.  A
+    checkout with a ``state`` workload adds its boosted frame.
     """
     import workloads
 
@@ -78,7 +88,43 @@ def workload_digest():
                     "result": [_numbers(v) for v in workload.result(out)],
                     "sha256": [hashlib.sha256(x.matrix.tobytes()).hexdigest() for x in out if hasattr(x, "matrix")],
                 })
+    if "state" in workloads.WORKLOADS:
+        ops["state (boosted)"] = boosted_digest()
     return ops
+
+
+def boosted_digest():
+    """The ``state`` inputs of every seed evaluated with u boosted by ``BOOST``.
+
+    Each record holds omega(a* a) and the sha256 of the N and M matrices,
+    or the exception an input raised.
+    """
+    import ncmink
+    import workloads
+
+    boost = np.array(BOOST)
+    # the tests' u, bit for bit
+    u = tuple(np.concatenate([[math.sqrt(1 + boost @ boost)], boost]))
+    params = dataclasses.replace(workloads.STATE_PARAMS, u=u)
+    calc = ncmink.WeylCalculus(params.constants, workloads.CFG, u=u, pairing="krein")
+    state = workloads.WORKLOADS["state"]
+    seeds = {}
+    for seed in SEEDS:
+        workloads.cold_start()
+        records = seeds[str(seed)] = []
+        for index in range(state.ops):
+            case = state.make_input(seed, index)
+            try:
+                reports = ncmink.gram_check(list(case.family), params, workloads.CFG)
+                omega = calc.eval_omega(calc.mul(calc.star(case.element), case.element), params)
+            except Exception as exc:  # a raising input is recorded, the pass goes on
+                records.append({"raised": repr(exc)})
+                continue
+            records.append({
+                "result": [_numbers(omega.value)],
+                "sha256": [hashlib.sha256(report.matrix.tobytes()).hexdigest() for report in reports],
+            })
+    return seeds
 
 
 def digest(root):

@@ -19,7 +19,9 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   its own pair; the light-cone pairs go through a process-wide memo.
   Forms read their pair integrals from one kernel table over the distinct
   bumps of their arguments (the smearings' center and width columns), its
-  upper triangle mirrored; ``bilinear_form`` is the one-pair case.
+  upper triangle mirrored, and the coefficient times table products of
+  all the forms of a call in one array pass (``_products``);
+  ``bilinear_form`` is the one-pair case.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  It draws a component pair and
   then y = x - x' from that pair's exact law, the Gaussian convolution of
@@ -384,59 +386,84 @@ def _check_contraction(contraction):
     return c
 
 
-def pair_coefficients(left, contraction, right):
-    """Coefficients left_i . contraction . right_j of weighted covector rows, shape (n, m).
-
-    With a diagonal contraction (eta, the identity) the product with it is
-    exact and each entry is a four-term sum taken in index order, so an
-    entry does not depend on the other rows of the table.
-    """
-    return ((left @ contraction)[:, None, :] * right[None, :, :]).sum(axis=-1)
-
-
 def _term_pairs(f, g, contraction):
     """Nonzero term-pair coefficients (w v) . c . (w' v') with their (b, delta, R).
 
     The term table of the momentum route, and the per-pair statement of
     what ``_forms`` reads from a kernel table; pairs come in row-major
-    (f term, g term) order.
+    (f term, g term) order.  With a diagonal contraction (eta, the
+    identity) the product with it is exact and each coefficient is a
+    four-term sum taken in index order, so it does not depend on the other
+    rows of the table.
     """
     c = _check_contraction(contraction)
-    coef = pair_coefficients(f.weights[:, None] * f.covectors, c, g.weights[:, None] * g.covectors)
+    rows = (f.weights[:, None] * f.covectors) @ c
+    coef = (rows[:, None, :] * (g.weights[:, None] * g.covectors)[None, :, :]).sum(axis=-1)
     pairs = coef != 0.0
     b, delta, R = pair_geometry(f.centers[:, None], f.widths[:, None], g.centers[None], g.widths[None])
     return coef[pairs], b[pairs], delta[pairs], R[pairs]
 
 
-def _products(table, a_index, a_rows, contraction, b_index, b_rows):
-    """Nonzero coefficients a_rows[i] . contraction . b_rows[j] times table[a_index[i], b_index[j]].
+def _contracted(blocks, contraction):
+    """Blocks (index, rows) with each block's rows times the contraction.
 
-    The rows are weighted covectors and the indices their bumps in a kernel
-    table; the products come as a flat array in row-major (i, j) order,
-    with the zero-coefficient pairs left out.
+    Each block is multiplied on its own: BLAS may round a row of a 1-row
+    product differently from the same row inside a stacked product, so a
+    row's contraction does not depend on the other blocks of a call.
     """
-    coef = pair_coefficients(a_rows, contraction, b_rows)
-    pairs = coef != 0.0
-    return coef[pairs] * table[a_index[:, None], b_index][pairs]
+    return [(index, rows @ contraction) for index, rows in blocks]
+
+
+def _products(table, left, right, entries):
+    """Nonzero coefficient times table products of each entry (k, l), one list of floats per entry.
+
+    left and right are blocks (index, rows): the weighted covector rows of
+    a smearing and their bumps' indices in the kernel table, the left rows
+    already contracted (``_contracted``).  Entry (k, l) holds row i of
+    left[k] . row j of right[l] times table[index_i, index_j] in row-major
+    (i, j) order, with the zero-coefficient pairs left out.  The pairs of
+    all entries are one array pass, and each entry's coefficients come out
+    as ``_term_pairs`` computes those of two smearings, whatever the other
+    entries of the call.
+    """
+    a_index, b_index = (np.concatenate([index for index, _ in side] or [np.empty(0, np.intp)]) for side in (left, right))
+    a_rows, b_rows = (np.concatenate([rows for _, rows in side] or [np.empty((0, 4))]) for side in (left, right))
+    a_start, b_start = ([0, *accumulate(len(index) for index, _ in side)] for side in (left, right))
+    # each entry's first pair, column count and first rows of its two blocks
+    spec, ends = [], [0]
+    for k, l in entries:
+        m = b_start[l + 1] - b_start[l]
+        spec.append((ends[-1], m, a_start[k], b_start[l]))
+        ends.append(ends[-1] + (a_start[k + 1] - a_start[k]) * m)
+    counts = [end - start for start, end in zip(ends, ends[1:])]
+    first, m, a0, b0 = np.repeat(np.array(spec, dtype=np.intp).reshape(-1, 4), counts, axis=0).T
+    row, column = np.divmod(np.arange(ends[-1]) - first, m)
+    i, j = a0 + row, b0 + column
+    # take gathers faster than indexing
+    coef = (a_rows.take(i, axis=0) * b_rows.take(j, axis=0)).sum(axis=-1)
+    pairs = np.flatnonzero(coef)
+    values = (coef.take(pairs) * table[a_index.take(i.take(pairs)), b_index.take(j.take(pairs))]).tolist()
+    bounds = np.searchsorted(pairs, ends).tolist()
+    return [values[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def _forms(kind, fs, gs, contraction):
     """Forms of every f in fs (rows) against every g in gs (columns), as lists of floats.
 
-    One kernel table over the bumps of fs and gs serves all of them.  Each
-    value is the exactly rounded sum of ``_products`` of f's and g's rows;
-    zero-coefficient pairs are left out of the sum, although their table
-    entries are evaluated.
+    One kernel table over the bumps of fs and gs serves all of them, and
+    one ``_products`` pass over it gives the products of every (f, g).
+    Each value is the exactly rounded sum of its products; zero-coefficient
+    pairs are left out of the sum, although their table entries are
+    evaluated.
     """
     c = _check_contraction(contraction)
     smearings = (*fs, *gs)
     indices, (table,) = _kernel_table([(h.centers, h.widths) for h in smearings], (kind,))
-    rows = [(index, h.weights[:, None] * h.covectors) for index, h in zip(indices, smearings)]
-    # fsum reads a list faster than an array, to the same exactly rounded sum
-    return [
-        [math.fsum(_products(table, fi, fr, c, gi, gr).tolist()) for gi, gr in rows[len(fs) :]]
-        for fi, fr in rows[: len(fs)]
-    ]
+    blocks = [(index, h.weights[:, None] * h.covectors) for index, h in zip(indices, smearings)]
+    n, m = len(fs), len(gs)
+    products = _products(table, _contracted(blocks[:n], c), blocks[n:], [(k, l) for k in range(n) for l in range(m)])
+    sums = [math.fsum(p) for p in products]
+    return [sums[k * m : (k + 1) * m] for k in range(n)]
 
 
 def bilinear_form(kind, f, g, contraction, cfg):

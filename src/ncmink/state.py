@@ -19,29 +19,37 @@ The building blocks assembled here:
 
 ``dm_bilinear``, ``mu2``, ``gram_check`` and ``diagonal_moments`` (the
 second moments the Weyl calculus evaluates the state with) do not compose
-the functions above; each is a few lines around ``_moments``, the one loop
-over the form.  A pair integral depends only on its two bumps, never on
-the covectors, so ``_moments`` first builds one kernel table: the LOGABS
-and the LIGHTCONE matrix over the distinct bumps of all its smearings and
-psi (``integrate._kernel_table``, read from the smearings' center and
-width columns).  Each smearing becomes one block on that table: its
-weighted covector rows with their bump indices, psi carrying
--mean(f) as a last row, the LOGABS products of those rows with themselves
-under eta, and sigma(f, psi).  A value of the form reads two blocks and a
-contraction c between them: eta for Delta, and for mu2 the Krein matrix
-eta J, so that Delta(f, J g) needs no twisted rows of g; since
-J^T eta J = eta, g's own products serve both.  Q(Pf + Pg) and Q(Pf - Pg)
-are the exactly rounded sums of both blocks' own products and plus or
-minus twice the f x g products under c, the mean term is mean(f) c
-mean(g), the regulator term sigma(f, psi) c sigma(g, psi), and sigma(f, g)
-the sum of the LIGHTCONE f x g products under c.  mu2's positivity guard
-runs on every entry with f_k == g_l.  A family's Gram matrix reads one
-table and one block per member for all its entries, and an element's
-second moments one table for all its terms.  Every sum of the form is
-exactly rounded, so term order never matters, and for u = (1, 0, 0, 0)
-(where eta J is the identity) the result is bit-identical to the
-composition; ``log_minus_form``, ``sigma_indexed``, ``project_psi``,
-``krein_J`` and ``sigma`` remain the definition the tests compare against.
+the functions above; each is a few lines around ``_moments``, which
+evaluates the form with one product pass per kernel table.  A pair
+integral depends only on its two bumps, never on the covectors, so
+``_moments`` first builds one kernel table: the LOGABS and the LIGHTCONE
+matrix over the distinct bumps of all its smearings and psi
+(``integrate._kernel_table``, read from the smearings' center and width
+columns).  Each smearing becomes one block on that table: its weighted
+covector rows with their bump indices, and psi carrying -mean(f) as a
+last row.  A value of the form reads two blocks and a contraction c
+between them: eta for Delta, and for mu2 the Krein matrix eta J, so that
+Delta(f, J g) needs no twisted rows of g; since J^T eta J = eta, g's own
+products serve both.  One ``integrate._products`` pass over the LOGABS
+table gives each block's products with itself under eta and every
+entry's f x g products under c, and one pass over the LIGHTCONE table
+every entry's f x g products of the terms under c; each block's rows are
+contracted on their own, so a value does not depend on the other
+smearings of its call.  An entry (``_two_point``) is then slices of
+those passes: Q(Pf + Pg) and Q(Pf - Pg) are the exactly rounded sums of
+both blocks' own products and plus or minus twice the f x g products,
+the mean term is mean(f) c mean(g), the regulator term sigma(f, psi) c
+sigma(g, psi), and sigma(f, g) the exactly rounded sum of the LIGHTCONE
+products.  mu2's positivity guard runs on every entry with f_k == g_l.
+A family's Gram matrix reads one table and one pass per table for all
+its entries, and an element's second moments one table for all its
+terms, with one moment for a smearing and its negation: the rows of -f
+are those of f with the weights negated, so mu2(-f, -f) is mu2(f, f) bit
+for bit.  Every sum of the form is exactly rounded, so term order never
+matters, and for u = (1, 0, 0, 0) (where eta J is the identity) the
+result is bit-identical to the composition; ``log_minus_form``,
+``sigma_indexed``, ``project_psi``, ``krein_J`` and ``sigma`` remain the
+definition the tests compare against.
 
 Note the two distinct alpha-like parameters: ``state_alpha`` below is the
 state regulator, while Gaussian bumps carry their own ``width``.
@@ -56,6 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrate import (
+    _contracted,
     _kernel_table,
     _products,
     bilinear_form,
@@ -127,34 +136,40 @@ def log_minus_form(f, g, contraction, cfg):
     return 0.25 * min(plus.value, 0.0) - 0.25 * min(minus.value, 0.0)
 
 
-class _Block(NamedTuple):
-    """A smearing on a kernel table, with psi carrying -mean(f) as its last row."""
+#: The row factor that takes a smearing's rows to those of its negation.
+_NEGATED = np.array([1.0] * 9 + [-1.0])
 
-    index: np.ndarray  # (n + 1,), each term's bump in the table, then psi's
-    rows: np.ndarray  # (n + 1, 4), weight times covector, then -mean(f)
-    own: list  # LOGABS products of the rows with themselves under eta
+
+class _Block(NamedTuple):
+    """The per-smearing parts of a value of the form (see the module doc)."""
+
+    mean: np.ndarray  # (4,), -mean(f), the row psi carries
+    own: list  # LOGABS products of f's rows and psi's with themselves under eta
     sigma: np.ndarray  # (4,), sigma(f, psi)
 
 
 def _two_point(f, g, tables, contraction, params):
-    """Delta_{alpha,psi} of the blocks f and g paired through the contraction (see module doc)."""
+    """Delta_{alpha,psi} of the blocks f and g paired through the contraction (see module doc).
+
+    tables holds the entry's slices of the two product passes of its
+    call: the LOGABS products of f's rows (psi's last) with g's under the
+    contraction, and the LIGHTCONE products of their terms.  The rest is
+    exactly rounded sums, and the mean and regulator terms.
+    """
     kappa_sq = params.constants.kappa_sq
     if kappa_sq == 0.0:
         return 0.0 + 0.0j
-    logabs, lightcone = tables
+    cross, fg = tables
     own = f.own + g.own
-    cross = 2.0 * _products(logabs, f.index, f.rows, contraction, g.index, g.rows)
-    # fsum reads a list faster than an array, to the same exactly rounded sum
-    plus = math.fsum(own + cross.tolist())
-    minus = math.fsum(own + (-cross).tolist())
+    plus = math.fsum(own + [2.0 * x for x in cross])
+    minus = math.fsum(own + [-2.0 * x for x in cross])
     log_term = 0.25 * min(plus, 0.0) - 0.25 * min(minus, 0.0)
     log_scale = kappa_sq / (16.0 * math.pi**2)
-    # the last rows are -mean(f) and -mean(g); their signs cancel exactly
-    mean_term = params.state_alpha * kappa_sq * float(f.rows[-1] @ contraction @ g.rows[-1])
+    # the signs of -mean(f) and -mean(g) cancel exactly
+    mean_term = params.state_alpha * kappa_sq * float(f.mean @ contraction @ g.mean)
     reg_scale = 1.0 / (4.0 * params.state_alpha * kappa_sq)
     reg_term = reg_scale * float(f.sigma @ contraction @ g.sigma)
-    fg = _products(lightcone, f.index[:-1], f.rows[:-1], contraction, g.index[:-1], g.rows[:-1])
-    sig = -kappa_sq / (8.0 * math.pi) * math.fsum(fg.tolist())
+    sig = -kappa_sq / (8.0 * math.pi) * math.fsum(fg)
     return -log_scale * log_term + mean_term + reg_term + 0.5j * sig
 
 
@@ -170,27 +185,35 @@ def _check_diagonal(value):
 def _moments(smearings, params, twisted, entries):
     """Delta_{alpha,psi}(f_k, f_l), or mu2 when twisted, for each (k, l) in entries.
 
-    Every smearing and psi share one kernel table, each smearing is one
-    block on it, and the values come in the order of entries.  mu2's
-    positivity guard runs on every twisted entry with f_k == f_l.
+    Every smearing and psi share one kernel table, and one ``_products``
+    pass per table gives all the products: on the LOGABS table each
+    smearing's own block under eta and every entry's cross term under the
+    contraction c, on the LIGHTCONE table every entry's sigma under c.  An
+    entry is then slices of those passes and exactly rounded sums, in the
+    order of entries.  mu2's positivity guard runs on every twisted entry
+    with f_k == f_l.
     """
-    indices, tables = _kernel_table(
+    indices, (logabs, lightcone) = _kernel_table(
         [(f.centers, f.widths) for f in smearings] + [bump_arrays([params.psi])],
         (KernelKind.LOGABS, KernelKind.LIGHTCONE),
     )
-    logabs, lightcone = tables
     psi = indices[-1]
     scale = params.constants.kappa_sq / (8.0 * math.pi)
-    blocks = []
-    for index, f in zip(indices, smearings):
-        rows = f.weights[:, None] * f.covectors
-        sig = -scale * _fsum_columns(lightcone[index, psi[0]][:, None] * rows)
-        index, rows = np.concatenate([index, psi]), np.vstack([rows, -_fsum_columns(rows)])
-        blocks.append(_Block(index, rows, _products(logabs, index, rows, ETA, index, rows).tolist(), sig))
+    terms = [(index, f.weights[:, None] * f.covectors) for index, f in zip(indices, smearings)]
+    # each smearing's term rows, then psi carrying -mean(f)
+    with_psi = [(np.concatenate([index, psi]), np.vstack([rows, -_fsum_columns(rows)])) for index, rows in terms]
     contraction = krein_matrix(params.u) if twisted else ETA
+    n = len(smearings)
+    own_and_cross = [(k, k) for k in range(n)] + [(n + k, l) for k, l in entries]
+    logs = _products(logabs, _contracted(with_psi, ETA) + _contracted(with_psi, contraction), with_psi, own_and_cross)
+    sigmas = _products(lightcone, _contracted(terms, contraction), terms, entries)
+    blocks = [
+        _Block(psi_rows[-1], own, -scale * _fsum_columns(lightcone[index, psi[0]][:, None] * rows))
+        for (index, rows), (_, psi_rows), own in zip(terms, with_psi, logs)
+    ]
     values = []
-    for k, l in entries:
-        values.append(_two_point(blocks[k], blocks[l], tables, contraction, params))
+    for (k, l), *products in zip(entries, logs[n:], sigmas):
+        values.append(_two_point(blocks[k], blocks[l], products, contraction, params))
         if twisted and smearings[k] == smearings[l]:
             _check_diagonal(values[-1])
     return values
@@ -225,13 +248,24 @@ def mu2(f, g, params, cfg):
 def diagonal_moments(smearings, params, twisted=True):
     """mu2(f, f) of each smearing, or Delta(f, f) when not twisted, as a list.
 
-    One kernel table serves all of them.  mu2's positivity guard runs on
-    every twisted value.  The zero smearing's moment is 0 exactly, so it is
-    not evaluated.
+    One kernel table serves all of them, and a smearing is evaluated once
+    with its negation, matched on the bytes of their rows, which differ in
+    the sign of the weight column only.  The rows of -f are those of f
+    negated, so every coefficient product, sum, mean row and sigma(., psi)
+    row comes out the same or exactly negated, and the moment of -f is the
+    moment of f bit for bit.  mu2's positivity guard runs on every twisted
+    value as it is evaluated, that is on the first of f and -f in the
+    list.  The zero smearing's moment is 0 exactly, so it is not evaluated.
     """
-    live = [f for f in smearings if not f.is_zero()]
-    moments = iter(_moments(live, params, twisted, [(k, k) for k in range(len(live))]))
-    return [0.0 if f.is_zero() else next(moments) for f in smearings]
+    slots, live, where = {}, [], []
+    for f in smearings:
+        rows = f.rows.tobytes()
+        if rows and rows not in slots:
+            slots[rows] = slots[(f.rows * _NEGATED).tobytes()] = len(live)
+            live.append(f)
+        where.append(slots.get(rows))
+    moments = _moments(live, params, twisted, [(k, k) for k in range(len(live))])
+    return [0.0 if slot is None else moments[slot] for slot in where]
 
 
 @dataclass(frozen=True)
@@ -260,7 +294,8 @@ def gram_check(family, params, cfg):
     N_kl is mu2(f_k, f_l), which already carries the (i/2) sigma part in its
     imaginary component.  ``_moments`` builds each member's block once on
     one kernel table of the family and psi and evaluates the upper triangle
-    row by row from them, with mu2's positivity guard wherever f_k == f_l.
+    from one product pass per table, with mu2's positivity guard wherever
+    f_k == f_l.
     The lower triangle is its conjugate (Hermiticity is an identity of the
     form, not a numerical accident); a diagonal entry keeps mu2's own
     value, whose imaginary rounding is not 0 in every frame.

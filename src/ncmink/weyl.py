@@ -11,14 +11,16 @@ where the pairing s is either the plain symplectic form sigma or its
 Krein-twisted version sigma(., J.): the twisted pairing is the one under
 which the regularized state is positive, the plain one drives the causal
 functional.  :class:`WeylCalculus` fixes that choice once.  A product
-reads the sigma of every term pair of its two factors from one LIGHTCONE
-table over their bumps (``integrate._forms``), and a state evaluation
-reads the second moment of every term of the element from one kernel
-table (``state.diagonal_moments``), so neither evaluates a bump pair
-twice.  Sigma and the second moments are closed forms, so the
-product phases and coefficients are exact up to rounding: elements carry
-no error, and ``eval_omega`` and ``eval_tau`` return ANALYTIC results
-(error 0, evals 0, converged).
+reads the sigma of every term pair of its two factors from one product
+pass over one LIGHTCONE table over their bumps (``integrate._forms``),
+and a state evaluation reads the second moment of every term of the
+element from one pass per kernel table (``state.diagonal_moments``), so
+neither evaluates a bump pair twice.  An element such as a* a holds
+terms -f and f in pairs; their second moments are equal bit for bit,
+and each pair is evaluated once.  Sigma and the second moments are
+closed forms, so the product phases and coefficients are exact up to
+rounding: elements carry no error, and ``eval_omega`` and ``eval_tau``
+return ANALYTIC results (error 0, evals 0, converged).
 """
 
 from __future__ import annotations
@@ -92,12 +94,13 @@ class WeylCalculus:
 
     Nothing is cached on the calculus, so one calculus serves any number of
     states.  A product takes the sigma values of all its term pairs from one
-    LIGHTCONE table over the bumps of both factors, and a state evaluation
-    the second moments of all of an element's terms from one kernel table
-    (``state.diagonal_moments``).  Each table evaluates its log pairs afresh,
-    and the process-wide light-cone memo below both serves repeated
-    light-cone pairs.  Every value is a closed form, so
-    the ``cfg`` argument is accepted and not read.
+    product pass over one LIGHTCONE table over the bumps of both factors,
+    and a state evaluation the second moments of all of an element's terms
+    from one pass per kernel table (``state.diagonal_moments``), one moment
+    for a term and its negation.  Each table evaluates its log pairs
+    afresh, and the process-wide light-cone memo below both serves repeated
+    light-cone pairs.  Every value is a closed form, so the ``cfg``
+    argument is accepted and not read.
     """
 
     def __init__(self, constants, cfg, u=(1.0, 0.0, 0.0, 0.0), pairing="krein"):

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -67,6 +68,7 @@ def test_digest_of_a_checkout(tmp_path):
         {"raised": "ValueError('odd')"},
         {"result": [[2.0, -0.0], 0.5], "sha256": [twos]},
     ]
+    # no state workload, so no boosted section
     assert doc["ops"] == {"toy": {str(seed): expected for seed in (101, 102, 105)}}
     assert len(doc["cli"]) == 2 * len(parity.CLI_COMMANDS)
     assert doc["cli"]["verify gram (json)"] == {"exit": 3, "stdout": "--format json verify gram\n"}
@@ -75,6 +77,81 @@ def test_digest_of_a_checkout(tmp_path):
     lines, moved = parity.compare(doc, json.loads(json.dumps(doc)))
     assert moved == 0
     assert lines == ["toy: 0 of 9 ops moved", "cli: 0 of 16 commands changed"]
+
+
+# A state workload in miniature, on a package whose Gram matrices are u and
+# 2 u, whose product is the element squared and whose omega(x) is x + i u_1.
+STATE_WORKLOADS = '''
+from dataclasses import dataclass
+from types import SimpleNamespace
+
+
+@dataclass(frozen=True)
+class Params:
+    constants: object = None
+    u: tuple = (1.0, 0.0, 0.0, 0.0)
+
+
+STATE_PARAMS = Params()
+CFG = None
+
+
+def cold_start():
+    pass
+
+
+class RunContext:
+    def __init__(self, workers):
+        pass
+
+
+def make_input(seed, index):
+    return SimpleNamespace(family=[seed], element=float(index - 1))
+
+
+WORKLOADS = {"state": SimpleNamespace(ops=2, make_input=make_input, op=lambda ctx, case: (), result=lambda out: ())}
+'''
+STATE_PACKAGE = '''
+from types import SimpleNamespace
+
+import numpy as np
+
+
+def gram_check(family, params, cfg):
+    return [SimpleNamespace(matrix=np.array(params.u) * k) for k in (1.0, 2.0)]
+
+
+class WeylCalculus:
+    def __init__(self, constants, cfg, u, pairing):
+        assert pairing == "krein"
+        self.u = u
+
+    def star(self, a):
+        return a
+
+    def mul(self, a, b):
+        if a == 0.0:
+            raise ZeroDivisionError("zero element")
+        return a * b
+
+    def eval_omega(self, a, params):
+        return SimpleNamespace(value=complex(a, self.u[1]))
+'''
+
+
+def test_digest_of_a_boosted_frame(tmp_path):
+    """A checkout with a state workload is digested again with the tests' boosted u."""
+    root = _checkout(tmp_path)
+    (root / "perfbench" / "workloads.py").write_text(STATE_WORKLOADS)
+    (root / "src" / "ncmink" / "__init__.py").write_text(STATE_PACKAGE)
+    boost = np.array(parity.BOOST)
+    u = np.concatenate([[math.sqrt(1 + boost @ boost)], boost])
+    assert u[1:].tolist() == [0.4, -0.2, 0.1]
+    hashes = [hashlib.sha256((u * k).tobytes()).hexdigest() for k in (1.0, 2.0)]
+    expected = [{"result": [[1.0, 0.4]], "sha256": hashes}, {"raised": "ZeroDivisionError('zero element')"}]
+    ops = parity.digest(root)["ops"]
+    assert ops["state (boosted)"] == {str(seed): expected for seed in (101, 102, 105)}
+    assert ops["state"] == {str(seed): [{"result": [], "sha256": []}] * 2 for seed in (101, 102, 105)}
 
 
 def _digest(*ops):

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -14,6 +15,8 @@ from ncmink import (
     PhysicalConstants,
     PositivityError,
     QuadratureConfig,
+    WeylCalculus,
+    WeylElement,
     bilinear_form,
     dm_bilinear,
     gram_check,
@@ -423,3 +426,80 @@ def test_diagonal_positivity_guard(cfg, params, monkeypatch, value, message):
     monkeypatch.setattr(state, "_two_point", lambda f, g, tables, contraction, params: next(entries))
     with pytest.raises(PositivityError, match=message):
         gram_check([f, f], params, cfg)
+
+
+def test_a_value_does_not_depend_on_its_call_in_a_boosted_frame(cfg, boosted_params):
+    """mu2, a second moment and a product's sigma read the same bits in every call that holds them.
+
+    The Krein matrix of a boosted u is not diagonal, so a row contracted
+    with it rounds by the BLAS path its matrix product takes; each
+    smearing's rows are contracted on their own, so a value does not
+    depend on how many other smearings share its call.  1-term smearings
+    give the 1-row products, which round differently from a row of a
+    stacked product on some BLAS builds.
+    """
+    params = boosted_params
+    rng = np.random.default_rng(107)
+    pool = bump_pool(rng, params.psi)
+    singles = [single_term(tuple(rng.normal(size=4)), pool[int(rng.integers(len(pool)))], 1.5) for _ in range(10)]
+    smearings = singles + [table_smearing(rng, pool) for _ in range(20)]
+    rng.shuffle(smearings)
+    family = smearings[:2] + [singles[0], singles[1], smearings[2]]
+    N = gram_check(family, params, cfg)[0].matrix
+    for k in range(len(family)):
+        for l in range(k, len(family)):
+            assert mu2(family[k], family[l], params, cfg) == N[k, l]
+    moments = diagonal_moments(smearings, params)
+    assert moments == [diagonal_moments([f], params)[0] for f in smearings]
+    # at the CLI's Planck length a phase exp(-i s / 2) keeps the last bits of s
+    calc = WeylCalculus(PhysicalConstants(planck_length=1.0), cfg, u=params.u, pairing="krein")
+    fs, gs = smearings[:12], smearings[12:]
+    A = sum((WeylElement.generator(f, complex(*rng.normal(size=2))) for f in fs[1:]), WeylElement.generator(fs[0]))
+    B = sum((WeylElement.generator(g, complex(*rng.normal(size=2))) for g in gs[1:]), WeylElement.generator(gs[0]))
+    product = calc.mul(A, B).coefficients()
+    for f, a in A.terms:
+        for g, b in B.terms:
+            assert product[f + g] == 0.0 + a * b * cmath.exp(-0.5j * calc.sigma_value(f, g))
+    assert len(product) == len(A.terms) * len(B.terms)
+
+
+@pytest.mark.parametrize("frame", ["rest", "boosted"])
+def test_a_smearing_and_its_negation_share_one_moment(cfg, params, boosted_params, monkeypatch, frame):
+    """diagonal_moments evaluates f and -f once, with the bits each would have alone.
+
+    The list [f, -f, g, 0, -g] makes two calls of ``_two_point``; every
+    value is the one of a singleton call, twisted and untwisted, and the
+    zero smearing's is exactly 0.0.  A bad twisted value raises on
+    whichever of f and -f comes first, the one evaluated.
+    """
+    params = boosted_params if frame == "boosted" else params
+    rng = np.random.default_rng(109)
+    pool = bump_pool(rng, params.psi)
+    f, g = table_smearing(rng, pool), table_smearing(rng, pool)
+    smearings = [f, -f, g, ZERO_SMEARING, -g]
+    two_point = state._two_point
+    blocks = []
+
+    def counted(*args):
+        blocks.append(args[0])
+        return two_point(*args)
+
+    monkeypatch.setattr(state, "_two_point", counted)
+    for twisted in (True, False):
+        blocks.clear()
+        moments = diagonal_moments(smearings, params, twisted)
+        assert len(blocks) == 2
+        assert type(moments[3]) is float and moments[3] == 0.0
+        assert moments == [diagonal_moments([h], params, twisted)[0] if not h.is_zero() else 0.0 for h in smearings]
+        assert moments[0] == moments[1] and moments[2] == moments[4]
+
+    def bad(*args):
+        blocks.append(args[0])
+        return -1e-3 + 0.0j
+
+    monkeypatch.setattr(state, "_two_point", bad)
+    for first in (f, -f):
+        blocks.clear()
+        with pytest.raises(PositivityError, match="negative beyond budget"):
+            diagonal_moments([first, -first], params)
+        assert len(blocks) == 1 and np.array_equal(blocks[0].mean, -mean(first))
