@@ -23,7 +23,6 @@ from .minkowski import (
 from .testfn import (
     GaussianBump,
     VectorSmearing,
-    evaluate,
     frame_smearings,
     mean,
     moment1,
@@ -32,7 +31,7 @@ from .testfn import (
     smearing_from_json,
     smearing_to_json,
 )
-from .kernels import KernelKind, NullSeparationError, lightcone, log_abs
+from .kernels import KernelKind
 from .integrate import (
     Method,
     QuadratureConfig,

@@ -161,33 +161,32 @@ def _emit(doc, rows, fmt, row_fields):
             print("  ".join(f"{field}={row[field]!r}" for field in row_fields))
 
 
-def cmd_distance(args, config, constants, params, cfg):
-    chi_p = GaussianBump(args.p, args.width)
-    chi_q = GaussianBump(args.q, args.width)
+def _distance_row(chi_p, chi_q, constants, cfg):
     result = distance(chi_p, chi_q, constants, cfg)
-    row = {
+    return {
         "classical": result.classical,
         "quantum": result.quantum,
         "total": result.total,
         "error": result.error,
         "converged": result.converged,
     }
-    doc = {"command": "distance", "config": config, "p": list(args.p), "q": list(args.q), "width": args.width, "result": row}
-    _emit(doc, [row], args.format, list(row))
-    return EXIT_OK
 
 
-def cmd_causal(args, config, constants, params, cfg):
-    chi_p = GaussianBump(args.p, args.width)
-    chi_q = GaussianBump(args.q, args.width)
+def _causal_row(chi_p, chi_q, constants, cfg):
     result = causal(chi_p, chi_q, cfg)
-    row = {
+    return {
         "value": result.value,
         "error": result.error_estimate,
-        "classification": classify_causal(result.value, result.error_estimate),
+        "classification": classify_causal(result.value),
         "converged": result.converged,
     }
-    doc = {"command": "causal", "config": config, "p": list(args.p), "q": list(args.q), "width": args.width, "result": row}
+
+
+def cmd_pair(args, config, constants, params, cfg):
+    """The ``distance`` and ``causal`` commands: one row of two bumps of one width."""
+    chi_p, chi_q = (GaussianBump(point, args.width) for point in (args.p, args.q))
+    row = args.row(chi_p, chi_q, constants, cfg)
+    doc = {"command": args.command, "config": config, "p": list(args.p), "q": list(args.q), "width": args.width, "result": row}
     _emit(doc, [row], args.format, list(row))
     return EXIT_OK
 
@@ -281,15 +280,15 @@ def build_parser():
         _add_common(p, suppress=True)
         return p
 
-    for name, help_text, func in (
-        ("distance", "noncommutative distance between two localized points", cmd_distance),
-        ("causal", "fuzzy causal functional and classification", cmd_causal),
+    for name, help_text, row in (
+        ("distance", "noncommutative distance between two localized points", _distance_row),
+        ("causal", "fuzzy causal functional and classification", _causal_row),
     ):
         p_pair = subparser(name, help_text)
         point = "t,x,y,z; a leading minus needs '=', as in --q=-1,0,0,0"
         for flag, kind, help_text in (("--p", _four_vector, point), ("--q", _four_vector, point), ("--width", float, None)):
             p_pair.add_argument(flag, type=kind, required=True, help=help_text)
-        p_pair.set_defaults(func=func)
+        p_pair.set_defaults(func=cmd_pair, row=row)
 
     p_ver = subparser("verify", "run a closed-form verification suite")
     p_ver.add_argument("suite", choices=sorted(SUITES))

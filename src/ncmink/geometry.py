@@ -154,19 +154,16 @@ def causal(chi_p, chi_q, cfg):
     return gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_p, chi_q, cfg)
 
 
-def classify_causal(value, error):
-    """Map a causal value with its error onto a coarse relation label.
+def classify_causal(value):
+    """Map a causal value onto a coarse relation label.
 
-    A value within three times its error (at least 1e-12) of 0, +1 or -1 is
-    spacelike, future or past; anything else is fuzzy.
+    :func:`causal` is a closed form exact up to rounding, so the band is
+    fixed: a value within 3e-12 of 0, +1 or -1 is spacelike, future or
+    past; anything else is fuzzy.
     """
-    band = 3.0 * max(error, 1e-12)
-    if abs(value) < band:
-        return "spacelike"
-    if abs(value - 1.0) < band:
-        return "future"
-    if abs(value + 1.0) < band:
-        return "past"
+    for label, target in (("spacelike", 0.0), ("future", 1.0), ("past", -1.0)):
+        if abs(value - target) < 3e-12:
+            return label
     return "fuzzy"
 
 

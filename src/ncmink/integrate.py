@@ -253,29 +253,30 @@ def _logabs_pairs(b, delta, R):
 
 
 def _reduce_2d(kind, b, delta, R):
-    """Exact LIGHTCONE or LOGABS pair integral at separations delta >= 0 and R.
+    """Exact LIGHTCONE pair integral at separations delta >= 0 and R.
 
     The relative position has per-axis variance 1/(2b); its radius has the
     density (r/R) sqrt(b/pi) [exp(-b(r-R)^2) - exp(-b(r+R)^2)], and both
     time-averaged kernels are even in r, so the pair integral is
     E[(X/R) K(X)] with X ~ N(R, 1/(2b)).  Stein's identity
     E[(X - R) h(X)] = Var(X) E[h'(X)] turns that into the closed forms of
-    ``_lightcone_pair`` and ``_logabs_pairs``, exact up to rounding; a
-    LOGABS value is the one-pair case of ``_logabs_pairs``.
-    Returns (value, 0.0, 0, True): the error and eval slots are kept because
-    the benchmark's tracer (``perfbench/tracer.py``) wraps this function by
-    name and reads them.  Only the LIGHTCONE memo below calls it on the
-    package's own paths.
+    ``_lightcone_pair`` and ``_logabs_pairs``, exact up to rounding.  Only
+    the light-cone memo below calls this, always with ``kind`` LIGHTCONE;
+    the log pairs go to ``_logabs_pairs`` directly.  The ``kind`` argument,
+    the name and the (value, 0.0, 0, True) tuple are kept because the
+    benchmark's tracer (``perfbench/tracer.py``) wraps this function by name
+    and reads all three.
     """
-    if kind is KernelKind.LIGHTCONE:
-        return _lightcone_pair(b, delta, R), 0.0, 0, True
-    (value,) = _logabs_pairs(np.array([b]), np.array([delta]), np.array([R]))
-    return value, 0.0, 0, True
+    return _lightcone_pair(b, delta, R), 0.0, 0, True
 
 
 @lru_cache(maxsize=100_000)
 def _pair_cached(b, delta, R):
-    """Process-wide memo of the LIGHTCONE ``_reduce_2d``; ``perfbench/`` clears and wraps it by name."""
+    """Process-wide memo of the LIGHTCONE ``_reduce_2d``, keyed on (b, |delta|, R).
+
+    A repeated key, within one call of ``pair_integrals`` or across calls,
+    is served from here; ``perfbench/`` clears and wraps it by name.
+    """
     return _reduce_2d(KernelKind.LIGHTCONE, b, delta, R)
 
 
@@ -289,10 +290,10 @@ def pair_integrals(kind, b, delta, R):
     which keeps no memo.  LIGHTCONE with coincident time centers vanishes
     by antisymmetry (odd integrand in the relative time), and negative time
     separations are folded to positive ones, which makes the antisymmetry
-    under argument swap exact; the remaining pairs are collapsed to their
-    distinct (b, |delta|, R), and each is evaluated once in closed form
-    through the process-wide memo ``_pair_cached``.  Every value depends
-    only on its own pair, never on the other elements of the call.
+    under argument swap exact; each remaining pair looks up its
+    (b, |delta|, R) in the process-wide memo ``_pair_cached``, which
+    evaluates a key once in closed form.  Every value depends only on its
+    own pair, never on the other elements of the call.
     """
     b, delta, R = (np.asarray(x, dtype=float) for x in (b, delta, R))
     values = np.zeros(b.shape)
@@ -305,9 +306,8 @@ def pair_integrals(kind, b, delta, R):
         values[rest] = _logabs_pairs(b[rest], np.abs(delta[rest]), R[rest])
         return values
     rest = delta != 0.0
-    keys = list(zip(b[rest].tolist(), np.abs(delta[rest]).tolist(), R[rest].tolist()))
-    done = {key: _pair_cached(*key)[0] for key in dict.fromkeys(keys)}
-    values[rest] = [done[key] for key in keys]
+    keys = zip(b[rest].tolist(), np.abs(delta[rest]).tolist(), R[rest].tolist())
+    values[rest] = [_pair_cached(*key)[0] for key in keys]
     values *= np.sign(delta)
     return values
 

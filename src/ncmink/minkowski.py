@@ -56,10 +56,6 @@ class SpacetimePoint:
     def __init__(self, components):
         object.__setattr__(self, "components", as_components(components, "SpacetimePoint"))
 
-    @property
-    def array(self):
-        return np.array(self.components)
-
 
 @dataclass(frozen=True)
 class FourCovector:
@@ -69,10 +65,6 @@ class FourCovector:
 
     def __init__(self, components):
         object.__setattr__(self, "components", as_components(components, "FourCovector"))
-
-    @property
-    def array(self):
-        return np.array(self.components)
 
 
 @dataclass(frozen=True)
@@ -118,8 +110,14 @@ class PhysicalConstants:
     planck_length: float = 1.0
 
     def __post_init__(self):
-        if not (self.planck_length >= 0.0 and math.isfinite(self.planck_length)):
-            raise ValueError("planck_length must be finite and non-negative")
+        # a length whose kappa^2 overflows is rejected too: every observable
+        # scales with kappa^2
+        try:
+            valid = self.planck_length >= 0.0 and math.isfinite(self.kappa_sq)
+        except OverflowError:
+            valid = False
+        if not valid:
+            raise ValueError("planck_length must be finite and non-negative, with a finite kappa^2")
 
     @property
     def kappa_sq(self):

@@ -1,7 +1,9 @@
 """Test-function space: Gaussian bumps, covector-weighted smearings, means.
 
 A :class:`GaussianBump` is a positive profile with unit integral (mean 1),
-so in the narrow-width limit it localizes a spacetime point.  A
+so in the narrow-width limit it localizes a spacetime point.  Bumps enter
+every result through their center and width alone (closed-form moments and
+pair integrals), so no profile is ever evaluated pointwise.  A
 :class:`VectorSmearing` is a finite linear combination of covector-weighted
 bumps, held as one canonical read-only array with a row (covector, center,
 width, weight) per term.  Sums, scaling and covector maps are array
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .minkowski import FourCovector, Frame, SpacetimePoint, as_components
+from .minkowski import Frame, SpacetimePoint, as_components
 
 ZERO_COVECTOR = (0.0, 0.0, 0.0, 0.0)
 
@@ -31,7 +33,10 @@ class GaussianBump:
 
     The exponent uses the Euclidean sum over all four coordinates; `width`
     is the exponent coefficient a, so the per-axis variance is 1/(2a) and
-    the integral over spacetime is exactly 1.
+    the integral over spacetime is exactly 1.  The width must lie in
+    [1e-150, 1e150]: any two widths there have a finite, normal product
+    a a' and a finite sum a + a', so every combined width
+    b = a a' / (a + a') of a pair integral is a finite positive float.
     """
 
     center: SpacetimePoint
@@ -40,21 +45,10 @@ class GaussianBump:
     def __init__(self, center, width):
         center = center if isinstance(center, SpacetimePoint) else SpacetimePoint(center)
         width = float(width)
-        if not (width > 0.0 and math.isfinite(width)):
-            raise ValueError("width must be positive and finite")
+        if not 1e-150 <= width <= 1e150:
+            raise ValueError(f"width must be positive and finite, within [1e-150, 1e150]; got {width!r}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "width", width)
-
-    @property
-    def norm_constant(self):
-        return (self.width / math.pi) ** 2
-
-    def profile(self, points):
-        """Evaluate at one point (shape (4,)) or a batch (shape (n, 4))."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = pts - self.center.array
-        vals = self.norm_constant * np.exp(-self.width * np.sum(d * d, axis=1))
-        return vals[0] if np.asarray(points).ndim == 1 else vals
 
 
 class SmearingTerm(NamedTuple):
@@ -189,15 +183,6 @@ def scalar_smearing(bump, weight=1.0):
     machinery into plain scalar pair integrals.
     """
     return single_term((1.0, 0.0, 0.0, 0.0), bump, weight)
-
-
-def evaluate(f, x):
-    """Pointwise value f_mu(x) as a FourCovector."""
-    xc = np.array(as_components(x, "point x"))
-    total = np.zeros(4)
-    for t in f.terms:
-        total += t.weight * t.bump.profile(xc) * np.array(t.covector)
-    return FourCovector(tuple(total))
 
 
 def _fsum_columns(rows):

@@ -94,12 +94,13 @@ class WeylCalculus:
 
     Nothing is cached on the calculus, so one calculus serves any number of
     states.  A product takes the sigma values of all its term pairs from one
-    product pass over one LIGHTCONE table over the bumps of both factors,
+    product pass over one LIGHTCONE table over the bumps of both factors
+    (``_sigmas``, the one pairing table; a single pair is its 1 x 1 case),
     and a state evaluation the second moments of all of an element's terms
     from one pass per kernel table (``state.diagonal_moments``), one moment
     for a term and its negation.  Each table evaluates its log pairs
-    afresh, and the process-wide light-cone memo below both serves repeated
-    light-cone pairs.  Every value is a closed form, so the ``cfg``
+    afresh, and the process-wide light-cone memo of ``integrate`` serves
+    the light-cone pairs that repeat across tables.  Every value is a closed form, so the ``cfg``
     argument is accepted and not read.
     """
 
@@ -121,10 +122,6 @@ class WeylCalculus:
         scale = -self.constants.kappa_sq / (8.0 * math.pi)
         forms = _forms(KernelKind.LIGHTCONE, fs, gs, self._contraction)
         return [[0.0 if f == g else scale * s for g, s in zip(gs, row)] for f, row in zip(fs, forms)]
-
-    def sigma_value(self, f, g):
-        """Pairing value s(f, g) as a float: the one-pair case of a product's table."""
-        return self._sigmas([f], [g])[0][0]
 
     def mul(self, A, B):
         """Bilinear extension of W(f) W(g) = W(f+g) exp[-(i/2) s(f,g)]."""

@@ -79,6 +79,31 @@ def test_negative_kappa_sq_is_usage_error(capsys):
     assert "kappa_sq" in err
 
 
+def test_planck_length_with_an_overflowing_kappa_sq_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "distance", "--p", "1,0,0,0", "--q", "0,0,0,0", "--width", "1e4",
+        "--planck-length", "1e200",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: planck_length must be finite and non-negative")
+    code, out, _ = run_cli(
+        capsys,
+        "distance", "--p", "1,0,0,0", "--q", "0,0,0,0", "--width", "1e4",
+        "--kappa-sq", "1e308", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["converged"] is True
+
+
+@pytest.mark.parametrize("command", ["distance", "causal"])
+@pytest.mark.parametrize("width", ["1e155", "1e-300"])
+def test_width_outside_the_range_is_usage_error(capsys, command, width):
+    code, out, err = run_cli(capsys, command, "--p", "1,0,0,0", "--q", "0,0,0,0", "--width", width)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: width must be positive and finite")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["distance", "--p", "1,0,0", "--q", "0,0,0,0", "--width", "1"])

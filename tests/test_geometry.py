@@ -275,8 +275,23 @@ def test_causal_via_weyl_coincident_is_zero(cfg, params):
     assert causal_via_weyl(bump, bump, params, cfg).value == 0.0
 
 
+@pytest.mark.parametrize("width", [1e-150, 1e150])
+def test_observables_are_finite_at_the_width_range_ends(cfg, constants, width):
+    """At both ends of the accepted width range the combined width of a pair is finite."""
+    q = GaussianBump((0, 0, 0, 0), width)
+    for p in ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0.5, 0, 0), (0, 0, 0, 0)):
+        chi_p = GaussianBump(p, width)
+        dist = distance(chi_p, q, constants, cfg)
+        value = causal(chi_p, q, cfg).value
+        assert math.isfinite(dist.quantum) and math.isfinite(dist.total) and dist.converged
+        assert math.isfinite(value) and abs(value) <= 1.0
+
+
 def test_classify_causal_bands():
-    assert classify_causal(0.0, 1e-6) == "spacelike"
-    assert classify_causal(1.0 - 1e-7, 1e-6) == "future"
-    assert classify_causal(-1.0 + 1e-7, 1e-6) == "past"
-    assert classify_causal(0.4, 1e-6) == "fuzzy"
+    """The band is fixed at 3e-12 around 0, +1 and -1: a closed form carries no error."""
+    assert classify_causal(0.0) == "spacelike"
+    assert classify_causal(2.9e-12) == "spacelike"
+    assert classify_causal(1.0 - 2.9e-12) == "future"
+    assert classify_causal(-1.0 + 2.9e-12) == "past"
+    for value in (3.1e-12, -3.1e-12, 1.0 - 3.1e-12, -1.0 + 3.1e-12, 1e-7, 0.4):
+        assert classify_causal(value) == "fuzzy"

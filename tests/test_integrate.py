@@ -27,6 +27,7 @@ from ncmink import (
 from ncmink.integrate import (
     _forms,
     _kernel_table,
+    _lightcone_pair,
     _log_moment,
     _logabs_pairs,
     _pair_cached,
@@ -291,8 +292,6 @@ def test_logabs_pairs_do_not_depend_on_the_batch():
     log moment, R = 0 and delta = 0; it ends with the pair whose delta - R
     sits at -8.999 sigma, sigma = 1/sqrt(b) ~ 0.3, next to a near pair.
     """
-    from ncmink.integrate import _reduce_2d
-
     rng = np.random.default_rng(84)
     n = 4000
     b = 10.0 ** rng.uniform(-2.0, 8.0, n)
@@ -305,11 +304,29 @@ def test_logabs_pairs_do_not_depend_on_the_batch():
     sigma = 1.0 / math.sqrt(b[-1])
     delta[-2:], radius[-2:] = (0.0, 0.5 * sigma), (8.999 * sigma, 0.5 * sigma)
     batch = _logabs_pairs(b, delta, radius)
-    one_pair = [_reduce_2d(KernelKind.LOGABS, *pair)[0] for pair in zip(b.tolist(), delta.tolist(), radius.tolist())]
+    one_pair = [
+        _logabs_pairs(np.array([b_k]), np.array([delta_k]), np.array([radius_k]))[0]
+        for b_k, delta_k, radius_k in zip(b.tolist(), delta.tolist(), radius.tolist())
+    ]
     assert batch == one_pair
     order = rng.permutation(n)
     assert _logabs_pairs(b[order], delta[order], radius[order]) == [batch[k] for k in order]
     assert pair_integrals(KernelKind.LOGABS, b[-2:], delta[-2:], radius[-2:]).tolist() == batch[-2:]
+
+
+def test_the_memo_serves_a_repeated_lightcone_key():
+    """Repeated and sign-flipped copies of three pairs in one call: three misses, each copy its pair's bits."""
+    b = np.array([2.0, 50.0, 1e4])
+    delta = np.array([0.3, 1.0, 0.02])
+    radius = np.array([0.1, 0.5, 0.0])
+    copies = [0, 1, 2, 0, 2, 1, 1, 0, 2]
+    signs = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+    _pair_cached.cache_clear()
+    values = pair_integrals(KernelKind.LIGHTCONE, b[copies], signs * delta[copies], radius[copies])
+    assert _pair_cached.cache_info().misses == 3
+    alone = [_lightcone_pair(*pair) for pair in zip(b.tolist(), delta.tolist(), radius.tolist())]
+    assert all(value != 0.0 for value in alone)
+    assert values.tolist() == [alone[k] if sign > 0.0 else -alone[k] for k, sign in zip(copies, signs)]
 
 
 def test_lightcone_kernel_table_is_exactly_antisymmetric():
@@ -601,10 +618,7 @@ def test_mc_oracle_on_a_zero_smearing_costs_nothing():
 @pytest.mark.parametrize("b", [1e-2, 1.0, 1e4, 1e8])
 def test_logabs_self_pair_rule_matches_closed_form(b):
     """The general closed form at delta = R = 0, which forms shortcut to 1 - gamma - ln(2b)."""
-    from ncmink.integrate import _reduce_2d
-
-    value, err, evals, converged = _reduce_2d(KernelKind.LOGABS, b, 0.0, 0.0)
-    assert (err, evals, converged) == (0.0, 0, True)
+    (value,) = _logabs_pairs(np.array([b]), np.array([0.0]), np.array([0.0]))
     expected = 1.0 - EULER_GAMMA - math.log(2.0 * b)
     assert abs(value - expected) <= 1e-14 * max(1.0, abs(expected))
 

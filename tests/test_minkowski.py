@@ -154,3 +154,10 @@ def test_constants_linkage():
         PhysicalConstants(-1.0)
     with pytest.raises(ValueError):
         PhysicalConstants.from_kappa_sq(-0.5)
+
+
+@pytest.mark.parametrize("planck_length", [1e200, 1e154, 1.9e153, math.inf, math.nan, -1e-300])
+def test_constants_reject_a_length_whose_kappa_sq_is_not_finite(planck_length):
+    """1e200 squares past the float range, 1.9e153 squares inside it but 16 pi l^2 does not."""
+    with pytest.raises(ValueError, match="^planck_length must be finite and non-negative"):
+        PhysicalConstants(planck_length)

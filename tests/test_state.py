@@ -459,7 +459,7 @@ def test_a_value_does_not_depend_on_its_call_in_a_boosted_frame(cfg, boosted_par
     product = calc.mul(A, B).coefficients()
     for f, a in A.terms:
         for g, b in B.terms:
-            assert product[f + g] == 0.0 + a * b * cmath.exp(-0.5j * calc.sigma_value(f, g))
+            assert product[f + g] == 0.0 + a * b * cmath.exp(-0.5j * calc._sigmas([f], [g])[0][0])
     assert len(product) == len(A.terms) * len(B.terms)
 
 

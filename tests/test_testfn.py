@@ -11,7 +11,6 @@ from ncmink import (
     KernelKind,
     WeylCalculus,
     WeylElement,
-    evaluate,
     frame_smearings,
     gram_check,
     mean,
@@ -24,39 +23,12 @@ from ncmink.minkowski import as_components
 from ncmink.testfn import VectorSmearing, ZERO_SMEARING, project_psi, single_term
 
 
-def test_bump_normalization_constant():
-    bump = GaussianBump((0, 0, 0, 0), 3.0)
-    assert bump.norm_constant == pytest.approx((3.0 / math.pi) ** 2)
-    assert bump.profile(np.zeros(4)) == pytest.approx(bump.norm_constant)
-
-
-def test_bump_mean_is_one():
-    # analytic normalization against a numeric lattice integral
-    bump = GaussianBump((0.2, -0.1, 0.0, 0.3), 4.0)
-    xs = np.linspace(-2.5, 2.5, 41)
-    grid = np.stack(np.meshgrid(*(xs,) * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-    total = bump.profile(grid).sum() * (xs[1] - xs[0]) ** 4
-    assert total == pytest.approx(1.0, rel=1e-3)
-
-
 def test_bump_rejects_bad_width():
-    with pytest.raises(ValueError):
-        GaussianBump((0, 0, 0, 0), 0.0)
-    with pytest.raises(ValueError):
-        GaussianBump((0, 0, 0, 0), -2.0)
-
-
-def test_evaluate_peak_value():
-    bump = GaussianBump((1, 2, 0, 0), 5.0)
-    f = single_term((1, 0, 0, 0), bump, 1.0)
-    assert evaluate(f, (1, 2, 0, 0)).components[0] == pytest.approx(bump.norm_constant)
-
-
-def test_evaluate_empty_and_cancellation():
-    assert evaluate(ZERO_SMEARING, (0, 0, 0, 0)).components == (0, 0, 0, 0)
-    bump = GaussianBump((0, 0, 0, 0), 2.0)
-    f = single_term((1, 1, 0, 0), bump, 1.0) + single_term((1, 1, 0, 0), bump, -1.0)
-    assert f.is_zero()
+    # outside [1e-150, 1e150] a product a a' of two widths can overflow or
+    # leave the normal range
+    for width in (0.0, -2.0, 1e155, 1e-300, math.nextafter(1e-150, 0.0), math.nextafter(1e150, math.inf)):
+        with pytest.raises(ValueError, match="^width must be positive and finite"):
+            GaussianBump((0, 0, 0, 0), width)
 
 
 def test_mean_examples():
@@ -142,9 +114,8 @@ def test_frame_smearings():
     for a, f in enumerate(smearings):
         expected = np.eye(4)[a]
         assert np.array_equal(mean(f), expected)
-        assert np.allclose(
-            evaluate(f, (0, 0, 0, 0)).array, expected * chi.norm_constant
-        )
+        # one term: covector e^(a) on chi with weight 1
+        assert f.rows.tolist() == [[*expected, *chi.center.components, chi.width, 1.0]]
 
 
 def test_canonicalization_merges_and_sorts():
@@ -300,6 +271,8 @@ def _entry(v="[1, 0, 0, 0]", center="[0, 0, 0, 0]", width="2", weight="1"):
         (f"[{_entry(width='1' + '0' * 400)}]", r"smearing\[0\]\.width: int too large"),
         (f"[{_entry(weight='-1e309')}]", r"smearing\[0\]\.weight: must be finite"),
         (f"[{_entry()}, {_entry(center='[0, 0, 0]')}]", r"smearing\[1\]\.center: center needs exactly 4"),
+        (f"[{_entry(width='1e155')}]", r"smearing\[0\]\.width: width must be positive"),
+        (f"[{_entry(width='1e-300')}]", r"smearing\[0\]\.width: width must be positive"),
     ],
     ids=[
         "v-three-components",
@@ -311,6 +284,8 @@ def _entry(v="[1, 0, 0, 0]", center="[0, 0, 0, 0]", width="2", weight="1"):
         "width-huge-integer",
         "weight-overflows",
         "second-entry-center",
+        "width-above-range",
+        "width-below-range",
     ],
 )
 def test_json_names_the_entry_and_key_of_a_bad_shape_or_range(text, message):
