@@ -66,12 +66,17 @@ def _log_quadratic(chi_p, chi_q):
     Only the cross pair goes through ``pair_integrals``; a self pair is the
     closed form 1 - gamma - ln(2b) at its combined width b = a a / (a + a).
     """
-    centers, widths = bump_arrays([chi_p, chi_q])
-    (cross,) = pair_integrals(
-        KernelKind.LOGABS, *pair_geometry(centers[:1], widths[:1], centers[1:], widths[1:])
-    )
-    self_p, self_q = (1.0 - EULER_GAMMA - math.log(2.0 * (a * a / (a + a))) for a in widths.tolist())
+    rows = bump_arrays([chi_p, chi_q])
+    (cross,) = pair_integrals(KernelKind.LOGABS, *pair_geometry(rows[:1], rows[1:]))
+    self_p, self_q = (1.0 - EULER_GAMMA - math.log(2.0 * (a * a / (a + a))) for a in (chi_p.width, chi_q.width))
     return float(self_p + self_q - 2.0 * cross)
+
+
+def _finite_correction(quantum):
+    """The quantum correction, or ValueError when it overflowed or is nan."""
+    if not math.isfinite(quantum):
+        raise ValueError(f"the quantum correction of the distance is not finite: {quantum!r}")
+    return quantum
 
 
 def distance(chi_p, chi_q, constants, cfg):
@@ -79,13 +84,14 @@ def distance(chi_p, chi_q, constants, cfg):
 
     The correction -(kappa^2 / 4 pi^2) min[Q, 0] is non-negative because the
     clipped kernel is negative semidefinite; it vanishes identically for
-    kappa = 0.
+    kappa = 0.  A correction that is not finite (kappa^2 so large that it
+    overflows) raises ValueError.
     """
     classical = classical_term(chi_p, chi_q)
     if constants.kappa_sq == 0.0:
         return DistanceBreakdown(classical, 0.0, 0.0, True)
     scale = constants.kappa_sq / (4.0 * math.pi**2)
-    quantum = -scale * min(_log_quadratic(chi_p, chi_q), 0.0)
+    quantum = _finite_correction(-scale * min(_log_quadratic(chi_p, chi_q), 0.0))
     return DistanceBreakdown(classical, quantum, 0.0, True)
 
 
@@ -97,7 +103,9 @@ def distance_alpha(chi_p, chi_q, params, cfg):
     contract-then-clip log term (identical to the limit) plus the
     regulator term kappa^2 Lambda^2 / (64 pi^2 alpha), where Lambda is the
     light-cone pairing of the difference profile against psi.  Only that
-    last term depends on alpha and psi.
+    last term depends on alpha and psi.  A correction that is not finite,
+    such as a regulator term that overflows at a tiny alpha, raises
+    ValueError.
     """
     constants = params.constants
     limit = distance(chi_p, chi_q, constants, cfg)
@@ -105,11 +113,11 @@ def distance_alpha(chi_p, chi_q, params, cfg):
         return limit
     # the contracted log term kappa^2/16 pi^2 min[4Q, 0] is the limit's
     # kappa^2/4 pi^2 min[Q, 0] bit for bit: the factors differ by powers of two
-    geometry = pair_geometry(*bump_arrays([chi_p, chi_q]), *bump_arrays([params.psi]))
+    geometry = pair_geometry(bump_arrays([chi_p, chi_q]), bump_arrays([params.psi]))
     lams = pair_integrals(KernelKind.LIGHTCONE, *geometry)
     lam = float(lams[0] - lams[1])
     reg_scale = constants.kappa_sq / (64.0 * math.pi**2 * params.state_alpha)
-    return replace(limit, quantum=limit.quantum + reg_scale * lam * lam)
+    return replace(limit, quantum=_finite_correction(limit.quantum + reg_scale * lam * lam))
 
 
 def corrected_synge(p, q, constants):

@@ -17,11 +17,13 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   difference quotient for the log kernel.  The log pairs of a call are
   evaluated in one array pass with no memo, and a value depends only on
   its own pair; the light-cone pairs go through a process-wide memo.
-  Forms read their pair integrals from one kernel table over the distinct
-  bumps of their arguments (the smearings' center and width columns), its
-  upper triangle mirrored, and the coefficient times table products of
-  all the forms of a call in one array pass (``_products``);
-  ``bilinear_form`` is the one-pair case.
+  Bumps enter as (center, width) rows, the ``bump_rows`` of a smearing or
+  the ``bump_arrays`` of single bumps, and ``pair_geometry`` of two rows is
+  where they meet.  Forms read their pair integrals from one kernel table
+  over the distinct bump rows of their arguments, its upper triangle
+  mirrored, and the coefficient times table products of all the forms of
+  a call in one array pass (``_products``); ``bilinear_form`` is the
+  one-pair case.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  It draws a component pair and
   then y = x - x' from that pair's exact law, the Gaussian convolution of
@@ -313,19 +315,24 @@ def pair_integrals(kind, b, delta, R):
 
 
 def bump_arrays(bumps):
-    """Centers (n, 4) and widths (n,) of a sequence of bumps."""
-    centers = np.array([bump.center.components for bump in bumps], dtype=float)
-    return centers.reshape(-1, 4), np.array([bump.width for bump in bumps], dtype=float)
+    """The bump rows (n, 5) of a sequence of bumps, each (center, width).
 
-
-def pair_geometry(centers_p, widths_p, centers_q, widths_q):
-    """Combined widths b and center displacements (delta t, spatial radius).
-
-    Broadcasts like numpy: centers have shape (..., 4) and widths the
-    matching shape (...).
+    The layout of ``VectorSmearing.bump_rows``, the one shape in which
+    ``pair_geometry`` and ``_kernel_table`` read bumps.
     """
-    b = widths_p * widths_q / (widths_p + widths_q)
-    d = centers_p - centers_q
+    return np.array([(*bump.center.components, bump.width) for bump in bumps], dtype=float).reshape(-1, 5)
+
+
+def pair_geometry(p, q):
+    """Combined widths b and center displacements (delta t, spatial radius) of bump rows.
+
+    p and q hold bump rows (center, width) in their last axis, of length 5,
+    and broadcast like numpy.  This is the one place where two bumps meet,
+    so a frame, should one enter the pair integrals, enters here.
+    """
+    a_p, a_q = p[..., 4], q[..., 4]
+    b = a_p * a_q / (a_p + a_q)
+    d = p[..., :4] - q[..., :4]
     # R^2 as one dot product per pair, the way np.linalg.norm takes it for a
     # single vector, so R does not depend on how the pairs are batched
     spatial = d[..., 1:]
@@ -333,13 +340,13 @@ def pair_geometry(centers_p, widths_p, centers_q, widths_q):
 
 
 def _kernel_table(blocks, kinds):
-    """Pair integrals among the distinct bumps of some blocks of bumps, one matrix per kind.
+    """Pair integrals among the distinct bumps of some blocks of bump rows, one matrix per kind.
 
-    Each block is the centers (n, 4) and widths (n,) of one smearing's terms
-    (or of one bump), and bumps match on the exact bits of (center, width).
-    Returns each block's index array into the distinct bumps and, for each
-    kind, the matrix K[i, j] of the pair integrals of distinct bumps i and
-    j, from one ``pair_geometry`` over the upper triangle of their square
+    Each block is the bump rows (n, 5) of one smearing's terms (or of one
+    bump), and bumps match on the exact bits of their row.  Returns each
+    block's index array into the distinct bumps and, for each kind, the
+    matrix K[i, j] of the pair integrals of distinct bumps i and j, from
+    one ``pair_geometry`` over the upper triangle of their square
     (diagonal included) and one ``pair_integrals`` call.  A pair integral
     depends only on its two bumps and ``pair_geometry`` is exactly
     symmetric in them (delta changes sign), so the lower triangle mirrors
@@ -351,20 +358,19 @@ def _kernel_table(blocks, kinds):
     """
     # all blocks in one array: numpy calls per block would cost more than the
     # rest of the table on the many small blocks of a Weyl element
-    empty = (np.empty((0, 4)), np.empty(0))
-    rows = np.column_stack([np.concatenate(part) for part in zip(empty, *blocks)])
+    rows = np.concatenate([np.empty((0, 5)), *blocks])
     slots = {}
     index = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in rows], dtype=np.intp)
-    ends = list(accumulate(len(widths) for _, widths in blocks))
+    ends = list(accumulate(map(len, blocks)))
     indices = [index[start:end] for start, end in zip([0] + ends, ends)]
     distinct = np.frombuffer(b"".join(slots), dtype=float).reshape(-1, 5)
-    c, a = distinct[:, :4], distinct[:, 4]
-    upper = np.triu_indices(len(a))
-    geometry = pair_geometry(c[upper[0]], a[upper[0]], c[upper[1]], a[upper[1]])
+    n = len(distinct)
+    upper = np.triu_indices(n)
+    geometry = pair_geometry(distinct[upper[0]], distinct[upper[1]])
     tables = []
     for kind in kinds:
         values = pair_integrals(kind, *geometry)
-        table = np.empty((len(a), len(a)))
+        table = np.empty((n, n))
         table[upper[::-1]] = 0.0 - values if kind is KernelKind.LIGHTCONE else values
         table[upper] = values
         tables.append(table)
@@ -373,9 +379,8 @@ def _kernel_table(blocks, kinds):
 
 def gaussian_pair_reduce(kind, bump_p, bump_q, cfg):
     """Scalar pair integral of two normalized bumps against a kernel."""
-    centers, widths = bump_arrays([bump_p, bump_q])
-    geometry = pair_geometry(centers[:1], widths[:1], centers[1:], widths[1:])
-    return _analytic(float(pair_integrals(kind, *geometry)[0]))
+    rows = bump_arrays([bump_p, bump_q])
+    return _analytic(float(pair_integrals(kind, *pair_geometry(rows[:1], rows[1:]))[0]))
 
 
 def _check_contraction(contraction):
@@ -400,7 +405,7 @@ def _term_pairs(f, g, contraction):
     rows = (f.weights[:, None] * f.covectors) @ c
     coef = (rows[:, None, :] * (g.weights[:, None] * g.covectors)[None, :, :]).sum(axis=-1)
     pairs = coef != 0.0
-    b, delta, R = pair_geometry(f.centers[:, None], f.widths[:, None], g.centers[None], g.widths[None])
+    b, delta, R = pair_geometry(f.bump_rows[:, None], g.bump_rows[None])
     return coef[pairs], b[pairs], delta[pairs], R[pairs]
 
 
@@ -458,7 +463,7 @@ def _forms(kind, fs, gs, contraction):
     """
     c = _check_contraction(contraction)
     smearings = (*fs, *gs)
-    indices, (table,) = _kernel_table([(h.centers, h.widths) for h in smearings], (kind,))
+    indices, (table,) = _kernel_table([h.bump_rows for h in smearings], (kind,))
     blocks = [(index, h.weights[:, None] * h.covectors) for index, h in zip(indices, smearings)]
     n, m = len(fs), len(gs)
     products = _products(table, _contracted(blocks[:n], c), blocks[n:], [(k, l) for k in range(n) for l in range(m)])
@@ -529,31 +534,28 @@ def mc_oracle(kind, f, g, contraction, cfg, workers=1):
     convolution of the two bumps, a Gaussian with mean c_i - c'_j and
     per-axis variance 1/(2a_i) + 1/(2a'_j).  The kernel reads only y, so
     one normal draw per sample does, and no reduction formula is used.
-    The per-block Philox streams are keyed on (seed, block index), so the
-    estimate is deterministic for a fixed seed no matter how many workers
-    process the blocks.
+    Samples come in blocks of ``_MC_BLOCK_SIZE``; each block returns the
+    sum and the sum of squares of its values, and the totals sum those two
+    columns in block order.  The per-block Philox streams are keyed on
+    (seed, block index), so the estimate is deterministic for a fixed seed
+    no matter how many workers process the blocks.
     """
     c = _check_contraction(contraction)
     if f.is_zero() or g.is_zero():
         return QuadratureResult(0.0, 0.0, Method.MC8D, 0, True)
     table = _pair_table(f, g, c)
     n = cfg.mc_samples
-    nblocks = (n + _MC_BLOCK_SIZE - 1) // _MC_BLOCK_SIZE
-    sizes = [min(_MC_BLOCK_SIZE, n - b * _MC_BLOCK_SIZE) for b in range(nblocks)]
-    sums = np.zeros(nblocks)
-    sumsqs = np.zeros(nblocks)
 
-    def run(b):
-        sums[b], sumsqs[b] = _mc_block(kind, table, cfg.seed, b, sizes[b])
+    def run(start):
+        return _mc_block(kind, table, cfg.seed, start // _MC_BLOCK_SIZE, min(_MC_BLOCK_SIZE, n - start))
 
+    starts = range(0, n, _MC_BLOCK_SIZE)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(nblocks)))
+            blocks = list(pool.map(run, starts))
     else:
-        for b in range(nblocks):
-            run(b)
-    total = float(np.sum(sums))
-    total_sq = float(np.sum(sumsqs))
+        blocks = list(map(run, starts))
+    total, total_sq = (float(np.sum(column)) for column in zip(*blocks))
     mean_val = total / n
     variance = max(0.0, (total_sq - n * mean_val**2) / max(1, n - 1))
     stderr = math.sqrt(variance / n)

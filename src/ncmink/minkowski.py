@@ -26,25 +26,20 @@ UNIT_TIMELIKE_TOL = 1e-12
 
 
 def as_components(value, what="4-vector"):
-    """Coerce a point/covector/sequence to a plain tuple of 4 finite floats."""
+    """Coerce a point, covector or sequence to a plain tuple of 4 finite floats.
+
+    Points and covectors give their components; anything else goes through
+    one numpy conversion, which raises ValueError naming ``what`` for a
+    shape other than 4 components or a non-finite entry.
+    """
     if isinstance(value, (SpacetimePoint, FourCovector)):
         return value.components
-    # plain 4-tuples of numbers take a pure-Python path; anything it does not
-    # accept falls through to the numpy checks, which raise the errors
-    if (
-        isinstance(value, tuple)
-        and len(value) == 4
-        and all(isinstance(c, (int, float)) for c in value)
-    ):
-        comps = tuple(map(float, value))
-        if all(map(math.isfinite, comps)):
-            return comps
     arr = np.asarray(value, dtype=float).reshape(-1)
     if arr.shape != (4,):
         raise ValueError(f"{what} needs exactly 4 components, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} has non-finite entries: {arr!r}")
-    return tuple(float(c) for c in arr)
+    return tuple(arr.tolist())
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ evaluates the form with one product pass per kernel table.  A pair
 integral depends only on its two bumps, never on the covectors, so
 ``_moments`` first builds one kernel table: the LOGABS and the LIGHTCONE
 matrix over the distinct bumps of all its smearings and psi
-(``integrate._kernel_table``, read from the smearings' center and width
-columns).  Each smearing becomes one block on that table: its weighted
+(``integrate._kernel_table``, read from the smearings' bump rows and
+psi's one row).  Each smearing becomes one block on that table: its weighted
 covector rows with their bump indices, and psi carrying -mean(f) as a
 last row.  A value of the form reads two blocks and a contraction c
 between them: eta for Delta, and for mu2 the Krein matrix eta J, so that
@@ -116,7 +116,7 @@ def sigma_indexed(f, psi, constants, cfg):
     light-cone kernel.  Each component is an exactly rounded sum.
     """
     scale = constants.kappa_sq / (8.0 * math.pi)
-    values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(f.centers, f.widths, *bump_arrays([psi])))
+    values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(f.bump_rows, bump_arrays([psi])))
     return -scale * _fsum_columns(values[:, None] * (f.weights[:, None] * f.covectors))
 
 
@@ -194,8 +194,7 @@ def _moments(smearings, params, twisted, entries):
     with f_k == f_l.
     """
     indices, (logabs, lightcone) = _kernel_table(
-        [(f.centers, f.widths) for f in smearings] + [bump_arrays([params.psi])],
-        (KernelKind.LOGABS, KernelKind.LIGHTCONE),
+        [f.bump_rows for f in smearings] + [bump_arrays([params.psi])], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
     )
     psi = indices[-1]
     scale = params.constants.kappa_sq / (8.0 * math.pi)

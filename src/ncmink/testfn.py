@@ -127,10 +127,12 @@ class VectorSmearing:
     def __repr__(self):
         return f"VectorSmearing(rows={self.rows.tolist()!r})"
 
-    # read-only column views of the rows
+    # read-only column views of the rows; a bump row is (center, width),
+    # the one shape in which the pair layer reads bumps
     covectors = property(lambda self: self.rows[:, :4])
     centers = property(lambda self: self.rows[:, 4:8])
     widths = property(lambda self: self.rows[:, 8])
+    bump_rows = property(lambda self: self.rows[:, 4:9])
     weights = property(lambda self: self.rows[:, 9])
 
     @property
@@ -207,13 +209,12 @@ def moment1(f):
     """First moment integral of x^mu f_mu(x), evaluated analytically.
 
     The first moment of a normalized Gaussian is its center, so each term
-    contributes weight * (v_mu center^mu) with the plain index contraction.
+    contributes weight * (v_mu center^mu) with the plain index contraction;
+    the moment is the exactly rounded sum of those products, so it does
+    not depend on the term order, and the moment of -f is exactly minus
+    that of f.
     """
-    total = 0.0
-    # a running sum in term order, each term's dot product on fresh arrays
-    for row in f.rows.tolist():
-        total += row[9] * float(np.dot(row[:4], row[4:8]))
-    return total
+    return math.fsum((f.weights * (f.covectors * f.centers).sum(axis=1)).tolist())
 
 
 def project_psi(f, psi):

@@ -152,8 +152,12 @@ class WeylCalculus:
 
     @staticmethod
     def _evaluate(A, moments):
-        """sum_k alpha_k exp[i mu1(f_k) - moments[k].real / 2] as an ANALYTIC result."""
-        total = 0.0j
-        for (f, c), moment in zip(A.terms, moments):
-            total += c * cmath.exp(1j * moment1(f) - 0.5 * moment.real)
-        return _analytic(total)
+        """sum_k alpha_k exp[i mu1(f_k) - moments[k].real / 2] as an ANALYTIC result.
+
+        The real and the imaginary parts of the terms are each summed exactly
+        rounded, so the value does not depend on the term order, and terms
+        that are exact conjugates, as the +- terms of a* a are in the rest
+        frame, cancel exactly in the imaginary part.
+        """
+        terms = [c * cmath.exp(1j * moment1(f) - 0.5 * moment.real) for (f, c), moment in zip(A.terms, moments)]
+        return _analytic(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))

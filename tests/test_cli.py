@@ -96,6 +96,20 @@ def test_planck_length_with_an_overflowing_kappa_sq_is_usage_error(capsys):
     assert json.loads(out)["result"]["converged"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--p", "1,0,0,0", "--q", "0,0,0,0", "--width", "1e150"],
+        ["sweep", "--axis", "state-alpha", "--range", "1e-300:1e-300:1", "--width", "1e4"],
+    ],
+    ids=["distance", "sweep-state-alpha"],
+)
+def test_a_correction_that_overflows_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--kappa-sq", "1e308")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the quantum correction of the distance is not finite")
+
+
 @pytest.mark.parametrize("command", ["distance", "causal"])
 @pytest.mark.parametrize("width", ["1e155", "1e-300"])
 def test_width_outside_the_range_is_usage_error(capsys, command, width):

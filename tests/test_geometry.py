@@ -287,6 +287,26 @@ def test_observables_are_finite_at_the_width_range_ends(cfg, constants, width):
         assert math.isfinite(value) and abs(value) <= 1.0
 
 
+def test_a_correction_that_is_not_finite_raises(cfg):
+    """An overflowed correction is an error, not a converged inf or nan."""
+    constants = PhysicalConstants.from_kappa_sq(1e308)
+    chi_p = GaussianBump((1, 0, 0, 0), 1e150)
+    chi_q = GaussianBump((0, 0, 0, 0), 1e150)
+    with pytest.raises(ValueError, match="quantum correction of the distance is not finite: inf"):
+        distance(chi_p, chi_q, constants, cfg)
+    # the regulator term overflows at a tiny alpha, and for coincident bumps
+    # it is inf * 0
+    psi = GaussianBump((0, 0, 0, 0), 25.0)
+    params = DMStateParams(state_alpha=1e-300, psi=psi, constants=constants)
+    shifted = GaussianBump((1, 0, 0, 0), 1e4)
+    bump = GaussianBump((0, 0, 0, 0), 1e4)
+    for p, value in ((shifted, "inf"), (bump, "nan")):
+        with pytest.raises(ValueError, match=f"quantum correction of the distance is not finite: {value}"):
+            distance_alpha(p, bump, params, cfg)
+    # a large correction that stays finite is still a result
+    assert math.isfinite(distance(GaussianBump((1, 0, 0, 0), 1e4), bump, constants, cfg).quantum)
+
+
 def test_classify_causal_bands():
     """The band is fixed at 3e-12 around 0, +1 and -1: a closed form carries no error."""
     assert classify_causal(0.0) == "spacelike"

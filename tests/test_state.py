@@ -274,7 +274,7 @@ def composed_magnitude(f, g, params):
 
     def abs_sigma_indexed(h):
         values = pair_integrals(
-            KernelKind.LIGHTCONE, *pair_geometry(h.centers, h.widths, *bump_arrays([params.psi]))
+            KernelKind.LIGHTCONE, *pair_geometry(h.bump_rows, bump_arrays([params.psi]))
         )
         return np.abs(values) @ np.abs(h.weights[:, None] * h.covectors)
 
@@ -329,7 +329,7 @@ def test_sums_of_the_form_are_exactly_rounded(cfg, params):
     scale = kappa_sq / (8.0 * math.pi)
 
     def exact_sigma_indexed(h):
-        values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(h.centers, h.widths, *bump_arrays([params.psi])))
+        values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(h.bump_rows, bump_arrays([params.psi])))
         return -scale * np.array([math.fsum(values * h.weights * column) for column in h.covectors.T])
 
     sf, sg = exact_sigma_indexed(f), exact_sigma_indexed(g)

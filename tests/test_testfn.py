@@ -18,7 +18,7 @@ from ncmink import (
     smearing_from_json,
     smearing_to_json,
 )
-from ncmink.integrate import _forms
+from ncmink.integrate import _forms, bump_arrays
 from ncmink.minkowski import as_components
 from ncmink.testfn import VectorSmearing, ZERO_SMEARING, project_psi, single_term
 
@@ -127,7 +127,7 @@ def test_canonicalization_merges_and_sorts():
     assert hash(f) == hash(VectorSmearing(f.terms))
     # one read-only row per term: (covector, center, width, weight)
     assert f.rows.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 3.0]]
-    for view in (f.rows, f.covectors, f.centers, f.widths, f.weights):
+    for view in (f.rows, f.covectors, f.centers, f.widths, f.bump_rows, f.weights):
         with pytest.raises(ValueError, match="read-only"):
             view[...] = 0.0
     # terms sort by (center, width, covector), whatever the input order
@@ -137,6 +137,8 @@ def test_canonicalization_merges_and_sorts():
     for order in (terms, terms[::-1]):
         h = VectorSmearing(order)
         assert [(t.covector, t.bump) for t in h.terms] == [(as_components(v), b) for v, b, _ in expected]
+        # a bump row is (center, width), the row bump_arrays gives for the bump
+        assert np.array_equal(h.bump_rows, bump_arrays([t.bump for t in h.terms]))
     # -0.0 and 0.0 are one term: it keeps the first occurrence's bits, and
     # smearings that differ only in the sign of a zero are equal
     first = VectorSmearing((((-0.0, 1, 0, 0), GaussianBump((0.0, -0.0, 0, 0), 2.0), 1.0), ((0.0, 1, 0, 0), bump, 2.0)))

@@ -280,6 +280,22 @@ def term_by_term_square(a, constants, cfg, u):
     return WeylElement.from_dict(coeffs)
 
 
+def exact_sum(terms):
+    """The sum of complex terms with the real and the imaginary parts each exactly rounded."""
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def test_omega_of_a_square_is_exactly_real_in_the_rest_frame(cfg, constants, params):
+    # the +- terms of a* a are exact conjugates when u = (1, 0, 0, 0), so their
+    # imaginary parts cancel exactly in an exactly rounded sum
+    assert params.u == (1.0, 0.0, 0.0, 0.0)
+    calc = WeylCalculus(constants, cfg, u=params.u)
+    rng = np.random.default_rng(83)
+    for _ in range(8):
+        a = square_on_a_table_family(rng, params.psi)
+        assert calc.eval_omega(calc.mul(calc.star(a), a), params).value.imag == 0.0
+
+
 def test_omega_of_a_square_matches_per_term_evaluation_bit_for_bit(cfg, constants, params):
     assert params.u == (1.0, 0.0, 0.0, 0.0)
     calc = WeylCalculus(constants, cfg, u=params.u)
@@ -289,10 +305,8 @@ def test_omega_of_a_square_matches_per_term_evaluation_bit_for_bit(cfg, constant
         product = calc.mul(calc.star(a), a)
         expected = term_by_term_square(a, constants, cfg, params.u)
         assert product == expected
-        total = 0.0j
-        for h, c in expected.terms:
-            total += c * cmath.exp(1j * moment1(h) - 0.5 * mu2(h, h, params, cfg).real)
-        assert calc.eval_omega(product, params).value == total
+        terms = [c * cmath.exp(1j * moment1(h) - 0.5 * mu2(h, h, params, cfg).real) for h, c in expected.terms]
+        assert calc.eval_omega(product, params).value == exact_sum(terms)
 
 
 def test_omega_of_a_square_matches_the_composition_in_a_boosted_frame(cfg, constants):
@@ -307,15 +321,14 @@ def test_omega_of_a_square_matches_the_composition_in_a_boosted_frame(cfg, const
         a = square_on_a_table_family(rng, psi)
         product = calc.mul(calc.star(a), a)
         assert product == term_by_term_square(a, constants, cfg, u)
-        total, bound = 0.0j, 0.0
+        terms, bound = [], 0.0
         for h, c in product.terms:
             jh = krein_J(h, u)
-            term = c * cmath.exp(1j * moment1(h) - 0.5 * composed_dm_bilinear(h, jh, params, cfg).real)
-            total += term
+            terms.append(c * cmath.exp(1j * moment1(h) - 0.5 * composed_dm_bilinear(h, jh, params, cfg).real))
             # a second moment moves by at most 8 eps composed_magnitude (the
             # one-table boosted bound), its term by half that times |term|
-            bound += abs(term) * 0.5 * 8.0 * eps * composed_magnitude(h, jh, params)
-        assert abs(calc.eval_omega(product, params).value - total) <= bound
+            bound += abs(terms[-1]) * 0.5 * 8.0 * eps * composed_magnitude(h, jh, params)
+        assert abs(calc.eval_omega(product, params).value - exact_sum(terms)) <= bound
 
 
 @pytest.mark.parametrize(
