@@ -20,6 +20,13 @@ clone.  The digest holds
   the ``gram_check`` N and M bytes and ``eval_omega(a* a)`` under a Krein
   calculus at that u, so the digest also covers a Krein matrix that is not
   diagonal (skipped when the checkout has no ``state`` workload);
+* Monte Carlo estimates on both branches of its sampler, under the key
+  ``oracle (mixtures)``: ``mc_oracle`` with ``MIXTURE_SAMPLES`` samples,
+  whose last block is partial, on the first two members of the first
+  ``MIXTURE_FAMILIES`` ``state`` families (1-3 terms each, so the pair
+  table has several pairs) and on the one-pair inputs of the ``oracle``
+  workload, cycling through the three kernels (skipped when the checkout
+  lacks either workload);
 * the stdout and exit code of every CLI command of ``bench/collect.py``,
   in text and in JSON format.
 
@@ -51,6 +58,9 @@ HERE = Path(__file__).resolve().parent
 SEEDS = (101, 102, 105)
 #: Spatial part of the boosted frame's u, the boost of the state tests.
 BOOST = (0.4, -0.2, 0.1)
+#: One full Monte Carlo block of 8192 samples and a last block of 1809.
+MIXTURE_SAMPLES = 10_001
+MIXTURE_FAMILIES = 20
 FORMATS = {"text": [], "json": ["--format", "json"]}
 # one BLAS thread, as perfbench/run.py pins it, so eigenvalues do not
 # depend on how the host splits the work
@@ -90,6 +100,8 @@ def workload_digest():
                 })
     if "state" in workloads.WORKLOADS:
         ops["state (boosted)"] = boosted_digest()
+        if "oracle" in workloads.WORKLOADS:
+            ops["oracle (mixtures)"] = mixtures_digest()
     return ops
 
 
@@ -124,6 +136,42 @@ def boosted_digest():
                 "result": [_numbers(omega.value)],
                 "sha256": [hashlib.sha256(report.matrix.tobytes()).hexdigest() for report in reports],
             })
+    return seeds
+
+
+def mixtures_digest():
+    """``mc_oracle`` on multi-pair and one-pair tables, with a partial last block.
+
+    For every seed: the first two members of each of the first
+    ``MIXTURE_FAMILIES`` ``state`` families, with Monte Carlo seed
+    1000 seed + index and the kernels in turn, then the Monte Carlo
+    inputs of the ``oracle`` workload with their own kernel and seed.
+    Each record holds the value and the error estimate, or the exception.
+    """
+    import ncmink
+    import workloads
+
+    kinds = list(ncmink.KernelKind)
+    state, oracle = workloads.WORKLOADS["state"], workloads.WORKLOADS["oracle"]
+    seeds = {}
+    for seed in SEEDS:
+        cases = []
+        for index in range(MIXTURE_FAMILIES):
+            f, g = state.make_input(seed, index).family[:2]
+            cases.append((kinds[index % len(kinds)], f, g, 1000 * seed + index))
+        for index in range(oracle.ops):
+            case = oracle.make_input(seed, index)
+            if case.kind is not None:
+                cases.append((case.kind, case.f, case.g, case.mc_seed))
+        records = seeds[str(seed)] = []
+        for kind, f, g, mc_seed in cases:
+            cfg = ncmink.QuadratureConfig(mc_samples=MIXTURE_SAMPLES, seed=mc_seed)
+            try:
+                result = ncmink.mc_oracle(kind, f, g, ncmink.IDENTITY, cfg)
+            except Exception as exc:  # a raising input is recorded, the pass goes on
+                records.append({"raised": repr(exc)})
+                continue
+            records.append({"result": [result.value, result.error_estimate], "sha256": []})
     return seeds
 
 

@@ -84,10 +84,13 @@ def distance(chi_p, chi_q, constants, cfg):
 
     The correction -(kappa^2 / 4 pi^2) min[Q, 0] is non-negative because the
     clipped kernel is negative semidefinite; it vanishes identically for
-    kappa = 0.  A correction that is not finite (kappa^2 so large that it
-    overflows) raises ValueError.
+    kappa = 0.  An interval (p - q)^2 of the centers past the float range,
+    or a correction that is not finite (kappa^2 so large that it
+    overflows), raises ValueError.
     """
     classical = classical_term(chi_p, chi_q)
+    if not math.isfinite(classical):
+        raise ValueError(f"the interval (p - q)^2 of the centers is not finite: {classical!r}")
     if constants.kappa_sq == 0.0:
         return DistanceBreakdown(classical, 0.0, 0.0, True)
     scale = constants.kappa_sq / (4.0 * math.pi**2)
@@ -157,9 +160,14 @@ def causal(chi_p, chi_q, cfg):
 
     Positive when the first bump lies (partially) to the future of the
     second, zero for fully spacelike configurations, and bounded by 1 in
-    magnitude because both profiles are positive with mean one.
+    magnitude because both profiles are positive with mean one.  A value
+    that is not finite, where the center separation times the combined
+    width's scale overflows, raises ValueError.
     """
-    return gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_p, chi_q, cfg)
+    result = gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_p, chi_q, cfg)
+    if not math.isfinite(result.value):
+        raise ValueError(f"the causal functional is not finite: {result.value!r}")
+    return result
 
 
 def classify_causal(value):

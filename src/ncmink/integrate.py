@@ -29,7 +29,9 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   then y = x - x' from that pair's exact law, the Gaussian convolution of
   the two bumps, and uses no reduction formula.  Sample streams are
   counter-based (Philox keyed per block), so results are bit-identical for a
-  fixed seed regardless of how blocks are distributed over workers.
+  fixed seed regardless of how blocks are distributed over workers.  With a
+  single pair there is nothing to draw, and a block advances its stream
+  past the pair uniforms to the same place, so the estimate is the same.
 * ``momentum_form``: the momentum-space route through the radial correlation
   kernel e^{-i|p|(t-t')} [1 + i|p|(t-t')] / (4|p|^3), reduced analytically to
   a single oscillatory radial integral.  It requires mean-zero smearings;
@@ -215,7 +217,11 @@ def _lightcone_pair(b, delta, R):
     step = 0.5 * math.erfc(s * (R - delta)) - 0.5 * math.erfc(s * (R + delta))
     z = 2.0 * b * delta * R
     ratio = -math.expm1(-z) / z if z > 0.0 else 1.0
-    slope = delta * s / math.sqrt(math.pi) * math.exp(-((s * (delta - R)) ** 2)) * ratio
+    u = s * (delta - R)
+    # exp(-u^2) is exactly 0.0 past |u| = 27.3; testing |u| first keeps
+    # u ** 2 from overflowing
+    gauss = 0.0 if abs(u) > 40.0 else math.exp(-(u**2))
+    slope = delta * s / math.sqrt(math.pi) * gauss * ratio
     return step - slope
 
 
@@ -512,15 +518,31 @@ def _pair_table(f, g, contraction):
 
 
 def _mc_block(kind, table, seed, block, n):
+    """Sum and sum of squares of the n samples of one block.
+
+    The block's Philox stream, keyed on (seed, block), gives n uniforms
+    that pick the pairs and then the 4n normals.  A one-pair table has
+    nothing to pick, so its uniforms are skipped instead of drawn: Philox
+    makes 4 words per counter step and a uniform takes one word, so
+    advancing the counter by n // 4 and drawing n % 4 raw words leaves the
+    stream where drawing the uniforms would, and the normals and the sums
+    stay the same bit for bit.
+    """
     key = np.array([seed % 2**64, block], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     coeff, cdf, shift, scale = table
-    k = np.searchsorted(cdf, rng.random(n), side="right")
-    # y = shift + z scale per pair, in place; take gathers faster than indexing
+    if len(cdf) > 1:
+        k = np.searchsorted(cdf, rng.random(n), side="right")
+        # take gathers faster than indexing
+        coeff, shift, scale = coeff.take(k), shift.take(k, axis=0), scale.take(k)
+    else:
+        rng.bit_generator.advance(n // 4)
+        rng.bit_generator.random_raw(n % 4)
+    # y = shift + z scale per sample, in place; one pair's rows broadcast
     y = rng.standard_normal((n, 4))
-    y *= scale.take(k)[:, None]
-    y += shift.take(k, axis=0)
-    vals = coeff.take(k) * kernel_values(kind, y)
+    y *= scale[:, None]
+    y += shift
+    vals = coeff * kernel_values(kind, y)
     return float(vals.sum()), float((vals * vals).sum())
 
 
@@ -538,7 +560,9 @@ def mc_oracle(kind, f, g, contraction, cfg, workers=1):
     sum and the sum of squares of its values, and the totals sum those two
     columns in block order.  The per-block Philox streams are keyed on
     (seed, block index), so the estimate is deterministic for a fixed seed
-    no matter how many workers process the blocks.
+    no matter how many workers process the blocks.  When f and g have one
+    term each, a block skips the pair draw but not its place in the
+    stream (see ``_mc_block``), so the estimate is the one the draw gives.
     """
     c = _check_contraction(contraction)
     if f.is_zero() or g.is_zero():

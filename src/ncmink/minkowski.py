@@ -129,12 +129,14 @@ def minkowski_interval(p, q):
     """Signed squared interval (p - q)^2 = -(dt)^2 + |dx|^2.
 
     Negative for timelike, positive for spacelike and zero for null
-    separations.  Symmetric in (p, q) and translation invariant.
+    separations.  Symmetric in (p, q) and translation invariant.  Taken on
+    Python floats, so an interval past the float range is inf or nan
+    without a warning; :func:`ncmink.geometry.distance` rejects it.
     """
     pc = as_components(p, "point p")
     qc = as_components(q, "point q")
-    d = np.array(pc) - np.array(qc)
-    return float(-d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
+    d = [a - b for a, b in zip(pc, qc)]
+    return -d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]
 
 
 def synge(p, q):

@@ -110,6 +110,25 @@ def test_a_correction_that_overflows_is_usage_error(capsys, argv):
     assert err.startswith("error: the quantum correction of the distance is not finite")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["distance", "--p", "1e200,0,0,0", "--width", "1e4"], "the interval (p - q)^2 of the centers is not finite: -inf"),
+        (["causal", "--p", "1e250,0,0,0", "--width", "1e150"], "the causal functional is not finite: nan"),
+    ],
+    ids=["distance", "causal"],
+)
+def test_an_observable_that_overflows_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--q", "0,0,0,0")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_causal_past_the_gaussian_tail_is_future(capsys):
+    code, out, err = run_cli(capsys, "causal", "--p", "1e200,0,0,0", "--q", "0,0,0,0", "--width", "1e4")
+    assert (code, err) == (0, "")
+    assert out == "value=1.0  error=0.0  classification='future'  converged=True\n"
+
+
 @pytest.mark.parametrize("command", ["distance", "causal"])
 @pytest.mark.parametrize("width", ["1e155", "1e-300"])
 def test_width_outside_the_range_is_usage_error(capsys, command, width):

@@ -307,6 +307,29 @@ def test_a_correction_that_is_not_finite_raises(cfg):
     assert math.isfinite(distance(GaussianBump((1, 0, 0, 0), 1e4), bump, constants, cfg).quantum)
 
 
+def test_an_interval_past_the_float_range_raises(cfg, constants, params):
+    """Centers 1e200 apart square past the float range: an error, not a converged -inf."""
+    chi_p = GaussianBump((1e200, 0, 0, 0), 1e4)
+    chi_q = GaussianBump((0, 0, 0, 0), 1e4)
+    with pytest.raises(ValueError, match=r"interval \(p - q\)\^2 of the centers is not finite: -inf"):
+        distance(chi_p, chi_q, constants, cfg)
+    with pytest.raises(ValueError, match=r"interval \(p - q\)\^2 of the centers is not finite: -inf"):
+        distance_alpha(chi_p, chi_q, params, cfg)
+
+
+def test_causal_past_the_gaussian_tail_is_the_sharp_value(cfg):
+    """A time separation whose Gaussian factor exp(-s^2 (delta - R)^2) has an
+    overflowing exponent gives that factor 0, so the value is the step alone."""
+    for width, t in ((1e4, 1e200), (1e150, 1e80)):
+        q = GaussianBump((0, 0, 0, 0), width)
+        assert causal(GaussianBump((t, 0, 0, 0), width), q, cfg).value == 1.0
+        assert causal(GaussianBump((-t, 0, 0, 0), width), q, cfg).value == -1.0
+    # delta s itself overflows, and the slope is inf * 0
+    q = GaussianBump((0, 0, 0, 0), 1e150)
+    with pytest.raises(ValueError, match="the causal functional is not finite: nan"):
+        causal(GaussianBump((1e250, 0, 0, 0), 1e150), q, cfg)
+
+
 def test_classify_causal_bands():
     """The band is fixed at 3e-12 around 0, +1 and -1: a closed form carries no error."""
     assert classify_causal(0.0) == "spacelike"

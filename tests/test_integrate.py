@@ -30,12 +30,14 @@ from ncmink.integrate import (
     _lightcone_pair,
     _log_moment,
     _logabs_pairs,
+    _mc_block,
     _pair_cached,
     _pair_table,
     _term_pairs,
     bump_arrays,
     pair_integrals,
 )
+from ncmink.kernels import kernel_values
 from ncmink.state import sigma_indexed
 from ncmink.testfn import VectorSmearing, scalar_smearing, single_term
 from ncmink.verify import MINVAR_CONSTANT_CORRECTED
@@ -456,6 +458,37 @@ def test_mc_deterministic_across_workers_and_runs():
         KernelKind.LOGABS, f, f, I4, QuadratureConfig(mc_samples=50_000, seed=78)
     )
     assert other_seed.value != base.value
+
+
+def _drawn_block(kind, table, seed, block, n):
+    """A block that draws its n pair uniforms whatever the table: the uniforms, then the normals."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, block], dtype=np.uint64)))
+    coeff, cdf, shift, scale = table
+    k = np.searchsorted(cdf, rng.random(n), side="right")
+    y = rng.standard_normal((n, 4))
+    y *= scale.take(k)[:, None]
+    y += shift.take(k, axis=0)
+    vals = coeff.take(k) * kernel_values(kind, y)
+    return float(vals.sum()), float((vals * vals).sum())
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_a_one_pair_block_skips_exactly_its_uniforms(kind):
+    """Philox makes 4 words per counter step and a uniform takes one, so block
+    sizes that are not a multiple of 4 end inside a step; the skip must leave
+    the stream there too, and the normals and sums stay those of the draw."""
+    f = scalar_smearing(GaussianBump((0.4, 0.1, -0.2, 0.0), 30.0))
+    g = scalar_smearing(GaussianBump((0.0, 0.3, 0.0, 0.1), 55.0))
+    table = _pair_table(f, g, I4)
+    assert len(table[1]) == 1
+    for n in (1, 2, 3, 4, 1809, 8192):
+        assert _mc_block(kind, table, 2**63 + 5, 7, n) == _drawn_block(kind, table, 2**63 + 5, 7, n)
+    # 10_001 samples: one full block and a last block of 1809
+    cfg = QuadratureConfig(mc_samples=10_001, seed=91)
+    one, two = (mc_oracle(kind, f, g, I4, cfg, workers=workers) for workers in (1, 2))
+    assert (one.value, one.error_estimate) == (two.value, two.error_estimate)
+    sums = [_drawn_block(kind, table, 91, block, n)[0] for block, n in enumerate((8192, 1809))]
+    assert one.value == float(np.sum(sums)) / 10_001
 
 
 def _mixture(rows):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ def test_interval_symmetry_and_translation_invariance():
         assert minkowski_interval(p + shift, q + shift) == pytest.approx(
             minkowski_interval(p, q), abs=1e-12
         )
+
+
+def test_interval_is_the_float_expression_and_overflows_without_a_warning():
+    """The interval keeps the bits of the numpy scalar expression in the same
+    order, and past the float range it is inf or nan, with no warning."""
+    rng = np.random.default_rng(7)
+    for p, q in rng.normal(scale=10.0, size=(500, 2, 4)):
+        d = p - q
+        expected = float(-d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
+        assert minkowski_interval(p, q).hex() == expected.hex()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert minkowski_interval((1e200, 0, 0, 0), (0, 0, 0, 0)) == -math.inf
+        assert math.isnan(minkowski_interval((1e200, 1e200, 0, 0), (0, 0, 0, 0)))
 
 
 def test_point_rejects_bad_input():

@@ -106,7 +106,7 @@ class RunContext:
 
 
 def make_input(seed, index):
-    return SimpleNamespace(family=[seed], element=float(index - 1))
+    return SimpleNamespace(family=[seed, index], element=float(index - 1))
 
 
 WORKLOADS = {"state": SimpleNamespace(ops=2, make_input=make_input, op=lambda ctx, case: (), result=lambda out: ())}
@@ -152,6 +152,64 @@ def test_digest_of_a_boosted_frame(tmp_path):
     ops = parity.digest(root)["ops"]
     assert ops["state (boosted)"] == {str(seed): expected for seed in (101, 102, 105)}
     assert ops["state"] == {str(seed): [{"result": [], "sha256": []}] * 2 for seed in (101, 102, 105)}
+
+
+# The state workload with an oracle workload beside it, whose op 1 is the
+# momentum route, on a package whose mc_oracle reports its arguments and
+# raises when f is g.
+MIXTURE_WORKLOADS = STATE_WORKLOADS + '''
+from ncmink import KernelKind
+
+
+def oracle_input(seed, index):
+    kind = None if index == 1 else KernelKind.LOGABS
+    return SimpleNamespace(kind=kind, f=-seed, g=0 if index == 0 else -seed, mc_seed=7 + index)
+
+
+WORKLOADS["oracle"] = SimpleNamespace(ops=3, make_input=oracle_input, op=lambda ctx, case: (), result=lambda out: ())
+'''
+MIXTURE_PACKAGE = STATE_PACKAGE + '''
+from enum import Enum
+
+
+class KernelKind(Enum):
+    LIGHTCONE = "lightcone"
+    LOGABS = "logabs"
+    CONSTANT = "constant"
+
+
+IDENTITY = "identity"
+
+
+class QuadratureConfig:
+    def __init__(self, mc_samples, seed):
+        self.mc_samples, self.seed = mc_samples, seed
+
+
+def mc_oracle(kind, f, g, contraction, cfg):
+    assert contraction == IDENTITY and cfg.mc_samples == 10_001
+    if f == g:
+        raise ArithmeticError("one bump")
+    return SimpleNamespace(value=f"{kind.name} {f} {g}", error_estimate=cfg.seed)
+'''
+
+
+def test_digest_of_monte_carlo_mixtures(tmp_path):
+    """Two members of each of 20 state families and the oracle's Monte Carlo
+    inputs go through mc_oracle at 10_001 samples; the momentum op is skipped."""
+    root = _checkout(tmp_path)
+    (root / "perfbench" / "workloads.py").write_text(MIXTURE_WORKLOADS)
+    (root / "src" / "ncmink" / "__init__.py").write_text(MIXTURE_PACKAGE)
+    kinds = ["LIGHTCONE", "LOGABS", "CONSTANT"]
+    ops = parity.digest(root)["ops"]
+    for seed in (101, 102, 105):
+        expected = [
+            {"result": [f"{kinds[index % 3]} {seed} {index}", 1000 * seed + index], "sha256": []}
+            for index in range(20)
+        ]
+        expected += [{"result": [f"LOGABS {-seed} 0", 7], "sha256": []}, {"raised": "ArithmeticError('one bump')"}]
+        assert ops["oracle (mixtures)"][str(seed)] == expected
+    assert sorted(ops) == ["oracle", "oracle (mixtures)", "state", "state (boosted)"]
 
 
 def _digest(*ops):
