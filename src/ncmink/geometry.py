@@ -23,14 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrate import (
-    EULER_GAMMA,
-    _analytic,
-    bump_arrays,
-    gaussian_pair_reduce,
-    pair_geometry,
-    pair_integrals,
-)
+from .integrate import _analytic, _bump_geometry, _pair_integral, gaussian_pair_reduce
 from .kernels import KernelKind
 from .minkowski import DEFAULT_FRAME, minkowski_interval, synge
 from .testfn import frame_smearings
@@ -63,13 +56,15 @@ def classical_term(chi_p, chi_q):
 def _log_quadratic(chi_p, chi_q):
     """Scalar LOGABS quadratic form of the difference profile chi_p - chi_q.
 
-    Only the cross pair goes through ``pair_integrals``; a self pair is the
-    closed form 1 - gamma - ln(2b) at its combined width b = a a / (a + a).
+    Three one-pair integrals on floats: the two self pairs, each the closed
+    form 1 - gamma - ln(2b) at its combined width b = a a / (a + a), and
+    the cross pair.
     """
-    rows = bump_arrays([chi_p, chi_q])
-    (cross,) = pair_integrals(KernelKind.LOGABS, *pair_geometry(rows[:1], rows[1:]))
-    self_p, self_q = (1.0 - EULER_GAMMA - math.log(2.0 * (a * a / (a + a))) for a in (chi_p.width, chi_q.width))
-    return float(self_p + self_q - 2.0 * cross)
+    self_p, self_q, cross = (
+        _pair_integral(KernelKind.LOGABS, *_bump_geometry(p, q))
+        for p, q in ((chi_p, chi_p), (chi_q, chi_q), (chi_p, chi_q))
+    )
+    return self_p + self_q - 2.0 * cross
 
 
 def _finite_correction(quantum):
@@ -116,9 +111,8 @@ def distance_alpha(chi_p, chi_q, params, cfg):
         return limit
     # the contracted log term kappa^2/16 pi^2 min[4Q, 0] is the limit's
     # kappa^2/4 pi^2 min[Q, 0] bit for bit: the factors differ by powers of two
-    geometry = pair_geometry(bump_arrays([chi_p, chi_q]), bump_arrays([params.psi]))
-    lams = pair_integrals(KernelKind.LIGHTCONE, *geometry)
-    lam = float(lams[0] - lams[1])
+    lam_p, lam_q = (_pair_integral(KernelKind.LIGHTCONE, *_bump_geometry(chi, params.psi)) for chi in (chi_p, chi_q))
+    lam = lam_p - lam_q
     reg_scale = constants.kappa_sq / (64.0 * math.pi**2 * params.state_alpha)
     return replace(limit, quantum=_finite_correction(limit.quantum + reg_scale * lam * lam))
 

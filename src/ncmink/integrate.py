@@ -19,11 +19,16 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   its own pair; the light-cone pairs go through a process-wide memo.
   Bumps enter as (center, width) rows, the ``bump_rows`` of a smearing or
   the ``bump_arrays`` of single bumps, and ``pair_geometry`` of two rows is
-  where they meet.  Forms read their pair integrals from one kernel table
-  over the distinct bump rows of their arguments, its upper triangle
-  mirrored, and the coefficient times table products of all the forms of
-  a call in one array pass (``_products``); ``bilinear_form`` is the
-  one-pair case.
+  where they meet.  One pair of bumps, which is what the observables of
+  :mod:`ncmink.geometry` compute, skips the arrays: ``_bump_geometry`` and
+  ``_pair_integral`` take it on Python floats, through the same geometry
+  arithmetic (``_geometry``, which uses no BLAS) and the same closed forms,
+  so a pair's value is the same bits on either path and on any BLAS
+  kernel; a frame would enter through that one geometry arithmetic.  Forms
+  read their pair integrals from one kernel table over the distinct bump
+  rows of their arguments, its upper triangle mirrored, and the
+  coefficient times table products of all the forms of a call in one
+  array pass (``_products``); ``bilinear_form`` is the one-pair case.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  It draws a component pair and
   then y = x - x' from that pair's exact law, the Gaussian convolution of
@@ -46,7 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -288,35 +293,60 @@ def _pair_cached(b, delta, R):
     return _reduce_2d(KernelKind.LIGHTCONE, b, delta, R)
 
 
+def _pair_integral(kind, b, delta, R):
+    """Pair integral of one pair (b, delta, R) of Python floats.
+
+    The one-pair path, with no array set-up, for callers that compute one
+    pair (``gaussian_pair_reduce`` and the observables); tables go through
+    ``pair_integrals``, which calls this for its light-cone and closed log
+    pairs, so a pair's value is the same bits on either path, the sign of
+    a zero included.  CONSTANT is the exact normalization 1.  LIGHTCONE
+    with coincident time centers vanishes by antisymmetry (odd integrand in
+    the relative time), and a negative time separation is folded to a
+    positive one, which makes the antisymmetry under argument swap exact;
+    the pair looks up (b, |delta|, R) in the process-wide memo
+    ``_pair_cached``.  LOGABS depends on |delta| only; its self pair
+    (delta = R = 0) is the closed form 1 - gamma - ln(2b), and any other
+    pair is a one-element ``_logabs_pairs`` batch.  A log pair whose
+    spatial separation overflowed to inf raises ValueError, before the
+    log moment would turn it into nan.
+    """
+    if kind is KernelKind.LIGHTCONE:
+        if delta == 0.0:
+            return 0.0
+        value = _pair_cached(b, abs(delta), R)[0]
+        return value if delta > 0.0 else -value
+    if kind is KernelKind.CONSTANT:
+        return 1.0
+    if delta == 0.0 and R == 0.0:
+        return 1.0 - EULER_GAMMA - math.log(2.0 * b)
+    if R == math.inf:
+        raise ValueError("the spatial separation of the bump centers is not finite: inf")
+    (value,) = _logabs_pairs(np.array([b]), np.array([abs(delta)]), np.array([R]))
+    return value
+
+
 def pair_integrals(kind, b, delta, R):
     """Pair integrals of normalized bumps, elementwise over equal-shape arrays.
 
     Each pair has combined width b, time separation delta and spatial
-    separation R.  CONSTANT is the exact normalization 1.  LOGABS depends
-    on |delta| only; its self pair (delta = R = 0) is 1 - gamma - ln(2b),
-    and every other pair comes from one array pass of ``_logabs_pairs``,
-    which keeps no memo.  LIGHTCONE with coincident time centers vanishes
-    by antisymmetry (odd integrand in the relative time), and negative time
-    separations are folded to positive ones, which makes the antisymmetry
-    under argument swap exact; each remaining pair looks up its
-    (b, |delta|, R) in the process-wide memo ``_pair_cached``, which
-    evaluates a key once in closed form.  Every value depends only on its
-    own pair, never on the other elements of the call.
+    separation R.  Every LIGHTCONE pair and every closed LOGABS self pair
+    (delta = R = 0) is ``_pair_integral`` of that pair; the other LOGABS
+    pairs come from one array pass of ``_logabs_pairs``, which keeps no
+    memo.  Every value depends only on its own pair, never on the other
+    elements of the call.
     """
     b, delta, R = (np.asarray(x, dtype=float) for x in (b, delta, R))
-    values = np.zeros(b.shape)
     if kind is KernelKind.CONSTANT:
-        return values + 1.0
-    if kind is KernelKind.LOGABS:
-        closed = (delta == 0.0) & (R == 0.0)
-        values[closed] = 1.0 - EULER_GAMMA - np.log(2.0 * b[closed])
-        rest = ~closed
-        values[rest] = _logabs_pairs(b[rest], np.abs(delta[rest]), R[rest])
-        return values
-    rest = delta != 0.0
-    keys = zip(b[rest].tolist(), np.abs(delta[rest]).tolist(), R[rest].tolist())
-    values[rest] = [_pair_cached(*key)[0] for key in keys]
-    values *= np.sign(delta)
+        return np.ones(b.shape)
+    if kind is KernelKind.LIGHTCONE:
+        values = map(_pair_integral, repeat(kind), b.ravel().tolist(), delta.ravel().tolist(), R.ravel().tolist())
+        return np.array(list(values)).reshape(b.shape)
+    values = np.empty(b.shape)
+    closed = (delta == 0.0) & (R == 0.0)
+    values[closed] = [_pair_integral(kind, b_k, 0.0, 0.0) for b_k in b[closed].tolist()]
+    rest = ~closed
+    values[rest] = _logabs_pairs(b[rest], np.abs(delta[rest]), R[rest])
     return values
 
 
@@ -326,23 +356,48 @@ def bump_arrays(bumps):
     The layout of ``VectorSmearing.bump_rows``, the one shape in which
     ``pair_geometry`` and ``_kernel_table`` read bumps.
     """
-    return np.array([(*bump.center.components, bump.width) for bump in bumps], dtype=float).reshape(-1, 5)
+    return np.array([_bump_row(bump) for bump in bumps], dtype=float).reshape(-1, 5)
+
+
+def _bump_row(bump):
+    return (*bump.center.components, bump.width)
+
+
+def _geometry(p, q, sqrt):
+    """Combined width b, time separation delta and spatial radius R of bumps p and q.
+
+    p and q are (t, x, y, z, width), each entry a float or an array, the
+    arrays broadcasting like numpy; ``sqrt`` is math.sqrt or np.sqrt to
+    match.  This is the one place where two bumps meet, so a frame, should
+    one enter the pair integrals, enters here.  R^2 is
+    d1 d1 + d2 d2 + d3 d3 summed left to right, with no BLAS: every
+    operation is one correctly rounded IEEE step, so floats and arrays give
+    the same bits, whatever the batch and whatever BLAS kernel the host
+    selects.
+    """
+    t_p, x_p, y_p, z_p, a_p = p
+    t_q, x_q, y_q, z_q, a_q = q
+    d1, d2, d3 = x_p - x_q, y_p - y_q, z_p - z_q
+    return a_p * a_q / (a_p + a_q), t_p - t_q, sqrt(d1 * d1 + d2 * d2 + d3 * d3)
 
 
 def pair_geometry(p, q):
     """Combined widths b and center displacements (delta t, spatial radius) of bump rows.
 
     p and q hold bump rows (center, width) in their last axis, of length 5,
-    and broadcast like numpy.  This is the one place where two bumps meet,
-    so a frame, should one enter the pair integrals, enters here.
+    and broadcast like numpy.  The arithmetic is ``_geometry``, which
+    ``_bump_geometry`` shares on floats: it uses no BLAS, and a frame would
+    enter the pair integrals there, on both paths at once.
     """
-    a_p, a_q = p[..., 4], q[..., 4]
-    b = a_p * a_q / (a_p + a_q)
-    d = p[..., :4] - q[..., :4]
-    # R^2 as one dot product per pair, the way np.linalg.norm takes it for a
-    # single vector, so R does not depend on how the pairs are batched
-    spatial = d[..., 1:]
-    return b, d[..., 0], np.sqrt((spatial[..., None, :] @ spatial[..., :, None])[..., 0, 0])
+    # the columns as the first axis; np.moveaxis would cost more than the
+    # arithmetic on a small table
+    p, q = (x.transpose(-1, *range(x.ndim - 1)) for x in (p, q))
+    return _geometry(p, q, np.sqrt)
+
+
+def _bump_geometry(bump_p, bump_q):
+    """``pair_geometry`` of two bumps, as Python floats."""
+    return _geometry(_bump_row(bump_p), _bump_row(bump_q), math.sqrt)
 
 
 def _kernel_table(blocks, kinds):
@@ -385,8 +440,7 @@ def _kernel_table(blocks, kinds):
 
 def gaussian_pair_reduce(kind, bump_p, bump_q, cfg):
     """Scalar pair integral of two normalized bumps against a kernel."""
-    rows = bump_arrays([bump_p, bump_q])
-    return _analytic(float(pair_integrals(kind, *pair_geometry(rows[:1], rows[1:]))[0]))
+    return _analytic(_pair_integral(kind, *_bump_geometry(bump_p, bump_q)))
 
 
 def _check_contraction(contraction):

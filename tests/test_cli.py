@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -121,6 +122,31 @@ def test_a_correction_that_overflows_is_usage_error(capsys, argv):
 def test_an_observable_that_overflows_is_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--q", "0,0,0,0")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["distance", "--p", "1e154,1e154,1e154,0"],
+            (2, "", "error: the spatial separation of the bump centers is not finite: inf\n"),
+        ),
+        (
+            ["causal", "--p", "0,1e200,0,0"],
+            (0, "value=0.0  error=0.0  classification='spacelike'  converged=True\n", ""),
+        ),
+    ],
+    ids=["distance", "causal"],
+)
+def test_a_spatial_separation_whose_square_overflows_does_not_warn(capsys, argv, expected):
+    """R^2 past the float range: the log pair is a usage error, the causal value is spacelike.
+
+    The distance's interval, 1e308, is finite; its log pair stops before
+    the log moment would turn R = inf into nan.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, *argv, "--q", "0,0,0,0", "--width", "1e4") == expected
 
 
 def test_causal_past_the_gaussian_tail_is_future(capsys):

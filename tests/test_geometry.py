@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from ncmink import (
     GaussianBump,
     KernelKind,
     PhysicalConstants,
+    QuadratureConfig,
     causal,
     causal_via_weyl,
     classical_term,
@@ -338,3 +344,55 @@ def test_classify_causal_bands():
     assert classify_causal(-1.0 + 2.9e-12) == "past"
     for value in (3.1e-12, -3.1e-12, 1.0 - 3.1e-12, -1.0 + 3.1e-12, 1e-7, 0.4):
         assert classify_causal(value) == "fuzzy"
+
+
+def _observables_digest(n=2000):
+    """sha256 of distance, distance_alpha and causal on n seeded bump pairs.
+
+    Centers and widths are drawn directly; the near-null half of the pairs
+    scales a spatial direction v by 1 / sqrt(v . v) summed on Python floats,
+    so the inputs pass through no BLAS.
+    """
+    rng = np.random.default_rng(86)
+    constants = PhysicalConstants(planck_length=1.0)
+    params = DMStateParams(state_alpha=1.0, psi=GaussianBump((0.1, 0.0, 0.2, 0.0), 25.0), constants=constants)
+    cfg = QuadratureConfig()
+    values = []
+    for k in range(n):
+        q = rng.normal(size=4).tolist()
+        width_p, width_q = 10.0 ** rng.uniform(0.0, 4.0, 2)
+        scale = 10.0 ** rng.uniform(-2.0, 1.0)
+        if k % 2:
+            v = rng.normal(size=3).tolist()
+            norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+            offset = [scale * (1.0 + 1e-3 * rng.normal()), *(scale * x / norm for x in v)]
+        else:
+            offset = (scale * rng.normal(size=4)).tolist()
+        chi_p = GaussianBump([x + dx for x, dx in zip(q, offset)], width_p)
+        chi_q = GaussianBump(q, width_q)
+        d = distance(chi_p, chi_q, constants, cfg)
+        values += [d.classical, d.quantum, distance_alpha(chi_p, chi_q, params, cfg).quantum]
+        values.append(causal(chi_p, chi_q, cfg).value)
+    return hashlib.sha256(np.array(values).tobytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def observables_digest():
+    return _observables_digest()
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_observables_do_not_depend_on_the_blas_kernel(observables_digest, coretype):
+    """distance, distance_alpha and causal give the same bits under another OpenBLAS kernel.
+
+    OPENBLAS_CORETYPE picks the kernel when an OpenBLAS built with
+    DYNAMIC_ARCH loads.  A build without DYNAMIC_ARCH ignores the variable:
+    the subprocess then runs the one kernel there is, and the test passes
+    trivially.
+    """
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": path}
+    code = "import test_geometry; print(test_geometry._observables_digest())"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert run.stdout.strip() == observables_digest

@@ -25,6 +25,7 @@ from ncmink import (
     mu2,
 )
 from ncmink.integrate import (
+    _bump_geometry,
     _forms,
     _kernel_table,
     _lightcone_pair,
@@ -35,6 +36,7 @@ from ncmink.integrate import (
     _pair_table,
     _term_pairs,
     bump_arrays,
+    pair_geometry,
     pair_integrals,
 )
 from ncmink.kernels import kernel_values
@@ -235,25 +237,57 @@ def test_kernel_table_reads_every_row_pair_bit_for_bit(cfg):
     """Rows match on center and width together; repeats share one distinct bump.
 
     The rows come in blocks, an empty one among them, and each block gets
-    its own indices into the one table.  No blocks give empty tables.
+    its own indices into the one table.  No blocks give empty tables.  Each
+    entry equals the one-pair value on floats (a zero's sign aside: the
+    mirrored lower triangle keeps +0.0), also for time components +0.0 and
+    -0.0 (delta = -0.0), coincident bumps across the width range (closed
+    log pairs of b from 5e-151 to 5e149), delta < 0, and log pairs whose
+    three log moments, at delta - R, delta + R and delta, are all near
+    (|mu| / sigma < 9), all far or mixed.
     """
     rng = np.random.default_rng(19)
     base = [random_bump(rng) for _ in range(3)]
     same_center = GaussianBump(base[0].center, 2.0 * base[0].width)
     same_width = GaussianBump(base[1].center.components[::-1], base[1].width)
     bumps = [base[0], same_center, base[1], base[0], same_width, base[2], base[1]]
+    signed_zeros = [GaussianBump((0.0, 0.1, 0, 0), 30.0), GaussianBump((-0.0, 0.2, 0, 0), 40.0)]
+    assert math.copysign(1.0, _bump_geometry(*signed_zeros[::-1])[1]) == -1.0
+    coincident = [GaussianBump((0.3, -0.2, 0.1, 0), width) for width in (1e-150, 1e-20, 1.0, 1e20, 1e150)]
+    later = [GaussianBump((t, 0.1, -0.1, 0), 50.0) for t in (0.5, 1.0, 2.0)]
+    # combined width b = 1, so sigma = 1: (delta, R) all near, all far, mixed
+    origin = GaussianBump((0, 0, 0, 0), 2.0)
+    moments = [GaussianBump((delta, R, 0, 0), 2.0) for delta, R in ((0.5, 0.3), (30.0, 10.0), (10.0, 9.5))] + [origin]
     kinds = (KernelKind.LOGABS, KernelKind.LIGHTCONE)
-    blocks = [bumps[:2], [], bumps[2:5], bumps[5:]]
+    blocks = [bumps[:2], [], bumps[2:5], bumps[5:], signed_zeros, coincident, later, moments]
     indices, tables = _kernel_table([bump_arrays(block) for block in blocks], kinds)
-    assert [block.tolist() for block in indices] == [[0, 1], [], [2, 0, 3], [4, 2]]
+    assert [block.tolist() for block in indices[:4]] == [[0, 1], [], [2, 0, 3], [4, 2]]
+    bumps = [bump for block in blocks for bump in block]
     index = np.concatenate(indices)
     for kind, table in zip(kinds, tables):
-        assert table.shape == (5, 5)
+        assert table.shape == (19, 19)
         for p, bp in enumerate(bumps):
             for q, bq in enumerate(bumps):
                 assert table[index[p], index[q]] == gaussian_pair_reduce(kind, bp, bq, cfg).value
     indices, tables = _kernel_table([], kinds)
     assert indices == [] and [table.shape for table in tables] == [(0, 0), (0, 0)]
+
+
+def test_pair_geometry_radius_is_the_explicit_sum():
+    """R is sqrt(d1 d1 + d2 d2 + d3 d3) summed left to right, batched or broadcast, as on floats.
+
+    A BLAS dot product, which the host's kernel selects, rounds some of
+    these sums differently.
+    """
+    rng = np.random.default_rng(85)
+    n = 2000
+    centers = rng.normal(size=(2, n, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, n, 1))
+    p, q = np.concatenate([centers, rng.uniform(1.0, 1e4, (2, n, 1))], axis=2)
+    expected = []
+    for (_, x_p, y_p, z_p, _), (_, x_q, y_q, z_q, _) in zip(p.tolist(), q.tolist()):
+        d1, d2, d3 = x_p - x_q, y_p - y_q, z_p - z_q
+        expected.append(math.sqrt(d1 * d1 + d2 * d2 + d3 * d3))
+    assert pair_geometry(p, q)[2].tolist() == expected
+    assert np.diagonal(pair_geometry(p[:50, None], q[None, :50])[2]).tolist() == expected[:50]
 
 
 def test_log_moment_branches_are_independent():
