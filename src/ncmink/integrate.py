@@ -37,6 +37,8 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   fixed seed regardless of how blocks are distributed over workers.  With a
   single pair there is nothing to draw, and a block advances its stream
   past the pair uniforms to the same place, so the estimate is the same.
+  A kernel that reads no displacement (the constant one) draws none: the
+  normals are the last draw of a block's stream, so nothing else moves.
 * ``momentum_form``: the momentum-space route through the radial correlation
   kernel e^{-i|p|(t-t')} [1 + i|p|(t-t')] / (4|p|^3), reduced analytically to
   a single oscillatory radial integral.  It requires mean-zero smearings;
@@ -47,6 +49,7 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -95,6 +98,12 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
+        for name in ("mc_samples", "seed"):
+            value = getattr(self, name)
+            # a float count fails in range(), and a float or bool seed
+            # would be truncated silently into another seed's stream
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mc_samples < 10_000:
             raise ValueError("mc_samples must be at least 10^4 for oracle use")
 
@@ -105,7 +114,9 @@ class QuadratureResult:
 
     Only :func:`momentum_form` (MOMENTUM) and :func:`mc_oracle` (MC8D)
     compute an error, an eval count or a convergence flag.  For MC8D the
-    estimate is a 95% confidence half-width; for MOMENTUM it is the sum of
+    error is a 95% confidence half-width and ``evals`` the number of
+    samples behind the estimate and that half-width, whether or not the
+    kernel read a drawn displacement; for MOMENTUM the error is the sum of
     per-panel differences between the 15- and the 7-node Gauss-Legendre
     rules plus eps times the integrated magnitude of the cancelling sum
     over term pairs, the scale of that sum's rounding.  The closed-form
@@ -580,23 +591,32 @@ def _mc_block(kind, table, seed, block, n):
     makes 4 words per counter step and a uniform takes one word, so
     advancing the counter by n // 4 and drawing n % 4 raw words leaves the
     stream where drawing the uniforms would, and the normals and the sums
-    stay the same bit for bit.
+    stay the same bit for bit.  The constant kernel reads no displacement,
+    so its block draws no normals, and on a one-pair table it builds no
+    stream at all: the normals are the last draw of the block's own
+    stream, so leaving them out changes nothing before them, and its
+    values are the pair coefficients times the ones the kernel would give.
     """
-    key = np.array([seed % 2**64, block], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
     coeff, cdf, shift, scale = table
+    reads_y = kind is not KernelKind.CONSTANT
+    if len(cdf) > 1 or reads_y:
+        key = np.array([seed % 2**64, block], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
     if len(cdf) > 1:
         k = np.searchsorted(cdf, rng.random(n), side="right")
         # take gathers faster than indexing
         coeff, shift, scale = coeff.take(k), shift.take(k, axis=0), scale.take(k)
-    else:
+    elif reads_y:
         rng.bit_generator.advance(n // 4)
         rng.bit_generator.random_raw(n % 4)
-    # y = shift + z scale per sample, in place; one pair's rows broadcast
-    y = rng.standard_normal((n, 4))
-    y *= scale[:, None]
-    y += shift
-    vals = coeff * kernel_values(kind, y)
+    if reads_y:
+        # y = shift + z scale per sample, in place; one pair's rows broadcast
+        y = rng.standard_normal((n, 4))
+        y *= scale[:, None]
+        y += shift
+        vals = coeff * kernel_values(kind, y)
+    else:
+        vals = coeff * np.ones(n)
     return float(vals.sum()), float((vals * vals).sum())
 
 
@@ -617,6 +637,9 @@ def mc_oracle(kind, f, g, contraction, cfg, workers=1):
     no matter how many workers process the blocks.  When f and g have one
     term each, a block skips the pair draw but not its place in the
     stream (see ``_mc_block``), so the estimate is the one the draw gives.
+    The constant kernel reads no y, so its blocks draw no normals; they
+    come last in each stream, so the estimate, its error and ``evals`` are
+    the same bits as with the draw.
     """
     c = _check_contraction(contraction)
     if f.is_zero() or g.is_zero():

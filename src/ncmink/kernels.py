@@ -27,12 +27,13 @@ def kernel_values(kind, y):
     Boundary conventions: sgn(0) = 0, and both kernels are 0 at exactly
     null separation (coincident points included).  This keeps the light-cone
     kernel exactly antisymmetric; the null set has measure zero in every
-    integral, so the convention cannot affect results.
+    integral, so the convention cannot affect results.  The constant kernel
+    reads no displacement, so it returns before the interval is taken.
     """
     y = np.asarray(y, dtype=float)
+    if kind is KernelKind.CONSTANT:
+        return np.ones(len(y))
     s = -y[:, 0] ** 2 + y[:, 1] ** 2 + y[:, 2] ** 2 + y[:, 3] ** 2
     if kind is KernelKind.LIGHTCONE:
         return np.where(s < 0.0, np.sign(y[:, 0]), 0.0)
-    if kind is KernelKind.LOGABS:
-        return np.where(s == 0.0, 0.0, np.log(np.abs(np.where(s == 0.0, 1.0, s))))
-    return np.ones(len(y))
+    return np.where(s == 0.0, 0.0, np.log(np.abs(np.where(s == 0.0, 1.0, s))))

@@ -529,6 +529,61 @@ def _mixture(rows):
     return VectorSmearing([((1, 0, 0, 0), GaussianBump(c, a), w) for c, a, w in rows])
 
 
+def _two_by_three():
+    """2 x 3 terms of mixed sign with widths 8 to 120."""
+    f = _mixture([((0.3, 0.1, 0.0, 0.0), 8.0, 1.0), ((0.0, 0.2, 0.1, 0.0), 120.0, -0.6)])
+    g = _mixture(
+        [
+            ((0.0, 0.0, 0.0, 0.0), 15.0, 0.8),
+            ((0.1, 0.3, 0.0, 0.1), 60.0, -1.2),
+            ((-0.2, 0.0, 0.1, 0.0), 30.0, 0.5),
+        ]
+    )
+    return f, g
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_a_multi_pair_block_sums_what_the_draw_gives(kind):
+    """A constant-kernel block draws its pair uniforms but no normals; its
+    sums must still be those of the block that draws both, and the estimate
+    with a partial last block must not depend on the worker count."""
+    f, g = _two_by_three()
+    table = _pair_table(f, g, I4)
+    assert len(table[1]) == 6
+    for n in (1, 2, 3, 4, 1809, 8192):
+        assert _mc_block(kind, table, 2**63 + 5, 7, n) == _drawn_block(kind, table, 2**63 + 5, 7, n)
+    cfg = QuadratureConfig(mc_samples=10_001, seed=91)
+    one, two = (mc_oracle(kind, f, g, I4, cfg, workers=workers) for workers in (1, 2))
+    assert (one.value, one.error_estimate, one.evals) == (two.value, two.error_estimate, two.evals)
+    sums = [_drawn_block(kind, table, 91, block, n)[0] for block, n in enumerate((8192, 1809))]
+    assert one.value == float(np.sum(sums)) / 10_001
+
+
+def test_the_constant_kernel_reads_no_displacement(monkeypatch):
+    """The constant kernel's values do not depend on y, so its blocks must
+    not evaluate the kernel on drawn displacements at all."""
+    reads = []
+
+    def guarded(kind, y):
+        if kind is KernelKind.CONSTANT:
+            raise AssertionError("the constant kernel was evaluated on drawn displacements")
+        reads.append(kind)
+        return kernel_values(kind, y)
+
+    monkeypatch.setattr("ncmink.integrate.kernel_values", guarded)
+    cfg = QuadratureConfig(mc_samples=10_001, seed=91)
+    one_pair = (
+        scalar_smearing(GaussianBump((0.4, 0.1, -0.2, 0.0), 30.0)),
+        scalar_smearing(GaussianBump((0.0, 0.3, 0.0, 0.1), 55.0), -2.0),
+    )
+    for f, g in (one_pair, _two_by_three()):
+        r = mc_oracle(KernelKind.CONSTANT, f, g, I4, cfg)
+        assert r.evals == 10_001 and r.method is Method.MC8D
+        assert abs(r.value - bilinear_form(KernelKind.CONSTANT, f, g, I4, cfg).value) <= 2.0 * r.error_estimate
+    mc_oracle(KernelKind.LOGABS, *one_pair, I4, cfg)
+    assert reads == [KernelKind.LOGABS, KernelKind.LOGABS]
+
+
 def test_mc_pair_cdf_ends_at_one():
     """A cumsum of these normalized weights ends at 0.9999999999999999, below
     the largest uniform draw; the pair CDF must still map that draw to the
@@ -548,14 +603,7 @@ def test_mc_agrees_on_mixtures_of_unequal_widths(kind, cfg):
     """2 x 3 terms of mixed sign with widths 8 to 120: each pair draws its
     own relative-coordinate law, so a wrong pair index or a wrong combined
     width moves the estimate by many standard errors."""
-    f = _mixture([((0.3, 0.1, 0.0, 0.0), 8.0, 1.0), ((0.0, 0.2, 0.1, 0.0), 120.0, -0.6)])
-    g = _mixture(
-        [
-            ((0.0, 0.0, 0.0, 0.0), 15.0, 0.8),
-            ((0.1, 0.3, 0.0, 0.1), 60.0, -1.2),
-            ((-0.2, 0.0, 0.1, 0.0), 30.0, 0.5),
-        ]
-    )
+    f, g = _two_by_three()
     det = bilinear_form(kind, f, g, I4, cfg)
     mc = mc_oracle(kind, f, g, I4, QuadratureConfig(mc_samples=200_000, seed=4242))
     assert abs(det.value - mc.value) <= 2.0 * (det.error_estimate + mc.error_estimate)
@@ -808,6 +856,13 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1e-3)
+    # a float count would fail in range(); a float or bool seed would be
+    # truncated into seed 7's or seed 1's stream
+    for bad in ({"mc_samples": 2e4}, {"mc_samples": True}, {"seed": 7.5}, {"seed": True}, {"seed": "7"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            QuadratureConfig(**bad)
+    assert QuadratureConfig(mc_samples=np.int64(20_000), seed=np.uint64(7)).seed == 7
+    assert QuadratureConfig(max_evals=1e6).max_evals == 1e6
 
 
 _BUMP_P = GaussianBump((0.6, 0.3, 0.1, 0.0), 30.0)
