@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrate import _analytic, _bump_geometry, _pair_integral, gaussian_pair_reduce
+from .integrate import _analytic, _bump_geometry, _pair_integral
 from .kernels import KernelKind
 from .minkowski import DEFAULT_FRAME, minkowski_interval, synge
 from .testfn import frame_smearings
@@ -158,10 +158,10 @@ def causal(chi_p, chi_q, cfg):
     that is not finite, where the center separation times the combined
     width's scale overflows, raises ValueError.
     """
-    result = gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_p, chi_q, cfg)
-    if not math.isfinite(result.value):
-        raise ValueError(f"the causal functional is not finite: {result.value!r}")
-    return result
+    value = _pair_integral(KernelKind.LIGHTCONE, *_bump_geometry(chi_p, chi_q))
+    if not math.isfinite(value):
+        raise ValueError(f"the causal functional is not finite: {value!r}")
+    return _analytic(value)
 
 
 def classify_causal(value):

@@ -14,9 +14,13 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   average over the relative time is closed-form, and Stein's identity
   reduces the remaining radial average to erfc and Gaussian terms for the
   light cone, and to the noncentral chi-square log moment plus a Dawson
-  difference quotient for the log kernel.  The log pairs of a call are
+  difference quotient for the log kernel.  The log pairs of a table are
   evaluated in one array pass with no memo, and a value depends only on
-  its own pair; the light-cone pairs go through a process-wide memo.
+  its own pair; one log pair is evaluated on Python floats, with numpy
+  calls only for the series powers, their row sums and the logs, whose
+  math-module versions round differently.  Either way a pair's quotient
+  branch is chosen first and only the log moments it reads are evaluated.
+  The light-cone pairs go through a process-wide memo.
   Bumps enter as (center, width) rows, the ``bump_rows`` of a smearing or
   the ``bump_arrays`` of single bumps, and ``pair_geometry`` of two rows is
   where they meet.  One pair of bumps, which is what the observables of
@@ -168,7 +172,36 @@ _FAR_ROWS = np.stack([_ASYMPTOTIC_COEFFS, _ASYMPTOTIC_SLOPE])
 # cancelling direct difference; 10 odd terms leave a remainder below 1e-17.
 _TAYLOR_CUT = 0.3
 _TAYLOR_TERMS = 10
-_PAIR_OFFSETS = np.array([[-1.0], [1.0], [0.0]])
+
+
+def _series_sums(far, z):
+    """Row sums of one branch's series, one row per element of the 1-d array z.
+
+    Near, z is m = mu^2 / 2 sigma^2 and a row is (weight sum, psi sum,
+    odd-reciprocal sum); far, z is (sigma / mu)^2 and a row is (series,
+    slope).  Each row product is summed within its element (a matrix
+    product would round differently as the row count changes), so a row
+    does not depend on the other elements of z.
+    """
+    if far:
+        powers, rows = np.vander(z, len(_ASYMPTOTIC_COEFFS), increasing=True), _FAR_ROWS
+    else:
+        # m^j / j!, the Poisson weights without their common factor exp(-m),
+        # which the normalization by the weight sum removes
+        powers, rows = z[:, None] ** _ORDERS / _FACTORIALS, _NEAR_ROWS
+    return (powers[:, None] * rows).sum(axis=2)
+
+
+def _moment(far, mu, sigma, log, sums):
+    """(L, F) of one branch from its row sums, on floats or arrays alike.
+
+    ``log`` is ln|mu| far and ln sigma near.  Every step is one correctly
+    rounded IEEE operation, so floats and arrays give the same bits.
+    """
+    if far:  # sums are (series, slope)
+        return log + sums[0], sigma / (math.sqrt(2.0) * mu) * sums[1]
+    total, psi_sum, odd_sum = sums
+    return log + 0.5 * (math.log(2.0) + psi_sum / total), mu / (math.sqrt(2.0) * sigma) * odd_sum / total
 
 
 def _log_moment(mu, sigma):
@@ -181,36 +214,48 @@ def _log_moment(mu, sigma):
     With x = mu / (sigma sqrt 2) the same weights give Dawson's integral,
     F(x) = x sum_j Pois(j; x^2) / (1 + 2j), which is (sigma / sqrt 2) dL/dmu.
     Far from the origin the asymptotic series in (sigma / mu)^2 and its
-    derivative are used.  Each row product is summed within its element
-    (a matrix product would round differently as the row count changes),
-    so an element's value does not depend on the other elements of the
-    call.  Returns (L, F).
+    derivative are used.  This is the array route of the tables;
+    ``_pair_moments`` is the same arithmetic on the floats of one pair, and
+    both take the row sums from ``_series_sums`` and assemble L and F in
+    ``_moment``, so an element's value does not depend on the other
+    elements of the call or on the route.  Returns (L, F).
     """
     sigma = np.full(mu.shape, sigma)
     ratio = np.abs(mu) / sigma
     L = np.empty_like(ratio)
     F = np.empty_like(ratio)
     far = ratio >= _ASYMPTOTIC_CUT
-    # each branch runs only when it has elements: on short arrays the numpy
-    # call overhead of an empty branch is the cost
-    far_count = np.count_nonzero(far)
-    if far_count:
-        mu_far, sigma_far = mu[far], sigma[far]
-        series = np.vander((sigma_far / mu_far) ** 2, len(_ASYMPTOTIC_COEFFS), increasing=True)
-        log_sum, slope_sum = (series[:, None] * _FAR_ROWS).sum(axis=2).T
-        L[far] = np.log(np.abs(mu_far)) + log_sum
-        F[far] = sigma_far / (math.sqrt(2.0) * mu_far) * slope_sum
-    if far_count < mu.size:
-        near = ~far
-        sigma_near = sigma[near]
-        m = 0.5 * ratio[near] ** 2
-        # m^j / j!, the Poisson weights without their common factor exp(-m),
-        # which the normalization by the weight sum removes
-        w = m[:, None] ** _ORDERS / _FACTORIALS
-        total, psi_sum, odd_sum = (w[:, None] * _NEAR_ROWS).sum(axis=2).T
-        L[near] = np.log(sigma_near) + 0.5 * (math.log(2.0) + psi_sum / total)
-        F[near] = mu[near] / (math.sqrt(2.0) * sigma_near) * odd_sum / total
+    for far_k, branch in ((True, far), (False, ~far)):
+        # a branch runs only when it has elements: on short arrays the numpy
+        # call overhead of an empty branch is the cost
+        if np.count_nonzero(branch):
+            mu_k, sigma_k = mu[branch], sigma[branch]
+            z = (sigma_k / mu_k) ** 2 if far_k else 0.5 * ratio[branch] ** 2
+            log = np.log(np.abs(mu_k) if far_k else sigma_k)
+            L[branch], F[branch] = _moment(far_k, mu_k, sigma_k, log, _series_sums(far_k, z).T)
     return L, F
+
+
+def _pair_moments(mus, sigma):
+    """``_log_moment`` of a few floats mu at one float sigma, as a list of (L, F).
+
+    The bookkeeping runs on Python floats: the ratios, the near/far split,
+    m and (sigma / mu)^2 (a product, as numpy squares), and ``_moment``.
+    The powers m^j, the row sums and the logs stay numpy calls, one per
+    branch and one ``np.log`` over every element's log, because
+    ``math.pow`` and ``math.log`` round differently from numpy's on some
+    arguments (on one x86-64 host, 33 387 of 640 000 powers m^j and 55 of
+    200 000 logs); divisions, products and sums are correctly rounded
+    either way.  So each (L, F) is the bits ``_log_moment`` gives that
+    element.
+    """
+    ratios = [abs(mu) / sigma for mu in mus]
+    far = [ratio >= _ASYMPTOTIC_CUT for ratio in ratios]
+    z = [(sigma / mu) * (sigma / mu) if far_k else 0.5 * (ratio * ratio) for mu, ratio, far_k in zip(mus, ratios, far)]
+    # one series call per branch present, its rows in element order
+    sums = {f: iter(_series_sums(f, np.array([z_k for z_k, far_k in zip(z, far) if far_k == f])).tolist()) for f in set(far)}
+    logs = np.log([abs(mu) if far_k else sigma for mu, far_k in zip(mus, far)]).tolist()
+    return [_moment(far_k, mu, sigma, log, next(sums[far_k])) for mu, far_k, log in zip(mus, far, logs)]
 
 
 def _lightcone_pair(b, delta, R):
@@ -241,6 +286,36 @@ def _lightcone_pair(b, delta, R):
     return step - slope
 
 
+def _half_widths(b, delta, R, sqrt):
+    """h = R sqrt(b/2), x = delta sqrt(b/2) and whether the quotient is the direct difference.
+
+    On floats or arrays alike, ``sqrt`` math.sqrt or np.sqrt to match, as
+    in ``_geometry``: every step is correctly rounded, so both give the
+    same bits.
+    """
+    s = sqrt(0.5 * b)
+    h, x = R * s, delta * s
+    # the recurrence amplifies rounding by about (2 x h)^2j in term j
+    return h, x, (h > _TAYLOR_CUT) | (x * h > 1.0)
+
+
+def _quotient(h, x, direct, f_minus, f_plus, f_mid):
+    """Dawson's difference quotient [F(x + h) - F(x - h)] / 2h of one pair, on floats.
+
+    The direct difference reads F(x -+ h), the Taylor series only F(x).
+    """
+    if direct:
+        return (f_plus - f_minus) / (2.0 * h)
+    # g = F^(n)(x) h^(n-1) and lower = F^(n-1)(x) h^n stay bounded
+    lower, g = h * f_mid, 1.0 - 2.0 * x * f_mid
+    slope = 0.0
+    for n in range(1, 2 * _TAYLOR_TERMS):
+        if n % 2:
+            slope += g / math.factorial(n)
+        lower, g = h * h * g, -2.0 * x * h * g - 2.0 * n * lower
+    return slope
+
+
 def _logabs_pairs(b, delta, R):
     """Closed-form LOGABS pair integrals for delta >= 0, elementwise over 1-d arrays, as a list.
 
@@ -249,31 +324,35 @@ def _logabs_pairs(b, delta, R):
     sigma = 1/sqrt(b) and F Dawson's integral.  For small h the divided
     difference is its Taylor series sum_j F^(2j+1)(x) h^2j / (2j+1)!, with
     the derivatives from F' = 1 - 2xF and F^(n+1) = -2x F^(n) - 2n F^(n-1).
-    One ``_log_moment`` call serves every pair, and the quotient is taken
-    per pair on floats, so a value depends only on its own (b, delta, R).
+    This is the table route: the quotient's branch of every pair is chosen
+    on arrays, one ``_log_moment`` array pass evaluates only the moments the
+    quotients read, L and F at delta -+ R of every pair and F at delta of
+    the Taylor ones, and the quotient is taken per pair on floats.  So a
+    value depends only on its own (b, delta, R), and ``_logabs_pair``, the
+    one-pair route on floats, gives the same bits.
     """
-    # one row per log moment argument: delta - R, delta + R and delta
-    moments = _log_moment(delta + _PAIR_OFFSETS * R, 1.0 / np.sqrt(b))
-    L, F = (v.T.tolist() for v in moments)
-    values = []
-    for (l_minus, l_plus, _), (f_minus, f_plus, f_mid), b_k, delta_k, R_k in zip(
-        L, F, b.tolist(), delta.tolist(), R.tolist()
-    ):
-        s = math.sqrt(0.5 * b_k)
-        h, x = R_k * s, delta_k * s
-        # the recurrence amplifies rounding by about (2 x h)^2j in term j
-        if h > _TAYLOR_CUT or x * h > 1.0:
-            values.append(l_minus + l_plus + (f_plus - f_minus) / (2.0 * h))
-            continue
-        # g = F^(n)(x) h^(n-1) and lower = F^(n-1)(x) h^n stay bounded
-        lower, g = h * f_mid, 1.0 - 2.0 * x * f_mid
-        slope = 0.0
-        for n in range(1, 2 * _TAYLOR_TERMS):
-            if n % 2:
-                slope += g / math.factorial(n)
-            lower, g = h * h * g, -2.0 * x * h * g - 2.0 * n * lower
-        values.append(l_minus + l_plus + slope)
-    return values
+    n = len(b)
+    h, x, direct = _half_widths(b, delta, R, np.sqrt)
+    taylor = ~direct
+    sigma = 1.0 / np.sqrt(b)
+    L, F = _log_moment(np.concatenate([delta - R, delta + R, delta[taylor]]), np.concatenate([sigma, sigma, sigma[taylor]]))
+    f_mid = np.zeros(n)
+    f_mid[taylor] = F[2 * n :]
+    quotients = map(_quotient, h.tolist(), x.tolist(), direct.tolist(), F[:n].tolist(), F[n : 2 * n].tolist(), f_mid.tolist())
+    return [l + q for l, q in zip((L[:n] + L[n : 2 * n]).tolist(), quotients)]
+
+
+def _logabs_pair(b, delta, R):
+    """``_logabs_pairs`` of one pair of Python floats, delta >= 0, bit for bit.
+
+    The quotient's branch is chosen first, so only the moments it reads are
+    evaluated: L and F at delta -+ R, and F at delta for the Taylor series
+    (``_pair_moments``, whose L there goes unread).
+    """
+    h, x, direct = _half_widths(b, delta, R, math.sqrt)
+    mus = (delta - R, delta + R) if direct else (delta - R, delta + R, delta)
+    (l_minus, f_minus), (l_plus, f_plus), *mid = _pair_moments(mus, 1.0 / math.sqrt(b))
+    return l_minus + l_plus + _quotient(h, x, direct, f_minus, f_plus, mid[0][1] if mid else None)
 
 
 def _reduce_2d(kind, b, delta, R):
@@ -318,9 +397,11 @@ def _pair_integral(kind, b, delta, R):
     the pair looks up (b, |delta|, R) in the process-wide memo
     ``_pair_cached``.  LOGABS depends on |delta| only; its self pair
     (delta = R = 0) is the closed form 1 - gamma - ln(2b), and any other
-    pair is a one-element ``_logabs_pairs`` batch.  A log pair whose
-    spatial separation overflowed to inf raises ValueError, before the
-    log moment would turn it into nan.
+    pair is ``_logabs_pair``: the table's arithmetic on floats, with the
+    quotient's branch chosen first so that a direct difference evaluates
+    two log moments and a Taylor series three.  A log pair whose spatial
+    separation overflowed to inf raises ValueError, before the log moment
+    would turn it into nan.
     """
     if kind is KernelKind.LIGHTCONE:
         if delta == 0.0:
@@ -333,8 +414,7 @@ def _pair_integral(kind, b, delta, R):
         return 1.0 - EULER_GAMMA - math.log(2.0 * b)
     if R == math.inf:
         raise ValueError("the spatial separation of the bump centers is not finite: inf")
-    (value,) = _logabs_pairs(np.array([b]), np.array([abs(delta)]), np.array([R]))
-    return value
+    return _logabs_pair(b, abs(delta), R)
 
 
 def pair_integrals(kind, b, delta, R):
@@ -450,8 +530,15 @@ def _kernel_table(blocks, kinds):
 
 
 def gaussian_pair_reduce(kind, bump_p, bump_q, cfg):
-    """Scalar pair integral of two normalized bumps against a kernel."""
-    return _analytic(_pair_integral(kind, *_bump_geometry(bump_p, bump_q)))
+    """Scalar pair integral of two normalized bumps against a kernel.
+
+    A value that is not finite, where a center separation overflows, raises
+    ValueError rather than being reported as a converged result.
+    """
+    value = _pair_integral(kind, *_bump_geometry(bump_p, bump_q))
+    if not math.isfinite(value):
+        raise ValueError(f"the pair integral is not finite: {value!r}")
+    return _analytic(value)
 
 
 def _check_contraction(contraction):

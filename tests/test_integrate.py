@@ -24,6 +24,7 @@ from ncmink import (
     momentum_form,
     mu2,
 )
+from ncmink import integrate
 from ncmink.integrate import (
     _bump_geometry,
     _forms,
@@ -33,6 +34,7 @@ from ncmink.integrate import (
     _logabs_pairs,
     _mc_block,
     _pair_cached,
+    _pair_integral,
     _pair_table,
     _term_pairs,
     bump_arrays,
@@ -223,6 +225,15 @@ def test_lightcone_swap_antisymmetry_is_exact(cfg):
         assert forward.value == -backward.value
 
 
+@pytest.mark.parametrize("kind", [KernelKind.LOGABS, KernelKind.LIGHTCONE])
+def test_a_pair_integral_that_is_not_finite_raises(kind, cfg):
+    """Time centers at -+1e308 overflow delta to inf, which made the pair
+    integral nan; it must be an error, not a converged result."""
+    bp, bq = GaussianBump((1e308, 0, 0, 0), 1.0), GaussianBump((-1e308, 0, 0, 0), 1.0)
+    with pytest.raises(ValueError, match="the pair integral is not finite: nan"):
+        gaussian_pair_reduce(kind, bp, bq, cfg)
+
+
 def test_logabs_swap_symmetry_is_exact(cfg):
     rng = np.random.default_rng(18)
     for _ in range(10):
@@ -348,6 +359,36 @@ def test_logabs_pairs_do_not_depend_on_the_batch():
     order = rng.permutation(n)
     assert _logabs_pairs(b[order], delta[order], radius[order]) == [batch[k] for k in order]
     assert pair_integrals(KernelKind.LOGABS, b[-2:], delta[-2:], radius[-2:]).tolist() == batch[-2:]
+    # the one-pair route, on floats, at either sign of delta
+    for sign in (1.0, -1.0):
+        floats = [_pair_integral(KernelKind.LOGABS, *pair) for pair in zip(b.tolist(), (sign * delta).tolist(), radius.tolist())]
+        assert floats == batch
+    # the closed self pair, on both routes and at either zero
+    b_0 = float(b[0])
+    closed = [_pair_integral(KernelKind.LOGABS, b_0, zero, 0.0) for zero in (0.0, -0.0)]
+    assert closed == [1.0 - EULER_GAMMA - math.log(2.0 * b_0)] * 2
+    assert pair_integrals(KernelKind.LOGABS, b[:1], [0.0], [0.0]).tolist() == closed[:1]
+
+
+@pytest.mark.parametrize("delta, radius, moments", [(0.03, 0.02, 2), (0.05, 0.045, 2), (0.001, 0.002, 3), (0.1, 1e-4, 3)])
+def test_a_log_pair_evaluates_only_the_moments_its_quotient_reads(monkeypatch, delta, radius, moments):
+    """A direct-quotient pair evaluates L and F at delta -+ R, two moments; a
+    Taylor pair adds F at delta, three.  Near and far moments both count, on
+    the one-pair route and in a table, and both give the same bits."""
+    b = 1e4
+    rows = []
+    series_sums = integrate._series_sums
+
+    def counting(far, z):
+        rows.extend(z.tolist())
+        return series_sums(far, z)
+
+    monkeypatch.setattr("ncmink.integrate._series_sums", counting)
+    table = _logabs_pairs(np.array([b]), np.array([delta]), np.array([radius]))
+    assert len(rows) == moments
+    rows.clear()
+    assert [_pair_integral(KernelKind.LOGABS, b, delta, radius)] == table
+    assert len(rows) == moments
 
 
 def test_the_memo_serves_a_repeated_lightcone_key():
