@@ -28,15 +28,18 @@ clone.  The digest holds
   workload, cycling through the three kernels (skipped when the checkout
   lacks either workload);
 * the stdout and exit code of every CLI command of ``bench/collect.py``,
-  in text and in JSON format.
+  in text and in JSON format;
+* the public API, the sorted ``ncmink.__all__``, under the key ``api``.
 
 Without ``--against`` the digest goes to stdout as JSON.  With ``--against
 FILE`` the checkout's digest is compared with the one in FILE: the script
 prints how many ops moved per workload, with the worst
-|delta| / max(1, |v|) over their numbers, and every CLI command whose
-stdout or exit code changed.  An op moves when any bit of its results or
-matrices changes, the sign of a zero included.  The exit code is 1 when
-anything moved, else 0.
+|delta| / max(1, |v|) over their numbers, every CLI command whose
+stdout or exit code changed, and the public names removed and added.  An
+op moves when any bit of its results or matrices changes, the sign of a
+zero included.  An older digest without ``api`` is reported as such.  The
+exit code is 1 when anything moved, changed or was removed or added,
+else 0.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ def digest(root):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), str(root / "perfbench"), str(HERE), env.get("PYTHONPATH")])
     )
-    code = "import json, parity; print(json.dumps(parity.workload_digest()))"
+    code = "import json, ncmink, parity; print(json.dumps([parity.workload_digest(), sorted(ncmink.__all__)]))"
     done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"workload digest of {root} failed:\n{done.stderr[-2000:]}")
@@ -192,12 +195,8 @@ def digest(root):
                 [sys.executable, "-m", "ncmink.cli", *flags, *args], cwd=root, env=env, capture_output=True, text=True
             )
             cli[f"{name} ({fmt})"] = {"exit": run.returncode, "stdout": run.stdout}
-    return {
-        "git_sha": _git(root, "rev-parse", "HEAD"),
-        "seeds": list(SEEDS),
-        "ops": json.loads(done.stdout.splitlines()[-1]),
-        "cli": cli,
-    }
+    ops, api = json.loads(done.stdout.splitlines()[-1])
+    return {"git_sha": _git(root, "rev-parse", "HEAD"), "seeds": list(SEEDS), "ops": ops, "cli": cli, "api": api}
 
 
 def _delta(new, old):
@@ -239,7 +238,14 @@ def compare(new, old):
     changed = [key for key in sorted(new["cli"].keys() | old["cli"].keys()) if new["cli"].get(key) != old["cli"].get(key)]
     lines.append(f"cli: {len(changed)} of {len(new['cli'].keys() | old['cli'].keys())} commands changed")
     lines += [f"  changed: {key}" for key in changed]
-    return lines, moved_total + len(changed)
+    if "api" not in old:
+        lines.append("api: not compared, the old digest records no public API")
+        return lines, moved_total + len(changed)
+    old_api, new_api = set(old["api"]), set(new["api"])
+    removed, added = sorted(old_api - new_api), sorted(new_api - old_api)
+    lines.append(f"api: {len(removed)} names removed, {len(added)} added")
+    lines += [f"  removed: {name}" for name in removed] + [f"  added: {name}" for name in added]
+    return lines, moved_total + len(changed) + len(removed) + len(added)
 
 
 def main(argv=None):

@@ -8,11 +8,8 @@ Planck-scale correction and the fuzzy causal functional with values in
 """
 
 from .minkowski import (
-    DEFAULT_FRAME,
     ETA,
     IDENTITY,
-    FourCovector,
-    Frame,
     PhysicalConstants,
     SpacetimePoint,
     krein_covector_map,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .integrate import _analytic, _bump_geometry, _pair_integral
 from .kernels import KernelKind
-from .minkowski import DEFAULT_FRAME, minkowski_interval, synge
+from .minkowski import minkowski_interval, synge
 from .testfn import frame_smearings
 from .weyl import WeylCalculus, WeylElement
 
@@ -132,23 +132,6 @@ def corrected_synge(p, q, constants):
     return 2.0 * s + (8.0 * ell_sq / math.pi) * math.log(abs(s) / ell_sq)
 
 
-def localization_limit(widths, values, order=1):
-    """Extrapolate a width sweep to the sharp-localization limit.
-
-    Fits a polynomial in 1/width through the (width, value) samples and
-    returns its value at 1/width = 0.  The sharp limit of the quantum
-    distance correction diverges and is deliberately not covered; this is
-    meant for the causal functional and other quantities with finite
-    localization limits.
-    """
-    widths = np.asarray(widths, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(widths) < order + 1:
-        raise ValueError("need at least order + 1 sweep points")
-    coeffs = np.polynomial.polynomial.polyfit(1.0 / widths, values, order)
-    return float(coeffs[0])
-
-
 def causal(chi_p, chi_q, cfg):
     """Fuzzy causal functional: light-cone pair integral of the two bumps.
 
@@ -180,21 +163,23 @@ def classify_causal(value):
 def causal_via_weyl(chi_p, chi_q, params, cfg):
     """Causal functional through the algebra: triple products under tau.
 
-    Builds W(f^(a)) W(g^(b)) W(-f^(a) - g^(b)) for the frame pairs with
-    nonvanishing metric weight (the frame metric is diagonal), evaluates
-    tau on each product, and frame-contracts the logarithms.  Every
-    product collapses to a multiple of the unit, so |tau| must be 1;
-    deviations beyond the rounding budget 1e-9 raise (branch-cut guard).
+    Builds W(f^(a)) W(g^(a)) W(-f^(a) - g^(a)) for the four rest-frame
+    smearings (eta is diagonal, so only a = b pairs carry weight),
+    evaluates tau on each product, and sums the logarithms weighted by
+    eta_aa.  Every product collapses to a multiple of the unit, so |tau|
+    must be 1; deviations beyond the rounding budget 1e-9 raise
+    (branch-cut guard).
     The products use the plain pairing, so this reproduces :func:`causal`.
     """
     constants = params.constants
     if constants.kappa_sq == 0.0:
         raise ValueError("the Weyl route needs kappa > 0 (phases vanish otherwise)")
-    fs = frame_smearings(chi_p, DEFAULT_FRAME)
-    gs = frame_smearings(chi_q, DEFAULT_FRAME)
+    fs = frame_smearings(chi_p)
+    gs = frame_smearings(chi_q)
     calc = WeylCalculus(constants, cfg, pairing="plain")
     total = 0.0j
-    for f, g, weight in zip(fs, gs, DEFAULT_FRAME.signature):
+    # eta's diagonal as Python floats: np.diag(ETA) would make the value np.float64
+    for f, g, weight in zip(fs, gs, (-1.0, 1.0, 1.0, 1.0)):
         prod = calc.mul(
             calc.mul(WeylElement.generator(f), WeylElement.generator(g)),
             WeylElement.generator(-(f + g)),

@@ -505,8 +505,11 @@ def _kernel_table(blocks, kinds):
     the upper one: LOGABS as is, LIGHTCONE negated as 0.0 - v, which keeps
     +0.0 where delta = 0.  Since every value is the same function of
     (b, |delta|, R) and its sign, K[index[p], index[q]] is the pair
-    integral of bumps p and q bit for bit, however the bumps are grouped.
-    No blocks, or only empty ones, give empty matrices.
+    integral of bumps p and q bit for bit, however the bumps are grouped,
+    with one exception in the sign of a zero: a light-cone value that
+    underflows to +0.0 mirrors to +0.0, where the one-pair path negates it
+    to -0.0 for the swapped pair (the two compare equal).  No blocks, or
+    only empty ones, give empty matrices.
     """
     # all blocks in one array: numpy calls per block would cost more than the
     # rest of the table on the many small blocks of a Weyl element
@@ -617,7 +620,8 @@ def _forms(kind, fs, gs, contraction):
     one ``_products`` pass over it gives the products of every (f, g).
     Each value is the exactly rounded sum of its products; zero-coefficient
     pairs are left out of the sum, although their table entries are
-    evaluated.
+    evaluated.  A sum that is not finite, where a center separation or a
+    product overflowed, raises ValueError.
     """
     c = _check_contraction(contraction)
     smearings = (*fs, *gs)
@@ -626,6 +630,9 @@ def _forms(kind, fs, gs, contraction):
     n, m = len(fs), len(gs)
     products = _products(table, _contracted(blocks[:n], c), blocks[n:], [(k, l) for k in range(n) for l in range(m)])
     sums = [math.fsum(p) for p in products]
+    for value in sums:
+        if not math.isfinite(value):
+            raise ValueError(f"the {kind.value} form is not finite: {value!r}")
     return [sums[k * m : (k + 1) * m] for k in range(n)]
 
 

@@ -1,9 +1,12 @@
-"""Minkowski geometry: events, covectors, frames and exact interval arithmetic.
+"""Minkowski geometry: events, the metric, constants and exact interval arithmetic.
 
 Conventions used throughout the package: metric signature (-,+,+,+),
 Cartesian coordinates x = (t, x, y, z) with c = 1, so every coordinate
 carries units of length.  The squared interval of a displacement d is
-d^2 = -d_t^2 + |d_vec|^2 (negative inside the light cone).
+d^2 = -d_t^2 + |d_vec|^2 (negative inside the light cone).  A covector is
+four floats, its lower index components v_mu in these coordinates; the
+frame smearings are the rest frame's unit covectors, and the only other
+frame is the timelike u of the Krein involution.
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ UNIT_TIMELIKE_TOL = 1e-12
 
 
 def as_components(value, what="4-vector"):
-    """Coerce a point, covector or sequence to a plain tuple of 4 finite floats.
+    """Coerce a point or a sequence to a plain tuple of 4 finite floats.
 
-    Points and covectors give their components; anything else goes through
-    one numpy conversion, which raises ValueError naming ``what`` for a
-    shape other than 4 components or a non-finite entry.
+    A point gives its components; anything else, a covector included, goes
+    through one numpy conversion, which raises ValueError naming ``what``
+    for a shape other than 4 components or a non-finite entry.
     """
-    if isinstance(value, (SpacetimePoint, FourCovector)):
+    if isinstance(value, SpacetimePoint):
         return value.components
     arr = np.asarray(value, dtype=float).reshape(-1)
     if arr.shape != (4,):
@@ -50,47 +53,6 @@ class SpacetimePoint:
 
     def __init__(self, components):
         object.__setattr__(self, "components", as_components(components, "SpacetimePoint"))
-
-
-@dataclass(frozen=True)
-class FourCovector:
-    """Dual vector with lower index components v_mu."""
-
-    components: tuple
-
-    def __init__(self, components):
-        object.__setattr__(self, "components", as_components(components, "FourCovector"))
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Orthonormal Lorentzian frame of four covectors e^(a), a = 0..3.
-
-    Orthonormality means e^(a) . eta^{-1} . e^(b) = eta^{ab} with the
-    signature weights eta_aa = (-1, +1, +1, +1).
-    """
-
-    covectors: tuple
-
-    def __init__(self, covectors):
-        covs = tuple(
-            c if isinstance(c, FourCovector) else FourCovector(c) for c in covectors
-        )
-        if len(covs) != 4:
-            raise ValueError("a frame needs exactly four covectors")
-        basis = np.array([c.components for c in covs])
-        gram = basis @ ETA @ basis.T
-        if not np.allclose(gram, ETA, atol=1e-12):
-            raise ValueError("frame covectors are not orthonormal")
-        object.__setattr__(self, "covectors", covs)
-
-    @property
-    def signature(self):
-        return (-1.0, 1.0, 1.0, 1.0)
-
-
-#: Default frame e_mu^(a) = delta_mu^a.
-DEFAULT_FRAME = Frame(tuple(np.eye(4)))
 
 
 @dataclass(frozen=True)

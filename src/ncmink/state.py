@@ -57,6 +57,7 @@ state regulator, while Gaussian bumps carry their own ``width``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -190,8 +191,9 @@ def _moments(smearings, params, twisted, entries):
     smearing's own block under eta and every entry's cross term under the
     contraction c, on the LIGHTCONE table every entry's sigma under c.  An
     entry is then slices of those passes and exactly rounded sums, in the
-    order of entries.  mu2's positivity guard runs on every twisted entry
-    with f_k == f_l.
+    order of entries.  An entry that is not finite, where a center
+    separation or a product overflowed, raises ValueError; mu2's positivity
+    guard runs on every twisted entry with f_k == f_l.
     """
     indices, (logabs, lightcone) = _kernel_table(
         [f.bump_rows for f in smearings] + [bump_arrays([params.psi])], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
@@ -213,6 +215,8 @@ def _moments(smearings, params, twisted, entries):
     values = []
     for (k, l), *products in zip(entries, logs[n:], sigmas):
         values.append(_two_point(blocks[k], blocks[l], products, contraction, params))
+        if not cmath.isfinite(values[-1]):
+            raise ValueError(f"{'mu2' if twisted else 'Delta'}(f_{k}, f_{l}) is not finite: {values[-1]!r}")
         if twisted and smearings[k] == smearings[l]:
             _check_diagonal(values[-1])
     return values

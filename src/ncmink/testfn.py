@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .minkowski import Frame, SpacetimePoint, as_components
+from .minkowski import SpacetimePoint, as_components
 
 ZERO_COVECTOR = (0.0, 0.0, 0.0, 0.0)
 
@@ -228,10 +228,9 @@ def project_psi(f, psi):
     return f + single_term(tuple(fbar), psi, -1.0)
 
 
-def frame_smearings(chi, frame):
-    """The four smearings f^(a)_mu = e_mu^(a) chi, one per frame covector."""
-    frame = frame if isinstance(frame, Frame) else Frame(frame)
-    return tuple(single_term(c.components, chi, 1.0) for c in frame.covectors)
+def frame_smearings(chi):
+    """The four smearings f^(a)_mu = delta_mu^a chi, one per unit covector of the rest frame."""
+    return tuple(single_term(e, chi, 1.0) for e in np.eye(4).tolist())
 
 
 def smearing_to_json(f):

@@ -223,8 +223,6 @@ def test_causal_antisymmetry_and_bound(cfg):
 
 
 def test_localization_consistency(cfg):
-    from ncmink.geometry import localization_limit
-
     p_vec, q_vec = (0.6, 0.1, 0.2, 0.0), (0.0, 0.0, 0.0, 0.0)
     interval = minkowski_interval(p_vec, q_vec)
     widths = (1e2, 1e3, 1e4)
@@ -236,11 +234,6 @@ def test_localization_consistency(cfg):
         values.append(causal(chi_p, chi_q, cfg).value)
     assert abs(values[-1] - 1.0) < abs(values[0] - 1.0)
     assert values[-1] == pytest.approx(1.0, abs=1e-3)
-    # the sweep extrapolator recovers polynomial-in-1/width tails exactly
-    synthetic = [0.75 + 12.0 / w - 40.0 / w**2 for w in widths]
-    assert localization_limit(widths, synthetic, order=2) == pytest.approx(0.75, abs=1e-9)
-    with pytest.raises(ValueError):
-        localization_limit((1e2,), (0.5,), order=1)
 
 
 def test_causal_via_weyl_matches_reduced(cfg, params):

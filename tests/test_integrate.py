@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_bump
+from conftest import TABLE_OVERFLOW, random_bump
 from ncmink import (
     ETA,
     DistanceBreakdown,
@@ -228,10 +228,14 @@ def test_lightcone_swap_antisymmetry_is_exact(cfg):
 @pytest.mark.parametrize("kind", [KernelKind.LOGABS, KernelKind.LIGHTCONE])
 def test_a_pair_integral_that_is_not_finite_raises(kind, cfg):
     """Time centers at -+1e308 overflow delta to inf, which made the pair
-    integral nan; it must be an error, not a converged result."""
+    integral nan, alone and in a form; it must be an error, not a
+    converged result."""
     bp, bq = GaussianBump((1e308, 0, 0, 0), 1.0), GaussianBump((-1e308, 0, 0, 0), 1.0)
     with pytest.raises(ValueError, match="the pair integral is not finite: nan"):
         gaussian_pair_reduce(kind, bp, bq, cfg)
+    with pytest.warns(RuntimeWarning, match=TABLE_OVERFLOW):
+        with pytest.raises(ValueError, match=f"the {kind.value} form is not finite: nan"):
+            bilinear_form(kind, scalar_smearing(bp), scalar_smearing(bq), ETA, cfg)
 
 
 def test_logabs_swap_symmetry_is_exact(cfg):
@@ -252,9 +256,10 @@ def test_kernel_table_reads_every_row_pair_bit_for_bit(cfg):
     entry equals the one-pair value on floats (a zero's sign aside: the
     mirrored lower triangle keeps +0.0), also for time components +0.0 and
     -0.0 (delta = -0.0), coincident bumps across the width range (closed
-    log pairs of b from 5e-151 to 5e149), delta < 0, and log pairs whose
+    log pairs of b from 5e-151 to 5e149), delta < 0, log pairs whose
     three log moments, at delta - R, delta + R and delta, are all near
-    (|mu| / sigma < 9), all far or mixed.
+    (|mu| / sigma < 9), all far or mixed, and a light-cone pair that
+    underflows to +0.0, whose swap the one-pair fold negates to -0.0.
     """
     rng = np.random.default_rng(19)
     base = [random_bump(rng) for _ in range(3)]
@@ -268,17 +273,31 @@ def test_kernel_table_reads_every_row_pair_bit_for_bit(cfg):
     # combined width b = 1, so sigma = 1: (delta, R) all near, all far, mixed
     origin = GaussianBump((0, 0, 0, 0), 2.0)
     moments = [GaussianBump((delta, R, 0, 0), 2.0) for delta, R in ((0.5, 0.3), (30.0, 10.0), (10.0, 9.5))] + [origin]
+    # b = 50, delta = 0.001, R = 30: the light-cone value underflows to +0.0
+    underflow = [GaussianBump((0.001, 30, 0, 0), 100.0), GaussianBump((0, 0, 0, 0), 100.0)]
     kinds = (KernelKind.LOGABS, KernelKind.LIGHTCONE)
-    blocks = [bumps[:2], [], bumps[2:5], bumps[5:], signed_zeros, coincident, later, moments]
+    blocks = [bumps[:2], [], bumps[2:5], bumps[5:], signed_zeros, coincident, later, moments, underflow]
     indices, tables = _kernel_table([bump_arrays(block) for block in blocks], kinds)
     assert [block.tolist() for block in indices[:4]] == [[0, 1], [], [2, 0, 3], [4, 2]]
     bumps = [bump for block in blocks for bump in block]
     index = np.concatenate(indices)
     for kind, table in zip(kinds, tables):
-        assert table.shape == (19, 19)
+        assert table.shape == (21, 21)
         for p, bp in enumerate(bumps):
             for q, bq in enumerate(bumps):
                 assert table[index[p], index[q]] == gaussian_pair_reduce(kind, bp, bq, cfg).value
+    # the exception, signs exact: the upper triangle holds the pair as the
+    # one-pair path does, and the mirror 0.0 - v keeps +0.0 where the swapped
+    # one-pair value is -(+0.0) = -0.0
+    ahead, behind = index[-2:]
+    assert ahead < behind
+    lightcone = tables[1]
+    forward = gaussian_pair_reduce(KernelKind.LIGHTCONE, *underflow, cfg).value
+    backward = gaussian_pair_reduce(KernelKind.LIGHTCONE, *underflow[::-1], cfg).value
+    assert forward == backward == 0.0
+    assert math.copysign(1.0, lightcone[ahead, behind]) == math.copysign(1.0, forward) == 1.0
+    assert math.copysign(1.0, lightcone[behind, ahead]) == 1.0
+    assert math.copysign(1.0, backward) == -1.0
     indices, tables = _kernel_table([], kinds)
     assert indices == [] and [table.shape for table in tables] == [(0, 0), (0, 0)]
 

@@ -53,7 +53,7 @@ def _checkout(root):
     (root / "perfbench").mkdir()
     (root / "perfbench" / "workloads.py").write_text(WORKLOADS)
     (root / "src" / "ncmink").mkdir(parents=True)
-    (root / "src" / "ncmink" / "__init__.py").write_text("")
+    (root / "src" / "ncmink" / "__init__.py").write_text('__all__ = ["b", "a"]\n')
     (root / "src" / "ncmink" / "cli.py").write_text(CLI)
     return root
 
@@ -73,10 +73,11 @@ def test_digest_of_a_checkout(tmp_path):
     assert len(doc["cli"]) == 2 * len(parity.CLI_COMMANDS)
     assert doc["cli"]["verify gram (json)"] == {"exit": 3, "stdout": "--format json verify gram\n"}
     assert doc["cli"]["causal (text)"]["exit"] == 0
+    assert doc["api"] == ["a", "b"]
     # a digest survives its JSON round trip and matches itself
     lines, moved = parity.compare(doc, json.loads(json.dumps(doc)))
     assert moved == 0
-    assert lines == ["toy: 0 of 9 ops moved", "cli: 0 of 16 commands changed"]
+    assert lines == ["toy: 0 of 9 ops moved", "cli: 0 of 16 commands changed", "api: 0 names removed, 0 added"]
 
 
 # A state workload in miniature, on a package whose Gram matrices are u and
@@ -115,6 +116,8 @@ STATE_PACKAGE = '''
 from types import SimpleNamespace
 
 import numpy as np
+
+__all__ = ["gram_check", "WeylCalculus"]
 
 
 def gram_check(family, params, cfg):
@@ -213,7 +216,7 @@ def test_digest_of_monte_carlo_mixtures(tmp_path):
 
 
 def _digest(*ops):
-    return {"ops": {"state": {"101": list(ops)}}, "cli": {"distance (text)": {"exit": 0, "stdout": "1\n"}}}
+    return {"ops": {"state": {"101": list(ops)}}, "cli": {"distance (text)": {"exit": 0, "stdout": "1\n"}}, "api": []}
 
 
 def test_compare_counts_every_moved_bit():
@@ -245,4 +248,24 @@ def test_compare_reports_raised_and_missing_ops_and_changed_cli_output():
         "state: 2 of 2 ops moved, worst |delta|/max(1, |v|) = inf",
         "cli: 1 of 1 commands changed",
         "  changed: distance (text)",
+        "api: 0 names removed, 0 added",
     ]
+
+
+def test_compare_reports_removed_and_added_public_names():
+    """Each name removed from or added to the public API counts as one change,
+    like a changed CLI output; an older digest without the API is reported."""
+    old, new = _digest(), _digest()
+    old["api"], new["api"] = ["Frame", "causal", "distance", "DEFAULT_FRAME"], ["causal", "distance", "sigma"]
+    lines, moved = parity.compare(new, old)
+    assert moved == 3
+    assert lines[-4:] == [
+        "api: 2 names removed, 1 added",
+        "  removed: DEFAULT_FRAME",
+        "  removed: Frame",
+        "  added: sigma",
+    ]
+    del old["api"]
+    lines, moved = parity.compare(new, old)
+    assert moved == 0
+    assert lines[-1] == "api: not compared, the old digest records no public API"

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import bump_pool, random_smearing, table_smearing
+from conftest import TABLE_OVERFLOW, bump_pool, random_smearing, table_smearing
 from ncmink import (
     ETA,
     DMStateParams,
@@ -34,6 +34,20 @@ from ncmink.testfn import ZERO_SMEARING, project_psi, scalar_smearing, single_te
 
 def e0_smearing(bump, weight=1.0):
     return single_term((1.0, 0.0, 0.0, 0.0), bump, weight)
+
+
+def test_a_state_value_that_is_not_finite_raises(cfg, params):
+    """Bumps at t = +-1e308 overflow the kernel table's delta, so a value of
+    the form is nan: gram_check reported a non-Hermitian N, and mu2 and
+    Delta returned nan.  Each must name the entry that is not finite."""
+    f, g = (scalar_smearing(GaussianBump((t, 0, 0, 0), 1.0)) for t in (1e308, -1e308))
+    with pytest.warns(RuntimeWarning, match=TABLE_OVERFLOW):
+        with pytest.raises(ValueError, match=r"^mu2\(f_0, f_1\) is not finite: \(nan\+nanj\)$"):
+            gram_check([f, g], params, cfg)
+        with pytest.raises(ValueError, match=r"^mu2\(f_0, f_0\) is not finite: \(nan\+nanj\)$"):
+            gram_check([f - g], params, cfg)
+        with pytest.raises(ValueError, match=r"^Delta\(f_0, f_1\) is not finite: \(nan\+nanj\)$"):
+            dm_bilinear(f, g, params, cfg)
 
 
 def test_sigma_diagonal_vanishes(cfg, constants):

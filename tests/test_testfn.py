@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ncmink import (
-    DEFAULT_FRAME,
     ETA,
     GaussianBump,
     KernelKind,
@@ -109,7 +108,7 @@ def test_project_psi_exact_on_matched_covector_differences():
 
 def test_frame_smearings():
     chi = GaussianBump((0, 0, 0, 0), 6.0)
-    smearings = frame_smearings(chi, DEFAULT_FRAME)
+    smearings = frame_smearings(chi)
     assert len(smearings) == 4
     for a, f in enumerate(smearings):
         expected = np.eye(4)[a]
