@@ -7,6 +7,8 @@ Planck-scale correction and the fuzzy causal functional with values in
 [-1, 1].
 """
 
+from types import ModuleType as _ModuleType
+
 from .minkowski import (
     ETA,
     IDENTITY,
@@ -60,6 +62,7 @@ from .geometry import (
     distance_alpha,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that the imports above bind
+__all__ = [name for name, value in sorted(globals().items()) if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

@@ -12,15 +12,18 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   b = a1 a2 / (a1 + a2) centered at the center difference (delta, R-vector).
   Both kernels depend on (t, r) only through t - r and t + r, so their
   average over the relative time is closed-form, and Stein's identity
-  reduces the remaining radial average to erfc and Gaussian terms for the
-  light cone, and to the noncentral chi-square log moment plus a Dawson
-  difference quotient for the log kernel.  The log pairs of a table are
-  evaluated in one array pass with no memo, and a value depends only on
-  its own pair; one log pair is evaluated on Python floats, with numpy
-  calls only for the series powers, their row sums and the logs, whose
-  math-module versions round differently.  Either way a pair's quotient
-  branch is chosen first and only the log moments it reads are evaluated.
-  The light-cone pairs go through a process-wide memo.
+  reduces the remaining radial average to erf or erfc and Gaussian terms
+  for the light cone, and to the Gaussian log moment plus a Dawson
+  difference quotient for the log kernel.  The log moment and Dawson's
+  integral come from one function (``_lambda_f``) whose code is the same
+  for one float and for an array: a Clenshaw sum over a generated
+  piecewise Chebyshev table near the origin, the asymptotic series far
+  from it, and math.log per element, so they do not depend on numpy's
+  SIMD loops.  The log pairs of a table are evaluated in one array pass
+  with no memo, and a value depends only on its own pair; one log pair
+  is evaluated on Python floats with the same bits.  Either way a pair's
+  quotient branch is chosen first and only the log moments it reads are
+  evaluated.  The light-cone pairs go through a process-wide memo.
   Bumps enter as (center, width) rows, the ``bump_rows`` of a smearing or
   the ``bump_arrays`` of single bumps, and ``pair_geometry`` of two rows is
   where they meet.  One pair of bumps, which is what the observables of
@@ -57,11 +60,12 @@ import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, repeat
 
 import numpy as np
 
+from ._lambda_table import CUT, DAWSON, LOG_MOMENT
 from .kernels import KernelKind, kernel_values
 from .testfn import mean
 
@@ -144,118 +148,79 @@ def _analytic(value):
 
 EULER_GAMMA = 0.5772156649015329
 
-# psi(1/2 + j) = -gamma - 2 ln 2 + sum_{i<j} 1/(1/2 + i) (A&S 6.3.4), each
-# sum exactly rounded, for the Poisson series; 128 terms cover means up to
-# 40.5 to below 1e-25.
-_POISSON_TERMS = 128
-_PSI_HALF = np.array([
-    math.fsum([-EULER_GAMMA, -2.0 * math.log(2.0)] + [1.0 / (0.5 + i) for i in range(j)])
-    for j in range(_POISSON_TERMS)
-])
-_ORDERS = np.arange(float(_POISSON_TERMS))
-_FACTORIALS = np.array([float(math.factorial(j)) for j in range(_POISSON_TERMS)])
-_ODD_RECIPROCALS = 1.0 / (1.0 + 2.0 * _ORDERS)
 # E ln|1 + eps Z| = -sum_k (2k-1)!! eps^{2k} / (2k), k = 1..30: asymptotic,
-# with its smallest omitted term below 1e-18 once |mu|/sigma >= 9.
-_ASYMPTOTIC_CUT = 9.0
-_ASYMPTOTIC_COEFFS = np.concatenate(
-    [[0.0], [-math.prod(range(1, 2 * k, 2)) / (2.0 * k) for k in range(1, 31)]]
-)
-# mu dL/dmu of that series, term by term: 1 from ln|mu|, -2k c_k from the rest
-_ASYMPTOTIC_SLOPE = np.concatenate([[1.0], -2.0 * np.arange(1, 31) * _ASYMPTOTIC_COEFFS[1:]])
-# the row products of each branch, one coefficient row each: the weight
-# sum, the psi and the odd-reciprocal sums near, the series and its slope far
-_NEAR_ROWS = np.stack([np.ones(_POISSON_TERMS), _PSI_HALF, _ODD_RECIPROCALS])
-_FAR_ROWS = np.stack([_ASYMPTOTIC_COEFFS, _ASYMPTOTIC_SLOPE])
+# with its smallest omitted term below 1e-18 once |mu|/sigma >= 9, the cut
+# of the far branch.  Each coefficient c_k carries mu dL/dmu of its term,
+# (2k-1)!! (1 for k = 0, from ln|mu|), as its imaginary part, so that one
+# complex Horner sums the series and its slope; highest order first.
+_ASYMPTOTIC = (*(complex(-math.prod(range(1, 2 * k, 2)) / (2.0 * k), math.prod(range(1, 2 * k, 2))) for k in range(30, 0, -1)), 1j)
+# the Clenshaw rows of each near piece, c_DEGREE first: M's coefficient plus
+# i times F's; and, as columns, the rows of the piece of each element of an
+# int array
+_CLENSHAW = tuple(tuple(map(complex, m[::-1], f[::-1])) for m, f in zip(LOG_MOMENT, DAWSON))
+_piece_rows = partial(np.array(_CLENSHAW).T.take, axis=1)
 # Below this half-width h of the Dawson difference quotient, and while
 # x h <= 1 about its midpoint x, the Taylor series in h replaces the
 # cancelling direct difference; 10 odd terms leave a remainder below 1e-17.
 _TAYLOR_CUT = 0.3
 _TAYLOR_TERMS = 10
+# Below this s(R + delta), which bounds |s(R - delta)| too, the light-cone
+# step is an erf difference: erf(x) < erfc(x) for x < 0.477, so it rounds
+# less, and erfc of two tiny arguments rounds to 1 and the step to 0.
+_ERF_CUT = 0.5
 
 
-def _series_sums(far, z):
-    """Row sums of one branch's series, one row per element of the 1-d array z.
+# math.log of each element of an array: numpy's own log rounds differently
+# on some hosts
+_logs = np.vectorize(math.log, otypes=[float])
 
-    Near, z is m = mu^2 / 2 sigma^2 and a row is (weight sum, psi sum,
-    odd-reciprocal sum); far, z is (sigma / mu)^2 and a row is (series,
-    slope).  Each row product is summed within its element (a matrix
-    product would round differently as the row count changes), so a row
-    does not depend on the other elements of z.
+
+def _lambda_f(mu, s, b, log, rows):
+    """L(mu) = E ln|mu + sigma Z| and Dawson's F(mu s) at sigma = 1/sqrt(b), s = sqrt(b/2), on floats or arrays.
+
+    With y = mu s = mu / (sigma sqrt 2): near (|y| < CUT, that is
+    |mu| / sigma < 9) L = ln sigma + M(y), with ln sigma
+    = -ln(b)/2 from the exact b, and M(y) = E ln|sqrt(2) y + Z| =
+    Lambda(y) - (gamma + ln 2)/2, Lambda(y) = y^2 2F2(1, 1; 3/2, 2; -y^2),
+    even, F odd and M' = 2F: M and F come from one Clenshaw recurrence over
+    the coefficients of the piece of the generated Chebyshev table
+    (``_lambda_table``) that holds |y|.  Far, L = ln|mu| plus the
+    asymptotic series in z = (sigma / mu)^2 and F = 1/(2y) times its slope,
+    by Horner.  Both branches run on every element, and each is multiplied
+    by 1.0 where it is selected and by 0.0 elsewhere, its argument held
+    finite there: the near one reads |y| = 0 where far, so a y that
+    overflowed reaches only the far one.  The code is +, -, *, /,
+    comparisons and the two steps that differ between one float and an
+    array, each per element: ``log``, math.log or ``_logs``, and ``rows``,
+    a piece's rows (``_CLENSHAW.__getitem__``) or those of each element's
+    piece (``_piece_rows``).  So floats and arrays give the same bits, on
+    any host.  Returns (L, F).
     """
-    if far:
-        powers, rows = np.vander(z, len(_ASYMPTOTIC_COEFFS), increasing=True), _FAR_ROWS
-    else:
-        # m^j / j!, the Poisson weights without their common factor exp(-m),
-        # which the normalization by the weight sum removes
-        powers, rows = z[:, None] ** _ORDERS / _FACTORIALS, _NEAR_ROWS
-    return (powers[:, None] * rows).sum(axis=2)
-
-
-def _moment(far, mu, sigma, log, sums):
-    """(L, F) of one branch from its row sums, on floats or arrays alike.
-
-    ``log`` is ln|mu| far and ln sigma near.  Every step is one correctly
-    rounded IEEE operation, so floats and arrays give the same bits.
-    """
-    if far:  # sums are (series, slope)
-        return log + sums[0], sigma / (math.sqrt(2.0) * mu) * sums[1]
-    total, psi_sum, odd_sum = sums
-    return log + 0.5 * (math.log(2.0) + psi_sum / total), mu / (math.sqrt(2.0) * sigma) * odd_sum / total
-
-
-def _log_moment(mu, sigma):
-    """L(mu) = E ln|mu + sigma Z| and Dawson's F(mu / (sigma sqrt 2)), elementwise.
-
-    sigma is one float for every element or an array that broadcasts to mu.
-    (mu + sigma Z)^2 / sigma^2 is noncentral chi-square with one degree of
-    freedom and noncentrality mu^2 / sigma^2, whose log moment is the
-    Poisson mixture ln 2 + sum_j Pois(j; mu^2 / 2 sigma^2) psi(1/2 + j).
-    With x = mu / (sigma sqrt 2) the same weights give Dawson's integral,
-    F(x) = x sum_j Pois(j; x^2) / (1 + 2j), which is (sigma / sqrt 2) dL/dmu.
-    Far from the origin the asymptotic series in (sigma / mu)^2 and its
-    derivative are used.  This is the array route of the tables;
-    ``_pair_moments`` is the same arithmetic on the floats of one pair, and
-    both take the row sums from ``_series_sums`` and assemble L and F in
-    ``_moment``, so an element's value does not depend on the other
-    elements of the call or on the route.  Returns (L, F).
-    """
-    sigma = np.full(mu.shape, sigma)
-    ratio = np.abs(mu) / sigma
-    L = np.empty_like(ratio)
-    F = np.empty_like(ratio)
-    far = ratio >= _ASYMPTOTIC_CUT
-    for far_k, branch in ((True, far), (False, ~far)):
-        # a branch runs only when it has elements: on short arrays the numpy
-        # call overhead of an empty branch is the cost
-        if np.count_nonzero(branch):
-            mu_k, sigma_k = mu[branch], sigma[branch]
-            z = (sigma_k / mu_k) ** 2 if far_k else 0.5 * ratio[branch] ** 2
-            log = np.log(np.abs(mu_k) if far_k else sigma_k)
-            L[branch], F[branch] = _moment(far_k, mu_k, sigma_k, log, _series_sums(far_k, z).T)
-    return L, F
-
-
-def _pair_moments(mus, sigma):
-    """``_log_moment`` of a few floats mu at one float sigma, as a list of (L, F).
-
-    The bookkeeping runs on Python floats: the ratios, the near/far split,
-    m and (sigma / mu)^2 (a product, as numpy squares), and ``_moment``.
-    The powers m^j, the row sums and the logs stay numpy calls, one per
-    branch and one ``np.log`` over every element's log, because
-    ``math.pow`` and ``math.log`` round differently from numpy's on some
-    arguments (on one x86-64 host, 33 387 of 640 000 powers m^j and 55 of
-    200 000 logs); divisions, products and sums are correctly rounded
-    either way.  So each (L, F) is the bits ``_log_moment`` gives that
-    element.
-    """
-    ratios = [abs(mu) / sigma for mu in mus]
-    far = [ratio >= _ASYMPTOTIC_CUT for ratio in ratios]
-    z = [(sigma / mu) * (sigma / mu) if far_k else 0.5 * (ratio * ratio) for mu, ratio, far_k in zip(mus, ratios, far)]
-    # one series call per branch present, its rows in element order
-    sums = {f: iter(_series_sums(f, np.array([z_k for z_k, far_k in zip(z, far) if far_k == f])).tolist()) for f in set(far)}
-    logs = np.log([abs(mu) if far_k else sigma for mu, far_k in zip(mus, far)]).tolist()
-    return [_moment(far_k, mu, sigma, log, next(sums[far_k])) for mu, far_k, log in zip(mus, far, logs)]
+    y = mu * s
+    near = 1.0 * (abs(y) < CUT)
+    far = 1.0 - near
+    # piece k of |y|, a count of comparisons (an int or an int array, 0
+    # where u is nan), and t in [-1, 1]
+    u = abs(near * mu) * s * (len(LOG_MOMENT) / CUT)
+    k = sum(u >= edge for edge in range(1, len(LOG_MOMENT)))
+    t = 2.0 * (u - k) - 1.0
+    t2 = t + t
+    # a complex times a real is exact per part, so M and F recur apart
+    *cs, c_0 = rows(k)
+    b1 = b2 = 0j
+    for c in cs:
+        b1, b2 = c + (b1 * t2 - b2), b1
+    near_sum = c_0 + (b1 * t - b2)
+    # 1/(2|y|) far, 0 near, and z = (sigma / mu)^2 = 2 w^2, which does not overflow
+    w = far / (2.0 * abs(y) + near)
+    z = 2.0 * (w * w)
+    far_sum = 0j
+    for c in _ASYMPTOTIC:
+        far_sum = far_sum * z + c
+    # ln b near, made ln sigma by the factor -1/2; ln|mu| far
+    L = (far - 0.5 * near) * log(near * b + far * abs(mu)) + (near * near_sum.real + far_sum.real)
+    # F is odd: the sign of y, 0 at y = 0, times F(|y|)
+    return L, (1.0 * (y > 0.0) - (y < 0.0)) * (near * near_sum.imag + w * far_sum.imag)
 
 
 def _lightcone_pair(b, delta, R):
@@ -267,15 +232,23 @@ def _lightcone_pair(b, delta, R):
     phi(y-) sqrt(b) delta (1 - e^(-z)) / z, which expm1 evaluates without
     cancelling for small z or overflowing for large z.
 
-    Accuracy limit: far-spacelike pairs with sqrt(b) (R - delta) >= 12 and
-    delta / R <= 1.4e-4 (values below 2.5e-35) lose relative accuracy,
-    because the erfc step and the slope cancel.  Against 60-digit mpmath on
-    4000 seeded pairs the worst such pair is off by 3.7e-12 relative
-    (b = 1.07e6, delta = 1.09e-6, R = 0.023, value 2.6e-127); every other
-    pair is within 1e-12.
+    The step Phi(y-) + Phi(y+) - 1 is erfc(s (R - delta))/2 -
+    erfc(s (R + delta))/2, s = sqrt(b/2), except where s (R + delta) <
+    ``_ERF_CUT``: there both arguments are small, erfc of each rounds to
+    about 1, and the step is [erf(s (R + delta)) - erf(s (R - delta))]/2,
+    which keeps its sign and relative accuracy down to width 1e-150.
+
+    Accuracy limit, as ``bench/accuracy.py`` measures it against mpmath:
+    far-spacelike pairs lose relative accuracy as delta / R falls, because
+    the erfc step and the slope cancel.  Of its 1000 pairs with sqrt(b) R
+    in [12, 20] and delta / R in [1e-8, 0.3], 533 are off by more than
+    1e-12 relative and the worst by 2.2e-8 (absolute errors below 6e-34);
+    b = 1.07e6, delta = 1.09e-6, R = 0.023 (value 5.5e-127) is off by
+    3.8e-12.  Its other regimes are within 6e-13 relative.
     """
     s = math.sqrt(0.5 * b)
-    step = 0.5 * math.erfc(s * (R - delta)) - 0.5 * math.erfc(s * (R + delta))
+    lower, upper = s * (R - delta), s * (R + delta)
+    step = 0.5 * (math.erf(upper) - math.erf(lower)) if upper < _ERF_CUT else 0.5 * math.erfc(lower) - 0.5 * math.erfc(upper)
     z = 2.0 * b * delta * R
     ratio = -math.expm1(-z) / z if z > 0.0 else 1.0
     u = s * (delta - R)
@@ -287,7 +260,7 @@ def _lightcone_pair(b, delta, R):
 
 
 def _half_widths(b, delta, R, sqrt):
-    """h = R sqrt(b/2), x = delta sqrt(b/2) and whether the quotient is the direct difference.
+    """s = sqrt(b/2), h = R s, x = delta s and whether the quotient is the direct difference.
 
     On floats or arrays alike, ``sqrt`` math.sqrt or np.sqrt to match, as
     in ``_geometry``: every step is correctly rounded, so both give the
@@ -296,7 +269,7 @@ def _half_widths(b, delta, R, sqrt):
     s = sqrt(0.5 * b)
     h, x = R * s, delta * s
     # the recurrence amplifies rounding by about (2 x h)^2j in term j
-    return h, x, (h > _TAYLOR_CUT) | (x * h > 1.0)
+    return s, h, x, (h > _TAYLOR_CUT) | (x * h > 1.0)
 
 
 def _quotient(h, x, direct, f_minus, f_plus, f_mid):
@@ -319,27 +292,28 @@ def _quotient(h, x, direct, f_minus, f_plus, f_mid):
 def _logabs_pairs(b, delta, R):
     """Closed-form LOGABS pair integrals for delta >= 0, elementwise over 1-d arrays, as a list.
 
-    L(delta - R) + L(delta + R) + [F(x+) - F(x-)] / (x+ - x-) with
-    x+- = x +- h, x = delta sqrt(b/2), h = R sqrt(b/2), L the log moment at
-    sigma = 1/sqrt(b) and F Dawson's integral.  For small h the divided
+    L(delta - R) + L(delta + R) + [F(x+) - F(x-)] / (x+ - x-), summed
+    exactly rounded, with x+- = x +- h, x = delta sqrt(b/2),
+    h = R sqrt(b/2), L the log moment at sigma = 1/sqrt(b) and F Dawson's
+    integral.  For small h the divided
     difference is its Taylor series sum_j F^(2j+1)(x) h^2j / (2j+1)!, with
     the derivatives from F' = 1 - 2xF and F^(n+1) = -2x F^(n) - 2n F^(n-1).
     This is the table route: the quotient's branch of every pair is chosen
-    on arrays, one ``_log_moment`` array pass evaluates only the moments the
+    on arrays, one ``_lambda_f`` array pass evaluates only the moments the
     quotients read, L and F at delta -+ R of every pair and F at delta of
     the Taylor ones, and the quotient is taken per pair on floats.  So a
     value depends only on its own (b, delta, R), and ``_logabs_pair``, the
     one-pair route on floats, gives the same bits.
     """
     n = len(b)
-    h, x, direct = _half_widths(b, delta, R, np.sqrt)
+    s, h, x, direct = _half_widths(b, delta, R, np.sqrt)
     taylor = ~direct
-    sigma = 1.0 / np.sqrt(b)
-    L, F = _log_moment(np.concatenate([delta - R, delta + R, delta[taylor]]), np.concatenate([sigma, sigma, sigma[taylor]]))
+    mus = np.concatenate([delta - R, delta + R, delta[taylor]])
+    L, F = _lambda_f(mus, *(np.concatenate([v, v, v[taylor]]) for v in (s, b)), _logs, _piece_rows)
     f_mid = np.zeros(n)
     f_mid[taylor] = F[2 * n :]
     quotients = map(_quotient, h.tolist(), x.tolist(), direct.tolist(), F[:n].tolist(), F[n : 2 * n].tolist(), f_mid.tolist())
-    return [l + q for l, q in zip((L[:n] + L[n : 2 * n]).tolist(), quotients)]
+    return list(map(math.fsum, zip(L[:n].tolist(), L[n : 2 * n].tolist(), quotients)))
 
 
 def _logabs_pair(b, delta, R):
@@ -347,12 +321,12 @@ def _logabs_pair(b, delta, R):
 
     The quotient's branch is chosen first, so only the moments it reads are
     evaluated: L and F at delta -+ R, and F at delta for the Taylor series
-    (``_pair_moments``, whose L there goes unread).
+    (whose L there goes unread).
     """
-    h, x, direct = _half_widths(b, delta, R, math.sqrt)
+    s, h, x, direct = _half_widths(b, delta, R, math.sqrt)
     mus = (delta - R, delta + R) if direct else (delta - R, delta + R, delta)
-    (l_minus, f_minus), (l_plus, f_plus), *mid = _pair_moments(mus, 1.0 / math.sqrt(b))
-    return l_minus + l_plus + _quotient(h, x, direct, f_minus, f_plus, mid[0][1] if mid else None)
+    (l_minus, f_minus), (l_plus, f_plus), *mid = (_lambda_f(mu, s, b, math.log, _CLENSHAW.__getitem__) for mu in mus)
+    return math.fsum((l_minus, l_plus, _quotient(h, x, direct, f_minus, f_plus, mid[0][1] if mid else None)))
 
 
 def _reduce_2d(kind, b, delta, R):

@@ -25,6 +25,7 @@ from ncmink import (
     gaussian_pair_reduce,
     minkowski_interval,
 )
+from ncmink.integrate import pair_integrals
 from ncmink.verify import FAMILY_C_CORRECTED
 
 EULER_GAMMA = 0.5772156649015329
@@ -342,9 +343,10 @@ def test_classify_causal_bands():
 def _observables_digest(n=2000):
     """sha256 of distance, distance_alpha and causal on n seeded bump pairs.
 
-    Centers and widths are drawn directly; the near-null half of the pairs
-    scales a spatial direction v by 1 / sqrt(v . v) summed on Python floats,
-    so the inputs pass through no BLAS.
+    Centers and widths are drawn directly, the powers of ten on Python
+    floats; the near-null half of the pairs scales a spatial direction v by
+    1 / sqrt(v . v) summed on Python floats, so the inputs pass through no
+    BLAS and no SIMD loop of numpy.
     """
     rng = np.random.default_rng(86)
     constants = PhysicalConstants(planck_length=1.0)
@@ -353,8 +355,8 @@ def _observables_digest(n=2000):
     values = []
     for k in range(n):
         q = rng.normal(size=4).tolist()
-        width_p, width_q = 10.0 ** rng.uniform(0.0, 4.0, 2)
-        scale = 10.0 ** rng.uniform(-2.0, 1.0)
+        width_p, width_q = (10.0**u for u in rng.uniform(0.0, 4.0, 2).tolist())
+        scale = 10.0 ** float(rng.uniform(-2.0, 1.0))
         if k % 2:
             v = rng.normal(size=3).tolist()
             norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
@@ -369,23 +371,58 @@ def _observables_digest(n=2000):
     return hashlib.sha256(np.array(values).tobytes()).hexdigest()
 
 
+def _logabs_table_digest(n=4000):
+    """sha256 of one seeded ``pair_integrals`` LOGABS table, every branch of the log pair.
+
+    The sweep of ``test_logabs_pairs_do_not_depend_on_the_batch``: the
+    Taylor and the direct quotient, near and far log moments, R = 0 and
+    delta = 0.
+    """
+    rng = np.random.default_rng(84)
+
+    def powers_of_ten(low, high):
+        return np.array([10.0**u for u in rng.uniform(low, high, n).tolist()])
+
+    b = powers_of_ten(-2.0, 8.0)
+    scale = 1.0 / np.sqrt(b)
+    delta = scale * np.abs(rng.normal(size=n)) * powers_of_ten(-2.0, 1.5)
+    radius = scale * powers_of_ten(-3.0, 1.5)
+    radius[::10] = 0.0
+    delta[5::10] = 0.0
+    return hashlib.sha256(pair_integrals(KernelKind.LOGABS, b, delta, radius).tobytes()).hexdigest()
+
+
+def _digests():
+    return f"{_observables_digest()} {_logabs_table_digest()}"
+
+
 @pytest.fixture(scope="module")
-def observables_digest():
-    return _observables_digest()
+def digests():
+    return _digests()
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
-def test_observables_do_not_depend_on_the_blas_kernel(observables_digest, coretype):
-    """distance, distance_alpha and causal give the same bits under another OpenBLAS kernel.
+HOST_VARIANTS = {
+    "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "Sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "AVX2": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR,AVX512_ICL,X86_V4"},
+}
+
+
+@pytest.mark.parametrize("variant", HOST_VARIANTS)
+def test_observables_do_not_depend_on_the_blas_kernel_or_simd_dispatch(digests, variant):
+    """distance, distance_alpha, causal and a LOGABS table give the same bits
+    under another OpenBLAS kernel and under numpy's AVX2 loops.
 
     OPENBLAS_CORETYPE picks the kernel when an OpenBLAS built with
-    DYNAMIC_ARCH loads.  A build without DYNAMIC_ARCH ignores the variable:
-    the subprocess then runs the one kernel there is, and the test passes
-    trivially.
+    DYNAMIC_ARCH loads; NPY_DISABLE_CPU_FEATURES switches off numpy's
+    AVX512 dispatch, whose transcendental loops round differently from its
+    AVX2 ones.  A build without DYNAMIC_ARCH, or a host or numpy build
+    without those AVX512 features, runs what it has: the subprocess then
+    computes what the test process does, and the test passes trivially.
     """
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests), str(tests.parent / "src")])
-    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": path}
-    code = "import test_geometry; print(test_geometry._observables_digest())"
+    env = {**os.environ, **HOST_VARIANTS[variant], "PYTHONPATH": path}
+    code = "import test_geometry; print(test_geometry._digests())"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
-    assert run.stdout.strip() == observables_digest
+    assert run.stdout.strip() == digests

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,21 +27,25 @@ from ncmink import (
 )
 from ncmink import integrate
 from ncmink.integrate import (
+    _CLENSHAW,
     _bump_geometry,
     _forms,
     _kernel_table,
+    _lambda_f,
     _lightcone_pair,
-    _log_moment,
     _logabs_pairs,
+    _logs,
     _mc_block,
     _pair_cached,
     _pair_integral,
     _pair_table,
+    _piece_rows,
     _term_pairs,
     bump_arrays,
     pair_geometry,
     pair_integrals,
 )
+from ncmink._lambda_table import CUT, LOG_MOMENT
 from ncmink.kernels import kernel_values
 from ncmink.state import sigma_indexed
 from ncmink.testfn import VectorSmearing, scalar_smearing, single_term
@@ -123,14 +128,23 @@ PAIR_REFERENCES = [
     (KernelKind.LIGHTCONE, 1.0, 0.5, 6.0, 9.996848729719421e-09),
 ]
 
-# Far-spacelike LIGHTCONE pairs whose value comes from radii near the
-# midpoint (R + delta) / 2, many widths away from R.  Same mpmath route as
-# above, with the radial integral over [0, R + 14 sigma] and breakpoints
-# every sigma/4 within 12 sigma of the midpoint.  These came from the
-# benchmark's observables inputs (seed 101, ops 76 and 31).
+# LIGHTCONE pairs whose erfc step alone would cancel.  The first two are
+# far-spacelike, their value from radii near the midpoint (R + delta) / 2,
+# many widths away from R: same mpmath route as above, with the radial
+# integral over [0, R + 14 sigma] and breakpoints every sigma/4 within
+# 12 sigma of the midpoint; they came from the benchmark's observables
+# inputs (seed 101, ops 76 and 31).  The last two have both erfc arguments
+# s (R -+ delta), s = sqrt(b/2), small: bumps of width 1e-150 at
+# p - q = (1, 0.5, 0, 0), where the erfc step rounded to 0 and the value
+# to the wrong sign, and the worst small-s(R + delta) pair of an earlier
+# 4000-pair mpmath sweep, off by 6.4e-10 with that step.  Their values are
+# ``highprec.lightcone_pair`` (bench/) at ``highprec.digits(b)`` digits,
+# 116 and 41, and agree to 20 digits at 40 digits more.
 LIGHTCONE_TAIL_REFERENCES = [
     (2.2401827090816737, 1.4218617817541017, 8.860790312844983, 2.4714246874047318e-29),
     (790.728465863948, 0.06935323271420918, 0.7751079732430916, 3.259582168958684e-88),
+    (5e-151, 1.0, 0.5, 2.820947917738781e-76),
+    (0.0322, 3.47e-7, 2.77e-3, 2.484090550721902e-08),
 ]
 
 
@@ -148,6 +162,27 @@ def test_pair_integral_matches_high_precision_reference(kind, b, delta, radius, 
 def test_lightcone_spacelike_tail_is_relatively_accurate(b, delta, radius, reference):
     (value,) = pair_integrals(KernelKind.LIGHTCONE, [b], [delta], [radius])
     assert abs(value - reference) <= 1e-12 * reference
+
+
+def test_causal_keeps_the_time_orientation_of_wide_bumps(cfg):
+    """sign C = sign delta for 300 seeded pairs of equal widths from 1e-150 to 1.
+
+    Centers are standard normal, so s (R + delta) runs from below 1e-75 to
+    a few.  Where both erfc arguments are tiny the erfc step rounded to 0
+    and the slope alone gave the sign, negated.
+    """
+    rng = np.random.default_rng(88)
+    for _ in range(300):
+        width = 10.0 ** float(rng.uniform(-150.0, 0.0))
+        p, q = rng.normal(size=(2, 4)).tolist()
+        value = causal(GaussianBump(p, width), GaussianBump(q, width), cfg).value
+        assert value != 0.0 and math.copysign(1.0, value) == math.copysign(1.0, p[0] - q[0]), (width, p, q)
+
+
+def _moments(mu, sigma):
+    """``_lambda_f`` on an array: (L, F) of every element of mu at sigma, that is at b = 1/sigma^2."""
+    b = 1.0 / (sigma * sigma)
+    return _lambda_f(mu, np.sqrt(0.5 * b), b, _logs, _piece_rows)
 
 
 def _dense_radial_rule(kind, b, delta, R):
@@ -176,7 +211,7 @@ def _dense_radial_rule(kind, b, delta, R):
         )
     else:
         sigma = math.sqrt(0.5 / b)
-        time_average = _log_moment(delta - r, sigma)[0] + _log_moment(delta + r, sigma)[0]
+        time_average = _moments(delta - r, sigma)[0] + _moments(delta + r, sigma)[0]
     return math.sqrt(b / math.pi) * float(weights @ (radial * time_average))
 
 
@@ -321,34 +356,60 @@ def test_pair_geometry_radius_is_the_explicit_sum():
 
 
 def test_log_moment_branches_are_independent():
-    """A mixed array gives each branch what a call on that branch alone gives.
-
-    A call whose elements all sit in one branch skips the other one.
-    """
+    """A mixed array gives each branch what a call on that branch alone gives."""
     sigma = 0.3
     mu = sigma * np.array([-20.0, -9.0, -8.999, -1.0, 0.0, 0.5, 8.5, 9.0, 40.0])
     far = np.abs(mu) / sigma >= 9.0
     assert far.tolist() == [True, True, False, False, False, False, False, True, True]
-    mixed = _log_moment(mu, sigma)
+    mixed = _moments(mu, sigma)
     for branch in (far, ~far):
-        alone = _log_moment(mu[branch], sigma)
+        alone = _moments(mu[branch], sigma)
         assert [v[branch].tolist() for v in mixed] == [v.tolist() for v in alone]
 
 
 def test_log_moment_does_not_depend_on_the_batch():
     """An element's L and F are those of a call on it alone, with one sigma or one per element.
 
-    The row products are summed within each element.  As one matrix product
-    they rounded by the row count: F at mu = -8.999 sigma, sigma = 0.3, took
-    another last bit inside a call with four other near elements than alone.
+    The recurrences run elementwise.  As one matrix product the row sums of
+    the former Poisson mixture rounded by the row count: F at
+    mu = -8.999 sigma, sigma = 0.3, took another last bit inside a call
+    with four other near elements than alone.
     """
     sigma = 0.3
     mu = sigma * np.array([-8.999, -1.0, 0.0, 0.5, 8.5, 9.0, -20.0])
-    batch = _log_moment(mu, sigma)
-    per_element = _log_moment(mu, np.full(len(mu), sigma))
+    batch = _moments(mu, sigma)
+    per_element = _moments(mu, np.full(len(mu), sigma))
     for k in range(len(mu)):
-        alone = _log_moment(mu[k : k + 1], sigma)
+        alone = _moments(mu[k : k + 1], sigma)
         assert [v[k] for v in batch] == [v[k] for v in per_element] == [v[0] for v in alone]
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 7.0])
+def test_log_moment_floats_and_arrays_agree_at_every_piece_edge(sigma):
+    """Floats and arrays give the same bits at each edge of the Chebyshev
+    pieces and at the near/far cut, on both sides of it, and the sides join.
+
+    About each edge y = k CUT / 8, k = 0..8, of either sign, mu runs over
+    the nine floats from four ulps below to four above y / s, s = sqrt(b/2), so
+    the piece (k >= 1) or branch (k = 8) of |y| changes within the run.
+    Neighbours one ulp apart differ by less than 1e-15 max(1, |v|).
+    """
+    pieces = len(LOG_MOMENT)
+    b = 1.0 / (sigma * sigma)
+    s = math.sqrt(0.5 * b)
+    for k, sign in itertools.product(range(pieces + 1), (1.0, -1.0)):
+        mu = [sign * k * CUT / pieces / s]
+        for _ in range(4):
+            mu = [math.nextafter(mu[0], -math.inf), *mu, math.nextafter(mu[-1], math.inf)]
+        y = np.abs(np.array(mu) * s)
+        below = y < CUT if k == pieces else y * (pieces / CUT) < k
+        assert k == 0 or 0 < below.sum() < len(mu)
+        arrays = _moments(np.array(mu), sigma)
+        floats = list(zip(*(_lambda_f(m, s, b, math.log, _CLENSHAW.__getitem__) for m in mu)))
+        assert [v.tolist() for v in arrays] == [list(v) for v in floats]
+        for values in floats:
+            for left, right in zip(values, values[1:]):
+                assert abs(left - right) <= 1e-15 * max(1.0, abs(left))
 
 
 def test_logabs_pairs_do_not_depend_on_the_batch():
@@ -396,13 +457,13 @@ def test_a_log_pair_evaluates_only_the_moments_its_quotient_reads(monkeypatch, d
     the one-pair route and in a table, and both give the same bits."""
     b = 1e4
     rows = []
-    series_sums = integrate._series_sums
+    lambda_f = integrate._lambda_f
 
-    def counting(far, z):
-        rows.extend(z.tolist())
-        return series_sums(far, z)
+    def counting(mu, *args):
+        rows.extend(np.atleast_1d(mu).tolist())
+        return lambda_f(mu, *args)
 
-    monkeypatch.setattr("ncmink.integrate._series_sums", counting)
+    monkeypatch.setattr("ncmink.integrate._lambda_f", counting)
     table = _logabs_pairs(np.array([b]), np.array([delta]), np.array([radius]))
     assert len(rows) == moments
     rows.clear()

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ WORKLOADS = {"toy": SimpleNamespace(ops=3, make_input=lambda seed, i: i, op=op, 
 '''
 CLI = '''
 import sys
+import types
 print(" ".join(sys.argv[1:]))
 sys.exit(3 if "verify" in sys.argv else 0)
 '''
@@ -269,3 +271,13 @@ def test_compare_reports_removed_and_added_public_names():
     lines, moved = parity.compare(new, old)
     assert moved == 0
     assert lines[-1] == "api: not compared, the old digest records no public API"
+
+
+def test_the_public_names_are_no_submodules():
+    """``ncmink.__all__``, the digest's ``api``, leaves out the submodules the
+    package's imports bind, so ``from ncmink import *`` binds no module."""
+    namespace = {}
+    exec("from ncmink import *", namespace)
+    modules = [name for name, value in namespace.items() if isinstance(value, types.ModuleType) and name != "__builtins__"]
+    assert modules == []
+    assert "gaussian_pair_reduce" in namespace
