@@ -3,12 +3,12 @@
 
 Run from the repository root (needs mpmath):
 
-    python3 bench/accuracy.py [--root CHECKOUT] [--pairs N] [--json --label NAME]
+    python3 bench/accuracy.py [--root CHECKOUT] [--json --label NAME]
 
 ``--root`` names the checkout to measure (default: the one holding this
 script); its ``src`` is imported, so a parent commit is measured with this
 script from its own clone.  For each regime below the script draws
-``--pairs`` seeded pairs (b, delta, R), evaluates them with the checkout's
+``PAIRS`` seeded pairs (b, delta, R), evaluates them with the checkout's
 ``pair_integrals`` for the LIGHTCONE and the LOGABS kernel, and compares
 each value v with the high-precision value of ``highprec.py`` (the
 closed forms in s = sqrt(b/2), x = s delta, h = s R, at ``highprec.digits``
@@ -55,6 +55,7 @@ from highprec import digits, lightcone_pair, logabs_pair
 
 HERE = Path(__file__).resolve().parent
 SEED = 2026
+PAIRS = 1000
 THRESHOLD = 1e-12
 #: Pairs (b, delta, R) named in the package's documentation and tests.
 PROBES = {
@@ -185,7 +186,6 @@ def _print(results, probes):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=HERE.parent)
-    parser.add_argument("--pairs", type=int, default=1000)
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--label")
     args = parser.parse_args(argv)
@@ -196,7 +196,7 @@ def main(argv=None):
     from ncmink.integrate import KernelKind, pair_integrals
 
     kinds = {"lightcone": KernelKind.LIGHTCONE, "logabs": KernelKind.LOGABS}
-    results, probes = measure(pair_integrals, kinds, args.pairs)
+    results, probes = measure(pair_integrals, kinds, PAIRS)
     _print(results, probes)
     if args.json:
         commit = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"], capture_output=True, text=True).stdout.strip()

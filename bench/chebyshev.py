@@ -3,7 +3,7 @@
 
 Run from the repository root (needs mpmath):
 
-    python3 bench/chebyshev.py [--out src/ncmink/_lambda_table.py]
+    python3 bench/chebyshev.py
 
 The near branch of ``ncmink.integrate._lambda_f`` evaluates, for |y| < CUT =
 9/sqrt(2), where the far branch's asymptotic series takes over (|mu| /
@@ -25,7 +25,6 @@ The output is deterministic: it depends on these constants and mpmath only.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -82,10 +81,7 @@ def _rows(name, table):
     return [f"{name} = ({rows[0]},", *(f"    {row}," for row in rows[1:-1]), f"    {rows[-1]})"]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=OUT)
-    args = parser.parse_args(argv)
+def main():
     mp.mp.dps = DIGITS
     functions = {"LOG_MOMENT": log_moment, "DAWSON": dawson}
     tables = {name: [_coefficients(f, k) for k in range(PIECES)] for name, f in functions.items()}
@@ -107,8 +103,8 @@ def main(argv=None):
         *_rows("LOG_MOMENT", tables["LOG_MOMENT"]),
         *_rows("DAWSON", tables["DAWSON"]),
     ]
-    args.out.write_text("\n".join(header) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}: fit error M {errors['LOG_MOMENT']:.2e}, F {errors['DAWSON']:.2e}")
+    OUT.write_text("\n".join(header) + "\n", encoding="utf-8")
+    print(f"wrote {OUT}: fit error M {errors['LOG_MOMENT']:.2e}, F {errors['DAWSON']:.2e}")
     return 0
 
 

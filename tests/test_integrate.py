@@ -370,10 +370,7 @@ def test_log_moment_branches_are_independent():
 def test_log_moment_does_not_depend_on_the_batch():
     """An element's L and F are those of a call on it alone, with one sigma or one per element.
 
-    The recurrences run elementwise.  As one matrix product the row sums of
-    the former Poisson mixture rounded by the row count: F at
-    mu = -8.999 sigma, sigma = 0.3, took another last bit inside a call
-    with four other near elements than alone.
+    The recurrences run elementwise.
     """
     sigma = 0.3
     mu = sigma * np.array([-8.999, -1.0, 0.0, 0.5, 8.5, 9.0, -20.0])

@@ -45,7 +45,6 @@ WORKLOADS = {"toy": SimpleNamespace(ops=3, make_input=lambda seed, i: i, op=op, 
 '''
 CLI = '''
 import sys
-import types
 print(" ".join(sys.argv[1:]))
 sys.exit(3 if "verify" in sys.argv else 0)
 '''
