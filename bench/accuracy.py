@@ -33,7 +33,12 @@ The regimes, with b the combined width and scale = 1/sqrt(b):
 * small s(R + delta): b on [1e-4, 1], s (R + delta) = 10^U(-8, -1), a
   uniform share of it delta;
 * wide bumps: b on [5e-151, 0.5], equal widths down to 1e-150, and
-  delta, R = |N| at unit scale, the separations of the CLI's examples.
+  delta, R = |N| at unit scale, the separations of the CLI's examples;
+* on-cone: b on [1e-2, 1e8], delta = scale 10^U(-1, 1) and R = delta
+  exactly, so the log moment at delta - R is taken at 0.
+
+Each regime draws from its own seed, (SEED, its index), so a regime added
+last leaves the pairs of the others as they were.
 """
 
 from __future__ import annotations
@@ -94,6 +99,12 @@ def _near_null(rng, n):
     return b, delta, delta * (1.0 + 1e-3 * rng.normal(size=n))
 
 
+def _on_cone(rng, n):
+    b = _log_uniform(rng, -2, 8, n)
+    delta = _log_uniform(rng, -1, 1, n) / np.sqrt(b)
+    return b, delta, delta.copy()
+
+
 def _timelike(rng, n):
     b = _log_uniform(rng, -2, 8, n)
     R = _log_uniform(rng, -2, 1, n) / np.sqrt(b)
@@ -116,6 +127,7 @@ REGIMES = {
     "self": lambda rng, n: (_log_uniform(rng, math.log10(5e-151), math.log10(5e149), n), np.zeros(n), np.zeros(n)),
     "small s(R+delta)": _small_sum,
     "wide bumps": lambda rng, n: (_log_uniform(rng, math.log10(5e-151), math.log10(0.5), n), np.abs(rng.normal(size=n)), np.abs(rng.normal(size=n))),
+    "on-cone": _on_cone,
 }
 REFERENCES = {"lightcone": lightcone_pair, "logabs": logabs_pair}
 

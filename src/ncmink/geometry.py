@@ -18,10 +18,9 @@ limit, so the contract-then-clip order is the consistent one.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .integrate import _analytic, _bump_geometry, _pair_integral
 from .kernels import KernelKind
@@ -178,7 +177,8 @@ def causal_via_weyl(chi_p, chi_q, params, cfg):
     gs = frame_smearings(chi_q)
     calc = WeylCalculus(constants, cfg, pairing="plain")
     total = 0.0j
-    # eta's diagonal as Python floats: np.diag(ETA) would make the value np.float64
+    # eta's diagonal as Python floats, and cmath.log: np.diag(ETA) or np.log
+    # would make the value np.float64
     for f, g, weight in zip(fs, gs, (-1.0, 1.0, 1.0, 1.0)):
         prod = calc.mul(
             calc.mul(WeylElement.generator(f), WeylElement.generator(g)),
@@ -191,6 +191,6 @@ def causal_via_weyl(chi_p, chi_q, params, cfg):
             raise ArithmeticError(
                 f"phase modulus {abs(tau)!r} off the unit circle beyond budget"
             )
-        total += weight * np.log(complex(tau))
+        total += weight * cmath.log(tau)
     scale = 4.0 * math.pi / constants.kappa_sq
     return _analytic((-1j * scale * total).real)

@@ -15,27 +15,27 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   reduces the remaining radial average to erf or erfc and Gaussian terms
   for the light cone, and to the Gaussian log moment plus a Dawson
   difference quotient for the log kernel.  The log moment and Dawson's
-  integral come from one function (``_lambda_f``) whose code is the same
-  for one float and for an array: a Clenshaw sum over a generated
-  piecewise Chebyshev table near the origin, the asymptotic series far
-  from it, and math.log per element, so they do not depend on numpy's
-  SIMD loops.  The log pairs of a table are evaluated in one array pass
-  with no memo, and a value depends only on its own pair; one log pair
-  is evaluated on Python floats with the same bits.  Either way a pair's
-  quotient branch is chosen first and only the log moments it reads are
-  evaluated.  The light-cone pairs go through a process-wide memo.
-  Bumps enter as (center, width) rows, the ``bump_rows`` of a smearing or
-  the ``bump_arrays`` of single bumps, and ``pair_geometry`` of two rows is
-  where they meet.  One pair of bumps, which is what the observables of
-  :mod:`ncmink.geometry` compute, skips the arrays: ``_bump_geometry`` and
-  ``_pair_integral`` take it on Python floats, through the same geometry
-  arithmetic (``_geometry``, which uses no BLAS) and the same closed forms,
-  so a pair's value is the same bits on either path and on any BLAS
-  kernel; a frame would enter through that one geometry arithmetic.  Forms
-  read their pair integrals from one kernel table over the distinct bump
-  rows of their arguments, its upper triangle mirrored, and the
-  coefficient times table products of all the forms of a call in one
-  array pass (``_products``); ``bilinear_form`` is the one-pair case.
+  integral come from one function (``_lambda_f``) on Python floats: a
+  Clenshaw sum over a generated piecewise Chebyshev table near the
+  origin, the asymptotic series far from it, and math.log, so they do
+  not depend on numpy's SIMD loops.  A log pair's quotient branch is
+  chosen first and only the log moments it reads are evaluated.  There
+  is one float path and one memo for both kernels: every pair, in a
+  kernel table or alone, is one Python-float evaluation
+  (``_pair_integral``) through the process-wide memo ``_pair_cached``,
+  so a value depends only on its own pair.  Bumps enter as (center,
+  width) rows, the ``bump_rows`` of a smearing or the ``bump_arrays`` of
+  single bumps, and ``pair_geometry`` of two rows is where they meet.
+  One pair of bumps, which is what the observables of
+  :mod:`ncmink.geometry` compute, skips the arrays: ``_bump_geometry``
+  takes it on Python floats, through the same geometry arithmetic
+  (``_geometry``, which uses no BLAS), so a pair's value is the same bits
+  on either path and on any BLAS kernel; a frame would enter through
+  that one geometry arithmetic.  Forms read their pair integrals from one
+  kernel table over the distinct bump rows of their arguments, its upper
+  triangle mirrored, and the coefficient times table products of all the
+  forms of a call in one array pass (``_products``); ``bilinear_form`` is
+  the one-pair case.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  It draws a component pair and
   then y = x - x' from that pair's exact law, the Gaussian convolution of
@@ -60,7 +60,7 @@ import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -155,10 +155,8 @@ EULER_GAMMA = 0.5772156649015329
 # complex Horner sums the series and its slope; highest order first.
 _ASYMPTOTIC = (*(complex(-math.prod(range(1, 2 * k, 2)) / (2.0 * k), math.prod(range(1, 2 * k, 2))) for k in range(30, 0, -1)), 1j)
 # the Clenshaw rows of each near piece, c_DEGREE first: M's coefficient plus
-# i times F's; and, as columns, the rows of the piece of each element of an
-# int array
+# i times F's, so that one complex recurrence sums both
 _CLENSHAW = tuple(tuple(map(complex, m[::-1], f[::-1])) for m, f in zip(LOG_MOMENT, DAWSON))
-_piece_rows = partial(np.array(_CLENSHAW).T.take, axis=1)
 # Below this half-width h of the Dawson difference quotient, and while
 # x h <= 1 about its midpoint x, the Taylor series in h replaces the
 # cancelling direct difference; 10 odd terms leave a remainder below 1e-17.
@@ -170,13 +168,8 @@ _TAYLOR_TERMS = 10
 _ERF_CUT = 0.5
 
 
-# math.log of each element of an array: numpy's own log rounds differently
-# on some hosts
-_logs = np.vectorize(math.log, otypes=[float])
-
-
-def _lambda_f(mu, s, b, log, rows):
-    """L(mu) = E ln|mu + sigma Z| and Dawson's F(mu s) at sigma = 1/sqrt(b), s = sqrt(b/2), on floats or arrays.
+def _lambda_f(mu, s, b):
+    """L(mu) = E ln|mu + sigma Z| and Dawson's F(mu s) at sigma = 1/sqrt(b), s = sqrt(b/2), on Python floats.
 
     With y = mu s = mu / (sigma sqrt 2): near (|y| < CUT, that is
     |mu| / sigma < 9) L = ln sigma + M(y), with ln sigma
@@ -186,41 +179,35 @@ def _lambda_f(mu, s, b, log, rows):
     the coefficients of the piece of the generated Chebyshev table
     (``_lambda_table``) that holds |y|.  Far, L = ln|mu| plus the
     asymptotic series in z = (sigma / mu)^2 and F = 1/(2y) times its slope,
-    by Horner.  Both branches run on every element, and each is multiplied
-    by 1.0 where it is selected and by 0.0 elsewhere, its argument held
-    finite there: the near one reads |y| = 0 where far, so a y that
-    overflowed reaches only the far one.  The code is +, -, *, /,
-    comparisons and the two steps that differ between one float and an
-    array, each per element: ``log``, math.log or ``_logs``, and ``rows``,
-    a piece's rows (``_CLENSHAW.__getitem__``) or those of each element's
-    piece (``_piece_rows``).  So floats and arrays give the same bits, on
-    any host.  Returns (L, F).
+    by Horner.  Only the branch that is returned runs.  The code is +, -,
+    *, /, comparisons and math.log, each one correctly rounded step on
+    Python floats, so a moment is the same bits on any host.  Returns
+    (L, F).
     """
     y = mu * s
-    near = 1.0 * (abs(y) < CUT)
-    far = 1.0 - near
-    # piece k of |y|, a count of comparisons (an int or an int array, 0
-    # where u is nan), and t in [-1, 1]
-    u = abs(near * mu) * s * (len(LOG_MOMENT) / CUT)
-    k = sum(u >= edge for edge in range(1, len(LOG_MOMENT)))
-    t = 2.0 * (u - k) - 1.0
-    t2 = t + t
-    # a complex times a real is exact per part, so M and F recur apart
-    *cs, c_0 = rows(k)
-    b1 = b2 = 0j
-    for c in cs:
-        b1, b2 = c + (b1 * t2 - b2), b1
-    near_sum = c_0 + (b1 * t - b2)
-    # 1/(2|y|) far, 0 near, and z = (sigma / mu)^2 = 2 w^2, which does not overflow
-    w = far / (2.0 * abs(y) + near)
-    z = 2.0 * (w * w)
-    far_sum = 0j
-    for c in _ASYMPTOTIC:
-        far_sum = far_sum * z + c
-    # ln b near, made ln sigma by the factor -1/2; ln|mu| far
-    L = (far - 0.5 * near) * log(near * b + far * abs(mu)) + (near * near_sum.real + far_sum.real)
+    if abs(y) < CUT:
+        # piece k of |y|, and t in [-1, 1]
+        u = abs(mu) * s * (len(_CLENSHAW) / CUT)
+        k = min(int(u), len(_CLENSHAW) - 1)
+        t = 2.0 * (u - k) - 1.0
+        t2 = t + t
+        # a complex times a real is exact per part, so M and F recur apart
+        *cs, c_0 = _CLENSHAW[k]
+        b1 = b2 = 0j
+        for c in cs:
+            b1, b2 = c + (b1 * t2 - b2), b1
+        total = c_0 + (b1 * t - b2)
+        L, F = -0.5 * math.log(b) + total.real, total.imag
+    else:
+        # w = 1/(2|y|) and z = (sigma / mu)^2 = 2 w^2, which does not overflow
+        w = 1.0 / (2.0 * abs(y))
+        z = 2.0 * (w * w)
+        total = 0j
+        for c in _ASYMPTOTIC:
+            total = total * z + c
+        L, F = math.log(abs(mu)) + total.real, w * total.imag
     # F is odd: the sign of y, 0 at y = 0, times F(|y|)
-    return L, (1.0 * (y > 0.0) - (y < 0.0)) * (near * near_sum.imag + w * far_sum.imag)
+    return L, ((y > 0.0) - (y < 0.0)) * F
 
 
 def _lightcone_pair(b, delta, R):
@@ -259,17 +246,12 @@ def _lightcone_pair(b, delta, R):
     return step - slope
 
 
-def _half_widths(b, delta, R, sqrt):
-    """s = sqrt(b/2), h = R s, x = delta s and whether the quotient is the direct difference.
-
-    On floats or arrays alike, ``sqrt`` math.sqrt or np.sqrt to match, as
-    in ``_geometry``: every step is correctly rounded, so both give the
-    same bits.
-    """
-    s = sqrt(0.5 * b)
+def _half_widths(b, delta, R):
+    """s = sqrt(b/2), h = R s, x = delta s and whether the quotient is the direct difference, on Python floats."""
+    s = math.sqrt(0.5 * b)
     h, x = R * s, delta * s
     # the recurrence amplifies rounding by about (2 x h)^2j in term j
-    return s, h, x, (h > _TAYLOR_CUT) | (x * h > 1.0)
+    return s, h, x, h > _TAYLOR_CUT or x * h > 1.0
 
 
 def _quotient(h, x, direct, f_minus, f_plus, f_mid):
@@ -289,98 +271,76 @@ def _quotient(h, x, direct, f_minus, f_plus, f_mid):
     return slope
 
 
-def _logabs_pairs(b, delta, R):
-    """Closed-form LOGABS pair integrals for delta >= 0, elementwise over 1-d arrays, as a list.
+def _logabs_pair(b, delta, R):
+    """Closed-form LOGABS pair integral for delta >= 0, on Python floats.
 
     L(delta - R) + L(delta + R) + [F(x+) - F(x-)] / (x+ - x-), summed
     exactly rounded, with x+- = x +- h, x = delta sqrt(b/2),
     h = R sqrt(b/2), L the log moment at sigma = 1/sqrt(b) and F Dawson's
-    integral.  For small h the divided
-    difference is its Taylor series sum_j F^(2j+1)(x) h^2j / (2j+1)!, with
-    the derivatives from F' = 1 - 2xF and F^(n+1) = -2x F^(n) - 2n F^(n-1).
-    This is the table route: the quotient's branch of every pair is chosen
-    on arrays, one ``_lambda_f`` array pass evaluates only the moments the
-    quotients read, L and F at delta -+ R of every pair and F at delta of
-    the Taylor ones, and the quotient is taken per pair on floats.  So a
-    value depends only on its own (b, delta, R), and ``_logabs_pair``, the
-    one-pair route on floats, gives the same bits.
+    integral.  For small h the divided difference is its Taylor series
+    sum_j F^(2j+1)(x) h^2j / (2j+1)!, with the derivatives from
+    F' = 1 - 2xF and F^(n+1) = -2x F^(n) - 2n F^(n-1).  The quotient's
+    branch is chosen first, so only the moments it reads are evaluated:
+    L and F at delta -+ R, and F at delta for the Taylor series (whose L
+    there goes unread).
     """
-    n = len(b)
-    s, h, x, direct = _half_widths(b, delta, R, np.sqrt)
-    taylor = ~direct
-    mus = np.concatenate([delta - R, delta + R, delta[taylor]])
-    L, F = _lambda_f(mus, *(np.concatenate([v, v, v[taylor]]) for v in (s, b)), _logs, _piece_rows)
-    f_mid = np.zeros(n)
-    f_mid[taylor] = F[2 * n :]
-    quotients = map(_quotient, h.tolist(), x.tolist(), direct.tolist(), F[:n].tolist(), F[n : 2 * n].tolist(), f_mid.tolist())
-    return list(map(math.fsum, zip(L[:n].tolist(), L[n : 2 * n].tolist(), quotients)))
-
-
-def _logabs_pair(b, delta, R):
-    """``_logabs_pairs`` of one pair of Python floats, delta >= 0, bit for bit.
-
-    The quotient's branch is chosen first, so only the moments it reads are
-    evaluated: L and F at delta -+ R, and F at delta for the Taylor series
-    (whose L there goes unread).
-    """
-    s, h, x, direct = _half_widths(b, delta, R, math.sqrt)
+    s, h, x, direct = _half_widths(b, delta, R)
     mus = (delta - R, delta + R) if direct else (delta - R, delta + R, delta)
-    (l_minus, f_minus), (l_plus, f_plus), *mid = (_lambda_f(mu, s, b, math.log, _CLENSHAW.__getitem__) for mu in mus)
+    (l_minus, f_minus), (l_plus, f_plus), *mid = (_lambda_f(mu, s, b) for mu in mus)
     return math.fsum((l_minus, l_plus, _quotient(h, x, direct, f_minus, f_plus, mid[0][1] if mid else None)))
 
 
 def _reduce_2d(kind, b, delta, R):
-    """Exact LIGHTCONE pair integral at separations delta >= 0 and R.
+    """Exact LIGHTCONE or LOGABS pair integral at separations delta >= 0 and R.
 
     The relative position has per-axis variance 1/(2b); its radius has the
     density (r/R) sqrt(b/pi) [exp(-b(r-R)^2) - exp(-b(r+R)^2)], and both
     time-averaged kernels are even in r, so the pair integral is
     E[(X/R) K(X)] with X ~ N(R, 1/(2b)).  Stein's identity
     E[(X - R) h(X)] = Var(X) E[h'(X)] turns that into the closed forms of
-    ``_lightcone_pair`` and ``_logabs_pairs``, exact up to rounding.  Only
-    the light-cone memo below calls this, always with ``kind`` LIGHTCONE;
-    the log pairs go to ``_logabs_pairs`` directly.  The ``kind`` argument,
-    the name and the (value, 0.0, 0, True) tuple are kept because the
-    benchmark's tracer (``perfbench/tracer.py``) wraps this function by name
-    and reads all three.
+    ``_lightcone_pair`` and ``_logabs_pair``, exact up to rounding, on
+    Python floats.  Only the memo below calls this, for both kernels.  The
+    name, the ``kind`` argument and the (value, 0.0, 0, True) tuple are
+    kept because the benchmark's tracer (``perfbench/tracer.py``) wraps
+    this function by name and reads all three.
     """
-    return _lightcone_pair(b, delta, R), 0.0, 0, True
+    pair = _lightcone_pair if kind is KernelKind.LIGHTCONE else _logabs_pair
+    return pair(b, delta, R), 0.0, 0, True
 
 
 @lru_cache(maxsize=100_000)
-def _pair_cached(b, delta, R):
-    """Process-wide memo of the LIGHTCONE ``_reduce_2d``, keyed on (b, |delta|, R).
+def _pair_cached(kind, b, delta, R):
+    """Process-wide memo of the pair integral ``_reduce_2d``, keyed on (kind, b, |delta|, R).
 
-    A repeated key, within one call of ``pair_integrals`` or across calls,
-    is served from here; ``perfbench/`` clears and wraps it by name.
+    The one memo for both kernels: it stores the value, a float.  A
+    repeated key, within one call of ``pair_integrals`` or across calls
+    and tables, is served from here; ``perfbench/`` clears and wraps it by
+    name.
     """
-    return _reduce_2d(KernelKind.LIGHTCONE, b, delta, R)
+    return _reduce_2d(kind, b, delta, R)[0]
 
 
 def _pair_integral(kind, b, delta, R):
     """Pair integral of one pair (b, delta, R) of Python floats.
 
-    The one-pair path, with no array set-up, for callers that compute one
-    pair (``gaussian_pair_reduce`` and the observables); tables go through
-    ``pair_integrals``, which calls this for its light-cone and closed log
-    pairs, so a pair's value is the same bits on either path, the sign of
-    a zero included.  CONSTANT is the exact normalization 1.  LIGHTCONE
-    with coincident time centers vanishes by antisymmetry (odd integrand in
-    the relative time), and a negative time separation is folded to a
-    positive one, which makes the antisymmetry under argument swap exact;
-    the pair looks up (b, |delta|, R) in the process-wide memo
-    ``_pair_cached``.  LOGABS depends on |delta| only; its self pair
-    (delta = R = 0) is the closed form 1 - gamma - ln(2b), and any other
-    pair is ``_logabs_pair``: the table's arithmetic on floats, with the
-    quotient's branch chosen first so that a direct difference evaluates
-    two log moments and a Taylor series three.  A log pair whose spatial
-    separation overflowed to inf raises ValueError, before the log moment
-    would turn it into nan.
+    The one way a pair is evaluated: ``pair_integrals`` maps it over the
+    entries of a table, and the observables call it for their one pair,
+    so a pair's value is the same bits on either path, the sign of a zero
+    included.  CONSTANT is the exact normalization 1.  LIGHTCONE with
+    coincident time centers vanishes by antisymmetry (odd integrand in the
+    relative time), and a negative time separation is folded to a positive
+    one, which makes the antisymmetry under argument swap exact.  LOGABS
+    depends on |delta| only; its self pair (delta = R = 0) is the closed
+    form 1 - gamma - ln(2b).  Every other pair looks up
+    (kind, b, |delta|, R) in the one process-wide memo ``_pair_cached``.
+    A log pair whose spatial separation overflowed to inf raises
+    ValueError, before the log moment would turn it into a value that is
+    not finite.
     """
     if kind is KernelKind.LIGHTCONE:
         if delta == 0.0:
             return 0.0
-        value = _pair_cached(b, abs(delta), R)[0]
+        value = _pair_cached(kind, b, abs(delta), R)
         return value if delta > 0.0 else -value
     if kind is KernelKind.CONSTANT:
         return 1.0
@@ -388,31 +348,20 @@ def _pair_integral(kind, b, delta, R):
         return 1.0 - EULER_GAMMA - math.log(2.0 * b)
     if R == math.inf:
         raise ValueError("the spatial separation of the bump centers is not finite: inf")
-    return _logabs_pair(b, abs(delta), R)
+    return _pair_cached(kind, b, abs(delta), R)
 
 
 def pair_integrals(kind, b, delta, R):
     """Pair integrals of normalized bumps, elementwise over equal-shape arrays.
 
     Each pair has combined width b, time separation delta and spatial
-    separation R.  Every LIGHTCONE pair and every closed LOGABS self pair
-    (delta = R = 0) is ``_pair_integral`` of that pair; the other LOGABS
-    pairs come from one array pass of ``_logabs_pairs``, which keeps no
-    memo.  Every value depends only on its own pair, never on the other
-    elements of the call.
+    separation R, and its value is ``_pair_integral`` of that pair, for
+    every kind: one float path and one memo, so every value depends only
+    on its own pair, never on the other elements of the call.
     """
     b, delta, R = (np.asarray(x, dtype=float) for x in (b, delta, R))
-    if kind is KernelKind.CONSTANT:
-        return np.ones(b.shape)
-    if kind is KernelKind.LIGHTCONE:
-        values = map(_pair_integral, repeat(kind), b.ravel().tolist(), delta.ravel().tolist(), R.ravel().tolist())
-        return np.array(list(values)).reshape(b.shape)
-    values = np.empty(b.shape)
-    closed = (delta == 0.0) & (R == 0.0)
-    values[closed] = [_pair_integral(kind, b_k, 0.0, 0.0) for b_k in b[closed].tolist()]
-    rest = ~closed
-    values[rest] = _logabs_pairs(b[rest], np.abs(delta[rest]), R[rest])
-    return values
+    values = map(_pair_integral, repeat(kind), b.ravel().tolist(), delta.ravel().tolist(), R.ravel().tolist())
+    return np.array(list(values)).reshape(b.shape)
 
 
 def bump_arrays(bumps):

@@ -246,6 +246,7 @@ def test_causal_via_weyl_matches_reduced(cfg, params):
         via = causal_via_weyl(chi_p, chi_q, params, cfg)
         budget = 2.0 * (direct.error_estimate + via.error_estimate) + 1e-12
         assert abs(direct.value - via.value) <= budget
+        assert type(via.value) is float
 
 
 def test_causal_via_weyl_kappa_independent(cfg):
@@ -374,7 +375,8 @@ def _observables_digest(n=2000):
 def _logabs_table_digest(n=4000):
     """sha256 of one seeded ``pair_integrals`` LOGABS table, every branch of the log pair.
 
-    The sweep of ``test_logabs_pairs_do_not_depend_on_the_batch``: the
+    The sweep of ``test_integrate.test_logabs_pairs_do_not_depend_on_the_batch``,
+    which checks the table against ``_pair_integral`` pair by pair: the
     Taylor and the direct quotient, near and far log moments, R = 0 and
     delta = 0.
     """

@@ -27,19 +27,16 @@ from ncmink import (
 )
 from ncmink import integrate
 from ncmink.integrate import (
-    _CLENSHAW,
     _bump_geometry,
     _forms,
     _kernel_table,
     _lambda_f,
     _lightcone_pair,
-    _logabs_pairs,
-    _logs,
+    _logabs_pair,
     _mc_block,
     _pair_cached,
     _pair_integral,
     _pair_table,
-    _piece_rows,
     _term_pairs,
     bump_arrays,
     pair_geometry,
@@ -179,12 +176,6 @@ def test_causal_keeps_the_time_orientation_of_wide_bumps(cfg):
         assert value != 0.0 and math.copysign(1.0, value) == math.copysign(1.0, p[0] - q[0]), (width, p, q)
 
 
-def _moments(mu, sigma):
-    """``_lambda_f`` on an array: (L, F) of every element of mu at sigma, that is at b = 1/sigma^2."""
-    b = 1.0 / (sigma * sigma)
-    return _lambda_f(mu, np.sqrt(0.5 * b), b, _logs, _piece_rows)
-
-
 def _dense_radial_rule(kind, b, delta, R):
     """The pair integral as a radial integral, by a dense fixed Gauss-Legendre rule.
 
@@ -210,8 +201,9 @@ def _dense_radial_rule(kind, b, delta, R):
             [0.5 * (math.erfc(root_b * (ri - delta)) - math.erfc(root_b * (ri + delta))) for ri in r]
         )
     else:
-        sigma = math.sqrt(0.5 / b)
-        time_average = _moments(delta - r, sigma)[0] + _moments(delta + r, sigma)[0]
+        # the relative time has variance 1/(2b): the log moment at 2b, s = sqrt(b)
+        s = math.sqrt(b)
+        time_average = np.array([_lambda_f(delta - ri, s, 2.0 * b)[0] + _lambda_f(delta + ri, s, 2.0 * b)[0] for ri in r.tolist()])
     return math.sqrt(b / math.pi) * float(weights @ (radial * time_average))
 
 
@@ -227,7 +219,7 @@ def test_pair_integrals_match_dense_radial_rule(kind):
     near_null = slice(5, None, 10)
     radius[near_null] = delta[near_null] * (1.0 + 1e-3 * rng.normal(size=10))
     values = pair_integrals(kind, b, delta, radius)
-    for value, args in zip(values, zip(b, delta, radius)):
+    for value, args in zip(values, zip(b.tolist(), delta.tolist(), radius.tolist())):
         reference = _dense_radial_rule(kind, *args)
         assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference)), args
 
@@ -355,36 +347,9 @@ def test_pair_geometry_radius_is_the_explicit_sum():
     assert np.diagonal(pair_geometry(p[:50, None], q[None, :50])[2]).tolist() == expected[:50]
 
 
-def test_log_moment_branches_are_independent():
-    """A mixed array gives each branch what a call on that branch alone gives."""
-    sigma = 0.3
-    mu = sigma * np.array([-20.0, -9.0, -8.999, -1.0, 0.0, 0.5, 8.5, 9.0, 40.0])
-    far = np.abs(mu) / sigma >= 9.0
-    assert far.tolist() == [True, True, False, False, False, False, False, True, True]
-    mixed = _moments(mu, sigma)
-    for branch in (far, ~far):
-        alone = _moments(mu[branch], sigma)
-        assert [v[branch].tolist() for v in mixed] == [v.tolist() for v in alone]
-
-
-def test_log_moment_does_not_depend_on_the_batch():
-    """An element's L and F are those of a call on it alone, with one sigma or one per element.
-
-    The recurrences run elementwise.
-    """
-    sigma = 0.3
-    mu = sigma * np.array([-8.999, -1.0, 0.0, 0.5, 8.5, 9.0, -20.0])
-    batch = _moments(mu, sigma)
-    per_element = _moments(mu, np.full(len(mu), sigma))
-    for k in range(len(mu)):
-        alone = _moments(mu[k : k + 1], sigma)
-        assert [v[k] for v in batch] == [v[k] for v in per_element] == [v[0] for v in alone]
-
-
 @pytest.mark.parametrize("sigma", [0.3, 1.0, 7.0])
-def test_log_moment_floats_and_arrays_agree_at_every_piece_edge(sigma):
-    """Floats and arrays give the same bits at each edge of the Chebyshev
-    pieces and at the near/far cut, on both sides of it, and the sides join.
+def test_log_moment_joins_at_every_piece_edge(sigma):
+    """The sides of each edge of the Chebyshev pieces and of the near/far cut join.
 
     About each edge y = k CUT / 8, k = 0..8, of either sign, mu runs over
     the nine floats from four ulps below to four above y / s, s = sqrt(b/2), so
@@ -401,10 +366,7 @@ def test_log_moment_floats_and_arrays_agree_at_every_piece_edge(sigma):
         y = np.abs(np.array(mu) * s)
         below = y < CUT if k == pieces else y * (pieces / CUT) < k
         assert k == 0 or 0 < below.sum() < len(mu)
-        arrays = _moments(np.array(mu), sigma)
-        floats = list(zip(*(_lambda_f(m, s, b, math.log, _CLENSHAW.__getitem__) for m in mu)))
-        assert [v.tolist() for v in arrays] == [list(v) for v in floats]
-        for values in floats:
+        for values in zip(*(_lambda_f(m, s, b) for m in mu)):
             for left, right in zip(values, values[1:]):
                 assert abs(left - right) <= 1e-15 * max(1.0, abs(left))
 
@@ -415,6 +377,7 @@ def test_logabs_pairs_do_not_depend_on_the_batch():
     The sweep spans the Taylor and the direct quotient, the near and the far
     log moment, R = 0 and delta = 0; it ends with the pair whose delta - R
     sits at -8.999 sigma, sigma = 1/sqrt(b) ~ 0.3, next to a near pair.
+    The memo is cleared before each route, so every route evaluates afresh.
     """
     rng = np.random.default_rng(84)
     n = 4000
@@ -427,17 +390,16 @@ def test_logabs_pairs_do_not_depend_on_the_batch():
     b[-2:] = 1.0 / 0.09
     sigma = 1.0 / math.sqrt(b[-1])
     delta[-2:], radius[-2:] = (0.0, 0.5 * sigma), (8.999 * sigma, 0.5 * sigma)
-    batch = _logabs_pairs(b, delta, radius)
-    one_pair = [
-        _logabs_pairs(np.array([b_k]), np.array([delta_k]), np.array([radius_k]))[0]
-        for b_k, delta_k, radius_k in zip(b.tolist(), delta.tolist(), radius.tolist())
-    ]
-    assert batch == one_pair
+    _pair_cached.cache_clear()
+    batch = pair_integrals(KernelKind.LOGABS, b, delta, radius).tolist()
     order = rng.permutation(n)
-    assert _logabs_pairs(b[order], delta[order], radius[order]) == [batch[k] for k in order]
+    _pair_cached.cache_clear()
+    assert pair_integrals(KernelKind.LOGABS, b[order], delta[order], radius[order]).tolist() == [batch[k] for k in order]
+    _pair_cached.cache_clear()
     assert pair_integrals(KernelKind.LOGABS, b[-2:], delta[-2:], radius[-2:]).tolist() == batch[-2:]
-    # the one-pair route, on floats, at either sign of delta
+    # the one-pair route, at either sign of delta
     for sign in (1.0, -1.0):
+        _pair_cached.cache_clear()
         floats = [_pair_integral(KernelKind.LOGABS, *pair) for pair in zip(b.tolist(), (sign * delta).tolist(), radius.tolist())]
         assert floats == batch
     # the closed self pair, on both routes and at either zero
@@ -451,36 +413,46 @@ def test_logabs_pairs_do_not_depend_on_the_batch():
 def test_a_log_pair_evaluates_only_the_moments_its_quotient_reads(monkeypatch, delta, radius, moments):
     """A direct-quotient pair evaluates L and F at delta -+ R, two moments; a
     Taylor pair adds F at delta, three.  Near and far moments both count, on
-    the one-pair route and in a table, and both give the same bits."""
+    the one-pair route and in a table, and both give the same bits; a
+    repeated pair is served by the memo and evaluates none."""
     b = 1e4
     rows = []
     lambda_f = integrate._lambda_f
 
     def counting(mu, *args):
-        rows.extend(np.atleast_1d(mu).tolist())
+        rows.append(mu)
         return lambda_f(mu, *args)
 
     monkeypatch.setattr("ncmink.integrate._lambda_f", counting)
-    table = _logabs_pairs(np.array([b]), np.array([delta]), np.array([radius]))
+    _pair_cached.cache_clear()
+    table = pair_integrals(KernelKind.LOGABS, [b], [delta], [radius]).tolist()
+    assert len(rows) == moments
+    rows.clear()
+    _pair_cached.cache_clear()
+    assert [_pair_integral(KernelKind.LOGABS, b, delta, radius)] == table
     assert len(rows) == moments
     rows.clear()
     assert [_pair_integral(KernelKind.LOGABS, b, delta, radius)] == table
-    assert len(rows) == moments
+    assert rows == []
 
 
-def test_the_memo_serves_a_repeated_lightcone_key():
-    """Repeated and sign-flipped copies of three pairs in one call: three misses, each copy its pair's bits."""
+@pytest.mark.parametrize(
+    "kind, pair, odd", [(KernelKind.LIGHTCONE, _lightcone_pair, True), (KernelKind.LOGABS, _logabs_pair, False)], ids=["lightcone", "logabs"]
+)
+def test_the_memo_serves_a_repeated_key(kind, pair, odd):
+    """Repeated and sign-flipped copies of three pairs in one call: three
+    misses, each copy its pair's bits, negated for the odd light cone."""
     b = np.array([2.0, 50.0, 1e4])
     delta = np.array([0.3, 1.0, 0.02])
     radius = np.array([0.1, 0.5, 0.0])
     copies = [0, 1, 2, 0, 2, 1, 1, 0, 2]
     signs = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
     _pair_cached.cache_clear()
-    values = pair_integrals(KernelKind.LIGHTCONE, b[copies], signs * delta[copies], radius[copies])
+    values = pair_integrals(kind, b[copies], signs * delta[copies], radius[copies])
     assert _pair_cached.cache_info().misses == 3
-    alone = [_lightcone_pair(*pair) for pair in zip(b.tolist(), delta.tolist(), radius.tolist())]
+    alone = [pair(*p) for p in zip(b.tolist(), delta.tolist(), radius.tolist())]
     assert all(value != 0.0 for value in alone)
-    assert values.tolist() == [alone[k] if sign > 0.0 else -alone[k] for k, sign in zip(copies, signs)]
+    assert values.tolist() == [-alone[k] if odd and sign < 0.0 else alone[k] for k, sign in zip(copies, signs)]
 
 
 def test_lightcone_kernel_table_is_exactly_antisymmetric():
@@ -851,7 +823,7 @@ def test_mc_oracle_on_a_zero_smearing_costs_nothing():
 @pytest.mark.parametrize("b", [1e-2, 1.0, 1e4, 1e8])
 def test_logabs_self_pair_rule_matches_closed_form(b):
     """The general closed form at delta = R = 0, which forms shortcut to 1 - gamma - ln(2b)."""
-    (value,) = _logabs_pairs(np.array([b]), np.array([0.0]), np.array([0.0]))
+    value = _logabs_pair(b, 0.0, 0.0)
     expected = 1.0 - EULER_GAMMA - math.log(2.0 * b)
     assert abs(value - expected) <= 1e-14 * max(1.0, abs(expected))
 

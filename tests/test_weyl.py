@@ -17,13 +17,14 @@ from ncmink import (
     WeylElement,
     bilinear_form,
     frame_smearings,
+    gram_check,
     krein_J,
     krein_matrix,
     moment1,
     mu2,
     sigma,
 )
-from ncmink import state
+from ncmink import integrate, state
 from ncmink.testfn import single_term
 
 
@@ -266,6 +267,31 @@ def square_on_a_table_family(rng, psi):
     for f in family:
         a = a + WeylElement.generator(f, complex(rng.normal(), rng.normal()))
     return a
+
+
+def test_omega_after_the_gram_check_of_its_family_evaluates_no_log_moment(cfg, constants, params, monkeypatch):
+    """The table of omega(a* a) holds the bumps of a's family and psi, whose
+    gram_check has just evaluated every log pair among them, so the one
+    pair memo serves all of its log pairs and no log moment is evaluated."""
+    rng = np.random.default_rng(97)
+    pool = bump_pool(rng, params.psi)
+    family = [table_smearing(rng, pool) for _ in range(4)]
+    a = WeylElement.from_dict({f: complex(rng.normal(), rng.normal()) for f in family})
+    calc = WeylCalculus(constants, cfg, u=params.u)
+    moments = []
+    lambda_f = integrate._lambda_f
+
+    def counting(*args):
+        moments.append(args)
+        return lambda_f(*args)
+
+    monkeypatch.setattr(integrate, "_lambda_f", counting)
+    integrate._pair_cached.cache_clear()
+    gram_check(family, params, cfg)
+    assert moments
+    moments.clear()
+    calc.eval_omega(calc.mul(calc.star(a), a), params)
+    assert moments == []
 
 
 def term_by_term_square(a, constants, cfg, u):
