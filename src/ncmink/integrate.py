@@ -25,17 +25,16 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   (``_pair_integral``) through the process-wide memo ``_pair_cached``,
   so a value depends only on its own pair.  Bumps enter as (center,
   width) rows, the ``bump_rows`` of a smearing or the ``bump_arrays`` of
-  single bumps, and ``pair_geometry`` of two rows is where they meet.
-  One pair of bumps, which is what the observables of
-  :mod:`ncmink.geometry` compute, skips the arrays: ``_bump_geometry``
-  takes it on Python floats, through the same geometry arithmetic
-  (``_geometry``, which uses no BLAS), so a pair's value is the same bits
-  on either path and on any BLAS kernel; a frame would enter through
-  that one geometry arithmetic.  Forms read their pair integrals from one
-  kernel table over the distinct bump rows of their arguments, its upper
-  triangle mirrored, and the coefficient times table products of all the
-  forms of a call in one array pass (``_products``); ``bilinear_form`` is
-  the one-pair case.
+  single bumps, and two rows meet on Python floats in ``_geometry``, the
+  one geometry arithmetic (no BLAS), which the observables' one pair
+  (``_bump_geometry``), every kernel table and the momentum route's term
+  pairs share: a pair's value is the same bits on every path and on any
+  BLAS kernel, and a frame would enter there.  Forms read their pair
+  integrals from one kernel table over the distinct bump rows of their
+  arguments, each upper-triangle pair evaluated once and its swap folded
+  as the one-pair path folds it, and the coefficient times table products
+  of all the forms of a call in one array pass (``_products``);
+  ``bilinear_form`` is the one-pair case.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  It draws a component pair and
   then y = x - x' from that pair's exact law, the Gaussian convolution of
@@ -104,7 +103,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_evals < 1:
+        # not >= rather than <, so that a NaN budget is rejected too
+        if not self.max_evals >= 1:
             raise ValueError("max_evals must be at least 1")
         for name in ("mc_samples", "seed"):
             value = getattr(self, name)
@@ -246,14 +246,6 @@ def _lightcone_pair(b, delta, R):
     return step - slope
 
 
-def _half_widths(b, delta, R):
-    """s = sqrt(b/2), h = R s, x = delta s and whether the quotient is the direct difference, on Python floats."""
-    s = math.sqrt(0.5 * b)
-    h, x = R * s, delta * s
-    # the recurrence amplifies rounding by about (2 x h)^2j in term j
-    return s, h, x, h > _TAYLOR_CUT or x * h > 1.0
-
-
 def _quotient(h, x, direct, f_minus, f_plus, f_mid):
     """Dawson's difference quotient [F(x + h) - F(x - h)] / 2h of one pair, on floats.
 
@@ -284,7 +276,10 @@ def _logabs_pair(b, delta, R):
     L and F at delta -+ R, and F at delta for the Taylor series (whose L
     there goes unread).
     """
-    s, h, x, direct = _half_widths(b, delta, R)
+    s = math.sqrt(0.5 * b)
+    h, x = R * s, delta * s
+    # the recurrence amplifies rounding by about (2 x h)^2j in term j
+    direct = h > _TAYLOR_CUT or x * h > 1.0
     mus = (delta - R, delta + R) if direct else (delta - R, delta + R, delta)
     (l_minus, f_minus), (l_plus, f_plus), *mid = (_lambda_f(mu, s, b) for mu in mus)
     return math.fsum((l_minus, l_plus, _quotient(h, x, direct, f_minus, f_plus, mid[0][1] if mid else None)))
@@ -368,7 +363,7 @@ def bump_arrays(bumps):
     """The bump rows (n, 5) of a sequence of bumps, each (center, width).
 
     The layout of ``VectorSmearing.bump_rows``, the one shape in which
-    ``pair_geometry`` and ``_kernel_table`` read bumps.
+    ``_kernel_table`` reads bumps.
     """
     return np.array([_bump_row(bump) for bump in bumps], dtype=float).reshape(-1, 5)
 
@@ -377,41 +372,26 @@ def _bump_row(bump):
     return (*bump.center.components, bump.width)
 
 
-def _geometry(p, q, sqrt):
-    """Combined width b, time separation delta and spatial radius R of bumps p and q.
+def _geometry(p, q):
+    """Combined width b, time separation delta and spatial radius R of bump rows p and q.
 
-    p and q are (t, x, y, z, width), each entry a float or an array, the
-    arrays broadcasting like numpy; ``sqrt`` is math.sqrt or np.sqrt to
-    match.  This is the one place where two bumps meet, so a frame, should
-    one enter the pair integrals, enters here.  R^2 is
-    d1 d1 + d2 d2 + d3 d3 summed left to right, with no BLAS: every
-    operation is one correctly rounded IEEE step, so floats and arrays give
-    the same bits, whatever the batch and whatever BLAS kernel the host
-    selects.
+    p and q are (t, x, y, z, width) rows of Python floats.  This is the one
+    place where two bumps meet, so a frame, should one enter the pair
+    integrals, enters here.  R^2 is d1 d1 + d2 d2 + d3 d3 summed left to
+    right, with no BLAS: every operation is one correctly rounded IEEE step
+    on floats, so R is the same bits whatever BLAS kernel the host selects,
+    and an overflowing separation is inf without a warning.  Swapping p and
+    q keeps b and R bit for bit and negates delta, a zero's sign aside.
     """
     t_p, x_p, y_p, z_p, a_p = p
     t_q, x_q, y_q, z_q, a_q = q
     d1, d2, d3 = x_p - x_q, y_p - y_q, z_p - z_q
-    return a_p * a_q / (a_p + a_q), t_p - t_q, sqrt(d1 * d1 + d2 * d2 + d3 * d3)
-
-
-def pair_geometry(p, q):
-    """Combined widths b and center displacements (delta t, spatial radius) of bump rows.
-
-    p and q hold bump rows (center, width) in their last axis, of length 5,
-    and broadcast like numpy.  The arithmetic is ``_geometry``, which
-    ``_bump_geometry`` shares on floats: it uses no BLAS, and a frame would
-    enter the pair integrals there, on both paths at once.
-    """
-    # the columns as the first axis; np.moveaxis would cost more than the
-    # arithmetic on a small table
-    p, q = (x.transpose(-1, *range(x.ndim - 1)) for x in (p, q))
-    return _geometry(p, q, np.sqrt)
+    return a_p * a_q / (a_p + a_q), t_p - t_q, math.sqrt(d1 * d1 + d2 * d2 + d3 * d3)
 
 
 def _bump_geometry(bump_p, bump_q):
-    """``pair_geometry`` of two bumps, as Python floats."""
-    return _geometry(_bump_row(bump_p), _bump_row(bump_q), math.sqrt)
+    """``_geometry`` of two bumps."""
+    return _geometry(_bump_row(bump_p), _bump_row(bump_q))
 
 
 def _kernel_table(blocks, kinds):
@@ -420,19 +400,15 @@ def _kernel_table(blocks, kinds):
     Each block is the bump rows (n, 5) of one smearing's terms (or of one
     bump), and bumps match on the exact bits of their row.  Returns each
     block's index array into the distinct bumps and, for each kind, the
-    matrix K[i, j] of the pair integrals of distinct bumps i and j, from
-    one ``pair_geometry`` over the upper triangle of their square
-    (diagonal included) and one ``pair_integrals`` call.  A pair integral
-    depends only on its two bumps and ``pair_geometry`` is exactly
-    symmetric in them (delta changes sign), so the lower triangle mirrors
-    the upper one: LOGABS as is, LIGHTCONE negated as 0.0 - v, which keeps
-    +0.0 where delta = 0.  Since every value is the same function of
-    (b, |delta|, R) and its sign, K[index[p], index[q]] is the pair
-    integral of bumps p and q bit for bit, however the bumps are grouped,
-    with one exception in the sign of a zero: a light-cone value that
-    underflows to +0.0 mirrors to +0.0, where the one-pair path negates it
-    to -0.0 for the swapped pair (the two compare equal).  No blocks, or
-    only empty ones, give empty matrices.
+    matrix K[i, j] of the pair integrals of distinct bumps i and j.  Each
+    pair of the upper triangle (diagonal included) is one ``_geometry``
+    call on Python floats and one ``_pair_integral`` call per kind.  The
+    swapped pair has the same b and R and delta negated, so its entry is
+    the one-pair path's fold of the same value: LOGABS as is, LIGHTCONE
+    negated unless delta = 0, where it is +0.0.  So K[index[p], index[q]]
+    is the pair integral of bumps p and q bit for bit, the sign of a zero
+    included, however the bumps are grouped.  No blocks, or only empty
+    ones, give empty matrices.
     """
     # all blocks in one array: numpy calls per block would cost more than the
     # rest of the table on the many small blocks of a Weyl element
@@ -441,17 +417,16 @@ def _kernel_table(blocks, kinds):
     index = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in rows], dtype=np.intp)
     ends = list(accumulate(map(len, blocks)))
     indices = [index[start:end] for start, end in zip([0] + ends, ends)]
-    distinct = np.frombuffer(b"".join(slots), dtype=float).reshape(-1, 5)
+    distinct = np.frombuffer(b"".join(slots), dtype=float).reshape(-1, 5).tolist()
     n = len(distinct)
-    upper = np.triu_indices(n)
-    geometry = pair_geometry(distinct[upper[0]], distinct[upper[1]])
+    pairs = [(i, j, *_geometry(distinct[i], distinct[j])) for i in range(n) for j in range(i, n)]
     tables = []
     for kind in kinds:
-        values = pair_integrals(kind, *geometry)
-        table = np.empty((n, n))
-        table[upper[::-1]] = 0.0 - values if kind is KernelKind.LIGHTCONE else values
-        table[upper] = values
-        tables.append(table)
+        table = [[0.0] * n for _ in range(n)]
+        for i, j, b, delta, R in pairs:
+            table[i][j] = value = _pair_integral(kind, b, delta, R)
+            table[j][i] = -value if kind is KernelKind.LIGHTCONE and delta != 0.0 else value
+        tables.append(np.array(table).reshape(n, n))
     return indices, tables
 
 
@@ -483,14 +458,16 @@ def _term_pairs(f, g, contraction):
     (f term, g term) order.  With a diagonal contraction (eta, the
     identity) the product with it is exact and each coefficient is a
     four-term sum taken in index order, so it does not depend on the other
-    rows of the table.
+    rows of the table.  Each pair's (b, delta, R) is ``_geometry`` of its
+    two bump rows on Python floats, as in a kernel table.
     """
     c = _check_contraction(contraction)
     rows = (f.weights[:, None] * f.covectors) @ c
     coef = (rows[:, None, :] * (g.weights[:, None] * g.covectors)[None, :, :]).sum(axis=-1)
-    pairs = coef != 0.0
-    b, delta, R = pair_geometry(f.bump_rows[:, None], g.bump_rows[None])
-    return coef[pairs], b[pairs], delta[pairs], R[pairs]
+    i, j = np.nonzero(coef)
+    p, q = f.bump_rows.tolist(), g.bump_rows.tolist()
+    b, delta, R = np.array([_geometry(p[k], q[l]) for k, l in zip(i.tolist(), j.tolist())]).reshape(-1, 3).T
+    return coef[i, j], b, delta, R
 
 
 def _contracted(blocks, contraction):

@@ -25,9 +25,11 @@ integral depends only on its two bumps, never on the covectors, so
 ``_moments`` first builds one kernel table: the LOGABS and the LIGHTCONE
 matrix over the distinct bumps of all its smearings and psi
 (``integrate._kernel_table``, read from the smearings' bump rows and
-psi's one row).  Each smearing becomes one block on that table: its weighted
-covector rows with their bump indices, and psi carrying -mean(f) as a
-last row.  A value of the form reads two blocks and a contraction c
+psi's one row), each entry the one-pair value on Python floats, so no
+BLAS call reaches a pair integral; the covector contractions below still
+go through BLAS matrix products.  Each smearing becomes one block on
+that table: its weighted covector rows with their bump indices, and psi
+carrying -mean(f) as a last row.  A value of the form reads two blocks and a contraction c
 between them: eta for Delta, and for mu2 the Krein matrix eta J, so that
 Delta(f, J g) needs no twisted rows of g; since J^T eta J = eta, g's own
 products serve both.  One ``integrate._products`` pass over the LOGABS
@@ -65,13 +67,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrate import (
+    _bump_geometry,
     _contracted,
     _kernel_table,
+    _pair_integral,
     _products,
     bilinear_form,
     bump_arrays,
-    pair_geometry,
-    pair_integrals,
 )
 from .kernels import KernelKind
 from .minkowski import ETA, PhysicalConstants, krein_covector_map, krein_matrix, validate_unit_timelike
@@ -114,10 +116,11 @@ def sigma_indexed(f, psi, constants, cfg):
 
     Returns the components as an ndarray: the free covector index of f
     survives while its profiles are paired against psi through the
-    light-cone kernel.  Each component is an exactly rounded sum.
+    light-cone kernel, each term's pair on Python floats as in a kernel
+    table.  Each component is an exactly rounded sum.
     """
     scale = constants.kappa_sq / (8.0 * math.pi)
-    values = pair_integrals(KernelKind.LIGHTCONE, *pair_geometry(f.bump_rows, bump_arrays([psi])))
+    values = np.array([_pair_integral(KernelKind.LIGHTCONE, *_bump_geometry(t.bump, psi)) for t in f.terms])
     return -scale * _fsum_columns(values[:, None] * (f.weights[:, None] * f.covectors))
 
 

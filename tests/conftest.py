@@ -4,11 +4,6 @@ import pytest
 from ncmink import DMStateParams, GaussianBump, PhysicalConstants, QuadratureConfig, VectorSmearing
 from ncmink.testfn import single_term
 
-#: numpy's warning on an overflowing kernel-table geometry, which comes before
-#: a form or a state value is checked: delta overflows in the subtraction
-TABLE_OVERFLOW = "overflow encountered in subtract"
-
-
 @pytest.fixture(scope="session")
 def cfg():
     return QuadratureConfig()

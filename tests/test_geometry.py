@@ -25,7 +25,7 @@ from ncmink import (
     gaussian_pair_reduce,
     minkowski_interval,
 )
-from ncmink.integrate import pair_integrals
+from ncmink.integrate import _kernel_table, bump_arrays, pair_integrals
 from ncmink.verify import FAMILY_C_CORRECTED
 
 EULER_GAMMA = 0.5772156649015329
@@ -394,8 +394,31 @@ def _logabs_table_digest(n=4000):
     return hashlib.sha256(pair_integrals(KernelKind.LOGABS, b, delta, radius).tobytes()).hexdigest()
 
 
+def _kernel_table_digest(n=40):
+    """sha256 of the LOGABS and LIGHTCONE kernel tables of n seeded bumps.
+
+    Widths are log-uniform on [1e-150, 1e150], the powers of ten on Python
+    floats.  Every fourth bump shares the center of the one before it
+    (a coincident pair, delta = R = 0) and every fourth the time component
+    of the one before it (delta = 0, R > 0), and the last bump repeats the
+    first, so it reads the same distinct bump.
+    """
+    rng = np.random.default_rng(87)
+    bumps = []
+    for k in range(n - 1):
+        center = rng.normal(size=4).tolist()
+        if k % 4 == 1:
+            center = bumps[-1].center.components
+        elif k % 4 == 3:
+            center[0] = bumps[-1].center.components[0]
+        bumps.append(GaussianBump(center, 10.0 ** float(rng.uniform(-150.0, 150.0))))
+    bumps.append(bumps[0])
+    _, tables = _kernel_table([bump_arrays(bumps)], (KernelKind.LOGABS, KernelKind.LIGHTCONE))
+    return hashlib.sha256(b"".join(table.tobytes() for table in tables)).hexdigest()
+
+
 def _digests():
-    return f"{_observables_digest()} {_logabs_table_digest()}"
+    return f"{_observables_digest()} {_logabs_table_digest()} {_kernel_table_digest()}"
 
 
 @pytest.fixture(scope="module")
@@ -412,8 +435,9 @@ HOST_VARIANTS = {
 
 @pytest.mark.parametrize("variant", HOST_VARIANTS)
 def test_observables_do_not_depend_on_the_blas_kernel_or_simd_dispatch(digests, variant):
-    """distance, distance_alpha, causal and a LOGABS table give the same bits
-    under another OpenBLAS kernel and under numpy's AVX2 loops.
+    """distance, distance_alpha, causal, a LOGABS table and the kernel tables
+    of both kinds give the same bits under another OpenBLAS kernel and
+    under numpy's AVX2 loops.
 
     OPENBLAS_CORETYPE picks the kernel when an OpenBLAS built with
     DYNAMIC_ARCH loads; NPY_DISABLE_CPU_FEATURES switches off numpy's

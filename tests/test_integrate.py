@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TABLE_OVERFLOW, random_bump
+from conftest import random_bump
 from ncmink import (
     ETA,
     DistanceBreakdown,
@@ -39,7 +39,6 @@ from ncmink.integrate import (
     _pair_table,
     _term_pairs,
     bump_arrays,
-    pair_geometry,
     pair_integrals,
 )
 from ncmink._lambda_table import CUT, LOG_MOMENT
@@ -260,9 +259,8 @@ def test_a_pair_integral_that_is_not_finite_raises(kind, cfg):
     bp, bq = GaussianBump((1e308, 0, 0, 0), 1.0), GaussianBump((-1e308, 0, 0, 0), 1.0)
     with pytest.raises(ValueError, match="the pair integral is not finite: nan"):
         gaussian_pair_reduce(kind, bp, bq, cfg)
-    with pytest.warns(RuntimeWarning, match=TABLE_OVERFLOW):
-        with pytest.raises(ValueError, match=f"the {kind.value} form is not finite: nan"):
-            bilinear_form(kind, scalar_smearing(bp), scalar_smearing(bq), ETA, cfg)
+    with pytest.raises(ValueError, match=f"the {kind.value} form is not finite: nan"):
+        bilinear_form(kind, scalar_smearing(bp), scalar_smearing(bq), ETA, cfg)
 
 
 def test_logabs_swap_symmetry_is_exact(cfg):
@@ -280,13 +278,13 @@ def test_kernel_table_reads_every_row_pair_bit_for_bit(cfg):
 
     The rows come in blocks, an empty one among them, and each block gets
     its own indices into the one table.  No blocks give empty tables.  Each
-    entry equals the one-pair value on floats (a zero's sign aside: the
-    mirrored lower triangle keeps +0.0), also for time components +0.0 and
-    -0.0 (delta = -0.0), coincident bumps across the width range (closed
-    log pairs of b from 5e-151 to 5e149), delta < 0, log pairs whose
-    three log moments, at delta - R, delta + R and delta, are all near
-    (|mu| / sigma < 9), all far or mixed, and a light-cone pair that
-    underflows to +0.0, whose swap the one-pair fold negates to -0.0.
+    entry equals the one-pair value on floats, the sign of a zero included,
+    also for time components +0.0 and -0.0 (delta = -0.0), coincident bumps
+    across the width range (closed log pairs of b from 5e-151 to 5e149),
+    delta < 0, log pairs whose three log moments, at delta - R, delta + R
+    and delta, are all near (|mu| / sigma < 9), all far or mixed, and a
+    light-cone pair that underflows to +0.0, whose swap the one-pair fold
+    negates to -0.0.
     """
     rng = np.random.default_rng(19)
     base = [random_bump(rng) for _ in range(3)]
@@ -312,39 +310,17 @@ def test_kernel_table_reads_every_row_pair_bit_for_bit(cfg):
         assert table.shape == (21, 21)
         for p, bp in enumerate(bumps):
             for q, bq in enumerate(bumps):
-                assert table[index[p], index[q]] == gaussian_pair_reduce(kind, bp, bq, cfg).value
-    # the exception, signs exact: the upper triangle holds the pair as the
-    # one-pair path does, and the mirror 0.0 - v keeps +0.0 where the swapped
-    # one-pair value is -(+0.0) = -0.0
+                entry, value = table[index[p], index[q]], gaussian_pair_reduce(kind, bp, bq, cfg).value
+                assert entry == value and math.copysign(1.0, entry) == math.copysign(1.0, value)
+    # the underflowing pair: the upper triangle holds +0.0, and the mirrored
+    # entry the one-pair fold of the swapped pair, -(+0.0) = -0.0
     ahead, behind = index[-2:]
     assert ahead < behind
     lightcone = tables[1]
-    forward = gaussian_pair_reduce(KernelKind.LIGHTCONE, *underflow, cfg).value
-    backward = gaussian_pair_reduce(KernelKind.LIGHTCONE, *underflow[::-1], cfg).value
-    assert forward == backward == 0.0
-    assert math.copysign(1.0, lightcone[ahead, behind]) == math.copysign(1.0, forward) == 1.0
-    assert math.copysign(1.0, lightcone[behind, ahead]) == 1.0
-    assert math.copysign(1.0, backward) == -1.0
+    assert math.copysign(1.0, lightcone[ahead, behind]) == 1.0 and lightcone[ahead, behind] == 0.0
+    assert math.copysign(1.0, lightcone[behind, ahead]) == -1.0 and lightcone[behind, ahead] == 0.0
     indices, tables = _kernel_table([], kinds)
     assert indices == [] and [table.shape for table in tables] == [(0, 0), (0, 0)]
-
-
-def test_pair_geometry_radius_is_the_explicit_sum():
-    """R is sqrt(d1 d1 + d2 d2 + d3 d3) summed left to right, batched or broadcast, as on floats.
-
-    A BLAS dot product, which the host's kernel selects, rounds some of
-    these sums differently.
-    """
-    rng = np.random.default_rng(85)
-    n = 2000
-    centers = rng.normal(size=(2, n, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, n, 1))
-    p, q = np.concatenate([centers, rng.uniform(1.0, 1e4, (2, n, 1))], axis=2)
-    expected = []
-    for (_, x_p, y_p, z_p, _), (_, x_q, y_q, z_q, _) in zip(p.tolist(), q.tolist()):
-        d1, d2, d3 = x_p - x_q, y_p - y_q, z_p - z_q
-        expected.append(math.sqrt(d1 * d1 + d2 * d2 + d3 * d3))
-    assert pair_geometry(p, q)[2].tolist() == expected
-    assert np.diagonal(pair_geometry(p[:50, None], q[None, :50])[2]).tolist() == expected[:50]
 
 
 @pytest.mark.parametrize("sigma", [0.3, 1.0, 7.0])
@@ -952,6 +928,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             QuadratureConfig(**bad)
     assert QuadratureConfig(mc_samples=np.int64(20_000), seed=np.uint64(7)).seed == 7
+    # nan < 1 is False: a NaN budget would pass a < test, and evals >= nan
+    # would never stop the refinement
+    with pytest.raises(ValueError, match="max_evals"):
+        QuadratureConfig(max_evals=float("nan"))
     assert QuadratureConfig(max_evals=1e6).max_evals == 1e6
 
 
