@@ -29,6 +29,7 @@ from ncmink import integrate
 from ncmink.integrate import (
     _bump_geometry,
     _forms,
+    _geometry,
     _kernel_table,
     _lambda_f,
     _lightcone_pair,
@@ -321,6 +322,27 @@ def test_kernel_table_reads_every_row_pair_bit_for_bit(cfg):
     assert math.copysign(1.0, lightcone[behind, ahead]) == -1.0 and lightcone[behind, ahead] == 0.0
     indices, tables = _kernel_table([], kinds)
     assert indices == [] and [table.shape for table in tables] == [(0, 0), (0, 0)]
+
+
+def test_pair_geometry_radius_is_the_explicit_sum():
+    """R is sqrt(d1 d1 + d2 d2 + d3 d3) summed left to right, as on floats, whichever row is first.
+
+    A BLAS dot product, which the host's kernel selects, rounds some of
+    these sums differently.  Swapping the rows keeps b and R bit for bit and
+    negates delta; a separation too large to square gives R = inf.
+    """
+    rng = np.random.default_rng(85)
+    n = 2000
+    centers = rng.normal(size=(2, n, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, n, 1))
+    p, q = np.concatenate([centers, rng.uniform(1.0, 1e4, (2, n, 1))], axis=2)
+    for row_p, row_q in zip(p.tolist(), q.tolist()):
+        (t_p, x_p, y_p, z_p, a_p), (t_q, x_q, y_q, z_q, a_q) = row_p, row_q
+        d1, d2, d3 = x_p - x_q, y_p - y_q, z_p - z_q
+        expected = (a_p * a_q / (a_p + a_q), t_p - t_q, math.sqrt(d1 * d1 + d2 * d2 + d3 * d3))
+        assert _geometry(row_p, row_q) == expected
+        b, delta, radius = _geometry(row_q, row_p)
+        assert (b, -delta, radius) == expected
+    assert _geometry([0.0, 1e200, 0.0, 0.0, 1.0], [0.0, -1e200, 0.0, 0.0, 1.0])[2] == math.inf
 
 
 @pytest.mark.parametrize("sigma", [0.3, 1.0, 7.0])
