@@ -34,7 +34,9 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
   arguments, each upper-triangle pair evaluated once and its swap folded
   as the one-pair path folds it, and the coefficient times table products
   of all the forms of a call in one array pass (``_products``);
-  ``bilinear_form`` is the one-pair case.
+  ``bilinear_form`` is the one-pair case.  Every covector coefficient,
+  here and in the other two routes, is ``minkowski.contract``: sums in
+  index order on numpy's elementwise operations, with no BLAS.
 * ``mc_oracle``: an independent brute-force 8D Monte Carlo estimate with
   importance sampling from the bump mixtures.  It draws a component pair and
   then y = x - x' from that pair's exact law, the Gaussian convolution of
@@ -66,6 +68,7 @@ import numpy as np
 
 from ._lambda_table import CUT, DAWSON, LOG_MOMENT
 from .kernels import KernelKind, kernel_values
+from .minkowski import contract
 from .testfn import mean
 
 
@@ -455,42 +458,32 @@ def _term_pairs(f, g, contraction):
 
     The term table of the momentum route, and the per-pair statement of
     what ``_forms`` reads from a kernel table; pairs come in row-major
-    (f term, g term) order.  With a diagonal contraction (eta, the
-    identity) the product with it is exact and each coefficient is a
-    four-term sum taken in index order, so it does not depend on the other
-    rows of the table.  Each pair's (b, delta, R) is ``_geometry`` of its
-    two bump rows on Python floats, as in a kernel table.
+    (f term, g term) order.  Each coefficient is f's row contracted with c,
+    then with g's row, both ``contract`` sums in index order, so it does
+    not depend on the other rows of the table.  Each pair's (b, delta, R)
+    is ``_geometry`` of its two bump rows on Python floats, as in a kernel
+    table.
     """
     c = _check_contraction(contraction)
-    rows = (f.weights[:, None] * f.covectors) @ c
-    coef = (rows[:, None, :] * (g.weights[:, None] * g.covectors)[None, :, :]).sum(axis=-1)
+    coef = contract(contract(f.weights[:, None] * f.covectors, c), (g.weights[:, None] * g.covectors).T)
     i, j = np.nonzero(coef)
     p, q = f.bump_rows.tolist(), g.bump_rows.tolist()
     b, delta, R = np.array([_geometry(p[k], q[l]) for k, l in zip(i.tolist(), j.tolist())]).reshape(-1, 3).T
     return coef[i, j], b, delta, R
 
 
-def _contracted(blocks, contraction):
-    """Blocks (index, rows) with each block's rows times the contraction.
-
-    Each block is multiplied on its own: BLAS may round a row of a 1-row
-    product differently from the same row inside a stacked product, so a
-    row's contraction does not depend on the other blocks of a call.
-    """
-    return [(index, rows @ contraction) for index, rows in blocks]
-
-
-def _products(table, left, right, entries):
+def _products(table, left, right, entries, contraction):
     """Nonzero coefficient times table products of each entry (k, l), one list of floats per entry.
 
     left and right are blocks (index, rows): the weighted covector rows of
-    a smearing and their bumps' indices in the kernel table, the left rows
-    already contracted (``_contracted``).  Entry (k, l) holds row i of
-    left[k] . row j of right[l] times table[index_i, index_j] in row-major
-    (i, j) order, with the zero-coefficient pairs left out.  The pairs of
-    all entries are one array pass, and each entry's coefficients come out
-    as ``_term_pairs`` computes those of two smearings, whatever the other
-    entries of the call.
+    a smearing and their bumps' indices in the kernel table.  The stacked
+    left rows are contracted in one ``contract`` call with the contraction,
+    a 4x4 matrix or one per stacked row.  Entry (k, l) holds row i of
+    left[k] . c . row j of right[l] times table[index_i, index_j] in
+    row-major (i, j) order, with the zero-coefficient pairs left out.  The
+    pairs of all entries are one array pass, and each entry's coefficients
+    come out as ``_term_pairs`` computes those of two smearings, whatever
+    the other entries of the call.
     """
     a_index, b_index = (np.concatenate([index for index, _ in side] or [np.empty(0, np.intp)]) for side in (left, right))
     a_rows, b_rows = (np.concatenate([rows for _, rows in side] or [np.empty((0, 4))]) for side in (left, right))
@@ -506,7 +499,7 @@ def _products(table, left, right, entries):
     row, column = np.divmod(np.arange(ends[-1]) - first, m)
     i, j = a0 + row, b0 + column
     # take gathers faster than indexing
-    coef = (a_rows.take(i, axis=0) * b_rows.take(j, axis=0)).sum(axis=-1)
+    coef = contract(contract(a_rows, contraction).take(i, axis=0), b_rows.take(j, axis=0)[..., None])[..., 0]
     pairs = np.flatnonzero(coef)
     values = (coef.take(pairs) * table[a_index.take(i.take(pairs)), b_index.take(j.take(pairs))]).tolist()
     bounds = np.searchsorted(pairs, ends).tolist()
@@ -528,7 +521,7 @@ def _forms(kind, fs, gs, contraction):
     indices, (table,) = _kernel_table([h.bump_rows for h in smearings], (kind,))
     blocks = [(index, h.weights[:, None] * h.covectors) for index, h in zip(indices, smearings)]
     n, m = len(fs), len(gs)
-    products = _products(table, _contracted(blocks[:n], c), blocks[n:], [(k, l) for k in range(n) for l in range(m)])
+    products = _products(table, blocks[:n], blocks[n:], [(k, l) for k in range(n) for l in range(m)], c)
     sums = [math.fsum(p) for p in products]
     for value in sums:
         if not math.isfinite(value):
@@ -565,7 +558,7 @@ def _pair_table(f, g, contraction):
     coeff = (
         np.sign(f.weights)[:, None]
         * np.sign(g.weights)[None, :]
-        * (f.covectors @ contraction @ g.covectors.T)
+        * contract(contract(f.covectors, contraction), g.covectors.T)
         * np.abs(f.weights).sum()
         * np.abs(g.weights).sum()
     )
@@ -692,9 +685,9 @@ def _refine(integrand, x0, x1, cfg, evals_per_node=1):
         nodes = a0[:, None] + width[:, None] * np.concatenate([xs7, xs15])
         vals, mags = (v.reshape(len(a0), -1) for v in integrand(nodes.ravel()))
         f7, f15 = vals[:, :7], vals[:, 7:]
-        coarse = width * (f7 @ w7)
-        fine = width * (f15 @ w15)
-        return fine, np.abs(fine - coarse), width * (mags[:, 7:] @ w15)
+        coarse = width * (f7 * w7).sum(axis=1)
+        fine = width * (f15 * w15).sum(axis=1)
+        return fine, np.abs(fine - coarse), width * (mags[:, 7:] * w15).sum(axis=1)
 
     values, errors, magnitudes = rules(x0, x1)
     evals = len(x0) * 22 * evals_per_node
@@ -741,7 +734,7 @@ def _momentum_integrand(P, coef, cpair, dt, sep):
     poly = 1.0 + 1j * Pm * dt[None, :] + 2.0 * cpair[None, :] * Pm**2
     damp = np.exp(-2.0 * cpair[None, :] * Pm**2)
     g_minus_1 = osc * phase * poly * damp - 1.0
-    return (g_minus_1 @ coef) / P, (np.abs(g_minus_1) @ np.abs(coef)) / P
+    return (g_minus_1 * coef).sum(axis=1) / P, (np.abs(g_minus_1) * np.abs(coef)).sum(axis=1) / P
 
 
 def momentum_form(f, g, cfg):

@@ -106,13 +106,32 @@ def synge(p, q):
     return 0.5 * minkowski_interval(p, q)
 
 
+def contract(rows, matrix):
+    """Covector rows (..., 4) times a 4 x k matrix, or one such matrix per row.
+
+    Entry j of a row r is r_0 m_0j + r_1 m_1j + r_2 m_2j + r_3 m_3j,
+    summed left to right, on numpy's elementwise multiply and add.  Those
+    round each operation once, so an entry is the same bits on every BLAS
+    kernel and SIMD dispatch, and a row's result does not depend on the
+    rows stacked with it.  This is the package's one covector contraction:
+    a column per row, (..., 4, 1), gives the dot products of two stacks of
+    rows.
+    """
+    return (rows[..., :, None] * matrix).sum(axis=-2)
+
+
 def validate_unit_timelike(u):
-    """Check that u (upper index) is timelike with eta(u, u) = -1."""
-    uc = np.array(as_components(u, "vector u"))
-    norm = float(uc @ ETA @ uc)
-    if abs(norm + 1.0) > UNIT_TIMELIKE_TOL:
+    """Check that u (upper index) is timelike with eta(u, u) = -1.
+
+    eta(u, u) is the interval of u from the origin on Python floats, so a
+    u whose square overflows reads nan or inf without a warning and is
+    rejected: no comparison with nan is true.
+    """
+    uc = as_components(u, "vector u")
+    norm = minkowski_interval(uc, (0.0, 0.0, 0.0, 0.0))
+    if not abs(norm + 1.0) <= UNIT_TIMELIKE_TOL:
         raise ValueError(f"u must be unit timelike, got eta(u,u) = {norm!r}")
-    return uc
+    return np.array(uc)
 
 
 def krein_matrix(u):
@@ -129,9 +148,9 @@ def krein_matrix(u):
 def krein_covector_map(u):
     """Mixed-index involution J_mu^nu = delta_mu^nu + 2 u_mu u^nu.
 
-    Acts on covector components; satisfies J @ J = identity exactly up to
-    floating point, and eta^{mu rho} J_rho^nu = krein_matrix(u).
+    Acts on covector components; satisfies J J = identity exactly up to
+    floating point.  It is eta times krein_matrix(u): eta is +-1 on the
+    diagonal, so each entry is an entry of the Krein matrix, sign flipped
+    in the time row, exactly.
     """
-    uc = validate_unit_timelike(u)
-    u_lower = ETA @ uc
-    return np.eye(4) + 2.0 * np.outer(u_lower, uc)
+    return contract(ETA, krein_matrix(u))

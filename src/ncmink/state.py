@@ -25,23 +25,24 @@ integral depends only on its two bumps, never on the covectors, so
 ``_moments`` first builds one kernel table: the LOGABS and the LIGHTCONE
 matrix over the distinct bumps of all its smearings and psi
 (``integrate._kernel_table``, read from the smearings' bump rows and
-psi's one row), each entry the one-pair value on Python floats, so no
-BLAS call reaches a pair integral; the covector contractions below still
-go through BLAS matrix products.  Each smearing becomes one block on
-that table: its weighted covector rows with their bump indices, and psi
-carrying -mean(f) as a last row.  A value of the form reads two blocks and a contraction c
-between them: eta for Delta, and for mu2 the Krein matrix eta J, so that
-Delta(f, J g) needs no twisted rows of g; since J^T eta J = eta, g's own
-products serve both.  One ``integrate._products`` pass over the LOGABS
-table gives each block's products with itself under eta and every
-entry's f x g products under c, and one pass over the LIGHTCONE table
-every entry's f x g products of the terms under c; each block's rows are
-contracted on their own, so a value does not depend on the other
-smearings of its call.  An entry (``_two_point``) is then slices of
-those passes: Q(Pf + Pg) and Q(Pf - Pg) are the exactly rounded sums of
-both blocks' own products and plus or minus twice the f x g products,
-the mean term is mean(f) c mean(g), the regulator term sigma(f, psi) c
-sigma(g, psi), and sigma(f, g) the exactly rounded sum of the LIGHTCONE
+psi's one row), each entry the one-pair value on Python floats.  Each
+smearing becomes one block on that table: its weighted covector rows
+with their bump indices, and psi carrying -mean(f) as a last row.  A
+value of the form reads two blocks and a contraction c between them: eta
+for Delta, and for mu2 the Krein matrix eta J, so that Delta(f, J g)
+needs no twisted rows of g; since J^T eta J = eta, g's own products
+serve both.  One ``integrate._products`` pass over the LOGABS table
+gives each block's products with itself under eta and every entry's
+f x g products under c, and one pass over the LIGHTCONE table every
+entry's f x g products of the terms under c.  Every covector product is
+``minkowski.contract``, elementwise sums in index order with no BLAS, so
+a value is the same bits on any BLAS kernel and does not depend on the
+other smearings of its call.  An entry (``_two_point``) is then slices
+of those passes: Q(Pf + Pg) and Q(Pf - Pg) are the exactly rounded sums
+of both blocks' own products and plus or minus twice the f x g
+products, the mean term is mean(f) c mean(g), the regulator term
+sigma(f, psi) c sigma(g, psi), both from one ``contract`` pass over the
+call's entries, and sigma(f, g) the exactly rounded sum of the LIGHTCONE
 products.  mu2's positivity guard runs on every entry with f_k == g_l.
 A family's Gram matrix reads one table and one pass per table for all
 its entries, and an element's second moments one table for all its
@@ -68,7 +69,6 @@ import numpy as np
 
 from .integrate import (
     _bump_geometry,
-    _contracted,
     _kernel_table,
     _pair_integral,
     _products,
@@ -76,7 +76,7 @@ from .integrate import (
     bump_arrays,
 )
 from .kernels import KernelKind
-from .minkowski import ETA, PhysicalConstants, krein_covector_map, krein_matrix, validate_unit_timelike
+from .minkowski import ETA, PhysicalConstants, contract, krein_covector_map, krein_matrix, validate_unit_timelike
 from .testfn import GaussianBump, _fsum_columns
 
 
@@ -152,27 +152,26 @@ class _Block(NamedTuple):
     sigma: np.ndarray  # (4,), sigma(f, psi)
 
 
-def _two_point(f, g, tables, contraction, params):
-    """Delta_{alpha,psi} of the blocks f and g paired through the contraction (see module doc).
+def _two_point(f, g, tables, params):
+    """Delta_{alpha,psi} of the blocks f and g paired through the contraction c (see module doc).
 
     tables holds the entry's slices of the two product passes of its
-    call: the LOGABS products of f's rows (psi's last) with g's under the
-    contraction, and the LIGHTCONE products of their terms.  The rest is
-    exactly rounded sums, and the mean and regulator terms.
+    call, the LOGABS products of f's rows (psi's last) with g's under c
+    and the LIGHTCONE products of their terms, and its two dot products
+    mean(f) c mean(g) and sigma(f, psi) c sigma(g, psi).  The rest is
+    exactly rounded sums.
     """
     kappa_sq = params.constants.kappa_sq
     if kappa_sq == 0.0:
         return 0.0 + 0.0j
-    cross, fg = tables
+    cross, fg, means, sigmas = tables
     own = f.own + g.own
     plus = math.fsum(own + [2.0 * x for x in cross])
     minus = math.fsum(own + [-2.0 * x for x in cross])
     log_term = 0.25 * min(plus, 0.0) - 0.25 * min(minus, 0.0)
     log_scale = kappa_sq / (16.0 * math.pi**2)
-    # the signs of -mean(f) and -mean(g) cancel exactly
-    mean_term = params.state_alpha * kappa_sq * float(f.mean @ contraction @ g.mean)
-    reg_scale = 1.0 / (4.0 * params.state_alpha * kappa_sq)
-    reg_term = reg_scale * float(f.sigma @ contraction @ g.sigma)
+    mean_term = params.state_alpha * kappa_sq * means
+    reg_term = 1.0 / (4.0 * params.state_alpha * kappa_sq) * sigmas
     sig = -kappa_sq / (8.0 * math.pi) * math.fsum(fg)
     return -log_scale * log_term + mean_term + reg_term + 0.5j * sig
 
@@ -193,10 +192,12 @@ def _moments(smearings, params, twisted, entries):
     pass per table gives all the products: on the LOGABS table each
     smearing's own block under eta and every entry's cross term under the
     contraction c, on the LIGHTCONE table every entry's sigma under c.  An
-    entry is then slices of those passes and exactly rounded sums, in the
-    order of entries.  An entry that is not finite, where a center
-    separation or a product overflowed, raises ValueError; mu2's positivity
-    guard runs on every twisted entry with f_k == f_l.
+    entry is then slices of those passes, exactly rounded sums and its
+    mean and sigma(., psi) dot products under c, which one ``contract``
+    pass gives for all entries, in the order of entries.  An entry that
+    is not finite, where a center separation or a product overflowed,
+    raises ValueError; mu2's positivity guard runs on every twisted entry
+    with f_k == f_l.
     """
     indices, (logabs, lightcone) = _kernel_table(
         [f.bump_rows for f in smearings] + [bump_arrays([params.psi])], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
@@ -209,15 +210,22 @@ def _moments(smearings, params, twisted, entries):
     contraction = krein_matrix(params.u) if twisted else ETA
     n = len(smearings)
     own_and_cross = [(k, k) for k in range(n)] + [(n + k, l) for k, l in entries]
-    logs = _products(logabs, _contracted(with_psi, ETA) + _contracted(with_psi, contraction), with_psi, own_and_cross)
-    sigmas = _products(lightcone, _contracted(terms, contraction), terms, entries)
+    # the own products under eta, the cross products under c: one matrix per row
+    per_row = np.repeat(np.array([ETA, contraction]), sum(len(rows) for _, rows in with_psi), axis=0)
+    logs = _products(logabs, with_psi + with_psi, with_psi, own_and_cross, per_row)
+    sigmas = _products(lightcone, terms, terms, entries, contraction)
     blocks = [
         _Block(psi_rows[-1], own, -scale * _fsum_columns(lightcone[index, psi[0]][:, None] * rows))
         for (index, rows), (_, psi_rows), own in zip(terms, with_psi, logs)
     ]
+    # every entry's mean(f) c mean(g), the signs of -mean(f) and -mean(g)
+    # cancelling exactly, and sigma(f, psi) c sigma(g, psi)
+    ends = np.array([block.mean for block in blocks] + [block.sigma for block in blocks]).reshape(-1, 4)
+    left, right = np.array(entries + [(n + k, n + l) for k, l in entries], dtype=np.intp).reshape(-1, 2).T
+    dots = contract(contract(ends, contraction)[left], ends[right][..., None]).reshape(2, -1).tolist()
     values = []
-    for (k, l), *products in zip(entries, logs[n:], sigmas):
-        values.append(_two_point(blocks[k], blocks[l], products, contraction, params))
+    for (k, l), *tables in zip(entries, logs[n:], sigmas, *dots):
+        values.append(_two_point(blocks[k], blocks[l], tables, params))
         if not cmath.isfinite(values[-1]):
             raise ValueError(f"{'mu2' if twisted else 'Delta'}(f_{k}, f_{l}) is not finite: {values[-1]!r}")
         if twisted and smearings[k] == smearings[l]:

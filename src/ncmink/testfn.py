@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .minkowski import SpacetimePoint, as_components
+from .minkowski import SpacetimePoint, as_components, contract
 
 ZERO_COVECTOR = (0.0, 0.0, 0.0, 0.0)
 
@@ -162,12 +162,18 @@ class VectorSmearing:
         return not len(self.rows)
 
     def map_covectors(self, matrix):
-        """Apply a mixed-index 4x4 matrix to every covector, profiles untouched."""
-        matrix = np.asarray(matrix, dtype=float)
+        """Apply a mixed-index 4x4 matrix to every covector, profiles untouched.
+
+        Every row is mapped in one ``contract`` call, so a covector's image
+        does not depend on the other terms.  An image that overflows raises
+        ValueError naming its covector.
+        """
         rows = self.rows.copy()
-        # a matrix-vector product per term: one matrix product over all the
-        # rows may round differently
-        rows[:, :4] = np.reshape([as_components(matrix @ v, "covector") for v in self.covectors], (-1, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows[:, :4] = contract(self.covectors, np.asarray(matrix, dtype=float).T)
+        bad = ~np.isfinite(rows[:, :4]).all(axis=1)
+        if bad.any():
+            raise ValueError(f"covector {self.covectors[bad][0].tolist()} maps to non-finite entries: {rows[bad][0, :4].tolist()}")
         return VectorSmearing._from_rows(rows)
 
 

@@ -383,6 +383,8 @@ def test_sweep_space_direction(capsys):
         ({"constants": {"u": "1000"}}, "config.constants.u must be a list of 4 numbers"),
         ({"constants": {"u": [True, 0, 0, 0]}}, "config.constants.u must be a list of 4 numbers"),
         ({"constants": {"u": [1, 0, 0]}}, "config.constants.u must be a list of 4 numbers"),
+        # eta(u, u) overflows to nan, which no tolerance test may accept
+        ({"constants": {"u": [1e200, 1e200, 0, 0]}}, "u must be unit timelike, got eta(u,u) = nan"),
         ({"state": {"psi": {"center": "1234", "width": 25}}}, "config.state.psi.center must be a list of 4 numbers"),
         ({"state": {"psi": {"center": [0, None, 0, 0]}}}, "config.state.psi.center must be a list of 4 numbers"),
     ],

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -10,11 +11,17 @@ import pytest
 
 from conftest import random_bump
 from ncmink import (
+    ETA,
+    IDENTITY,
     DMStateParams,
     GaussianBump,
     KernelKind,
     PhysicalConstants,
     QuadratureConfig,
+    VectorSmearing,
+    WeylCalculus,
+    WeylElement,
+    bilinear_form,
     causal,
     causal_via_weyl,
     classical_term,
@@ -23,7 +30,13 @@ from ncmink import (
     distance,
     distance_alpha,
     gaussian_pair_reduce,
+    gram_check,
+    krein_J,
+    krein_matrix,
+    mc_oracle,
     minkowski_interval,
+    momentum_form,
+    scalar_smearing,
 )
 from ncmink.integrate import _kernel_table, bump_arrays, pair_integrals
 from ncmink.verify import FAMILY_C_CORRECTED
@@ -417,8 +430,86 @@ def _kernel_table_digest(n=40):
     return hashlib.sha256(b"".join(table.tobytes() for table in tables)).hexdigest()
 
 
+def _smearings(rng, pool, n):
+    """n smearings of 1-4 terms on a shared bump pool, built on Python floats.
+
+    Covector sizes span four decades and weights take either sign, as in
+    ``conftest.table_smearing``.
+    """
+    smearings = []
+    for _ in range(n):
+        terms = []
+        for _ in range(int(rng.integers(1, 5))):
+            size = 10.0 ** float(rng.uniform(-2.0, 2.0))
+            covector = [size * x for x in rng.normal(size=4).tolist()]
+            weight = float(rng.uniform(0.5, 2.0)) * float(rng.choice([-1.0, 1.0]))
+            terms.append((covector, pool[int(rng.integers(len(pool)))], weight))
+        smearings.append(VectorSmearing(terms))
+    return smearings
+
+
+def _forms_and_state_digest():
+    """sha256 of forms, the Krein map and the state in a boosted frame.
+
+    On seeded smearings over a pool of five bumps, built on Python floats:
+    LOGABS and LIGHTCONE ``bilinear_form`` under eta and under the Krein
+    matrix of a boosted u, the rows of ``krein_J`` at that u, the
+    ``gram_check`` N bytes of a five-member family and ``eval_omega(a* a)``
+    of an element on it, and ``mc_oracle`` of every kernel on multi-term
+    smearings, so its pair draw runs.  M is left out: it is np.exp of N.
+    """
+    rng = np.random.default_rng(88)
+    boost = rng.normal(scale=0.5, size=3).tolist()
+    u = (math.sqrt(1.0 + boost[0] * boost[0] + boost[1] * boost[1] + boost[2] * boost[2]), *boost)
+    psi = GaussianBump((0.1, 0.0, 0.2, 0.0), 25.0)
+    pool = [GaussianBump(rng.normal(scale=0.6, size=4).tolist(), 10.0 ** float(rng.uniform(0.9, 1.6))) for _ in range(4)]
+    smearings = _smearings(rng, pool + [psi], 10)
+    cfg = QuadratureConfig()
+    values = []
+    for f, g in zip(smearings[::2], smearings[1::2]):
+        for kind in (KernelKind.LOGABS, KernelKind.LIGHTCONE):
+            values += [bilinear_form(kind, f, g, c, cfg).value for c in (ETA, krein_matrix(u))]
+        values += krein_J(f, u).rows.ravel().tolist()
+    for k, kind in enumerate(KernelKind):
+        mc_cfg = QuadratureConfig(mc_samples=10_000, seed=90 + k)
+        result = mc_oracle(kind, smearings[k], smearings[k + 1], IDENTITY, mc_cfg)
+        values += [result.value, result.error_estimate]
+    constants = PhysicalConstants(planck_length=0.1)
+    params = DMStateParams(state_alpha=1.0, psi=psi, constants=constants, u=u)
+    family = smearings[:5]
+    values += gram_check(family, params, cfg)[0].matrix.view(float).ravel().tolist()
+    calc = WeylCalculus(constants, cfg, u=u, pairing="krein")
+    a = sum((WeylElement.generator(f, complex(*rng.normal(size=2).tolist())) for f in family[1:]), WeylElement.generator(family[0]))
+    omega = calc.eval_omega(calc.mul(calc.star(a), a), params).value
+    values += [omega.real, omega.imag]
+    return hashlib.sha256(np.array(values).tobytes()).hexdigest()
+
+
+def _momentum_digest():
+    """sha256 of ``momentum_form`` on seeded mean-zero smearings.
+
+    Its integrand takes np.exp and np.sinc, which follow numpy's SIMD
+    dispatch, so this digest is compared under other OpenBLAS kernels only.
+    """
+    rng = np.random.default_rng(89)
+    values = []
+    for _ in range(3):
+        bumps = [GaussianBump(rng.normal(scale=0.5, size=4).tolist(), 10.0 ** float(rng.uniform(1.3, 2.6))) for _ in range(4)]
+        f = scalar_smearing(bumps[0]) - scalar_smearing(bumps[1])
+        g = scalar_smearing(bumps[2], 0.5) - scalar_smearing(bumps[3], 0.5)
+        value = momentum_form(f, g, QuadratureConfig()).value
+        values += [value.real, value.imag]
+    return hashlib.sha256(np.array(values).tobytes()).hexdigest()
+
+
 def _digests():
-    return f"{_observables_digest()} {_logabs_table_digest()} {_kernel_table_digest()}"
+    return {
+        "observables": _observables_digest(),
+        "logabs table": _logabs_table_digest(),
+        "kernel tables": _kernel_table_digest(),
+        "forms and state": _forms_and_state_digest(),
+        "momentum": _momentum_digest(),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -426,29 +517,36 @@ def digests():
     return _digests()
 
 
+# each variant's environment and the digests that must not move under it
 HOST_VARIANTS = {
-    "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
-    "Sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
-    "AVX2": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR,AVX512_ICL,X86_V4"},
+    "Haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, None),
+    "Sandybridge": ({"OPENBLAS_CORETYPE": "Sandybridge"}, None),
+    "AVX2": ({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR,AVX512_ICL,X86_V4"}, "momentum"),
 }
 
 
 @pytest.mark.parametrize("variant", HOST_VARIANTS)
 def test_observables_do_not_depend_on_the_blas_kernel_or_simd_dispatch(digests, variant):
-    """distance, distance_alpha, causal, a LOGABS table and the kernel tables
-    of both kinds give the same bits under another OpenBLAS kernel and
-    under numpy's AVX2 loops.
+    """distance, distance_alpha, causal, a LOGABS table, the kernel tables of
+    both kinds, forms, the Krein map, the state's N and omega, and the
+    Monte Carlo oracle give the same bits under another OpenBLAS kernel and
+    under numpy's AVX2 loops; the momentum route under another OpenBLAS
+    kernel only.
 
     OPENBLAS_CORETYPE picks the kernel when an OpenBLAS built with
     DYNAMIC_ARCH loads; NPY_DISABLE_CPU_FEATURES switches off numpy's
     AVX512 dispatch, whose transcendental loops round differently from its
-    AVX2 ones.  A build without DYNAMIC_ARCH, or a host or numpy build
-    without those AVX512 features, runs what it has: the subprocess then
-    computes what the test process does, and the test passes trivially.
+    AVX2 ones.  The momentum route's np.exp and np.sinc are such loops, so
+    its digest is not compared under AVX2.  A build without DYNAMIC_ARCH,
+    or a host or numpy build without those AVX512 features, runs what it
+    has: the subprocess then computes what the test process does, and the
+    test passes trivially.
     """
+    env_vars, simd_dependent = HOST_VARIANTS[variant]
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests), str(tests.parent / "src")])
-    env = {**os.environ, **HOST_VARIANTS[variant], "PYTHONPATH": path}
-    code = "import test_geometry; print(test_geometry._digests())"
+    env = {**os.environ, **env_vars, "PYTHONPATH": path}
+    code = "import json, test_geometry; print(json.dumps(test_geometry._digests()))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
-    assert run.stdout.strip() == digests
+    expected = {name: value for name, value in digests.items() if name != simd_dependent}
+    assert {name: value for name, value in json.loads(run.stdout).items() if name != simd_dependent} == expected

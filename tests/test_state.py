@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from ncmink import (
 from ncmink import state
 from ncmink.state import diagonal_moments, log_minus_form, sigma_indexed
 from ncmink.integrate import _bump_geometry, _pair_integral, _term_pairs, pair_integrals
+from ncmink.minkowski import contract
 from ncmink.testfn import ZERO_SMEARING, project_psi, scalar_smearing, single_term
 
 
@@ -47,6 +49,20 @@ def test_a_state_value_that_is_not_finite_raises(cfg, params):
         gram_check([f - g], params, cfg)
     with pytest.raises(ValueError, match=r"^Delta\(f_0, f_1\) is not finite: \(nan\+nanj\)$"):
         dm_bilinear(f, g, params, cfg)
+
+
+def test_a_krein_map_that_overflows_raises(boosted_params):
+    """J f of a covector near the float range overflows in a boosted frame;
+    it must be a ValueError naming the covector, with no numpy warning first."""
+    f = single_term((1e308, 1e308, 0.0, 0.0), GaussianBump((0, 0, 0, 0), 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^covector \[1e\+308, 1e\+308, 0\.0, 0\.0\] maps to non-finite entries"):
+            krein_J(f, boosted_params.u)
+        with pytest.raises(ValueError, match="maps to non-finite entries"):
+            f.map_covectors(np.full((4, 4), np.inf))
+    # the rest frame's J only flips the time component, which stays finite
+    assert krein_J(f).rows[0, :4].tolist() == [-1e308, 1e308, 0.0, 0.0]
 
 
 def test_sigma_diagonal_vanishes(cfg, constants):
@@ -262,6 +278,11 @@ def test_params_validation(constants):
 # composition of the public functions that define the form.
 
 
+def eta_dot(a, b):
+    """a eta b through the package's one covector contraction, as the state takes it."""
+    return float(contract(contract(a, ETA), b[:, None])[0])
+
+
 def composed_dm_bilinear(f, g, params, cfg):
     """Delta_{alpha,psi}(f, g) composed term by term, as the definition reads."""
     kappa_sq = params.constants.kappa_sq
@@ -269,11 +290,11 @@ def composed_dm_bilinear(f, g, params, cfg):
     pg = project_psi(g, params.psi)
     log_term = log_minus_form(pf, pg, ETA, cfg)
     log_scale = kappa_sq / (16.0 * math.pi**2)
-    mean_term = params.state_alpha * kappa_sq * float(mean(f) @ ETA @ mean(g))
+    mean_term = params.state_alpha * kappa_sq * eta_dot(mean(f), mean(g))
     sf = sigma_indexed(f, params.psi, params.constants, cfg)
     sg = sigma_indexed(g, params.psi, params.constants, cfg)
     reg_scale = 1.0 / (4.0 * params.state_alpha * kappa_sq)
-    reg_term = reg_scale * float(sf @ ETA @ sg)
+    reg_term = reg_scale * eta_dot(sf, sg)
     sig = sigma(f, g, params.constants, cfg)
     return -log_scale * log_term + mean_term + reg_term + 0.5j * sig
 
@@ -346,8 +367,8 @@ def test_sums_of_the_form_are_exactly_rounded(cfg, params):
     sf, sg = exact_sigma_indexed(f), exact_sigma_indexed(g)
     assert sf[0] != 0.0 and np.array_equal(sigma_indexed(f, params.psi, params.constants, cfg), sf)
     assert log_minus_form(project_psi(f, params.psi), project_psi(g, params.psi), ETA, cfg) == 0.0
-    mean_term = params.state_alpha * kappa_sq * float(mean(f) @ ETA @ mean(g))
-    reg_term = 1.0 / (4.0 * params.state_alpha * kappa_sq) * float(sf @ ETA @ sg)
+    mean_term = params.state_alpha * kappa_sq * eta_dot(mean(f), mean(g))
+    reg_term = 1.0 / (4.0 * params.state_alpha * kappa_sq) * eta_dot(sf, sg)
     expected = mean_term + reg_term + 0.5j * sigma(f, g, params.constants, cfg)
     assert expected.real != 0.0 and dm_bilinear(f, g, params, cfg) == expected
 
@@ -424,7 +445,7 @@ def test_diagonal_moments_are_mu2_and_delta_of_each_smearing(cfg, params, booste
 def test_diagonal_positivity_guard(cfg, params, monkeypatch, value, message):
     rng = np.random.default_rng(83)
     f, g = random_smearing(rng), random_smearing(rng)
-    monkeypatch.setattr(state, "_two_point", lambda f, g, tables, contraction, params: value)
+    monkeypatch.setattr(state, "_two_point", lambda f, g, tables, params: value)
     with pytest.raises(PositivityError, match=message):
         mu2(f, f, params, cfg)
     with pytest.raises(PositivityError, match=message):
@@ -434,7 +455,7 @@ def test_diagonal_positivity_guard(cfg, params, monkeypatch, value, message):
     # as in mu2, the guard follows f_k == f_l, not k == l: entry (0, 1) of a
     # repeated member raises although entry (0, 0) passed
     entries = iter([1.0 + 0.0j, value])
-    monkeypatch.setattr(state, "_two_point", lambda f, g, tables, contraction, params: next(entries))
+    monkeypatch.setattr(state, "_two_point", lambda f, g, tables, params: next(entries))
     with pytest.raises(PositivityError, match=message):
         gram_check([f, f], params, cfg)
 
@@ -442,12 +463,9 @@ def test_diagonal_positivity_guard(cfg, params, monkeypatch, value, message):
 def test_a_value_does_not_depend_on_its_call_in_a_boosted_frame(cfg, boosted_params):
     """mu2, a second moment and a product's sigma read the same bits in every call that holds them.
 
-    The Krein matrix of a boosted u is not diagonal, so a row contracted
-    with it rounds by the BLAS path its matrix product takes; each
-    smearing's rows are contracted on their own, so a value does not
-    depend on how many other smearings share its call.  1-term smearings
-    give the 1-row products, which round differently from a row of a
-    stacked product on some BLAS builds.
+    The Krein matrix of a boosted u is not diagonal, so every product of
+    a row with it rounds; a value still must not depend on how many other
+    smearings share its call, 1-term smearings among them.
     """
     params = boosted_params
     rng = np.random.default_rng(107)
