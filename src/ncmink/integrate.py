@@ -728,13 +728,14 @@ def _momentum_integrand(P, coef, cpair, dt, sep):
     magnitude sum_pairs |coef (g(P) - 1)| / P scales the rounding of that
     cancelling sum.
     """
-    Pm = P[:, None]
-    osc = np.sinc(Pm * sep[None, :] / math.pi)
-    phase = np.exp(-1j * Pm * dt[None, :])
-    poly = 1.0 + 1j * Pm * dt[None, :] + 2.0 * cpair[None, :] * Pm**2
-    damp = np.exp(-2.0 * cpair[None, :] * Pm**2)
+    # a row per term pair, so the sums over pairs add whole rows in pair order
+    Pm = P[None, :]
+    osc = np.sinc(Pm * sep[:, None] / math.pi)
+    phase = np.exp(-1j * Pm * dt[:, None])
+    poly = 1.0 + 1j * Pm * dt[:, None] + 2.0 * cpair[:, None] * Pm**2
+    damp = np.exp(-2.0 * cpair[:, None] * Pm**2)
     g_minus_1 = osc * phase * poly * damp - 1.0
-    return (g_minus_1 * coef).sum(axis=1) / P, (np.abs(g_minus_1) * np.abs(coef)).sum(axis=1) / P
+    return (g_minus_1 * coef[:, None]).sum(axis=0) / P, (np.abs(g_minus_1) * np.abs(coef)[:, None]).sum(axis=0) / P
 
 
 def momentum_form(f, g, cfg):
