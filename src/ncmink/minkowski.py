@@ -131,7 +131,7 @@ def validate_unit_timelike(u):
     norm = minkowski_interval(uc, (0.0, 0.0, 0.0, 0.0))
     if not abs(norm + 1.0) <= UNIT_TIMELIKE_TOL:
         raise ValueError(f"u must be unit timelike, got eta(u,u) = {norm!r}")
-    return np.array(uc)
+    return uc
 
 
 def krein_matrix(u):
