@@ -5,7 +5,7 @@ Run from the repository root (needs mpmath):
 
     python3 bench/chebyshev.py
 
-The near branch of ``ncmink.integrate._lambda_f`` evaluates, for |y| < CUT =
+The near branch of ``ncmink.pair._lambda_f`` evaluates, for |y| < CUT =
 9/sqrt(2), where the far branch's asymptotic series takes over (|mu| /
 sigma = 9), the even M(y) = E ln|sqrt(2) y + Z| = Lambda(y) - (gamma + ln 2)/2
 and Dawson's odd F(y) at |y| (``highprec.lam`` and ``highprec.dawson``);

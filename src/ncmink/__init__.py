@@ -5,52 +5,16 @@ symplectic form, the infrared-regularized quasi-free state behind it, and
 the two headline observables: the Lorentzian distance functional with its
 Planck-scale correction and the fuzzy causal functional with values in
 [-1, 1].
+
+Importing the package loads no numpy.  The points, bumps, constants and
+configurations and the observables run on Python floats and are bound at
+import; the names of the modules that need numpy (smearings, forms, the
+state and the Weyl calculus) are bound on first access, by the module
+``__getattr__`` of PEP 562, and kept in the package namespace.
 """
 
-from types import ModuleType as _ModuleType
+from importlib import import_module as _import_module
 
-from .minkowski import (
-    ETA,
-    IDENTITY,
-    PhysicalConstants,
-    SpacetimePoint,
-    krein_covector_map,
-    krein_matrix,
-    minkowski_interval,
-    synge,
-)
-from .testfn import (
-    GaussianBump,
-    VectorSmearing,
-    frame_smearings,
-    mean,
-    moment1,
-    scalar_smearing,
-    single_term,
-    smearing_from_json,
-    smearing_to_json,
-)
-from .kernels import KernelKind
-from .integrate import (
-    Method,
-    QuadratureConfig,
-    QuadratureResult,
-    bilinear_form,
-    gaussian_pair_reduce,
-    mc_oracle,
-    momentum_form,
-)
-from .state import (
-    DMStateParams,
-    GramReport,
-    PositivityError,
-    dm_bilinear,
-    gram_check,
-    krein_J,
-    mu2,
-    sigma,
-)
-from .weyl import WeylCalculus, WeylElement
 from .geometry import (
     DistanceBreakdown,
     causal,
@@ -61,8 +25,37 @@ from .geometry import (
     distance,
     distance_alpha,
 )
+from .minkowski import DMStateParams, GaussianBump, PhysicalConstants, SpacetimePoint, minkowski_interval, synge
+from .pair import KernelKind, Method, QuadratureConfig, QuadratureResult
 
-# the public names, without the submodules that the imports above bind
-__all__ = [name for name, value in sorted(globals().items()) if not name.startswith("_") and not isinstance(value, _ModuleType)]
+# the public names of the modules that import numpy, by module
+_LAZY = {
+    "testfn": "ETA IDENTITY VectorSmearing frame_smearings krein_covector_map krein_matrix mean moment1"
+    " scalar_smearing single_term smearing_from_json smearing_to_json",
+    "integrate": "bilinear_form gaussian_pair_reduce mc_oracle momentum_form",
+    "state": "GramReport PositivityError dm_bilinear gram_check krein_J mu2 sigma",
+    "weyl": "WeylCalculus WeylElement",
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names.split()}
+
+# the public names, without the submodules that the imports bind
+__all__ = [
+    "DMStateParams", "DistanceBreakdown", "ETA", "GaussianBump", "GramReport", "IDENTITY", "KernelKind",
+    "Method", "PhysicalConstants", "PositivityError", "QuadratureConfig", "QuadratureResult",
+    "SpacetimePoint", "VectorSmearing", "WeylCalculus", "WeylElement", "bilinear_form", "causal",
+    "causal_via_weyl", "classical_term", "classify_causal", "corrected_synge", "distance",
+    "distance_alpha", "dm_bilinear", "frame_smearings", "gaussian_pair_reduce", "gram_check", "krein_J",
+    "krein_covector_map", "krein_matrix", "mc_oracle", "mean", "minkowski_interval", "moment1",
+    "momentum_form", "mu2", "scalar_smearing", "sigma", "single_term", "smearing_from_json",
+    "smearing_to_json", "synge",
+]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Bind a public name of a numpy module on its first access and keep it here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value

@@ -14,6 +14,10 @@ the alpha -> infinity limit exactly equal to the distance functional's
 -(kappa^2 / 4 pi^2) min[Q, 0] term.  Clipping each frame pair separately
 would instead leave 3 Q in the regular regime and never converge to the
 limit, so the contract-then-clip order is the consistent one.
+
+Everything here but ``causal_via_weyl`` runs on the float pair path of
+:mod:`ncmink.pair` and imports no numpy; ``causal_via_weyl`` imports the
+Weyl calculus when it is called.
 """
 
 from __future__ import annotations
@@ -22,11 +26,8 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .integrate import _analytic, _bump_geometry, _pair_integral
-from .kernels import KernelKind
 from .minkowski import minkowski_interval, synge
-from .testfn import frame_smearings
-from .weyl import WeylCalculus, WeylElement
+from .pair import KernelKind, _analytic, _bump_geometry, _pair_integral
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,10 @@ def causal_via_weyl(chi_p, chi_q, params, cfg):
     (branch-cut guard).
     The products use the plain pairing, so this reproduces :func:`causal`.
     """
+    # the Weyl calculus needs numpy, which the float observables above do not
+    from .testfn import frame_smearings
+    from .weyl import WeylCalculus, WeylElement
+
     constants = params.constants
     if constants.kappa_sq == 0.0:
         raise ValueError("the Weyl route needs kappa > 0 (phases vanish otherwise)")

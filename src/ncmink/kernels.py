@@ -4,21 +4,17 @@ Two distributional kernels drive every bilinear form in the package: the
 antisymmetric light-cone kernel sgn(t-t') Theta[-(x-x')^2] and the symmetric
 logarithm ln|(x-x')^2|, plus the trivial constant kernel used for
 normalization checks.  ``kernel_values`` is their one definition; the
-closed-form pair integrals in :mod:`ncmink.integrate` never evaluate a
-kernel pointwise, and the Monte Carlo oracle reads it on its samples.
+closed-form pair integrals never evaluate a kernel pointwise, and the
+Monte Carlo oracle reads it on its samples.  The kinds, ``KernelKind``,
+live on the numpy-free float pair path, :mod:`ncmink.pair`, with those
+closed forms; this module, which the oracle imports, needs numpy.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
-
-class KernelKind(Enum):
-    LIGHTCONE = "lightcone"
-    LOGABS = "logabs"
-    CONSTANT = "constant"
+from .pair import KernelKind
 
 
 def kernel_values(kind, y):

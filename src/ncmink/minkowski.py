@@ -1,4 +1,4 @@
-"""Minkowski geometry: events, the metric, constants and exact interval arithmetic.
+"""Minkowski geometry on Python floats: events, the interval, constants, bumps and the state's parameters.
 
 Conventions used throughout the package: metric signature (-,+,+,+),
 Cartesian coordinates x = (t, x, y, z) with c = 1, so every coordinate
@@ -7,6 +7,13 @@ d^2 = -d_t^2 + |d_vec|^2 (negative inside the light cone).  A covector is
 four floats, its lower index components v_mu in these coordinates; the
 frame smearings are the rest frame's unit covectors, and the only other
 frame is the timelike u of the Krein involution.
+
+This module imports no numpy: points, bumps, constants and the state's
+parameters are Python floats, and with :mod:`ncmink.pair` and
+:mod:`ncmink.geometry` they are the whole float path of the ``distance``,
+``causal`` and ``sweep`` commands.  The metric as a matrix, ``ETA``, and
+the Krein matrices live in :mod:`ncmink.testfn`, with the smearings that
+read them.
 """
 
 from __future__ import annotations
@@ -14,35 +21,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-# Minkowski metric; numerically identical for upper and lower index pairs.
-ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
-ETA.setflags(write=False)
-
-# Euclidean contraction, handy for scalar-profile quadratic forms where the
-# covector bookkeeping should drop out.
-IDENTITY = np.eye(4)
-IDENTITY.setflags(write=False)
-
 UNIT_TIMELIKE_TOL = 1e-12
 
 
 def as_components(value, what="4-vector"):
     """Coerce a point or a sequence to a plain tuple of 4 finite floats.
 
-    A point gives its components; anything else, a covector included, goes
-    through one numpy conversion, which raises ValueError naming ``what``
-    for a shape other than 4 components or a non-finite entry.
+    A point gives its components; anything else, a covector included, is a
+    flat sequence of 4 numbers (a tuple, a list or a 1-D array), each
+    converted by ``float``, which rounds as numpy's conversion to float64
+    does.  A string or bytes, a scalar, a nested sequence, another length
+    or a non-finite entry raises ValueError naming ``what``.
     """
     if isinstance(value, SpacetimePoint):
         return value.components
-    arr = np.asarray(value, dtype=float).reshape(-1)
-    if arr.shape != (4,):
-        raise ValueError(f"{what} needs exactly 4 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} has non-finite entries: {arr!r}")
-    return tuple(arr.tolist())
+    try:
+        # a string or bytes is a sequence of characters, not of numbers
+        components = () if isinstance(value, (str, bytes)) else tuple(map(float, value))
+    except TypeError:
+        components = ()
+    if len(components) != 4:
+        raise ValueError(f"{what} needs exactly 4 components, got {value!r}")
+    if not all(map(math.isfinite, components)):
+        raise ValueError(f"{what} has non-finite entries: {components!r}")
+    return components
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,11 @@ class PhysicalConstants:
         return cls(planck_length=math.sqrt(kappa_sq / (16.0 * math.pi)))
 
 
+def _square(d):
+    """eta(d, d) = -d_t^2 + |d_vec|^2 of four floats, summed left to right."""
+    return -d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]
+
+
 def minkowski_interval(p, q):
     """Signed squared interval (p - q)^2 = -(dt)^2 + |dx|^2.
 
@@ -97,8 +104,7 @@ def minkowski_interval(p, q):
     """
     pc = as_components(p, "point p")
     qc = as_components(q, "point q")
-    d = [a - b for a, b in zip(pc, qc)]
-    return -d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]
+    return _square([a - b for a, b in zip(pc, qc)])
 
 
 def synge(p, q):
@@ -106,51 +112,60 @@ def synge(p, q):
     return 0.5 * minkowski_interval(p, q)
 
 
-def contract(rows, matrix):
-    """Covector rows (..., 4) times a 4 x k matrix, or one such matrix per row.
-
-    Entry j of a row r is r_0 m_0j + r_1 m_1j + r_2 m_2j + r_3 m_3j,
-    summed left to right, on numpy's elementwise multiply and add.  Those
-    round each operation once, so an entry is the same bits on every BLAS
-    kernel and SIMD dispatch, and a row's result does not depend on the
-    rows stacked with it.  This is the package's one covector contraction:
-    a column per row, (..., 4, 1), gives the dot products of two stacks of
-    rows.
-    """
-    return (rows[..., :, None] * matrix).sum(axis=-2)
-
-
 def validate_unit_timelike(u):
     """Check that u (upper index) is timelike with eta(u, u) = -1.
 
-    eta(u, u) is the interval of u from the origin on Python floats, so a
-    u whose square overflows reads nan or inf without a warning and is
-    rejected: no comparison with nan is true.
+    u is converted once, and eta(u, u) is taken on the converted floats,
+    the bits of its interval from the origin.  A u whose square overflows
+    reads nan or inf without a warning and is rejected: no comparison with
+    nan is true.
     """
     uc = as_components(u, "vector u")
-    norm = minkowski_interval(uc, (0.0, 0.0, 0.0, 0.0))
+    norm = _square(uc)
     if not abs(norm + 1.0) <= UNIT_TIMELIKE_TOL:
         raise ValueError(f"u must be unit timelike, got eta(u,u) = {norm!r}")
     return uc
 
 
-def krein_matrix(u):
-    """Positive definite matrix eta^{mu nu} + 2 u^mu u^nu for unit timelike u.
+@dataclass(frozen=True)
+class GaussianBump:
+    """Normalized Gaussian profile (a/pi)^2 exp[-a sum_mu (x-p)_mu^2].
 
-    The quadratic form dominates |a . eta . a| for every covector a, which
-    is what makes it suitable as the fundamental symmetry of the auxiliary
-    positive scalar product.
+    The exponent uses the Euclidean sum over all four coordinates; `width`
+    is the exponent coefficient a, so the per-axis variance is 1/(2a) and
+    the integral over spacetime is exactly 1.  The width must lie in
+    [1e-150, 1e150]: any two widths there have a finite, normal product
+    a a' and a finite sum a + a', so every combined width
+    b = a a' / (a + a') of a pair integral is a finite positive float.
     """
-    uc = validate_unit_timelike(u)
-    return ETA + 2.0 * np.outer(uc, uc)
+
+    center: SpacetimePoint
+    width: float
+
+    def __init__(self, center, width):
+        center = center if isinstance(center, SpacetimePoint) else SpacetimePoint(center)
+        width = float(width)
+        if not 1e-150 <= width <= 1e150:
+            raise ValueError(f"width must be positive and finite, within [1e-150, 1e150]; got {width!r}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "width", width)
 
 
-def krein_covector_map(u):
-    """Mixed-index involution J_mu^nu = delta_mu^nu + 2 u_mu u^nu.
+@dataclass(frozen=True)
+class DMStateParams:
+    """Everything that fixes the regularized quasi-free state.
 
-    Acts on covector components; satisfies J J = identity exactly up to
-    floating point.  It is eta times krein_matrix(u): eta is +-1 on the
-    diagonal, so each entry is an entry of the Krein matrix, sign flipped
-    in the time row, exactly.
+    ``state_alpha`` is the infrared regulator strength, ``psi`` the mean-one
+    reference bump of the projector, ``constants`` carries kappa^2 and
+    ``u`` the timelike unit vector of the Krein involution.
     """
-    return contract(ETA, krein_matrix(u))
+
+    state_alpha: float
+    psi: GaussianBump
+    constants: PhysicalConstants = PhysicalConstants()
+    u: tuple = (1.0, 0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        if not (self.state_alpha > 0.0 and math.isfinite(self.state_alpha)):
+            raise ValueError("state_alpha must be positive and finite")
+        validate_unit_timelike(self.u)

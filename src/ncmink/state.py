@@ -35,7 +35,7 @@ serve both.  One ``integrate._products`` pass over the LOGABS table
 gives each block's products with itself under eta and every entry's
 f x g products under c, and one pass over the LIGHTCONE table every
 entry's f x g products of the terms under c.  Every covector product is
-``minkowski.contract``, elementwise sums in index order with no BLAS, so
+``testfn.contract``, elementwise sums in index order with no BLAS, so
 a value is the same bits on any BLAS kernel and does not depend on the
 other smearings of its call.  An entry (``_two_point``) is then slices
 of those passes: Q(Pf + Pg) and Q(Pf - Pg) are the exactly rounded sums
@@ -76,32 +76,12 @@ from .integrate import (
     bump_arrays,
 )
 from .kernels import KernelKind
-from .minkowski import ETA, PhysicalConstants, contract, krein_covector_map, krein_matrix, validate_unit_timelike
-from .testfn import GaussianBump, _fsum_columns
+from .minkowski import DMStateParams
+from .testfn import ETA, _fsum_columns, contract, krein_covector_map, krein_matrix
 
 
 class PositivityError(ArithmeticError):
     """A positivity property failed beyond the quadrature error budget."""
-
-
-@dataclass(frozen=True)
-class DMStateParams:
-    """Everything that fixes the regularized quasi-free state.
-
-    ``state_alpha`` is the infrared regulator strength, ``psi`` the mean-one
-    reference bump of the projector, ``constants`` carries kappa^2 and
-    ``u`` the timelike unit vector of the Krein involution.
-    """
-
-    state_alpha: float
-    psi: GaussianBump
-    constants: PhysicalConstants = PhysicalConstants()
-    u: tuple = (1.0, 0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        if not (self.state_alpha > 0.0 and math.isfinite(self.state_alpha)):
-            raise ValueError("state_alpha must be positive and finite")
-        validate_unit_timelike(self.u)
 
 
 def sigma(f, g, constants, cfg):

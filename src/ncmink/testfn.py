@@ -1,7 +1,8 @@
-"""Test-function space: Gaussian bumps, covector-weighted smearings, means.
+"""Test-function space: covector-weighted smearings, means, the metric and the Krein matrices.
 
-A :class:`GaussianBump` is a positive profile with unit integral (mean 1),
-so in the narrow-width limit it localizes a spacetime point.  Bumps enter
+A :class:`GaussianBump` (defined on floats in :mod:`ncmink.minkowski` and
+imported here) is a positive profile with unit integral (mean 1), so in
+the narrow-width limit it localizes a spacetime point.  Bumps enter
 every result through their center and width alone (closed-form moments and
 pair integrals), so no profile is ever evaluated pointwise.  A
 :class:`VectorSmearing` is a finite linear combination of covector-weighted
@@ -10,45 +11,67 @@ width, weight) per term.  Sums, scaling and covector maps are array
 operations, and the forms, the state and the Weyl calculus read its column
 views, so no per-term object is built on their paths.  All zeroth and first
 moments are evaluated analytically so that the classical-limit identities
-hold exactly.
+hold exactly.  This is the lowest module that needs numpy, so the metric
+``ETA``, ``IDENTITY``, the one covector contraction ``contract`` and the
+Krein matrices live here.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .minkowski import SpacetimePoint, as_components, contract
+from .minkowski import GaussianBump, as_components, validate_unit_timelike
 
 ZERO_COVECTOR = (0.0, 0.0, 0.0, 0.0)
 
+# Minkowski metric; numerically identical for upper and lower index pairs.
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+ETA.setflags(write=False)
 
-@dataclass(frozen=True)
-class GaussianBump:
-    """Normalized Gaussian profile (a/pi)^2 exp[-a sum_mu (x-p)_mu^2].
+# Euclidean contraction, handy for scalar-profile quadratic forms where the
+# covector bookkeeping should drop out.
+IDENTITY = np.eye(4)
+IDENTITY.setflags(write=False)
 
-    The exponent uses the Euclidean sum over all four coordinates; `width`
-    is the exponent coefficient a, so the per-axis variance is 1/(2a) and
-    the integral over spacetime is exactly 1.  The width must lie in
-    [1e-150, 1e150]: any two widths there have a finite, normal product
-    a a' and a finite sum a + a', so every combined width
-    b = a a' / (a + a') of a pair integral is a finite positive float.
+
+def contract(rows, matrix):
+    """Covector rows (..., 4) times a 4 x k matrix, or one such matrix per row.
+
+    Entry j of a row r is r_0 m_0j + r_1 m_1j + r_2 m_2j + r_3 m_3j,
+    summed left to right, on numpy's elementwise multiply and add.  Those
+    round each operation once, so an entry is the same bits on every BLAS
+    kernel and SIMD dispatch, and a row's result does not depend on the
+    rows stacked with it.  This is the package's one covector contraction:
+    a column per row, (..., 4, 1), gives the dot products of two stacks of
+    rows.
     """
+    return (rows[..., :, None] * matrix).sum(axis=-2)
 
-    center: SpacetimePoint
-    width: float
 
-    def __init__(self, center, width):
-        center = center if isinstance(center, SpacetimePoint) else SpacetimePoint(center)
-        width = float(width)
-        if not 1e-150 <= width <= 1e150:
-            raise ValueError(f"width must be positive and finite, within [1e-150, 1e150]; got {width!r}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "width", width)
+def krein_matrix(u):
+    """Positive definite matrix eta^{mu nu} + 2 u^mu u^nu for unit timelike u.
+
+    The quadratic form dominates |a . eta . a| for every covector a, which
+    is what makes it suitable as the fundamental symmetry of the auxiliary
+    positive scalar product.
+    """
+    uc = validate_unit_timelike(u)
+    return ETA + 2.0 * np.outer(uc, uc)
+
+
+def krein_covector_map(u):
+    """Mixed-index involution J_mu^nu = delta_mu^nu + 2 u_mu u^nu.
+
+    Acts on covector components; satisfies J J = identity exactly up to
+    floating point.  It is eta times krein_matrix(u): eta is +-1 on the
+    diagonal, so each entry is an entry of the Krein matrix, sign flipped
+    in the time row, exactly.
+    """
+    return contract(ETA, krein_matrix(u))
 
 
 class SmearingTerm(NamedTuple):

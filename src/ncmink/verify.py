@@ -25,9 +25,9 @@ import numpy as np
 from .geometry import distance, distance_alpha
 from .integrate import EULER_GAMMA, bilinear_form, momentum_form
 from .kernels import KernelKind
-from .minkowski import IDENTITY, PhysicalConstants
+from .minkowski import PhysicalConstants
 from .state import DMStateParams, gram_check, krein_J, sigma
-from .testfn import GaussianBump, scalar_smearing, single_term
+from .testfn import IDENTITY, GaussianBump, scalar_smearing, single_term
 from .weyl import WeylCalculus, WeylElement
 
 #: Published narrow-width constant of the log quadratic form.

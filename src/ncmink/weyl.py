@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 from .integrate import _analytic, _forms
 from .kernels import KernelKind
-from .minkowski import ETA, krein_matrix
 from .state import diagonal_moments
-from .testfn import ZERO_SMEARING, moment1
+from .testfn import ETA, ZERO_SMEARING, krein_matrix, moment1
 
 PAIRINGS = ("plain", "krein")
 

@@ -1,11 +1,20 @@
 import csv
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import ncmink
+from ncmink import cli, verify
 from ncmink.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -402,3 +411,70 @@ def test_bad_config_file_is_usage_error(capsys, tmp_path, config, named):
     # one error line, no traceback
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+# the set-up of the benchmark's start-up measurement: the package and its
+# CLI, a parsed `distance` command and the configs, through the package
+BENCHMARK_SETUP = """
+import ncmink, ncmink.cli
+args = ncmink.cli.build_parser().parse_args(["distance", "--p", "1,0,0,0", "--q", "0,0,0,0", "--width", "1e4"])
+config = ncmink.cli.build_run_config(args)
+ncmink.QuadratureConfig(**config["quadrature"])
+constants = ncmink.PhysicalConstants(config["constants"]["planck_length"])
+psi = config["state"]["psi"]
+ncmink.DMStateParams(config["state"]["alpha"], ncmink.GaussianBump(psi["center"], psi["width"]), constants)
+"""
+
+
+def _run_fresh(code):
+    """Run code in a fresh interpreter on this checkout's sources; the modules it loaded."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    report = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code + report], env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--p", "1,0,0,0", "--q", "0,0,0,0", "--width", "1e4"],
+        ["causal", "--p", "1,0,0,0", "--q", "0,0,0,0", "--width", "1e4"],
+        ["sweep", "--axis", "separation", "--range", "0.1:2:5"],
+        ["sweep", "--axis", "state-alpha", "--range", "1e3:1e6:3", "--format", "json"],
+    ],
+    ids=["distance", "causal", "sweep-separation", "sweep-state-alpha"],
+)
+def test_the_float_commands_start_without_numpy(argv):
+    """distance, causal and sweep run on Python floats: they import no numpy."""
+    modules = _run_fresh(f"from ncmink.cli import main\nassert main({argv!r}) == 0")
+    assert "ncmink.geometry" in modules
+    assert "numpy" not in modules
+
+
+def test_the_benchmark_setup_imports_no_numpy():
+    modules = _run_fresh(BENCHMARK_SETUP)
+    assert "ncmink.cli" in modules
+    assert "numpy" not in modules
+
+
+def test_verify_still_runs_its_suites(capsys):
+    """verify imports its suites, and numpy, when it runs; the parser's
+    suite names are those of verify.SUITES."""
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+    code, out, _ = run_cli(capsys, "verify", "gram")
+    assert code == 0
+    assert out.endswith("suite gram: PASS\n")
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    """A name of ncmink.__all__, bound at import or on first access, is the
+    object its defining module holds, and stays bound in the package."""
+    for name in ncmink.__all__:
+        value = getattr(ncmink, name)
+        # the metric arrays have no module of their own
+        home = "ncmink.testfn" if name in ("ETA", "IDENTITY") else value.__module__
+        assert home.startswith("ncmink.")
+        assert getattr(importlib.import_module(home), name) is value
+        assert vars(ncmink)[name] is value
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ncmink.no_such_name

@@ -421,7 +421,7 @@ def test_a_log_pair_evaluates_only_the_moments_its_quotient_reads(monkeypatch, d
         rows.append(mu)
         return lambda_f(mu, *args)
 
-    monkeypatch.setattr("ncmink.integrate._lambda_f", counting)
+    monkeypatch.setattr("ncmink.pair._lambda_f", counting)
     _pair_cached.cache_clear()
     table = pair_integrals(KernelKind.LOGABS, [b], [delta], [radius]).tolist()
     assert len(rows) == moments

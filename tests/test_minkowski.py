@@ -16,7 +16,8 @@ from ncmink import (
     minkowski_interval,
     synge,
 )
-from ncmink.minkowski import as_components, contract, validate_unit_timelike
+from ncmink.minkowski import as_components, validate_unit_timelike
+from ncmink.testfn import contract
 
 
 @pytest.mark.parametrize(
@@ -93,6 +94,55 @@ def test_as_components_plain_tuples_become_floats():
     comps = as_components((1, np.float64(2.5), 3.0, -0))
     assert comps == (1.0, 2.5, 3.0, 0.0)
     assert all(type(c) is float for c in comps)
+
+
+def test_as_components_converts_as_numpy_does():
+    """Tuples, lists and 1-D arrays of floats, numpy scalars, ints and bools
+    give the floats of numpy's conversion to float64, bit for bit."""
+    rng = np.random.default_rng(41)
+    kinds = (
+        lambda x: float(x),
+        lambda x: np.float64(x),
+        lambda x: np.float32(x),
+        lambda x: int(x * 1e6),
+        # past 2^53: the conversion rounds
+        lambda x: int(x * 1e15),
+        lambda x: np.int64(x * 1e12),
+        lambda x: bool(x > 0.0),
+        lambda x: np.bool_(x > 0.0),
+    )
+    for _ in range(200):
+        entries = [kinds[k](x) for k, x in zip(rng.integers(len(kinds), size=4), rng.normal(scale=1e3, size=4))]
+        # the last is a 1-D array of the first entry's dtype: int, bool or float32
+        for value in (tuple(entries), entries, np.asarray(entries, dtype=float), np.asarray(entries[:1] * 4)):
+            comps = as_components(value, "covector")
+            assert [c.hex() for c in comps] == [c.hex() for c in np.asarray(value, dtype=float).tolist()]
+            assert all(type(c) is float for c in comps)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1234", "needs exactly 4 components"),
+        (b"1234", "needs exactly 4 components"),
+        (1.0, "needs exactly 4 components"),
+        (np.float64(1.0), "needs exactly 4 components"),
+        (np.array(1.0), "needs exactly 4 components"),
+        ([[1.0, 2.0], [3.0, 4.0]], "needs exactly 4 components"),
+        (((1.0,), (2.0,), (3.0,), (4.0,)), "needs exactly 4 components"),
+        (np.zeros((2, 2)), "needs exactly 4 components"),
+        (np.zeros((1, 4)), "needs exactly 4 components"),
+        ([], "needs exactly 4 components"),
+        ((1.0, 2.0, 3.0, 4.0, 5.0), "needs exactly 4 components"),
+        (np.zeros(5), "needs exactly 4 components"),
+        ([0.0, 0.0, 0.0, float("-inf")], "has non-finite entries"),
+        (np.array([0.0, np.nan, 0.0, 0.0]), "has non-finite entries"),
+    ],
+)
+def test_as_components_rejects_what_is_not_four_finite_numbers(value, message):
+    """A string is not read character by character, nor a nested sequence flattened."""
+    with pytest.raises(ValueError, match=f"^covector {message}"):
+        as_components(value, "covector")
 
 
 def test_krein_matrix_rest_frame():

@@ -30,8 +30,7 @@ from ncmink import (
 from ncmink import state
 from ncmink.state import diagonal_moments, log_minus_form, sigma_indexed
 from ncmink.integrate import _bump_geometry, _pair_integral, _term_pairs, pair_integrals
-from ncmink.minkowski import contract
-from ncmink.testfn import ZERO_SMEARING, project_psi, scalar_smearing, single_term
+from ncmink.testfn import ZERO_SMEARING, contract, project_psi, scalar_smearing, single_term
 
 
 def e0_smearing(bump, weight=1.0):

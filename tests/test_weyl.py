@@ -24,7 +24,7 @@ from ncmink import (
     mu2,
     sigma,
 )
-from ncmink import integrate, state
+from ncmink import integrate, pair, state
 from ncmink.testfn import single_term
 
 
@@ -285,7 +285,7 @@ def test_omega_after_the_gram_check_of_its_family_evaluates_no_log_moment(cfg, c
         moments.append(args)
         return lambda_f(*args)
 
-    monkeypatch.setattr(integrate, "_lambda_f", counting)
+    monkeypatch.setattr(pair, "_lambda_f", counting)
     integrate._pair_cached.cache_clear()
     gram_check(family, params, cfg)
     assert moments
