@@ -8,12 +8,13 @@ Planck-scale correction and the fuzzy causal functional with values in
 
 Importing the package loads no numpy.  The points, bumps, constants and
 configurations and the observables run on Python floats and are bound at
-import; the names of the modules that need numpy (smearings, forms, the
-state and the Weyl calculus) are bound on first access, by the module
-``__getattr__`` of PEP 562, and kept in the package namespace.
+import; the modules that need numpy (smearings, forms, the state and the
+Weyl calculus) and their public names are looked up on each access, by
+the module ``__getattr__`` of PEP 562.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .geometry import (
     DistanceBreakdown,
@@ -37,25 +38,25 @@ _LAZY = {
     "weyl": "WeylCalculus WeylElement",
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names.split()}
+# the submodules that import numpy, which importing the package does not bind
+_NUMPY_MODULES = {*_LAZY, "kernels", "verify"}
 
 # the public names, without the submodules that the imports bind
-__all__ = [
-    "DMStateParams", "DistanceBreakdown", "ETA", "GaussianBump", "GramReport", "IDENTITY", "KernelKind",
-    "Method", "PhysicalConstants", "PositivityError", "QuadratureConfig", "QuadratureResult",
-    "SpacetimePoint", "VectorSmearing", "WeylCalculus", "WeylElement", "bilinear_form", "causal",
-    "causal_via_weyl", "classical_term", "classify_causal", "corrected_synge", "distance",
-    "distance_alpha", "dm_bilinear", "frame_smearings", "gaussian_pair_reduce", "gram_check", "krein_J",
-    "krein_covector_map", "krein_matrix", "mc_oracle", "mean", "minkowski_interval", "moment1",
-    "momentum_form", "mu2", "scalar_smearing", "sigma", "single_term", "smearing_from_json",
-    "smearing_to_json", "synge",
-]
+__all__ = sorted(
+    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)] + list(_HOME)
+)
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    """Bind a public name of a numpy module on its first access and keep it here."""
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
-    return value
+    """Look a numpy submodule, or a public name of one, up in its module.
+
+    Nothing is kept here, so the package always gives what the module holds
+    now, also while a function of it is rebound (monkeypatched or traced).
+    """
+    if name in _NUMPY_MODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,7 @@ the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
 * ``pair_integrals`` / ``bilinear_form``: exact closed forms.  Each pair
   of bumps is one evaluation on the float pair path of
   :mod:`ncmink.pair`, which imports no numpy and which the observables
-  call for their one pair; its names are imported here too.  Forms read
+  call for their one pair; the names of it used here are imported.  Forms read
   their pair integrals from one kernel table over the distinct bump rows
   of their arguments, each upper-triangle pair evaluated once and its
   swap folded as the one-pair path folds it, and the coefficient times
@@ -59,9 +59,6 @@ from .pair import (
     _bump_geometry,
     _bump_row,
     _geometry,
-    _lambda_f,
-    _lightcone_pair,
-    _logabs_pair,
     _pair_cached,
     _pair_integral,
     _reduce_2d,

@@ -467,14 +467,35 @@ def test_verify_still_runs_its_suites(capsys):
 
 
 def test_every_public_name_is_the_object_of_its_home_module():
-    """A name of ncmink.__all__, bound at import or on first access, is the
-    object its defining module holds, and stays bound in the package."""
+    """A name of ncmink.__all__, bound at import or looked up on access, is
+    the object its defining module holds."""
     for name in ncmink.__all__:
         value = getattr(ncmink, name)
         # the metric arrays have no module of their own
         home = "ncmink.testfn" if name in ("ETA", "IDENTITY") else value.__module__
         assert home.startswith("ncmink.")
         assert getattr(importlib.import_module(home), name) is value
-        assert vars(ncmink)[name] is value
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         ncmink.no_such_name
+
+
+def test_a_numpy_name_follows_its_home_module(monkeypatch):
+    """The package keeps no copy of a numpy module's name: rebinding it in its
+    module, as a tracer or a monkeypatch does, shows through the package,
+    also after the name has been read there, and so does putting it back."""
+    original = ncmink.bilinear_form
+    monkeypatch.setattr("ncmink.integrate.bilinear_form", "rebound")
+    assert ncmink.bilinear_form == "rebound"
+    monkeypatch.undo()
+    assert ncmink.bilinear_form is original
+    assert "bilinear_form" not in vars(ncmink)
+
+
+def test_importing_the_package_gives_its_numpy_submodules():
+    """ncmink.testfn and the other numpy submodules are reachable from a bare
+    `import ncmink`, as when the package imported them itself."""
+    modules = _run_fresh(
+        "import ncmink\nassert ncmink.testfn.smearing_from_json is ncmink.smearing_from_json\n"
+        "assert [ncmink.integrate, ncmink.state, ncmink.weyl, ncmink.kernels, ncmink.verify]"
+    )
+    assert "numpy" in modules

@@ -31,9 +31,6 @@ from ncmink.integrate import (
     _forms,
     _geometry,
     _kernel_table,
-    _lambda_f,
-    _lightcone_pair,
-    _logabs_pair,
     _mc_block,
     _pair_cached,
     _pair_integral,
@@ -43,6 +40,7 @@ from ncmink.integrate import (
     pair_integrals,
 )
 from ncmink._lambda_table import CUT, LOG_MOMENT
+from ncmink.pair import _lambda_f, _lightcone_pair, _logabs_pair
 from ncmink.kernels import kernel_values
 from ncmink.state import sigma_indexed
 from ncmink.testfn import VectorSmearing, scalar_smearing, single_term
@@ -415,7 +413,7 @@ def test_a_log_pair_evaluates_only_the_moments_its_quotient_reads(monkeypatch, d
     repeated pair is served by the memo and evaluates none."""
     b = 1e4
     rows = []
-    lambda_f = integrate._lambda_f
+    lambda_f = _lambda_f
 
     def counting(mu, *args):
         rows.append(mu)

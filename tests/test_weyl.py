@@ -279,7 +279,7 @@ def test_omega_after_the_gram_check_of_its_family_evaluates_no_log_moment(cfg, c
     a = WeylElement.from_dict({f: complex(rng.normal(), rng.normal()) for f in family})
     calc = WeylCalculus(constants, cfg, u=params.u)
     moments = []
-    lambda_f = integrate._lambda_f
+    lambda_f = pair._lambda_f
 
     def counting(*args):
         moments.append(args)
