@@ -9,7 +9,7 @@ Run from the repository root (needs mpmath):
 script); its ``src`` is imported, so a parent commit is measured with this
 script from its own clone.  For each regime below the script draws
 ``PAIRS`` seeded pairs (b, delta, R), evaluates them with the checkout's
-``pair_integrals`` for the LIGHTCONE and the LOGABS kernel, and compares
+``_pair_integral`` for the LIGHTCONE and the LOGABS kernel, and compares
 each value v with the high-precision value of ``highprec.py`` (the
 closed forms in s = sqrt(b/2), x = s delta, h = s R, at ``highprec.digits``
 working digits).  It prints, per kernel and regime, the worst relative
@@ -162,22 +162,22 @@ def _row(kernel, b, delta, R, value):
     return {"b": b, "delta": delta, "R": R, "value": value, "reference": float(reference), "relative": relative, "abs": absolute, "flip": flip}
 
 
-def measure(pair_integrals, kinds, n):
+def measure(pair_integral, kinds, n):
     """Per kernel and regime, the summary of n seeded pairs; and each probe's row per kernel.
 
-    ``worst_abs`` in a summary is the worst |delta| / max(1, |v|).
+    ``pair_integral(kind, b, delta, R)`` evaluates one pair on Python
+    floats.  ``worst_abs`` in a summary is the worst |delta| / max(1, |v|).
     """
     results = {}
     for kernel, kind in kinds.items():
         results[kernel] = {}
         for index, (regime, draw) in enumerate(REGIMES.items()):
             b, delta, R = draw(np.random.default_rng([SEED, index]), n)
-            values = pair_integrals(kind, b, delta, R).tolist()
-            rows = [_row(kernel, *pair, value) for pair, value in zip(zip(b.tolist(), delta.tolist(), R.tolist()), values)]
-            results[kernel][regime] = _summary(rows)
+            pairs = zip(b.tolist(), delta.tolist(), R.tolist())
+            results[kernel][regime] = _summary([_row(kernel, *pair, pair_integral(kind, *pair)) for pair in pairs])
     probes = {}
     for name, pair in PROBES.items():
-        probes[name] = {kernel: _row(kernel, *pair, pair_integrals(kind, *([x] for x in pair)).tolist()[0]) for kernel, kind in kinds.items()}
+        probes[name] = {kernel: _row(kernel, *pair, pair_integral(kind, *pair)) for kernel, kind in kinds.items()}
     return results, probes
 
 
@@ -205,10 +205,10 @@ def main(argv=None):
         parser.error("--json needs --label")
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
-    from ncmink.integrate import KernelKind, pair_integrals
+    from ncmink.integrate import KernelKind, _pair_integral
 
     kinds = {"lightcone": KernelKind.LIGHTCONE, "logabs": KernelKind.LOGABS}
-    results, probes = measure(pair_integrals, kinds, PAIRS)
+    results, probes = measure(_pair_integral, kinds, PAIRS)
     _print(results, probes)
     if args.json:
         commit = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"], capture_output=True, text=True).stdout.strip()

@@ -33,7 +33,7 @@ from .pair import KernelKind, Method, QuadratureConfig, QuadratureResult
 _LAZY = {
     "testfn": "ETA IDENTITY VectorSmearing frame_smearings krein_covector_map krein_matrix mean moment1"
     " scalar_smearing single_term smearing_from_json smearing_to_json",
-    "integrate": "bilinear_form gaussian_pair_reduce mc_oracle momentum_form",
+    "integrate": "bilinear_form mc_oracle momentum_form",
     "state": "GramReport PositivityError dm_bilinear gram_check krein_J mu2 sigma",
     "weyl": "WeylCalculus WeylElement",
 }

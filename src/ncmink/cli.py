@@ -26,6 +26,10 @@ Config file (JSON)::
      "quadrature": {"rel_tol": 1e-3, "abs_tol": 1e-10, "max_evals": 20000000,
                     "mc_samples": 20000, "seed": 20260809}}
 
+``constants.u`` is validated (eta(u, u) = -1) and echoed with the rest
+of the config, but no command reads it yet: every bump is isotropic in
+the frame of (1, 0, 0, 0), whatever u is.
+
 No command reads a smearing family; its JSON form is the library format
 of :func:`ncmink.testfn.smearing_from_json`::
 

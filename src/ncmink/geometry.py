@@ -78,10 +78,10 @@ def distance(chi_p, chi_q, constants, cfg):
     """Noncommutative distance: classical interval plus clipped log correction.
 
     The correction -(kappa^2 / 4 pi^2) min[Q, 0] is non-negative because the
-    clipped kernel is negative semidefinite; it vanishes identically for
-    kappa = 0.  An interval (p - q)^2 of the centers past the float range,
-    or a correction that is not finite (kappa^2 so large that it
-    overflows), raises ValueError.
+    clipped kernel is negative semidefinite; it is +0.0 wherever Q >= 0
+    and for kappa = 0.  An interval (p - q)^2 of the centers past the
+    float range, or a correction that is not finite (kappa^2 so large that
+    it overflows), raises ValueError.
     """
     classical = classical_term(chi_p, chi_q)
     if not math.isfinite(classical):
@@ -89,7 +89,9 @@ def distance(chi_p, chi_q, constants, cfg):
     if constants.kappa_sq == 0.0:
         return DistanceBreakdown(classical, 0.0, 0.0, True)
     scale = constants.kappa_sq / (4.0 * math.pi**2)
-    quantum = _finite_correction(-scale * min(_log_quadratic(chi_p, chi_q), 0.0))
+    Q = _log_quadratic(chi_p, chi_q)
+    # not -scale * min(Q, 0.0), which is -0.0 wherever Q >= 0; a nan Q stays nan
+    quantum = _finite_correction(0.0 if Q >= 0.0 else -scale * Q)
     return DistanceBreakdown(classical, quantum, 0.0, True)
 
 

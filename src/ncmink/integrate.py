@@ -7,15 +7,15 @@ Every form treated here is an 8-dimensional double integral
 with f, g finite sums of covector-weighted normalized Gaussians and K one of
 the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
 
-* ``pair_integrals`` / ``bilinear_form``: exact closed forms.  Each pair
-  of bumps is one evaluation on the float pair path of
+* ``bilinear_form``: exact closed forms.  Each pair of bumps is one
+  evaluation (``_pair_integral``) on the float pair path of
   :mod:`ncmink.pair`, which imports no numpy and which the observables
-  call for their one pair; the names of it used here are imported.  Forms read
-  their pair integrals from one kernel table over the distinct bump rows
-  of their arguments, each upper-triangle pair evaluated once and its
-  swap folded as the one-pair path folds it, and the coefficient times
-  table products of all the forms of a call in one array pass
-  (``_products``); ``bilinear_form`` is the one-pair case.  Every
+  call for their one pair; the names of it used here are imported.  Forms
+  read their pair integrals from one kernel table (``_kernel_table``) over
+  the distinct bump rows of their arguments, each upper-triangle pair
+  evaluated once and its swap folded as the one-pair path folds it, and
+  the coefficient times table products of all the forms of a call in one
+  array pass (``_products``); ``bilinear_form`` is the one-pair case.  Every
   covector coefficient, here and in the other two routes, is
   ``testfn.contract``: sums in index order on numpy's elementwise
   operations, with no BLAS.
@@ -42,7 +42,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
@@ -56,8 +56,6 @@ from .pair import (
     QuadratureConfig,
     QuadratureResult,
     _analytic,
-    _bump_geometry,
-    _bump_row,
     _geometry,
     _pair_cached,
     _pair_integral,
@@ -73,28 +71,6 @@ _TAIL_EXPONENT = 41.5
 _EPS = sys.float_info.epsilon
 _MC_BLOCK_SIZE = 8192
 _MAX_ROUNDS = 400
-
-
-def pair_integrals(kind, b, delta, R):
-    """Pair integrals of normalized bumps, elementwise over equal-shape arrays.
-
-    Each pair has combined width b, time separation delta and spatial
-    separation R, and its value is ``_pair_integral`` of that pair, for
-    every kind: one float path and one memo, so every value depends only
-    on its own pair, never on the other elements of the call.
-    """
-    b, delta, R = (np.asarray(x, dtype=float) for x in (b, delta, R))
-    values = map(_pair_integral, repeat(kind), b.ravel().tolist(), delta.ravel().tolist(), R.ravel().tolist())
-    return np.array(list(values)).reshape(b.shape)
-
-
-def bump_arrays(bumps):
-    """The bump rows (n, 5) of a sequence of bumps, each (center, width).
-
-    The layout of ``VectorSmearing.bump_rows``, the one shape in which
-    ``_kernel_table`` reads bumps.
-    """
-    return np.array([_bump_row(bump) for bump in bumps], dtype=float).reshape(-1, 5)
 
 
 def _kernel_table(blocks, kinds):
@@ -131,18 +107,6 @@ def _kernel_table(blocks, kinds):
             table[j][i] = -value if kind is KernelKind.LIGHTCONE and delta != 0.0 else value
         tables.append(np.array(table).reshape(n, n))
     return indices, tables
-
-
-def gaussian_pair_reduce(kind, bump_p, bump_q, cfg):
-    """Scalar pair integral of two normalized bumps against a kernel.
-
-    A value that is not finite, where a center separation overflows, raises
-    ValueError rather than being reported as a converged result.
-    """
-    value = _pair_integral(kind, *_bump_geometry(bump_p, bump_q))
-    if not math.isfinite(value):
-        raise ValueError(f"the pair integral is not finite: {value!r}")
-    return _analytic(value)
 
 
 def _check_contraction(contraction):

@@ -99,10 +99,10 @@ class QuadratureResult:
     per-panel differences between the 15- and the 7-node Gauss-Legendre
     rules plus eps times the integrated magnitude of the cancelling sum
     over term pairs, the scale of that sum's rounding.  The closed-form
-    results that keep this shape (``bilinear_form``,
-    ``gaussian_pair_reduce``, ``causal`` and the Weyl functionals
-    ``eval_omega``, ``eval_tau``, ``causal_via_weyl``) are ANALYTIC: exact up
-    to floating-point rounding, error 0, evals 0, converged.  The state
+    results that keep this shape (``bilinear_form``, ``causal`` and the
+    Weyl functionals ``eval_omega``, ``eval_tau``, ``causal_via_weyl``) are
+    ANALYTIC: exact up to floating-point rounding, error 0, evals 0,
+    converged.  The state
     functions below them (``sigma``, ``mu2``, ...) return plain numbers.
     """
 
@@ -279,9 +279,8 @@ def _pair_cached(kind, b, delta, R):
     """Process-wide memo of the pair integral ``_reduce_2d``, keyed on (kind, b, |delta|, R).
 
     The one memo for both kernels: it stores the value, a float.  A
-    repeated key, within one call of ``pair_integrals`` or across calls
-    and tables, is served from here; ``perfbench/`` clears and wraps it by
-    name.
+    repeated key, within one kernel table or across tables and calls, is
+    served from here; ``perfbench/`` clears and wraps it by name.
     """
     return _reduce_2d(kind, b, delta, R)[0]
 
@@ -289,8 +288,8 @@ def _pair_cached(kind, b, delta, R):
 def _pair_integral(kind, b, delta, R):
     """Pair integral of one pair (b, delta, R) of Python floats.
 
-    The one way a pair is evaluated: ``pair_integrals`` maps it over the
-    entries of a table, and the observables call it for their one pair,
+    The one way a pair is evaluated: ``integrate._kernel_table`` calls it
+    for the entries of a table, and the observables for their one pair,
     so a pair's value is the same bits on either path, the sign of a zero
     included.  CONSTANT is the exact normalization 1.  LIGHTCONE with
     coincident time centers vanishes by antisymmetry (odd integrand in the

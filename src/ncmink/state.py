@@ -67,16 +67,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .integrate import (
-    _bump_geometry,
-    _kernel_table,
-    _pair_integral,
-    _products,
-    bilinear_form,
-    bump_arrays,
-)
+from .integrate import _kernel_table, _products, bilinear_form
 from .kernels import KernelKind
 from .minkowski import DMStateParams
+from .pair import _bump_geometry, _bump_row, _pair_integral
 from .testfn import ETA, _fsum_columns, contract, krein_covector_map, krein_matrix
 
 
@@ -180,7 +174,7 @@ def _moments(smearings, params, twisted, entries):
     with f_k == f_l.
     """
     indices, (logabs, lightcone) = _kernel_table(
-        [f.bump_rows for f in smearings] + [bump_arrays([params.psi])], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
+        [f.bump_rows for f in smearings] + [np.array([_bump_row(params.psi)])], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
     )
     psi = indices[-1]
     scale = params.constants.kappa_sq / (8.0 * math.pi)

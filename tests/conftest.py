@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncmink import DMStateParams, GaussianBump, PhysicalConstants, QuadratureConfig, VectorSmearing
+from ncmink.pair import _bump_geometry, _bump_row, _pair_integral
 from ncmink.testfn import single_term
 
 @pytest.fixture(scope="session")
@@ -62,3 +63,18 @@ def table_smearing(rng, pool):
 def bump_pool(rng, psi):
     pool = [GaussianBump(tuple(rng.normal(scale=0.6, size=4)), rng.uniform(8.0, 40.0)) for _ in range(3)]
     return pool + [psi]
+
+
+def pair_value(kind, bump_p, bump_q):
+    """The pair integral of two bumps: ``_pair_integral`` at their ``_bump_geometry``."""
+    return _pair_integral(kind, *_bump_geometry(bump_p, bump_q))
+
+
+def pair_values(kind, b, delta, R):
+    """``_pair_integral`` of each pair of the equal-length arrays b, delta and R, as an array."""
+    return np.array([_pair_integral(kind, *pair) for pair in zip(b.tolist(), delta.tolist(), R.tolist())])
+
+
+def bump_rows(bumps):
+    """The bump rows (n, 5) of a sequence of bumps, each (center, width): the rows kernel tables read."""
+    return np.array([_bump_row(bump) for bump in bumps], dtype=float).reshape(-1, 5)

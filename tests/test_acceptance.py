@@ -27,7 +27,6 @@ from ncmink import (
     bilinear_form,
     causal,
     distance,
-    gaussian_pair_reduce,
     mc_oracle,
     minkowski_interval,
     momentum_form,

@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import ncmink
-from ncmink import cli, verify
+from ncmink import DMStateParams, GaussianBump, cli, distance, distance_alpha, verify
 from ncmink.cli import main
+from ncmink.geometry import _log_quadratic
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -162,6 +164,27 @@ def test_causal_past_the_gaussian_tail_is_future(capsys):
     code, out, err = run_cli(capsys, "causal", "--p", "1e200,0,0,0", "--q", "0,0,0,0", "--width", "1e4")
     assert (code, err) == (0, "")
     assert out == "value=1.0  error=0.0  classification='future'  converged=True\n"
+
+
+def test_a_correction_that_is_zero_is_positive_zero(capsys, cfg, constants):
+    """Where the log form Q is not negative the clipped correction is +0.0, not -0.0.
+
+    At width 1e-150 the bumps p = (1, 0, 0, 0) and q = 0 give Q = +0.0,
+    where -scale * min(Q, 0) was -0.0, in the library and in both CLI
+    outputs.  At alpha = 1e300 the regulator term underflows to +0.0, so
+    the finite-alpha correction is the limit's.
+    """
+    chi_p, chi_q = GaussianBump((1, 0, 0, 0), 1e-150), GaussianBump((0, 0, 0, 0), 1e-150)
+    assert _log_quadratic(chi_p, chi_q) >= 0.0
+    params = DMStateParams(1e300, GaussianBump((0, 0, 0, 0), 25.0), constants)
+    results = [distance(chi_p, chi_q, constants, cfg).quantum, distance_alpha(chi_p, chi_q, params, cfg).quantum]
+    argv = ("distance", "--p", "1,0,0,0", "--q", "0,0,0,0", "--width", "1e-150")
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, "classical=-1.0  quantum=0.0  total=-1.0  error=0.0  converged=True\n")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    results.append(json.loads(out)["result"]["quantum"])
+    assert [(value, math.copysign(1.0, value)) for value in results] == [(0.0, 1.0)] * 3
 
 
 @pytest.mark.parametrize("command", ["distance", "causal"])

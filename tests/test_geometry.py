@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_bump
+from conftest import bump_rows, pair_value, pair_values, random_bump
 from ncmink import (
     ETA,
     IDENTITY,
@@ -29,7 +29,6 @@ from ncmink import (
     corrected_synge,
     distance,
     distance_alpha,
-    gaussian_pair_reduce,
     gram_check,
     krein_J,
     krein_matrix,
@@ -38,7 +37,7 @@ from ncmink import (
     momentum_form,
     scalar_smearing,
 )
-from ncmink.integrate import _kernel_table, bump_arrays, pair_integrals
+from ncmink.integrate import _kernel_table
 from ncmink.verify import FAMILY_C_CORRECTED
 
 EULER_GAMMA = 0.5772156649015329
@@ -166,16 +165,14 @@ def test_distance_alpha_is_distance_plus_regulator(config, request):
         chi_p, chi_q, psi = random_bump(rng), random_bump(rng), random_bump(rng)
         constants = PhysicalConstants(float(rng.uniform(0.01, 1.0)))
         params = DMStateParams(float(10.0 ** rng.uniform(0, 6)), psi, constants)
-        lam_p = gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_p, psi, cfg)
-        lam_q = gaussian_pair_reduce(KernelKind.LIGHTCONE, chi_q, psi, cfg)
-        lam = lam_p.value - lam_q.value
+        lam = pair_value(KernelKind.LIGHTCONE, chi_p, psi) - pair_value(KernelKind.LIGHTCONE, chi_q, psi)
         reg_scale = constants.kappa_sq / (64.0 * math.pi**2 * params.state_alpha)
         limit = distance(chi_p, chi_q, constants, cfg)
         result = distance_alpha(chi_p, chi_q, params, cfg)
         assert result.classical == limit.classical
         assert result.quantum == limit.quantum + reg_scale * lam * lam
         assert result.error == limit.error
-        assert result.converged == (limit.converged and lam_p.converged and lam_q.converged)
+        assert result.converged == limit.converged
 
 
 def test_corrected_synge_closed_form():
@@ -386,11 +383,10 @@ def _observables_digest(n=2000):
 
 
 def _logabs_table_digest(n=4000):
-    """sha256 of one seeded ``pair_integrals`` LOGABS table, every branch of the log pair.
+    """sha256 of ``_pair_integral`` over one seeded LOGABS sweep, every branch of the log pair.
 
-    The sweep of ``test_integrate.test_logabs_pairs_do_not_depend_on_the_batch``,
-    which checks the table against ``_pair_integral`` pair by pair: the
-    Taylor and the direct quotient, near and far log moments, R = 0 and
+    The sweep of ``test_integrate.test_logabs_pairs_are_even_in_delta``:
+    the Taylor and the direct quotient, near and far log moments, R = 0 and
     delta = 0.
     """
     rng = np.random.default_rng(84)
@@ -404,7 +400,7 @@ def _logabs_table_digest(n=4000):
     radius = scale * powers_of_ten(-3.0, 1.5)
     radius[::10] = 0.0
     delta[5::10] = 0.0
-    return hashlib.sha256(pair_integrals(KernelKind.LOGABS, b, delta, radius).tobytes()).hexdigest()
+    return hashlib.sha256(pair_values(KernelKind.LOGABS, b, delta, radius).tobytes()).hexdigest()
 
 
 def _kernel_table_digest(n=40):
@@ -426,7 +422,7 @@ def _kernel_table_digest(n=40):
             center[0] = bumps[-1].center.components[0]
         bumps.append(GaussianBump(center, 10.0 ** float(rng.uniform(-150.0, 150.0))))
     bumps.append(bumps[0])
-    _, tables = _kernel_table([bump_arrays(bumps)], (KernelKind.LOGABS, KernelKind.LIGHTCONE))
+    _, tables = _kernel_table([bump_rows(bumps)], (KernelKind.LOGABS, KernelKind.LIGHTCONE))
     return hashlib.sha256(b"".join(table.tobytes() for table in tables)).hexdigest()
 
 

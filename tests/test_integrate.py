@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_bump
+from conftest import bump_rows, pair_value, pair_values, random_bump
 from ncmink import (
     ETA,
     DistanceBreakdown,
@@ -19,7 +19,6 @@ from ncmink import (
     causal_via_weyl,
     distance,
     dm_bilinear,
-    gaussian_pair_reduce,
     krein_matrix,
     mc_oracle,
     momentum_form,
@@ -27,7 +26,6 @@ from ncmink import (
 )
 from ncmink import integrate
 from ncmink.integrate import (
-    _bump_geometry,
     _forms,
     _geometry,
     _kernel_table,
@@ -36,11 +34,9 @@ from ncmink.integrate import (
     _pair_integral,
     _pair_table,
     _term_pairs,
-    bump_arrays,
-    pair_integrals,
 )
 from ncmink._lambda_table import CUT, LOG_MOMENT
-from ncmink.pair import _lambda_f, _lightcone_pair, _logabs_pair
+from ncmink.pair import _bump_geometry, _lambda_f, _lightcone_pair, _logabs_pair
 from ncmink.kernels import kernel_values
 from ncmink.state import sigma_indexed
 from ncmink.testfn import VectorSmearing, scalar_smearing, single_term
@@ -51,15 +47,7 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def test_constant_kernel_is_exact():
-    r = gaussian_pair_reduce(
-        KernelKind.CONSTANT,
-        GaussianBump((1, 2, 3, 4), 2.0),
-        GaussianBump((0, 0, 0, 0), 9.0),
-        QuadratureConfig(),
-    )
-    assert r.value == 1.0
-    assert r.error_estimate == 0.0
-    assert r.method is Method.ANALYTIC
+    assert pair_value(KernelKind.CONSTANT, GaussianBump((1, 2, 3, 4), 2.0), GaussianBump((0, 0, 0, 0), 9.0)) == 1.0
 
 
 # (kind, b, delta, R, value) of the pair integral with combined width b,
@@ -144,18 +132,16 @@ LIGHTCONE_TAIL_REFERENCES = [
 
 
 @pytest.mark.parametrize("kind, b, delta, radius, reference", PAIR_REFERENCES)
-def test_pair_integral_matches_high_precision_reference(kind, b, delta, radius, reference, cfg):
+def test_pair_integral_matches_high_precision_reference(kind, b, delta, radius, reference):
     # two bumps of width 2b have combined width b
     bp = GaussianBump((delta, radius, 0, 0), 2.0 * b)
     bq = GaussianBump((0, 0, 0, 0), 2.0 * b)
-    r = gaussian_pair_reduce(kind, bp, bq, cfg)
-    assert (r.method, r.error_estimate, r.evals, r.converged) == (Method.ANALYTIC, 0.0, 0, True)
-    assert abs(r.value - reference) <= 1e-14 * max(1.0, abs(reference))
+    assert abs(pair_value(kind, bp, bq) - reference) <= 1e-14 * max(1.0, abs(reference))
 
 
 @pytest.mark.parametrize("b, delta, radius, reference", LIGHTCONE_TAIL_REFERENCES)
 def test_lightcone_spacelike_tail_is_relatively_accurate(b, delta, radius, reference):
-    (value,) = pair_integrals(KernelKind.LIGHTCONE, [b], [delta], [radius])
+    value = _pair_integral(KernelKind.LIGHTCONE, b, delta, radius)
     assert abs(value - reference) <= 1e-12 * reference
 
 
@@ -206,7 +192,7 @@ def _dense_radial_rule(kind, b, delta, R):
 
 
 @pytest.mark.parametrize("kind", [KernelKind.LIGHTCONE, KernelKind.LOGABS], ids=lambda k: k.name.lower())
-def test_pair_integrals_match_dense_radial_rule(kind):
+def test_pair_integral_matches_dense_radial_rule(kind):
     rng = np.random.default_rng(83)
     n = 100
     b = 10.0 ** rng.uniform(-2.0, 8.0, n)
@@ -216,63 +202,49 @@ def test_pair_integrals_match_dense_radial_rule(kind):
     radius[::10] = 0.0
     near_null = slice(5, None, 10)
     radius[near_null] = delta[near_null] * (1.0 + 1e-3 * rng.normal(size=10))
-    values = pair_integrals(kind, b, delta, radius)
-    for value, args in zip(values, zip(b.tolist(), delta.tolist(), radius.tolist())):
+    for args in zip(b.tolist(), delta.tolist(), radius.tolist()):
+        value = _pair_integral(kind, *args)
         reference = _dense_radial_rule(kind, *args)
         assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference)), args
 
 
-def test_lightcone_coincident_times_vanishes(cfg):
-    r = gaussian_pair_reduce(
-        KernelKind.LIGHTCONE,
-        GaussianBump((0, 1, 0, 0), 100.0),
-        GaussianBump((0, 0, 0, 0), 100.0),
-        cfg,
-    )
-    assert r.value == 0.0
-    assert r.method is Method.ANALYTIC
+def test_lightcone_coincident_times_vanishes():
+    assert pair_value(KernelKind.LIGHTCONE, GaussianBump((0, 1, 0, 0), 100.0), GaussianBump((0, 0, 0, 0), 100.0)) == 0.0
 
 
-def test_lightcone_sharp_localization(cfg):
+def test_lightcone_sharp_localization():
     bp = GaussianBump((1, 0, 0, 0), 1e4)
     bq = GaussianBump((0, 0, 0, 0), 1e4)
-    r = gaussian_pair_reduce(KernelKind.LIGHTCONE, bp, bq, cfg)
-    assert r.value == pytest.approx(1.0, abs=1e-3)
-    assert gaussian_pair_reduce(KernelKind.LIGHTCONE, bq, bp, cfg).value == -r.value
+    value = pair_value(KernelKind.LIGHTCONE, bp, bq)
+    assert value == pytest.approx(1.0, abs=1e-3)
+    assert pair_value(KernelKind.LIGHTCONE, bq, bp) == -value
 
 
-def test_lightcone_swap_antisymmetry_is_exact(cfg):
+def test_lightcone_swap_antisymmetry_is_exact():
     rng = np.random.default_rng(17)
     for _ in range(30):
         bp, bq = random_bump(rng), random_bump(rng)
-        forward = gaussian_pair_reduce(KernelKind.LIGHTCONE, bp, bq, cfg)
-        backward = gaussian_pair_reduce(KernelKind.LIGHTCONE, bq, bp, cfg)
-        assert forward.value == -backward.value
+        assert pair_value(KernelKind.LIGHTCONE, bp, bq) == -pair_value(KernelKind.LIGHTCONE, bq, bp)
 
 
 @pytest.mark.parametrize("kind", [KernelKind.LOGABS, KernelKind.LIGHTCONE])
 def test_a_pair_integral_that_is_not_finite_raises(kind, cfg):
-    """Time centers at -+1e308 overflow delta to inf, which made the pair
-    integral nan, alone and in a form; it must be an error, not a
-    converged result."""
+    """Time centers at -+1e308 overflow delta to inf, which makes the pair
+    integral nan; a form that reads it must be an error, not a converged
+    result."""
     bp, bq = GaussianBump((1e308, 0, 0, 0), 1.0), GaussianBump((-1e308, 0, 0, 0), 1.0)
-    with pytest.raises(ValueError, match="the pair integral is not finite: nan"):
-        gaussian_pair_reduce(kind, bp, bq, cfg)
     with pytest.raises(ValueError, match=f"the {kind.value} form is not finite: nan"):
         bilinear_form(kind, scalar_smearing(bp), scalar_smearing(bq), ETA, cfg)
 
 
-def test_logabs_swap_symmetry_is_exact(cfg):
+def test_logabs_swap_symmetry_is_exact():
     rng = np.random.default_rng(18)
     for _ in range(10):
         bp, bq = random_bump(rng), random_bump(rng)
-        assert (
-            gaussian_pair_reduce(KernelKind.LOGABS, bp, bq, cfg).value
-            == gaussian_pair_reduce(KernelKind.LOGABS, bq, bp, cfg).value
-        )
+        assert pair_value(KernelKind.LOGABS, bp, bq) == pair_value(KernelKind.LOGABS, bq, bp)
 
 
-def test_kernel_table_reads_every_row_pair_bit_for_bit(cfg):
+def test_kernel_table_reads_every_row_pair_bit_for_bit():
     """Rows match on center and width together; repeats share one distinct bump.
 
     The rows come in blocks, an empty one among them, and each block gets
@@ -301,7 +273,7 @@ def test_kernel_table_reads_every_row_pair_bit_for_bit(cfg):
     underflow = [GaussianBump((0.001, 30, 0, 0), 100.0), GaussianBump((0, 0, 0, 0), 100.0)]
     kinds = (KernelKind.LOGABS, KernelKind.LIGHTCONE)
     blocks = [bumps[:2], [], bumps[2:5], bumps[5:], signed_zeros, coincident, later, moments, underflow]
-    indices, tables = _kernel_table([bump_arrays(block) for block in blocks], kinds)
+    indices, tables = _kernel_table([bump_rows(block) for block in blocks], kinds)
     assert [block.tolist() for block in indices[:4]] == [[0, 1], [], [2, 0, 3], [4, 2]]
     bumps = [bump for block in blocks for bump in block]
     index = np.concatenate(indices)
@@ -309,7 +281,7 @@ def test_kernel_table_reads_every_row_pair_bit_for_bit(cfg):
         assert table.shape == (21, 21)
         for p, bp in enumerate(bumps):
             for q, bq in enumerate(bumps):
-                entry, value = table[index[p], index[q]], gaussian_pair_reduce(kind, bp, bq, cfg).value
+                entry, value = table[index[p], index[q]], pair_value(kind, bp, bq)
                 assert entry == value and math.copysign(1.0, entry) == math.copysign(1.0, value)
     # the underflowing pair: the upper triangle holds +0.0, and the mirrored
     # entry the one-pair fold of the swapped pair, -(+0.0) = -0.0
@@ -367,13 +339,13 @@ def test_log_moment_joins_at_every_piece_edge(sigma):
                 assert abs(left - right) <= 1e-15 * max(1.0, abs(left))
 
 
-def test_logabs_pairs_do_not_depend_on_the_batch():
-    """4000 seeded pairs in one call give each pair's one-pair value bit for bit, in any order.
+def test_logabs_pairs_are_even_in_delta():
+    """4000 seeded pairs give the closed form at |delta| bit for bit, at either sign of delta.
 
     The sweep spans the Taylor and the direct quotient, the near and the far
     log moment, R = 0 and delta = 0; it ends with the pair whose delta - R
     sits at -8.999 sigma, sigma = 1/sqrt(b) ~ 0.3, next to a near pair.
-    The memo is cleared before each route, so every route evaluates afresh.
+    The memo is cleared before each sign, so every pair evaluates afresh.
     """
     rng = np.random.default_rng(84)
     n = 4000
@@ -386,31 +358,24 @@ def test_logabs_pairs_do_not_depend_on_the_batch():
     b[-2:] = 1.0 / 0.09
     sigma = 1.0 / math.sqrt(b[-1])
     delta[-2:], radius[-2:] = (0.0, 0.5 * sigma), (8.999 * sigma, 0.5 * sigma)
-    _pair_cached.cache_clear()
-    batch = pair_integrals(KernelKind.LOGABS, b, delta, radius).tolist()
-    order = rng.permutation(n)
-    _pair_cached.cache_clear()
-    assert pair_integrals(KernelKind.LOGABS, b[order], delta[order], radius[order]).tolist() == [batch[k] for k in order]
-    _pair_cached.cache_clear()
-    assert pair_integrals(KernelKind.LOGABS, b[-2:], delta[-2:], radius[-2:]).tolist() == batch[-2:]
-    # the one-pair route, at either sign of delta
+    # no pair has delta = R = 0, so none takes the self pair's shortcut
+    closed_forms = [_logabs_pair(*pair) for pair in zip(b.tolist(), delta.tolist(), radius.tolist())]
     for sign in (1.0, -1.0):
         _pair_cached.cache_clear()
-        floats = [_pair_integral(KernelKind.LOGABS, *pair) for pair in zip(b.tolist(), (sign * delta).tolist(), radius.tolist())]
-        assert floats == batch
-    # the closed self pair, on both routes and at either zero
+        assert pair_values(KernelKind.LOGABS, b, sign * delta, radius).tolist() == closed_forms
+    # the closed self pair, at either zero
     b_0 = float(b[0])
     closed = [_pair_integral(KernelKind.LOGABS, b_0, zero, 0.0) for zero in (0.0, -0.0)]
     assert closed == [1.0 - EULER_GAMMA - math.log(2.0 * b_0)] * 2
-    assert pair_integrals(KernelKind.LOGABS, b[:1], [0.0], [0.0]).tolist() == closed[:1]
 
 
 @pytest.mark.parametrize("delta, radius, moments", [(0.03, 0.02, 2), (0.05, 0.045, 2), (0.001, 0.002, 3), (0.1, 1e-4, 3)])
 def test_a_log_pair_evaluates_only_the_moments_its_quotient_reads(monkeypatch, delta, radius, moments):
     """A direct-quotient pair evaluates L and F at delta -+ R, two moments; a
     Taylor pair adds F at delta, three.  Near and far moments both count, on
-    the one-pair route and in a table, and both give the same bits; a
-    repeated pair is served by the memo and evaluates none."""
+    the one-pair route and in the kernel table of two bumps, whose self
+    pairs are closed forms, and both give the same bits; a repeated pair
+    is served by the memo and evaluates none."""
     b = 1e4
     rows = []
     lambda_f = _lambda_f
@@ -420,15 +385,17 @@ def test_a_log_pair_evaluates_only_the_moments_its_quotient_reads(monkeypatch, d
         return lambda_f(mu, *args)
 
     monkeypatch.setattr("ncmink.pair._lambda_f", counting)
+    # two bumps of width 2b have combined width b
+    bumps = [GaussianBump((delta, radius, 0, 0), 2.0 * b), GaussianBump((0, 0, 0, 0), 2.0 * b)]
     _pair_cached.cache_clear()
-    table = pair_integrals(KernelKind.LOGABS, [b], [delta], [radius]).tolist()
+    _, (table,) = _kernel_table([bump_rows(bumps)], (KernelKind.LOGABS,))
     assert len(rows) == moments
     rows.clear()
     _pair_cached.cache_clear()
-    assert [_pair_integral(KernelKind.LOGABS, b, delta, radius)] == table
+    assert _pair_integral(KernelKind.LOGABS, b, delta, radius) == table[0, 1]
     assert len(rows) == moments
     rows.clear()
-    assert [_pair_integral(KernelKind.LOGABS, b, delta, radius)] == table
+    assert _pair_integral(KernelKind.LOGABS, b, delta, radius) == table[0, 1]
     assert rows == []
 
 
@@ -436,15 +403,15 @@ def test_a_log_pair_evaluates_only_the_moments_its_quotient_reads(monkeypatch, d
     "kind, pair, odd", [(KernelKind.LIGHTCONE, _lightcone_pair, True), (KernelKind.LOGABS, _logabs_pair, False)], ids=["lightcone", "logabs"]
 )
 def test_the_memo_serves_a_repeated_key(kind, pair, odd):
-    """Repeated and sign-flipped copies of three pairs in one call: three
-    misses, each copy its pair's bits, negated for the odd light cone."""
+    """Repeated and sign-flipped copies of three pairs, one after another:
+    three misses, each copy its pair's bits, negated for the odd light cone."""
     b = np.array([2.0, 50.0, 1e4])
     delta = np.array([0.3, 1.0, 0.02])
     radius = np.array([0.1, 0.5, 0.0])
     copies = [0, 1, 2, 0, 2, 1, 1, 0, 2]
     signs = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
     _pair_cached.cache_clear()
-    values = pair_integrals(kind, b[copies], signs * delta[copies], radius[copies])
+    values = pair_values(kind, b[copies], signs * delta[copies], radius[copies])
     assert _pair_cached.cache_info().misses == 3
     alone = [pair(*p) for p in zip(b.tolist(), delta.tolist(), radius.tolist())]
     assert all(value != 0.0 for value in alone)
@@ -457,7 +424,7 @@ def test_lightcone_kernel_table_is_exactly_antisymmetric():
     bumps = [random_bump(rng) for _ in range(8)]
     bumps.append(GaussianBump((bumps[0].center.components[0], *rng.normal(size=3)), 30.0))
     bumps.append(GaussianBump(bumps[1].center, 70.0))
-    (index,), (table,) = _kernel_table([bump_arrays(bumps)], (KernelKind.LIGHTCONE,))
+    (index,), (table,) = _kernel_table([bump_rows(bumps)], (KernelKind.LIGHTCONE,))
     assert index.tolist() == list(range(len(bumps)))
     assert (table == -table.T).all()
     times = np.array([bump.center.components[0] for bump in bumps])
@@ -467,7 +434,7 @@ def test_lightcone_kernel_table_is_exactly_antisymmetric():
 
 
 @pytest.mark.parametrize("width", [10.0, 1e2, 1e4])
-def test_logabs_self_pair_scaling_identity(width, tight_cfg):
+def test_logabs_self_pair_scaling_identity(width):
     """Self pair + ln(width) is width-independent: the scaling map is exact.
 
     The constant 1-gamma was frozen from two independent oracles: 30-digit
@@ -476,9 +443,8 @@ def test_logabs_self_pair_scaling_identity(width, tight_cfg):
     quadratic form inherits twice this value.
     """
     bump = GaussianBump((0.3, -0.2, 0.1, 0.0), width)
-    r = gaussian_pair_reduce(KernelKind.LOGABS, bump, bump, tight_cfg)
-    assert r.converged
-    assert r.value + math.log(width) == pytest.approx(
+    value = pair_value(KernelKind.LOGABS, bump, bump)
+    assert value + math.log(width) == pytest.approx(
         0.5 * MINVAR_CONSTANT_CORRECTED, abs=5e-4
     )
 
@@ -824,13 +790,9 @@ def test_logabs_self_pair_rule_matches_closed_form(b):
     assert abs(value - expected) <= 1e-14 * max(1.0, abs(expected))
 
 
-def test_logabs_self_pair_is_analytic(cfg):
+def test_logabs_self_pair_is_analytic():
     bump = GaussianBump((0.3, -0.2, 0.1, 0.0), 40.0)
-    r = gaussian_pair_reduce(KernelKind.LOGABS, bump, bump, cfg)
-    assert r.value == 1.0 - EULER_GAMMA - math.log(40.0)
-    assert r.error_estimate == 0.0
-    assert r.evals == 0
-    assert r.method is Method.ANALYTIC
+    assert pair_value(KernelKind.LOGABS, bump, bump) == 1.0 - EULER_GAMMA - math.log(40.0)
 
 
 def _random_multi_smearing(rng, bumps, nterms):
@@ -847,16 +809,14 @@ def _random_multi_smearing(rng, bumps, nterms):
     )
 
 
-def _term_by_term_form(kind, f, g, contraction, cfg):
-    value, evals = 0.0, 0
+def _term_by_term_form(kind, f, g, contraction):
+    value = 0.0
     for tf in f.terms:
         for tg in g.terms:
             coef = tf.weight * tg.weight * float(np.array(tf.covector) @ contraction @ tg.covector)
             if coef != 0.0:
-                r = gaussian_pair_reduce(kind, tf.bump, tg.bump, cfg)
-                value += coef * r.value
-                evals += r.evals
-    return value, evals
+                value += coef * pair_value(kind, tf.bump, tg.bump)
+    return value
 
 
 @pytest.mark.parametrize("contraction", [ETA, I4], ids=["eta", "identity"])
@@ -869,7 +829,7 @@ def test_bilinear_form_matches_term_by_term_loop(kind, contraction, cfg):
         g = _random_multi_smearing(rng, bumps, int(rng.integers(1, 5)))
         for a, b in ((f, g), (f, f)):
             form = bilinear_form(kind, a, b, contraction, cfg)
-            reference, reference_evals = _term_by_term_form(kind, a, b, contraction, cfg)
+            reference = _term_by_term_form(kind, a, b, contraction)
             scale = sum(
                 abs(ta.weight * tb.weight) * np.abs(ta.covector) @ np.abs(tb.covector)
                 for ta in a.terms
@@ -877,7 +837,7 @@ def test_bilinear_form_matches_term_by_term_loop(kind, contraction, cfg):
             )
             assert abs(form.value - reference) <= 1e-13 * scale
             assert form.converged
-            assert form.evals <= reference_evals
+            assert form.evals == 0
         swapped = bilinear_form(kind, g, f, contraction, cfg).value
         forward = bilinear_form(kind, f, g, contraction, cfg).value
         assert swapped == (-forward if kind is KernelKind.LIGHTCONE else forward)
@@ -928,7 +888,7 @@ def test_forms_read_the_table_as_the_per_pair_sum(kind, contraction, cfg):
         (fg, ff), (gg, gf) = _forms(kind, [f, g], [g, f], contraction)
         for (a, b), value in zip(((f, g), (f, f), (g, g), (g, f)), (fg, ff, gg, gf)):
             coef, bb, delta, R = _term_pairs(a, b, contraction)
-            expected = math.fsum(coef * pair_integrals(kind, bb, delta, R))
+            expected = math.fsum(coef * pair_values(kind, bb, delta, R))
             assert value == expected == bilinear_form(kind, a, b, contraction, cfg).value
             zero_pairs += len(a.terms) * len(b.terms) - len(coef)
             coincident += int(((delta == 0.0) & (R > 0.0)).sum())

@@ -279,4 +279,4 @@ def test_the_public_names_are_no_submodules():
     exec("from ncmink import *", namespace)
     modules = [name for name, value in namespace.items() if isinstance(value, types.ModuleType) and name != "__builtins__"]
     assert modules == []
-    assert "gaussian_pair_reduce" in namespace
+    assert "bilinear_form" in namespace

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import bump_pool, random_smearing, table_smearing
+from conftest import bump_pool, pair_values, random_smearing, table_smearing
 from ncmink import (
     ETA,
     DMStateParams,
@@ -29,7 +29,8 @@ from ncmink import (
 )
 from ncmink import state
 from ncmink.state import diagonal_moments, log_minus_form, sigma_indexed
-from ncmink.integrate import _bump_geometry, _pair_integral, _term_pairs, pair_integrals
+from ncmink.integrate import _term_pairs
+from ncmink.pair import _bump_geometry, _pair_integral
 from ncmink.testfn import ZERO_SMEARING, contract, project_psi, scalar_smearing, single_term
 
 
@@ -303,7 +304,7 @@ def composed_magnitude(f, g, params):
 
     def total(kind, a, b):
         coef, bb, delta, R = _term_pairs(a, b, ETA)
-        return math.fsum(np.abs(coef * pair_integrals(kind, bb, delta, R)))
+        return math.fsum(np.abs(coef * pair_values(kind, bb, delta, R)))
 
     def abs_sigma_indexed(h):
         values = np.array([_pair_integral(KernelKind.LIGHTCONE, *_bump_geometry(t.bump, params.psi)) for t in h.terms])

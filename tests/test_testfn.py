@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bump_rows
 from ncmink import (
     ETA,
     GaussianBump,
@@ -17,7 +18,7 @@ from ncmink import (
     smearing_from_json,
     smearing_to_json,
 )
-from ncmink.integrate import _forms, bump_arrays
+from ncmink.integrate import _forms
 from ncmink.minkowski import as_components
 from ncmink.testfn import VectorSmearing, ZERO_SMEARING, project_psi, single_term
 
@@ -136,8 +137,8 @@ def test_canonicalization_merges_and_sorts():
     for order in (terms, terms[::-1]):
         h = VectorSmearing(order)
         assert [(t.covector, t.bump) for t in h.terms] == [(as_components(v), b) for v, b, _ in expected]
-        # a bump row is (center, width), the row bump_arrays gives for the bump
-        assert np.array_equal(h.bump_rows, bump_arrays([t.bump for t in h.terms]))
+        # a bump row is (center, width)
+        assert np.array_equal(h.bump_rows, bump_rows([t.bump for t in h.terms]))
     # -0.0 and 0.0 are one term: it keeps the first occurrence's bits, and
     # smearings that differ only in the sign of a zero are equal
     first = VectorSmearing((((-0.0, 1, 0, 0), GaussianBump((0.0, -0.0, 0, 0), 2.0), 1.0), ((0.0, 1, 0, 0), bump, 2.0)))

@@ -238,15 +238,23 @@ def test_from_dict_orders_terms_by_per_term_covector_center_width_weight():
         assert [f for f, _ in element.terms] == expected
 
 
-def test_scalar_multiple_and_difference():
+def test_scalar_multiple_and_difference(calc, params):
+    """a - a has no terms; c a scales each coefficient by exactly c, 0 a has
+    no terms, and omega(c a) is c omega(a) up to the rounding of its terms."""
     rng = np.random.default_rng(43)
     a = WeylElement.generator(random_smearing(rng), 0.3 - 1.2j) + WeylElement.generator(
         random_smearing(rng), 2.0j
     )
     assert (a - a).terms == ()
-    doubled = 2 * a
-    assert [f for f, _ in doubled.terms] == [f for f, _ in a.terms]
-    assert [c for _, c in doubled.terms] == [2 * c for _, c in a.terms]
+    assert (0 * a).terms == ()
+    omega = calc.eval_omega(a, params).value
+    # each term of omega has modulus at most its coefficient's
+    bound = 1e-15 * math.fsum(abs(c) for _, c in a.terms)
+    for scalar in (2, -0.7 + 1.3j):
+        scaled = scalar * a
+        assert [f for f, _ in scaled.terms] == [f for f, _ in a.terms]
+        assert [c for _, c in scaled.terms] == [scalar * c for _, c in a.terms]
+        assert abs(calc.eval_omega(scaled, params).value - scalar * omega) <= abs(scalar) * bound
 
 
 # ---------------------------------------------------------------------------
