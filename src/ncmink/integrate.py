@@ -50,10 +50,8 @@ from .kernels import kernel_values
 # the float pair path; _reduce_2d and _pair_cached are bound here too,
 # because the benchmark's tracer reads them from this module
 from .pair import (
-    EULER_GAMMA,
     KernelKind,
     Method,
-    QuadratureConfig,
     QuadratureResult,
     _analytic,
     _geometry,
@@ -76,27 +74,27 @@ _MAX_ROUNDS = 400
 def _kernel_table(blocks, kinds):
     """Pair integrals among the distinct bumps of some blocks of bump rows, one matrix per kind.
 
-    Each block is the bump rows (n, 5) of one smearing's terms (or of one
-    bump), and bumps match on the exact bits of their row.  Returns each
-    block's index array into the distinct bumps and, for each kind, the
-    matrix K[i, j] of the pair integrals of distinct bumps i and j.  Each
-    pair of the upper triangle (diagonal included) is one ``_geometry``
-    call on Python floats and one ``_pair_integral`` call per kind.  The
-    swapped pair has the same b and R and delta negated, so its entry is
-    the one-pair path's fold of the same value: LOGABS as is, LIGHTCONE
-    negated unless delta = 0, where it is +0.0.  So K[index[p], index[q]]
-    is the pair integral of bumps p and q bit for bit, the sign of a zero
-    included, however the bumps are grouped.  No blocks, or only empty
+    Each block is the bump rows, (t, x, y, z, width) tuples of Python
+    floats, of one smearing's terms (or of one bump), and bumps match on
+    the value of their row in a dict.  Returns each block's index array
+    into the distinct bumps and, for each kind, the matrix K[i, j] of the
+    pair integrals of distinct bumps i and j.  Each pair of the upper
+    triangle (diagonal included) is one ``_geometry`` call on Python floats
+    and one ``_pair_integral`` call per kind.  The swapped pair has the same
+    b and R and delta negated, so its entry is the one-pair path's fold of
+    the same value: LOGABS as is, LIGHTCONE negated unless delta = 0, where
+    it is +0.0.  So K[index[p], index[q]] is the pair integral of bumps p
+    and q bit for bit, the sign of a zero included, however the bumps are
+    grouped.  That holds also for a bump and its twin that differs only in
+    the sign of a zero coordinate, which match on value and share a slot:
+    paired with any bump, the twins give the same b and R and the same
+    delta or a delta that is +-0.0, LOGABS reads |delta|, and a LIGHTCONE
+    pair at delta = +-0.0 is +0.0 on both paths.  No blocks, or only empty
     ones, give empty matrices.
     """
-    # all blocks in one array: numpy calls per block would cost more than the
-    # rest of the table on the many small blocks of a Weyl element
-    rows = np.concatenate([np.empty((0, 5)), *blocks])
     slots = {}
-    index = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in rows], dtype=np.intp)
-    ends = list(accumulate(map(len, blocks)))
-    indices = [index[start:end] for start, end in zip([0] + ends, ends)]
-    distinct = np.frombuffer(b"".join(slots), dtype=float).reshape(-1, 5).tolist()
+    indices = [np.array([slots.setdefault(row, len(slots)) for row in block], dtype=np.intp) for block in blocks]
+    distinct = list(slots)
     n = len(distinct)
     pairs = [(i, j, *_geometry(distinct[i], distinct[j])) for i in range(n) for j in range(i, n)]
     tables = []
@@ -131,7 +129,7 @@ def _term_pairs(f, g, contraction):
     c = _check_contraction(contraction)
     coef = contract(contract(f.weights[:, None] * f.covectors, c), (g.weights[:, None] * g.covectors).T)
     i, j = np.nonzero(coef)
-    p, q = f.bump_rows.tolist(), g.bump_rows.tolist()
+    p, q = f.bump_rows, g.bump_rows
     b, delta, R = np.array([_geometry(p[k], q[l]) for k, l in zip(i.tolist(), j.tolist())]).reshape(-1, 3).T
     return coef[i, j], b, delta, R
 

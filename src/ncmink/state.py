@@ -24,10 +24,11 @@ evaluates the form with one product pass per kernel table.  A pair
 integral depends only on its two bumps, never on the covectors, so
 ``_moments`` first builds one kernel table: the LOGABS and the LIGHTCONE
 matrix over the distinct bumps of all its smearings and psi
-(``integrate._kernel_table``, read from the smearings' bump rows and
-psi's one row), each entry the one-pair value on Python floats.  Each
-smearing becomes one block on that table: its weighted covector rows
-with their bump indices, and psi carrying -mean(f) as a last row.  A
+(``integrate._kernel_table``, read from the smearings' bump rows and a
+block of psi's one bump row, all (t, x, y, z, width) tuples of floats),
+each entry the one-pair value on Python floats.  Each smearing becomes
+one block on that table: its weighted covector rows with their bump
+indices, and psi carrying -mean(f) as a last row.  A
 value of the form reads two blocks and a contraction c between them: eta
 for Delta, and for mu2 the Krein matrix eta J, so that Delta(f, J g)
 needs no twisted rows of g; since J^T eta J = eta, g's own products
@@ -68,9 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .integrate import _kernel_table, _products, bilinear_form
-from .kernels import KernelKind
-from .minkowski import DMStateParams
-from .pair import _bump_geometry, _bump_row, _pair_integral
+from .pair import KernelKind, _bump_geometry, _bump_row, _pair_integral
 from .testfn import ETA, _fsum_columns, contract, krein_covector_map, krein_matrix
 
 
@@ -145,7 +144,10 @@ def _two_point(f, g, tables, params):
     log_term = 0.25 * min(plus, 0.0) - 0.25 * min(minus, 0.0)
     log_scale = kappa_sq / (16.0 * math.pi**2)
     mean_term = params.state_alpha * kappa_sq * means
-    reg_term = 1.0 / (4.0 * params.state_alpha * kappa_sq) * sigmas
+    # a product that underflows to 0 gives the inf that 1/product gives for a
+    # subnormal one, and the entry is rejected as not finite
+    reg_scale = 4.0 * params.state_alpha * kappa_sq
+    reg_term = (1.0 / reg_scale if reg_scale else math.inf) * sigmas
     sig = -kappa_sq / (8.0 * math.pi) * math.fsum(fg)
     return -log_scale * log_term + mean_term + reg_term + 0.5j * sig
 
@@ -169,12 +171,12 @@ def _moments(smearings, params, twisted, entries):
     entry is then slices of those passes, exactly rounded sums and its
     mean and sigma(., psi) dot products under c, which one ``contract``
     pass gives for all entries, in the order of entries.  An entry that
-    is not finite, where a center separation or a product overflowed,
-    raises ValueError; mu2's positivity guard runs on every twisted entry
-    with f_k == f_l.
+    is not finite, where a center separation or a product overflowed or
+    4 alpha kappa^2 underflowed, raises ValueError; mu2's positivity guard
+    runs on every twisted entry with f_k == f_l.
     """
     indices, (logabs, lightcone) = _kernel_table(
-        [f.bump_rows for f in smearings] + [np.array([_bump_row(params.psi)])], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
+        [f.bump_rows for f in smearings] + [(_bump_row(params.psi),)], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
     )
     psi = indices[-1]
     scale = params.constants.kappa_sq / (8.0 * math.pi)
@@ -196,7 +198,10 @@ def _moments(smearings, params, twisted, entries):
     # cancelling exactly, and sigma(f, psi) c sigma(g, psi)
     ends = np.array([block.mean for block in blocks] + [block.sigma for block in blocks]).reshape(-1, 4)
     left, right = np.array(entries + [(n + k, n + l) for k, l in entries], dtype=np.intp).reshape(-1, 2).T
-    dots = contract(contract(ends, contraction)[left], ends[right][..., None]).reshape(2, -1).tolist()
+    # a dot product that overflows is inf or nan, and its entry is rejected
+    # as not finite below
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = contract(contract(ends, contraction)[left], ends[right][..., None]).reshape(2, -1).tolist()
     values = []
     for (k, l), *tables in zip(entries, logs[n:], sigmas, *dots):
         values.append(_two_point(blocks[k], blocks[l], tables, params))
@@ -267,7 +272,8 @@ class GramReport:
 
     @classmethod
     def from_matrix(cls, matrix, which):
-        herm = 0.5 * (matrix + matrix.conj().T)
+        # halved before the sum, as in gram_check, so a finite matrix stays finite
+        herm = 0.5 * matrix + 0.5 * matrix.conj().T
         if not np.allclose(matrix, herm, atol=1e-12 * max(1.0, np.abs(matrix).max(initial=0.0))):
             raise ValueError(f"{which} matrix is not Hermitian")
         eigs = np.linalg.eigvalsh(herm)
@@ -300,7 +306,9 @@ def gram_check(family, params, cfg):
         N[l, k] = value.conjugate()
         N[k, l] = value
     diag = np.real(np.diag(N))
-    M = np.exp(N - 0.5 * (diag[:, None] + diag[None, :]))
+    # halved before the sum, which is the same bits wherever no term is
+    # subnormal and finite wherever N is
+    M = np.exp(N - (0.5 * diag[:, None] + 0.5 * diag[None, :]))
     return (
         GramReport.from_matrix(N, "N_MATRIX"),
         GramReport.from_matrix(M, "M_MATRIX"),

@@ -6,12 +6,13 @@ the narrow-width limit it localizes a spacetime point.  Bumps enter
 every result through their center and width alone (closed-form moments and
 pair integrals), so no profile is ever evaluated pointwise.  A
 :class:`VectorSmearing` is a finite linear combination of covector-weighted
-bumps, held as one canonical read-only array with a row (covector, center,
-width, weight) per term.  Sums, scaling and covector maps are array
-operations, and the forms, the state and the Weyl calculus read its column
-views, so no per-term object is built on their paths.  All zeroth and first
-moments are evaluated analytically so that the classical-limit identities
-hold exactly.  This is the lowest module that needs numpy, so the metric
+bumps in one canonical form, ``key``: a tuple with a row (covector, center,
+width, weight) of Python floats per term.  Sums and scaling order, merge
+and scale those rows as floats; ``rows``, the same rows as one read-only
+array built once, is what the forms, the state and the Weyl calculus read
+through column views, so no per-term object is built on their paths.  All
+zeroth and first moments are evaluated analytically so that the
+classical-limit identities hold exactly.  This is the lowest module that needs numpy, so the metric
 ``ETA``, ``IDENTITY``, the one covector contraction ``contract`` and the
 Krein matrices live here.
 """
@@ -82,24 +83,20 @@ class SmearingTerm(NamedTuple):
     weight: float
 
 
-# np.lexsort keys of a row, least significant first: the terms sort by
-# (center, width, covector)
-_SORT_KEYS = np.array([3, 2, 1, 0, 8, 7, 6, 5, 4])
-
-
 class VectorSmearing:
     """Finite sum f_mu(x) = sum_k weight_k v_mu^(k) bump_k(x), in canonical form.
 
-    The terms are the rows of one read-only (n, 10) array ``rows``, with the
-    columns (covector, center, width, weight).  Canonicalization merges terms
-    with identical (covector, center, width) into their first occurrence,
-    summing the weights in input order, prunes zero weights and zero
-    covectors, and sorts the rows by (center, width, covector) with a stable
-    sort.  ``key``, the rows as a tuple of tuples, is what equality, hashing
-    and the term order of Weyl elements read, so equal smearings compare and
-    hash equal (a -0.0 entry equals 0.0).  The zero smearing has shape
-    (0, 10).  Sums, scaling and covector maps work on the array; only
-    ``terms`` builds per-term objects.
+    The canonical form is ``key``, a tuple with one row of Python floats
+    (covector, center, width, weight) per term.  Canonicalization merges
+    terms with identical (covector, center, width) into their first
+    occurrence, summing the weights in input order, prunes zero weights and
+    zero covectors, and sorts the rows by (center, width, covector) with a
+    stable sort.  Equality, hashing and the term order of Weyl elements read
+    ``key``, so equal smearings compare and hash equal (a -0.0 entry equals
+    0.0).  ``rows`` is ``key`` as one read-only (n, 10) array, built once,
+    that the vectorized passes read; the zero smearing's has shape (0, 10).
+    Sums, scaling and covector maps build the new rows as lists of floats;
+    only ``terms`` builds per-term objects.
     """
 
     __slots__ = ("rows", "key")
@@ -108,13 +105,14 @@ class VectorSmearing:
         rows = []
         for v, bump, w in terms:
             bump = bump if isinstance(bump, GaussianBump) else GaussianBump(*bump)
-            rows.append((*as_components(v, "covector"), *bump.center.components, bump.width, float(w)))
-        self._canonicalize(np.array(rows, dtype=float).reshape(-1, 10))
+            rows.append([*as_components(v, "covector"), *bump.center.components, bump.width, float(w)])
+        self._canonicalize(rows)
 
     def _canonicalize(self, rows):
-        """Set rows and key from (n, 10) rows in input order (see the class docstring)."""
-        rows = rows[np.lexsort(rows.T[_SORT_KEYS])]
-        listed = rows.tolist()
+        """Set key and rows from a list of row lists in input order (see the class docstring)."""
+        # a stable sort on (center, width, covector); -0.0 sorts as 0.0, and
+        # no NaN gets here, because centers, widths and covectors are finite
+        listed = sorted(rows, key=lambda row: (row[4:9], row[:4]))
         # equal terms are adjacent now, in input order: each group keeps its
         # first row and sums its weights one by one
         merged = listed[:1]
@@ -126,8 +124,7 @@ class VectorSmearing:
         if not all(math.isfinite(row[9]) for row in merged):
             raise ValueError("smearing weights must be finite")
         kept = [row for row in merged if row[9] != 0.0 and any(row[:4])]
-        if len(kept) < len(listed):
-            rows = np.array(kept, dtype=float).reshape(-1, 10)
+        rows = np.array(kept, dtype=float).reshape(-1, 10)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "key", tuple(map(tuple, kept)))
@@ -150,23 +147,22 @@ class VectorSmearing:
     def __repr__(self):
         return f"VectorSmearing(rows={self.rows.tolist()!r})"
 
-    # read-only column views of the rows; a bump row is (center, width),
-    # the one shape in which the pair layer reads bumps
+    # read-only column views of the rows
     covectors = property(lambda self: self.rows[:, :4])
     centers = property(lambda self: self.rows[:, 4:8])
     widths = property(lambda self: self.rows[:, 8])
-    bump_rows = property(lambda self: self.rows[:, 4:9])
     weights = property(lambda self: self.rows[:, 9])
+    # a bump row is the tuple (t, x, y, z, width) of Python floats, the one
+    # shape in which the pair layer reads bumps
+    bump_rows = property(lambda self: tuple(row[4:9] for row in self.key))
 
     @property
     def terms(self):
         """The terms as SmearingTerm objects, in canonical order."""
-        return tuple(
-            SmearingTerm(tuple(row[:4]), GaussianBump(tuple(row[4:8]), row[8]), row[9]) for row in self.rows.tolist()
-        )
+        return tuple(SmearingTerm(row[:4], GaussianBump(row[4:8], row[8]), row[9]) for row in self.key)
 
     def __add__(self, other):
-        return VectorSmearing._from_rows(np.concatenate((self.rows, other.rows)))
+        return VectorSmearing._from_rows(list(map(list, self.key + other.key)))
 
     def __neg__(self):
         return self.scaled(-1.0)
@@ -175,11 +171,9 @@ class VectorSmearing:
         return self + (-other)
 
     def scaled(self, c):
-        rows = self.rows.copy()
-        # an overflow is rejected as a non-finite weight, not warned about
-        with np.errstate(over="ignore"):
-            rows[:, 9] *= float(c)
-        return VectorSmearing._from_rows(rows)
+        # a float product that overflows is inf, rejected as a non-finite weight
+        c = float(c)
+        return VectorSmearing._from_rows([[*row[:9], row[9] * c] for row in self.key])
 
     def is_zero(self):
         return not len(self.rows)
@@ -197,7 +191,7 @@ class VectorSmearing:
         bad = ~np.isfinite(rows[:, :4]).all(axis=1)
         if bad.any():
             raise ValueError(f"covector {self.covectors[bad][0].tolist()} maps to non-finite entries: {rows[bad][0, :4].tolist()}")
-        return VectorSmearing._from_rows(rows)
+        return VectorSmearing._from_rows(rows.tolist())
 
 
 ZERO_SMEARING = VectorSmearing(())

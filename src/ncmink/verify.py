@@ -23,11 +23,11 @@ import math
 import numpy as np
 
 from .geometry import distance, distance_alpha
-from .integrate import EULER_GAMMA, bilinear_form, momentum_form
-from .kernels import KernelKind
-from .minkowski import PhysicalConstants
-from .state import DMStateParams, gram_check, krein_J, sigma
-from .testfn import IDENTITY, GaussianBump, scalar_smearing, single_term
+from .integrate import bilinear_form, momentum_form
+from .minkowski import DMStateParams, GaussianBump, PhysicalConstants
+from .pair import EULER_GAMMA, KernelKind
+from .state import gram_check, krein_J, sigma
+from .testfn import IDENTITY, scalar_smearing, single_term
 from .weyl import WeylCalculus, WeylElement
 
 #: Published narrow-width constant of the log quadratic form.

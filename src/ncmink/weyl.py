@@ -29,8 +29,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .integrate import _analytic, _forms
-from .kernels import KernelKind
+from .integrate import _forms
+from .pair import KernelKind, _analytic
 from .state import diagonal_moments
 from .testfn import ETA, ZERO_SMEARING, krein_matrix, moment1
 

@@ -76,5 +76,5 @@ def pair_values(kind, b, delta, R):
 
 
 def bump_rows(bumps):
-    """The bump rows (n, 5) of a sequence of bumps, each (center, width): the rows kernel tables read."""
-    return np.array([_bump_row(bump) for bump in bumps], dtype=float).reshape(-1, 5)
+    """The bump rows of a sequence of bumps, each a (t, x, y, z, width) tuple: the rows kernel tables read."""
+    return tuple(_bump_row(bump) for bump in bumps)

@@ -294,6 +294,30 @@ def test_kernel_table_reads_every_row_pair_bit_for_bit():
     assert indices == [] and [table.shape for table in tables] == [(0, 0), (0, 0)]
 
 
+def test_kernel_table_of_signed_zero_twins_reads_every_pair_bit_for_bit():
+    """A bump and its twin with a zero coordinate's sign flipped match on value and share a slot.
+
+    Paired with any bump, the twins give the same b and R and the same
+    delta or +-0.0, so every entry is still the one-pair value of its two
+    bumps, the sign of a zero included.
+    """
+    rng = np.random.default_rng(21)
+    bumps = []
+    for k in range(8):
+        center = rng.normal(size=4)
+        center[rng.permutation(4)[: 1 + k % 3]] = 0.0
+        twin = [-0.0 if x == 0.0 else float(x) for x in center]
+        width = float(rng.uniform(5.0, 50.0))
+        bumps += [GaussianBump(center.tolist(), width), GaussianBump(twin, width)]
+    kinds = (KernelKind.LOGABS, KernelKind.LIGHTCONE)
+    (index,), tables = _kernel_table([bump_rows(bumps)], kinds)
+    for kind, table in zip(kinds, tables):
+        for p, bp in enumerate(bumps):
+            for q, bq in enumerate(bumps):
+                entry, value = table[index[p], index[q]], pair_value(kind, bp, bq)
+                assert entry == value and math.copysign(1.0, entry) == math.copysign(1.0, value)
+
+
 def test_pair_geometry_radius_is_the_explicit_sum():
     """R is sqrt(d1 d1 + d2 d2 + d3 d3) summed left to right, as on floats, whichever row is first.
 

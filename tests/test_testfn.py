@@ -127,9 +127,11 @@ def test_canonicalization_merges_and_sorts():
     assert hash(f) == hash(VectorSmearing(f.terms))
     # one read-only row per term: (covector, center, width, weight)
     assert f.rows.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 3.0]]
-    for view in (f.rows, f.covectors, f.centers, f.widths, f.bump_rows, f.weights):
+    for view in (f.rows, f.covectors, f.centers, f.widths, f.weights):
         with pytest.raises(ValueError, match="read-only"):
             view[...] = 0.0
+    with pytest.raises(TypeError):
+        f.bump_rows[0] = (0.0, 0.0, 0.0, 0.0, 1.0)
     # terms sort by (center, width, covector), whatever the input order
     late, wide = GaussianBump((1, -5, 0, 0), 1.0), GaussianBump((0, 0, 0, 0), 3.0)
     terms = [((0, 1, 0, 0), late, 1.0), ((0, 0, 0, 1), wide, 1.0), ((0, 1, 0, 0), bump, 1.0), ((1, 0, 0, 0), bump, 1.0)]
@@ -138,7 +140,7 @@ def test_canonicalization_merges_and_sorts():
         h = VectorSmearing(order)
         assert [(t.covector, t.bump) for t in h.terms] == [(as_components(v), b) for v, b, _ in expected]
         # a bump row is (center, width)
-        assert np.array_equal(h.bump_rows, bump_rows([t.bump for t in h.terms]))
+        assert h.bump_rows == bump_rows([t.bump for t in h.terms])
     # -0.0 and 0.0 are one term: it keeps the first occurrence's bits, and
     # smearings that differ only in the sign of a zero are equal
     first = VectorSmearing((((-0.0, 1, 0, 0), GaussianBump((0.0, -0.0, 0, 0), 2.0), 1.0), ((0.0, 1, 0, 0), bump, 2.0)))
@@ -172,6 +174,67 @@ def test_duplicate_terms_merge_in_input_order():
         assert f.rows.shape == (2, 10) and f.weights[1] == running
     assert sums[0] == 1.0 and sums[1] > 1.0
     assert np.add.reduce(np.array(orders[0])) > 1.0
+
+
+def _lexsort_canonical(rows):
+    """The canonical rows of (n, 10) rows in input order, by the np.lexsort algorithm.
+
+    The reference for ``VectorSmearing``'s stable Python sort: the rows
+    sort by (center, width, covector) in one np.lexsort, equal terms merge
+    into their first row with the weights summed one by one, and zero
+    weights and zero covectors are pruned.
+    """
+    rows = np.array(rows, dtype=float).reshape(-1, 10)
+    listed = rows[np.lexsort(rows.T[[3, 2, 1, 0, 8, 7, 6, 5, 4]])].tolist()
+    merged = listed[:1]
+    for row in listed[1:]:
+        if row[:9] == merged[-1][:9]:
+            merged[-1][9] += row[9]
+        else:
+            merged.append(row)
+    return np.array([row for row in merged if row[9] != 0.0 and any(row[:4])], dtype=float).reshape(-1, 10)
+
+
+def _assert_canonical(f, expected):
+    """f's rows are expected bit for bit, and its key is the same floats, the sign of a zero included."""
+    assert f.rows.tobytes() == expected.tobytes()
+    assert repr(f.key) == repr(tuple(map(tuple, expected.tolist())))
+    assert all(type(x) is float for row in f.key for x in row)
+
+
+def test_canonical_form_matches_the_lexsort_reference():
+    """Repeated (covector, center, width) triples, zero weights and covectors, signed zeros and weights that cancel."""
+    rng = np.random.default_rng(32)
+    covectors = [(1, 0, 0, 0), (0, -0.0, 1, 0), (0.5, -2, 0, 3), (0, 0, 0, 0), (-0.0, 0, -0.0, 0)]
+    centers = [(0, 0, 0, 0), (-0.0, 0, 0, 0), (1, -0.0, 2, 0), (1, 0, 2, 0), (-1, 0, 0, 0)]
+    widths = [1.0, 2.0]
+    weights = [1.0, -1.0, 0.0, -0.0, 0.5, 2.0**-53, 3.0]
+
+    def draw():
+        n = int(rng.integers(0, 12))
+        picks = [[int(rng.integers(len(pool))) for pool in (covectors, centers, widths, weights)] for _ in range(n)]
+        return [(covectors[v], GaussianBump(centers[x], widths[a]), weights[w]) for v, x, a, w in picks]
+
+    def reference(terms):
+        return _lexsort_canonical([[*v, *bump.center.components, bump.width, w] for v, bump, w in terms])
+
+    for _ in range(200):
+        f_terms, g_terms = draw(), draw()
+        f, g = VectorSmearing(f_terms), VectorSmearing(g_terms)
+        _assert_canonical(f, reference(f_terms))
+        _assert_canonical(g, reference(g_terms))
+        _assert_canonical(f + g, _lexsort_canonical(np.concatenate((f.rows, g.rows))))
+        for c in (2.0, -1.0, 0.0, -0.0, 0.1, 1e-300):
+            scaled = f.rows * np.array([1.0] * 9 + [c])
+            _assert_canonical(f.scaled(c), _lexsort_canonical(scaled))
+        _assert_canonical(-f, _lexsort_canonical(f.rows * np.array([1.0] * 9 + [-1.0])))
+
+
+def test_scaling_that_overflows_raises_without_a_warning():
+    """The product of the weights overflows to inf on floats; pyproject turns any warning into an error."""
+    f = single_term((1, 0, 0, 0), GaussianBump((0, 0, 0, 0), 2.0), 1e10)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        f.scaled(1e300)
 
 
 def test_zero_smearing_is_an_empty_array(params, cfg):

@@ -1,4 +1,4 @@
-from ncmink.integrate import QuadratureConfig
+from ncmink import QuadratureConfig
 from ncmink.verify import verify_gram
 
 
