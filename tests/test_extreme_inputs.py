@@ -56,14 +56,13 @@ def _cases(n=60, seed=32):
 
 
 def _finite_or_usage_error(call):
-    """call() gives a list of finite numbers, or raises ValueError (then None)."""
+    """call() gives a list of finite numbers, or raises ValueError."""
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
             numbers = call()
         except ValueError:
-            return None
+            return
     assert numbers and all(cmath.isfinite(x) for x in numbers), numbers
-    return numbers
 
 
 def _gram_numbers(reports):
