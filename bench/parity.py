@@ -20,6 +20,11 @@ clone.  The digest holds
   the ``gram_check`` N and M bytes and ``eval_omega(a* a)`` under a Krein
   calculus at that u, so the digest also covers a Krein matrix that is not
   diagonal (skipped when the checkout has no ``state`` workload);
+* the same inputs under the key ``state (untwisted)``: ``eval_tau(a* a)``
+  under a plain calculus and the untwisted second moments
+  ``state.diagonal_moments`` of each family with its negations, so the
+  digest also covers the state without the Krein twist (skipped with
+  the boosted frame);
 * Monte Carlo estimates on both branches of its sampler, under the key
   ``oracle (mixtures)``: ``mc_oracle`` with ``MIXTURE_SAMPLES`` samples,
   whose last block is partial, on the first two members of the first
@@ -82,7 +87,8 @@ def workload_digest():
 
     Runs inside the subprocess, where ``workloads`` and ``ncmink`` are the
     checkout's.  An op that raises is recorded by its exception.  A
-    checkout with a ``state`` workload adds its boosted frame.
+    checkout with a ``state`` workload adds its boosted frame and its
+    untwisted state.
     """
     import workloads
 
@@ -103,16 +109,37 @@ def workload_digest():
                 })
     if "state" in workloads.WORKLOADS:
         ops["state (boosted)"] = boosted_digest()
+        ops["state (untwisted)"] = untwisted_digest()
         if "oracle" in workloads.WORKLOADS:
             ops["oracle (mixtures)"] = mixtures_digest()
     return ops
 
 
+def _state_digest(evaluate):
+    """evaluate(case) on the ``state`` inputs of every seed, from a cold start per seed.
+
+    Each record is what evaluate returns, or the exception an input raised.
+    """
+    import workloads
+
+    state = workloads.WORKLOADS["state"]
+    seeds = {}
+    for seed in SEEDS:
+        workloads.cold_start()
+        records = seeds[str(seed)] = []
+        for index in range(state.ops):
+            case = state.make_input(seed, index)
+            try:
+                records.append(evaluate(case))
+            except Exception as exc:  # a raising input is recorded, the pass goes on
+                records.append({"raised": repr(exc)})
+    return seeds
+
+
 def boosted_digest():
     """The ``state`` inputs of every seed evaluated with u boosted by ``BOOST``.
 
-    Each record holds omega(a* a) and the sha256 of the N and M matrices,
-    or the exception an input raised.
+    Each record holds omega(a* a) and the sha256 of the N and M matrices.
     """
     import ncmink
     import workloads
@@ -122,24 +149,37 @@ def boosted_digest():
     u = tuple(np.concatenate([[math.sqrt(1 + boost @ boost)], boost]))
     params = dataclasses.replace(workloads.STATE_PARAMS, u=u)
     calc = ncmink.WeylCalculus(params.constants, workloads.CFG, u=u, pairing="krein")
-    state = workloads.WORKLOADS["state"]
-    seeds = {}
-    for seed in SEEDS:
-        workloads.cold_start()
-        records = seeds[str(seed)] = []
-        for index in range(state.ops):
-            case = state.make_input(seed, index)
-            try:
-                reports = ncmink.gram_check(list(case.family), params, workloads.CFG)
-                omega = calc.eval_omega(calc.mul(calc.star(case.element), case.element), params)
-            except Exception as exc:  # a raising input is recorded, the pass goes on
-                records.append({"raised": repr(exc)})
-                continue
-            records.append({
-                "result": [_numbers(omega.value)],
-                "sha256": [hashlib.sha256(report.matrix.tobytes()).hexdigest() for report in reports],
-            })
-    return seeds
+
+    def evaluate(case):
+        reports = ncmink.gram_check(list(case.family), params, workloads.CFG)
+        omega = calc.eval_omega(calc.mul(calc.star(case.element), case.element), params)
+        return {
+            "result": [_numbers(omega.value)],
+            "sha256": [hashlib.sha256(report.matrix.tobytes()).hexdigest() for report in reports],
+        }
+
+    return _state_digest(evaluate)
+
+
+def untwisted_digest():
+    """The ``state`` inputs of every seed evaluated without the Krein twist.
+
+    Each record holds tau(a* a) under the plain pairing and then the
+    untwisted diagonal moments of the family followed by its negations.
+    """
+    import ncmink
+    import workloads
+
+    params = workloads.STATE_PARAMS
+    calc = ncmink.WeylCalculus(params.constants, workloads.CFG, pairing="plain")
+
+    def evaluate(case):
+        tau = calc.eval_tau(calc.mul(calc.star(case.element), case.element), params)
+        family = list(case.family)
+        moments = ncmink.state.diagonal_moments(family + [-f for f in family], params, twisted=False)
+        return {"result": [_numbers(tau.value), *map(_numbers, moments)], "sha256": []}
+
+    return _state_digest(evaluate)
 
 
 def mixtures_digest():

@@ -39,7 +39,7 @@ _LAZY = {
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names.split()}
 # the submodules that import numpy, which importing the package does not bind
-_NUMPY_MODULES = {*_LAZY, "kernels", "verify"}
+_NUMPY_MODULES = {*_LAZY, "verify"}
 
 # the public names, without the submodules that the imports bind
 __all__ = sorted(

@@ -4,8 +4,11 @@ Every form treated here is an 8-dimensional double integral
 
     B = integral f(x) K(x - x') g(x') d4x d4x'
 
-with f, g finite sums of covector-weighted normalized Gaussians and K one of
-the kernels in :mod:`ncmink.kernels`.  Three evaluation routes are provided:
+with f, g finite sums of covector-weighted normalized Gaussians and K, a
+function of y = x - x' only, one of the kinds of ``pair.KernelKind``: the
+antisymmetric light-cone kernel sgn(t-t') Theta[-(x-x')^2], the symmetric
+logarithm ln|(x-x')^2|, or the constant kernel of the normalization
+checks.  Three evaluation routes are provided:
 
 * ``bilinear_form``: exact closed forms.  Each pair of bumps is one
   evaluation (``_pair_integral``) on the float pair path of
@@ -46,7 +49,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .kernels import kernel_values
 # the float pair path; _reduce_2d and _pair_cached are bound here too,
 # because the benchmark's tracer reads them from this module
 from .pair import (
@@ -231,6 +233,22 @@ def _pair_table(f, g, contraction):
     return coeff.ravel(), cdf, shift, scale
 
 
+def _kernel_values(kind, y):
+    """The LIGHTCONE or LOGABS kernel at the displacements y = x - x', a float array of shape (n, 4).
+
+    Boundary conventions: sgn(0) = 0, and both kernels are 0 at exactly
+    null separation (coincident points included).  This keeps the light-cone
+    kernel exactly antisymmetric; the null set has measure zero in every
+    integral, so the convention cannot affect results.  The closed-form
+    pair integrals never evaluate a kernel pointwise; the Monte Carlo
+    blocks read it on their samples.
+    """
+    s = -y[:, 0] ** 2 + y[:, 1] ** 2 + y[:, 2] ** 2 + y[:, 3] ** 2
+    if kind is KernelKind.LIGHTCONE:
+        return np.where(s < 0.0, np.sign(y[:, 0]), 0.0)
+    return np.where(s == 0.0, 0.0, np.log(np.abs(np.where(s == 0.0, 1.0, s))))
+
+
 def _mc_block(kind, table, seed, block, n):
     """Sum and sum of squares of the n samples of one block.
 
@@ -249,7 +267,7 @@ def _mc_block(kind, table, seed, block, n):
     coeff, cdf, shift, scale = table
     reads_y = kind is not KernelKind.CONSTANT
     if len(cdf) > 1 or reads_y:
-        key = np.array([seed % 2**64, block], dtype=np.uint64)
+        key = np.array([seed, block], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
     if len(cdf) > 1:
         k = np.searchsorted(cdf, rng.random(n), side="right")
@@ -263,7 +281,7 @@ def _mc_block(kind, table, seed, block, n):
         y = rng.standard_normal((n, 4))
         y *= scale[:, None]
         y += shift
-        vals = coeff * kernel_values(kind, y)
+        vals = coeff * _kernel_values(kind, y)
     else:
         vals = coeff * np.ones(n)
     return float(vals.sum()), float((vals * vals).sum())
@@ -326,7 +344,7 @@ def _gl_unit(order):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _refine(integrand, x0, x1, cfg, evals_per_node=1):
+def _refine(integrand, x0, x1, cfg, evals_per_node):
     """Adaptive GL15/GL7 panel refinement of a vectorized 1D integrand.
 
     ``integrand`` returns its values and a non-negative magnitude at the

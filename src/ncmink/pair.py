@@ -85,6 +85,10 @@ class QuadratureConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mc_samples < 10_000:
             raise ValueError("mc_samples must be at least 10^4 for oracle use")
+        # the Philox key holds the seed as a 64-bit word, so each seed in
+        # range names one stream
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)

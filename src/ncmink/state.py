@@ -113,10 +113,6 @@ def log_minus_form(f, g, contraction, cfg):
     return 0.25 * min(plus.value, 0.0) - 0.25 * min(minus.value, 0.0)
 
 
-#: The row factor that takes a smearing's rows to those of its negation.
-_NEGATED = np.array([1.0] * 9 + [-1.0])
-
-
 class _Block(NamedTuple):
     """The per-smearing parts of a value of the form (see the module doc)."""
 
@@ -241,22 +237,25 @@ def mu2(f, g, params, cfg):
 def diagonal_moments(smearings, params, twisted=True):
     """mu2(f, f) of each smearing, or Delta(f, f) when not twisted, as a list.
 
-    One kernel table serves all of them, and a smearing is evaluated once
-    with its negation, matched on the bytes of their rows, which differ in
-    the sign of the weight column only.  The rows of -f are those of f
-    negated, so every coefficient product, sum, mean row and sigma(., psi)
-    row comes out the same or exactly negated, and the moment of -f is the
-    moment of f bit for bit.  mu2's positivity guard runs on every twisted
-    value as it is evaluated, that is on the first of f and -f in the
-    list.  The zero smearing's moment is 0 exactly, so it is not evaluated.
+    One kernel table serves all of them, and smearings are matched by
+    value, on ``key``: equal smearings, such as f and a twin that differs
+    only in the sign of a zero entry, share one evaluation, and so do f
+    and -f, whose key rows are those of f with the weight (the last
+    entry) negated.  The rows of -f are those of f with the weights
+    negated, so every coefficient product, sum, mean row and
+    sigma(., psi) row comes out the same or exactly negated, and the
+    moment of -f is the moment of f bit for bit.  A twin's products are
+    f's but for the sign of a zero, which a sum keeps only when all its
+    addends are zero.  mu2's positivity guard runs on every twisted value
+    as it is evaluated, that is on the first of f and -f in the list.
+    The zero smearing's moment is 0 exactly, so it is not evaluated.
     """
     slots, live, where = {}, [], []
     for f in smearings:
-        rows = f.rows.tobytes()
-        if rows and rows not in slots:
-            slots[rows] = slots[(f.rows * _NEGATED).tobytes()] = len(live)
+        if f.key and f.key not in slots:
+            slots[f.key] = slots[tuple((*row[:9], -row[9]) for row in f.key)] = len(live)
             live.append(f)
-        where.append(slots.get(rows))
+        where.append(slots.get(f.key))
     moments = _moments(live, params, twisted, [(k, k) for k in range(len(live))])
     return [0.0 if slot is None else moments[slot] for slot in where]
 

@@ -115,9 +115,9 @@ def verify_fourier(cfg):
     return _report("fourier", checks)
 
 
-def _random_smearing(rng, max_center=0.8):
+def _random_smearing(rng):
     v = rng.normal(size=4)
-    center = rng.normal(scale=max_center, size=4)
+    center = rng.normal(scale=0.8, size=4)
     width = rng.uniform(8.0, 40.0)
     weight = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
     return single_term(tuple(v), GaussianBump(tuple(center), width), weight)

@@ -97,8 +97,8 @@ class WeylCalculus:
     (``_sigmas``, the one pairing table; a single pair is its 1 x 1 case),
     and a state evaluation the second moments of all of an element's terms
     from one pass per kernel table (``state.diagonal_moments``), one moment
-    for a term and its negation.  The one process-wide pair memo of
-    ``integrate`` serves the pairs of either kernel that repeat across
+    for a term and its negation.  The one process-wide pair memo,
+    ``pair._pair_cached``, serves the pairs of either kernel that repeat across
     tables, such as those of a family's Gram matrix and of the element
     built on it.  Every value is a closed form, so the ``cfg``
     argument is accepted and not read.

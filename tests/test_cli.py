@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ncmink
-from ncmink import DMStateParams, GaussianBump, cli, distance, distance_alpha, verify
+from ncmink import DMStateParams, GaussianBump, QuadratureConfig, cli, distance, distance_alpha, verify
 from ncmink.cli import main
 from ncmink.geometry import _log_quadratic
 
@@ -397,6 +398,20 @@ def test_sweep_space_direction(capsys):
         assert abs(row["causal"]) <= 3.0 * row["causal_error"]
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_a_seed_outside_64_bits_is_usage_error(capsys, seed):
+    """A seed is one 64-bit word of the Philox key: taken modulo 2**64, -1
+    named the stream of 2**64 - 1 and 2**64 + 5 that of 5, and numpy's
+    generator rejected -1 without naming the key."""
+    assert [QuadratureConfig(seed=end).seed for end in (0, 2**64 - 1)] == [0, 2**64 - 1]
+    message = rf"seed must be in \[0, 2\*\*64\), got {seed}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QuadratureConfig(seed=seed)
+    code, out, err = run_cli(capsys, "verify", "weyl", f"--seed={seed}")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(f"error: {message}\n", err)
+
+
 @pytest.mark.parametrize(
     "config, named",
     [
@@ -519,6 +534,6 @@ def test_importing_the_package_gives_its_numpy_submodules():
     `import ncmink`, as when the package imported them itself."""
     modules = _run_fresh(
         "import ncmink\nassert ncmink.testfn.smearing_from_json is ncmink.smearing_from_json\n"
-        "assert [ncmink.integrate, ncmink.state, ncmink.weyl, ncmink.kernels, ncmink.verify]"
+        "assert [ncmink.integrate, ncmink.state, ncmink.weyl, ncmink.verify]"
     )
     assert "numpy" in modules

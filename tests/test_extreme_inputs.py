@@ -6,7 +6,9 @@ kappa^2 runs from 0 to 1e308 and the state regulator alpha from 1e-300 to
 raising (an underflow to 0 is the right double, so it is left alone) and
 with warnings as errors, as pyproject sets them.  It must return finite
 numbers or raise ValueError, and the CLI must exit 0 with finite output or
-exit 2.
+exit 2.  ``verify`` may also exit 1, a failed check, with finite output; it
+runs at both ends of the seed range [0, 2**64) and past them, and at
+tolerances of 1e300 and 1e-300.
 """
 
 import cmath
@@ -115,3 +117,38 @@ def test_every_cli_command_exits_0_with_finite_output_or_2(capsys, c, w1, w2, ka
         if code == 0:
             numbers = _numbers(json.loads(out))
             assert numbers and all(cmath.isfinite(x) for x in numbers), (argv, out)
+
+
+
+
+def _verify_case(*argv, config=None, codes=(0, 1, 2)):
+    name = " ".join(argv) + (" under " + json.dumps(config) if config else "")
+    return pytest.param(["verify", *argv], config, codes, id=name)
+
+
+@pytest.mark.parametrize(
+    "argv, config, codes",
+    [
+        *(_verify_case(suite, "--seed", str(seed), codes=(0, 1)) for suite in ("gram", "weyl") for seed in (0, 2**64 - 1)),
+        _verify_case("weyl", "--seed=-1", codes=(2,)),
+        _verify_case("weyl", "--seed", str(2**64), codes=(2,)),
+        _verify_case("fourier", "--rel-tol", "1e300", "--abs-tol", "1e300"),
+        # one eval allowed, so the momentum route stops after its first panels
+        _verify_case("fourier", "--rel-tol", "1e-300", "--abs-tol", "1e-300", config={"quadrature": {"max_evals": 1}}),
+    ],
+)
+def test_verify_exits_0_or_1_with_finite_output_or_2(capsys, tmp_path, argv, config, codes):
+    """``verify`` at the ends of the seed range [0, 2**64) and past them, and
+    with tolerances of 1e300 and, on one eval, of 1e-300."""
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "run.json")]
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        code = main(argv + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code in codes, argv
+    if code == 2:
+        assert out == ""
+    else:
+        numbers = _numbers(json.loads(out))
+        assert numbers and all(cmath.isfinite(x) for x in numbers), (argv, out)

@@ -82,7 +82,8 @@ def test_digest_of_a_checkout(tmp_path):
 
 
 # A state workload in miniature, on a package whose Gram matrices are u and
-# 2 u, whose product is the element squared and whose omega(x) is x + i u_1.
+# 2 u, whose product is the element squared, whose omega(x) is x + i u_1
+# and tau(x) is x - i, and whose diagonal moment of f is f + i twisted.
 STATE_WORKLOADS = '''
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -119,6 +120,7 @@ from types import SimpleNamespace
 import numpy as np
 
 __all__ = ["gram_check", "WeylCalculus"]
+state = SimpleNamespace(diagonal_moments=lambda smearings, params, twisted: [complex(f, twisted) for f in smearings])
 
 
 def gram_check(family, params, cfg):
@@ -126,9 +128,8 @@ def gram_check(family, params, cfg):
 
 
 class WeylCalculus:
-    def __init__(self, constants, cfg, u, pairing):
-        assert pairing == "krein"
-        self.u = u
+    def __init__(self, constants, cfg, u=(1.0, 0.0, 0.0, 0.0), pairing="krein"):
+        self.u, self.pairing = u, pairing
 
     def star(self, a):
         return a
@@ -139,7 +140,12 @@ class WeylCalculus:
         return a * b
 
     def eval_omega(self, a, params):
+        assert self.pairing == "krein"
         return SimpleNamespace(value=complex(a, self.u[1]))
+
+    def eval_tau(self, a, params):
+        assert self.pairing == "plain" and self.u == (1.0, 0.0, 0.0, 0.0)
+        return SimpleNamespace(value=complex(a, -1.0))
 '''
 
 
@@ -156,6 +162,20 @@ def test_digest_of_a_boosted_frame(tmp_path):
     ops = parity.digest(root)["ops"]
     assert ops["state (boosted)"] == {str(seed): expected for seed in (101, 102, 105)}
     assert ops["state"] == {str(seed): [{"result": [], "sha256": []}] * 2 for seed in (101, 102, 105)}
+
+
+def test_digest_of_the_untwisted_state(tmp_path):
+    """A checkout with a state workload is digested again without the Krein
+    twist: tau(a* a) under the plain pairing, then the untwisted moments of
+    the family and its negations."""
+    root = _checkout(tmp_path)
+    (root / "perfbench" / "workloads.py").write_text(STATE_WORKLOADS)
+    (root / "src" / "ncmink" / "__init__.py").write_text(STATE_PACKAGE)
+    ops = parity.digest(root)["ops"]
+    for seed in (101, 102, 105):
+        moments = [[float(f), 0.0] for f in (seed, 0, -seed, 0)]
+        expected = [{"result": [[1.0, -1.0], *moments], "sha256": []}, {"raised": "ZeroDivisionError('zero element')"}]
+        assert ops["state (untwisted)"][str(seed)] == expected
 
 
 # The state workload with an oracle workload beside it, whose op 1 is the
@@ -213,7 +233,7 @@ def test_digest_of_monte_carlo_mixtures(tmp_path):
         ]
         expected += [{"result": [f"LOGABS {-seed} 0", 7], "sha256": []}, {"raised": "ArithmeticError('one bump')"}]
         assert ops["oracle (mixtures)"][str(seed)] == expected
-    assert sorted(ops) == ["oracle", "oracle (mixtures)", "state", "state (boosted)"]
+    assert sorted(ops) == ["oracle", "oracle (mixtures)", "state", "state (boosted)", "state (untwisted)"]
 
 
 def _digest(*ops):

@@ -31,7 +31,7 @@ from ncmink import state
 from ncmink.state import diagonal_moments, log_minus_form, sigma_indexed
 from ncmink.integrate import _term_pairs
 from ncmink.pair import _bump_geometry, _pair_integral
-from ncmink.testfn import ZERO_SMEARING, contract, project_psi, scalar_smearing, single_term
+from ncmink.testfn import ZERO_SMEARING, VectorSmearing, contract, project_psi, scalar_smearing, single_term
 
 
 def e0_smearing(bump, weight=1.0):
@@ -494,18 +494,22 @@ def test_a_value_does_not_depend_on_its_call_in_a_boosted_frame(cfg, boosted_par
 
 @pytest.mark.parametrize("frame", ["rest", "boosted"])
 def test_a_smearing_and_its_negation_share_one_moment(cfg, params, boosted_params, monkeypatch, frame):
-    """diagonal_moments evaluates f and -f once, with the bits each would have alone.
+    """diagonal_moments evaluates f, -f and their twins once, with the bits each would have alone.
 
-    The list [f, -f, g, 0, -g] makes two calls of ``_two_point``; every
-    value is the one of a singleton call, twisted and untwisted, and the
-    zero smearing's is exactly 0.0.  A bad twisted value raises on
+    Smearings are matched by value: t equals f but for its one zero
+    covector entry, written -0.0.  The list [f, t, -f, -t, g, 0, -g] makes
+    two calls of ``_two_point``; every value has the bits of a singleton
+    call, the sign of a zero and the type included, twisted and untwisted,
+    and the zero smearing's is exactly 0.0.  A bad twisted value raises on
     whichever of f and -f comes first, the one evaluated.
     """
     params = boosted_params if frame == "boosted" else params
     rng = np.random.default_rng(109)
     pool = bump_pool(rng, params.psi)
     f, g = table_smearing(rng, pool), table_smearing(rng, pool)
-    smearings = [f, -f, g, ZERO_SMEARING, -g]
+    t = VectorSmearing([(tuple(-0.0 if x == 0.0 else x for x in v), bump, w) for v, bump, w in f.terms])
+    assert t == f and t.rows.tobytes() != f.rows.tobytes()
+    smearings = [f, t, -f, -t, g, ZERO_SMEARING, -g]
     two_point = state._two_point
     blocks = []
 
@@ -518,9 +522,10 @@ def test_a_smearing_and_its_negation_share_one_moment(cfg, params, boosted_param
         blocks.clear()
         moments = diagonal_moments(smearings, params, twisted)
         assert len(blocks) == 2
-        assert type(moments[3]) is float and moments[3] == 0.0
-        assert moments == [diagonal_moments([h], params, twisted)[0] if not h.is_zero() else 0.0 for h in smearings]
-        assert moments[0] == moments[1] and moments[2] == moments[4]
+        assert type(moments[5]) is float and moments[5] == 0.0
+        alone = [diagonal_moments([h], params, twisted)[0] for h in smearings]
+        assert list(map(repr, moments)) == list(map(repr, alone))
+        assert len(set(map(repr, moments[:4]))) == 1 and repr(moments[4]) == repr(moments[6])
 
     def bad(*args):
         blocks.append(args[0])
@@ -532,3 +537,4 @@ def test_a_smearing_and_its_negation_share_one_moment(cfg, params, boosted_param
         with pytest.raises(PositivityError, match="negative beyond budget"):
             diagonal_moments([first, -first], params)
         assert len(blocks) == 1 and np.array_equal(blocks[0].mean, -mean(first))
+
