@@ -136,22 +136,33 @@ def _term_pairs(f, g, contraction):
     return coef[i, j], b, delta, R
 
 
-def _products(table, left, right, entries, contraction):
-    """Nonzero coefficient times table products of each entry (k, l), one list of floats per entry.
+def _stack(indices, blocks):
+    """Blocks stacked for ``_products``: (index, rows, starts).
 
-    left and right are blocks (index, rows): the weighted covector rows of
-    a smearing and their bumps' indices in the kernel table.  The stacked
-    left rows are contracted in one ``contract`` call with the contraction,
-    a 4x4 matrix or one per stacked row.  Entry (k, l) holds row i of
-    left[k] . c . row j of right[l] times table[index_i, index_j] in
-    row-major (i, j) order, with the zero-coefficient pairs left out.  The
-    pairs of all entries are one array pass, and each entry's coefficients
-    come out as ``_term_pairs`` computes those of two smearings, whatever
-    the other entries of the call.
+    indices holds each block's bump indices into the kernel tables (an
+    array or a list) and blocks its weighted covector rows (lists of
+    floats); starts is the first stacked row of each block, with the row
+    count last.
     """
-    a_index, b_index = (np.concatenate([index for index, _ in side] or [np.empty(0, np.intp)]) for side in (left, right))
-    a_rows, b_rows = (np.concatenate([rows for _, rows in side] or [np.empty((0, 4))]) for side in (left, right))
-    a_start, b_start = ([0, *accumulate(len(index) for index, _ in side)] for side in (left, right))
+    index = np.concatenate([*indices, np.empty(0, np.intp)])
+    rows = np.array([row for block in blocks for row in block], dtype=float).reshape(-1, 4)
+    return index, rows, [0, *accumulate(map(len, blocks))]
+
+
+def _products(tables, left, right, entries, contraction):
+    """Nonzero coefficient times table products of each entry (k, l), for each table, as lists of floats.
+
+    left and right are stacks of blocks (``_stack``).  The left rows are
+    contracted in one ``contract`` call with the contraction, a 4x4 matrix
+    or one per left row.  Entry (k, l) holds row i of left block k . c .
+    row j of right block l times table[index_i, index_j] in row-major
+    (i, j) order, with the zero-coefficient pairs left out.  The pairs of
+    all entries are one array pass, each coefficient is computed once for
+    all the tables, and each entry's coefficients come out as
+    ``_term_pairs`` computes those of two smearings, whatever the other
+    entries of the call.  Returns one list of entries per table.
+    """
+    (a_index, a_rows, a_start), (b_index, b_rows, b_start) = left, right
     # each entry's first pair, column count and first rows of its two blocks
     spec, ends = [], [0]
     for k, l in entries:
@@ -165,27 +176,29 @@ def _products(table, left, right, entries, contraction):
     # take gathers faster than indexing
     coef = contract(contract(a_rows, contraction).take(i, axis=0), b_rows.take(j, axis=0)[..., None])[..., 0]
     pairs = np.flatnonzero(coef)
-    values = (coef.take(pairs) * table[a_index.take(i.take(pairs)), b_index.take(j.take(pairs))]).tolist()
+    coef, i, j = coef.take(pairs), a_index.take(i.take(pairs)), b_index.take(j.take(pairs))
     bounds = np.searchsorted(pairs, ends).tolist()
-    return [values[start:end] for start, end in zip(bounds, bounds[1:])]
+    values = [(coef * table[i, j]).tolist() for table in tables]
+    return [[products[start:end] for start, end in zip(bounds, bounds[1:])] for products in values]
 
 
 def _forms(kind, fs, gs, contraction):
     """Forms of every f in fs (rows) against every g in gs (columns), as lists of floats.
 
     One kernel table over the bumps of fs and gs serves all of them, and
-    one ``_products`` pass over it gives the products of every (f, g).
-    Each value is the exactly rounded sum of its products; zero-coefficient
-    pairs are left out of the sum, although their table entries are
-    evaluated.  A sum that is not finite, where a center separation or a
-    product overflowed, raises ValueError.
+    one ``_products`` pass over it, on rows read from ``key``, gives the
+    products of every (f, g).  Each value is the exactly rounded sum of
+    its products; zero-coefficient pairs are left out of the sum, although
+    their table entries are evaluated.  A sum that is not finite, where a
+    center separation or a product overflowed, raises ValueError.
     """
     c = _check_contraction(contraction)
     smearings = (*fs, *gs)
-    indices, (table,) = _kernel_table([h.bump_rows for h in smearings], (kind,))
-    blocks = [(index, h.weights[:, None] * h.covectors) for index, h in zip(indices, smearings)]
+    indices, tables = _kernel_table([h.bump_rows for h in smearings], (kind,))
+    blocks = [h.weighted_rows for h in smearings]
     n, m = len(fs), len(gs)
-    products = _products(table, blocks[:n], blocks[n:], [(k, l) for k in range(n) for l in range(m)], c)
+    left, right = _stack(indices[:n], blocks[:n]), _stack(indices[n:], blocks[n:])
+    (products,) = _products(tables, left, right, [(k, l) for k in range(n) for l in range(m)], c)
     sums = [math.fsum(p) for p in products]
     for value in sums:
         if not math.isfinite(value):

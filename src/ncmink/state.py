@@ -20,35 +20,38 @@ The building blocks assembled here:
 ``dm_bilinear``, ``mu2``, ``gram_check`` and ``diagonal_moments`` (the
 second moments the Weyl calculus evaluates the state with) do not compose
 the functions above; each is a few lines around ``_moments``, which
-evaluates the form with one product pass per kernel table.  A pair
-integral depends only on its two bumps, never on the covectors, so
-``_moments`` first builds one kernel table: the LOGABS and the LIGHTCONE
-matrix over the distinct bumps of all its smearings and psi
-(``integrate._kernel_table``, read from the smearings' bump rows and a
-block of psi's one bump row, all (t, x, y, z, width) tuples of floats),
-each entry the one-pair value on Python floats.  Each smearing becomes
-one block on that table: its weighted covector rows with their bump
-indices, and psi carrying -mean(f) as a last row.  A
-value of the form reads two blocks and a contraction c between them: eta
-for Delta, and for mu2 the Krein matrix eta J, so that Delta(f, J g)
-needs no twisted rows of g; since J^T eta J = eta, g's own products
-serve both.  One ``integrate._products`` pass over the LOGABS table
-gives each block's products with itself under eta and every entry's
-f x g products under c, and one pass over the LIGHTCONE table every
-entry's f x g products of the terms under c.  Every covector product is
+evaluates the form with one product pass.  A pair integral depends only
+on its two bumps, never on the covectors, so ``_moments`` first builds
+one kernel table: the LOGABS and the LIGHTCONE matrix over the distinct
+bumps of all its smearings and psi (``integrate._kernel_table``, read
+from the smearings' bump rows and a block of psi's one bump row, all
+(t, x, y, z, width) tuples of floats), each entry the one-pair value on
+Python floats.  Each smearing becomes one block on that table, read
+from its ``key`` on floats: its weighted covector rows with their bump
+indices, and psi carrying -mean(f) as a last row; -mean(f) and
+sigma(f, psi) are exactly rounded float sums of those rows.  All blocks
+are stacked once.  A value of the form reads two blocks and a
+contraction c between them: eta for Delta, and for mu2 the Krein matrix
+eta J, so that Delta(f, J g) needs no twisted rows of g; since
+J^T eta J = eta, g's own products serve both.  One
+``integrate._products`` pass gives each block's LOGABS products with
+itself under eta and every entry's f x g coefficients under c, and
+multiplies the latter by both tables: the LOGABS products of all rows,
+and the LIGHTCONE products, of which an entry reads its term x term
+subset (psi's rows read zeros there).  Every covector product is
 ``testfn.contract``, elementwise sums in index order with no BLAS, so
 a value is the same bits on any BLAS kernel and does not depend on the
 other smearings of its call.  An entry (``_two_point``) is then slices
-of those passes: Q(Pf + Pg) and Q(Pf - Pg) are the exactly rounded sums
+of that pass: Q(Pf + Pg) and Q(Pf - Pg) are the exactly rounded sums
 of both blocks' own products and plus or minus twice the f x g
 products, the mean term is mean(f) c mean(g), the regulator term
 sigma(f, psi) c sigma(g, psi), both from one ``contract`` pass over the
 call's entries, and sigma(f, g) the exactly rounded sum of the LIGHTCONE
 products.  mu2's positivity guard runs on every entry with f_k == g_l.
-A family's Gram matrix reads one table and one pass per table for all
-its entries, and an element's second moments one table for all its
-terms, with one moment for a smearing and its negation: the rows of -f
-are those of f with the weights negated, so mu2(-f, -f) is mu2(f, f) bit
+A family's Gram matrix reads one table and one pass for all its
+entries, and an element's second moments one table for all its terms,
+with one moment for a smearing and its negation: the rows of -f are
+those of f with the weights negated, so mu2(-f, -f) is mu2(f, f) bit
 for bit.  Every sum of the form is exactly rounded, so term order never
 matters, and for u = (1, 0, 0, 0) (where eta J is the identity) the
 result is bit-identical to the composition; ``log_minus_form``,
@@ -63,12 +66,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .integrate import _kernel_table, _products, bilinear_form
+from .integrate import _kernel_table, _products, _stack, bilinear_form
 from .pair import KernelKind, _bump_geometry, _bump_row, _pair_integral
 from .testfn import ETA, _fsum_columns, contract, krein_covector_map, krein_matrix
 
@@ -116,17 +120,16 @@ def log_minus_form(f, g, contraction, cfg):
 class _Block(NamedTuple):
     """The per-smearing parts of a value of the form (see the module doc)."""
 
-    mean: np.ndarray  # (4,), -mean(f), the row psi carries
+    mean: list  # -mean(f), the row psi carries
     own: list  # LOGABS products of f's rows and psi's with themselves under eta
-    sigma: np.ndarray  # (4,), sigma(f, psi)
 
 
 def _two_point(f, g, tables, params):
     """Delta_{alpha,psi} of the blocks f and g paired through the contraction c (see module doc).
 
-    tables holds the entry's slices of the two product passes of its
-    call, the LOGABS products of f's rows (psi's last) with g's under c
-    and the LIGHTCONE products of their terms, and its two dot products
+    tables holds the entry's slices of its call's product pass, the
+    LOGABS products of f's rows (psi's last) with g's under c and the
+    LIGHTCONE products of their terms, and its two dot products
     mean(f) c mean(g) and sigma(f, psi) c sigma(g, psi).  The rest is
     exactly rounded sums.
     """
@@ -160,46 +163,62 @@ def _check_diagonal(value):
 def _moments(smearings, params, twisted, entries):
     """Delta_{alpha,psi}(f_k, f_l), or mu2 when twisted, for each (k, l) in entries.
 
-    Every smearing and psi share one kernel table, and one ``_products``
-    pass per table gives all the products: on the LOGABS table each
-    smearing's own block under eta and every entry's cross term under the
-    contraction c, on the LIGHTCONE table every entry's sigma under c.  An
-    entry is then slices of those passes, exactly rounded sums and its
-    mean and sigma(., psi) dot products under c, which one ``contract``
-    pass gives for all entries, in the order of entries.  An entry that
-    is not finite, where a center separation or a product overflowed or
-    4 alpha kappa^2 underflowed, raises ValueError; mu2's positivity guard
-    runs on every twisted entry with f_k == f_l.
+    Every smearing and psi share one kernel table.  Each smearing's block,
+    its weighted covector rows read from ``key`` and psi's row carrying
+    -mean(f), is stacked once, with -mean(f) and sigma(f, psi) formed as
+    exactly rounded float sums.  One ``_products`` pass gives all the
+    products: each block's own LOGABS products under eta, and each entry's
+    cross products under the contraction c, both LOGABS and LIGHTCONE from
+    the same coefficients.  psi's rows read a slot of their own in both
+    tables, psi's LOGABS values and LIGHTCONE zeros, so an entry's
+    LIGHTCONE products are those of its terms and a signed zero for each
+    nonzero coefficient of a psi row, which leaves an exactly rounded sum
+    as it is (``math.fsum`` of zeros is +0.0).  An entry is then slices of
+    that pass, exactly rounded sums and its mean and sigma(., psi) dot
+    products under c, which one ``contract`` pass gives for all entries,
+    in the order of entries.  An entry that is not finite, where a center
+    separation or a product overflowed or 4 alpha kappa^2 underflowed,
+    raises ValueError; mu2's positivity guard runs on every twisted entry
+    with f_k == f_l.
     """
     indices, (logabs, lightcone) = _kernel_table(
         [f.bump_rows for f in smearings] + [(_bump_row(params.psi),)], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
     )
-    psi = indices[-1]
+    psi, slot = int(indices[-1][0]), len(logabs)
     scale = params.constants.kappa_sq / (8.0 * math.pi)
-    terms = [(index, f.weights[:, None] * f.covectors) for index, f in zip(indices, smearings)]
-    # each smearing's term rows, then psi carrying -mean(f)
-    with_psi = [(np.concatenate([index, psi]), np.vstack([rows, -_fsum_columns(rows)])) for index, rows in terms]
+    against_psi = lightcone[:, psi].tolist()
+    index_blocks, row_blocks, means, sigmas = [], [], [], []
+    for f, index in zip(smearings, indices):
+        index, terms = index.tolist(), f.weighted_rows
+        columns = list(zip(*terms)) or [()] * 4
+        values = [against_psi[i] for i in index]
+        means.append([-math.fsum(column) for column in columns])
+        sigmas.append([-scale * math.fsum(map(operator.mul, values, column)) for column in columns])
+        index_blocks.append(index + [slot])
+        row_blocks.append(terms + [means[-1]])
+    index, rows, starts = right = _stack(index_blocks, row_blocks)
+    # the own products under eta, the cross products under c: one matrix per row
     contraction = krein_matrix(params.u) if twisted else ETA
+    per_row = np.repeat(np.array([ETA, contraction]), len(rows), axis=0)
+    left = (np.concatenate([index, index]), np.concatenate([rows, rows]), starts + [starts[-1] + start for start in starts[1:]])
     n = len(smearings)
     own_and_cross = [(k, k) for k in range(n)] + [(n + k, l) for k, l in entries]
-    # the own products under eta, the cross products under c: one matrix per row
-    per_row = np.repeat(np.array([ETA, contraction]), sum(len(rows) for _, rows in with_psi), axis=0)
-    logs = _products(logabs, with_psi + with_psi, with_psi, own_and_cross, per_row)
-    sigmas = _products(lightcone, terms, terms, entries, contraction)
-    blocks = [
-        _Block(psi_rows[-1], own, -scale * _fsum_columns(lightcone[index, psi[0]][:, None] * rows))
-        for (index, rows), (_, psi_rows), own in zip(terms, with_psi, logs)
-    ]
+    # psi's own slot: its LOGABS row and column, and LIGHTCONE zeros
+    ext = [*range(slot), psi]
+    light = np.zeros((slot + 1, slot + 1))
+    light[:slot, :slot] = lightcone
+    logs, fgs = _products((logabs.take(ext, 0).take(ext, 1), light), left, right, own_and_cross, per_row)
+    blocks = list(map(_Block, means, logs))
     # every entry's mean(f) c mean(g), the signs of -mean(f) and -mean(g)
     # cancelling exactly, and sigma(f, psi) c sigma(g, psi)
-    ends = np.array([block.mean for block in blocks] + [block.sigma for block in blocks]).reshape(-1, 4)
+    ends = np.array(means + sigmas, dtype=float).reshape(-1, 4)
     left, right = np.array(entries + [(n + k, n + l) for k, l in entries], dtype=np.intp).reshape(-1, 2).T
     # a dot product that overflows is inf or nan, and its entry is rejected
     # as not finite below
     with np.errstate(over="ignore", invalid="ignore"):
         dots = contract(contract(ends, contraction)[left], ends[right][..., None]).reshape(2, -1).tolist()
     values = []
-    for (k, l), *tables in zip(entries, logs[n:], sigmas, *dots):
+    for (k, l), *tables in zip(entries, logs[n:], fgs[n:], *dots):
         values.append(_two_point(blocks[k], blocks[l], tables, params))
         if not cmath.isfinite(values[-1]):
             raise ValueError(f"{'mu2' if twisted else 'Delta'}(f_{k}, f_{l}) is not finite: {values[-1]!r}")
@@ -271,9 +290,20 @@ class GramReport:
 
     @classmethod
     def from_matrix(cls, matrix, which):
-        # halved before the sum, as in gram_check, so a finite matrix stays finite
-        herm = 0.5 * matrix + 0.5 * matrix.conj().T
-        if not np.allclose(matrix, herm, atol=1e-12 * max(1.0, np.abs(matrix).max(initial=0.0))):
+        """The report of a square matrix; ValueError when it is not Hermitian.
+
+        The check is np.allclose(matrix, herm, atol=1e-12 max(1, max |entry|))
+        spelled out, herm the Hermitian part: an entry passes when
+        |x - h| <= atol + 1e-5 |h| with h finite, or when x == h.  So ±inf
+        and NaN entries get allclose's verdict, and the arithmetic on them
+        raises no floating-point warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            atol = 1e-12 * max(1.0, np.abs(matrix).max(initial=0.0))
+            # halved before the sum, as in gram_check, so a finite matrix stays finite
+            herm = 0.5 * matrix + 0.5 * matrix.conj().T
+            close = (np.abs(matrix - herm) <= atol + 1e-5 * np.abs(herm)) & np.isfinite(herm) | (matrix == herm)
+        if not close.all():
             raise ValueError(f"{which} matrix is not Hermitian")
         eigs = np.linalg.eigvalsh(herm)
         norm = float(np.max(np.abs(eigs))) if len(eigs) else 0.0

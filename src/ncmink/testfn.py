@@ -8,9 +8,10 @@ pair integrals), so no profile is ever evaluated pointwise.  A
 :class:`VectorSmearing` is a finite linear combination of covector-weighted
 bumps in one canonical form, ``key``: a tuple with a row (covector, center,
 width, weight) of Python floats per term.  Sums and scaling order, merge
-and scale those rows as floats; ``rows``, the same rows as one read-only
-array built once, is what the forms, the state and the Weyl calculus read
-through column views, so no per-term object is built on their paths.  All
+and scale those rows as floats, and the forms, the state and the Weyl
+calculus read them from ``key``; ``rows``, the same rows as one read-only
+array built on first read, is what the Monte Carlo and momentum routes
+read through column views, so no per-term object is built on their paths.  All
 zeroth and first moments are evaluated analytically so that the
 classical-limit identities hold exactly.  This is the lowest module that needs numpy, so the metric
 ``ETA``, ``IDENTITY``, the one covector contraction ``contract`` and the
@@ -93,13 +94,15 @@ class VectorSmearing:
     zero covectors, and sorts the rows by (center, width, covector) with a
     stable sort.  Equality, hashing and the term order of Weyl elements read
     ``key``, so equal smearings compare and hash equal (a -0.0 entry equals
-    0.0).  ``rows`` is ``key`` as one read-only (n, 10) array, built once,
-    that the vectorized passes read; the zero smearing's has shape (0, 10).
-    Sums, scaling and covector maps build the new rows as lists of floats;
-    only ``terms`` builds per-term objects.
+    0.0).  ``rows`` is ``key`` as one read-only (n, 10) array, built on
+    first read, that the vectorized passes read; the zero smearing's has
+    shape (0, 10).  Sums, scaling and covector maps build the new rows as
+    lists of floats, and a smearing that is only read through ``key``, as
+    most sums the Weyl product makes are, builds no array; only ``terms``
+    builds per-term objects.
     """
 
-    __slots__ = ("rows", "key")
+    __slots__ = ("_rows", "key")
 
     def __init__(self, terms):
         rows = []
@@ -124,9 +127,6 @@ class VectorSmearing:
         if not all(math.isfinite(row[9]) for row in merged):
             raise ValueError("smearing weights must be finite")
         kept = [row for row in merged if row[9] != 0.0 and any(row[:4])]
-        rows = np.array(kept, dtype=float).reshape(-1, 10)
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "key", tuple(map(tuple, kept)))
 
     @classmethod
@@ -147,6 +147,14 @@ class VectorSmearing:
     def __repr__(self):
         return f"VectorSmearing(rows={self.rows.tolist()!r})"
 
+    @property
+    def rows(self):
+        """``key`` as one read-only (n, 10) array, built on first read."""
+        if not hasattr(self, "_rows"):
+            object.__setattr__(self, "_rows", np.array(self.key, dtype=float).reshape(-1, 10))
+            self._rows.setflags(write=False)
+        return self._rows
+
     # read-only column views of the rows
     covectors = property(lambda self: self.rows[:, :4])
     centers = property(lambda self: self.rows[:, 4:8])
@@ -155,6 +163,9 @@ class VectorSmearing:
     # a bump row is the tuple (t, x, y, z, width) of Python floats, the one
     # shape in which the pair layer reads bumps
     bump_rows = property(lambda self: tuple(row[4:9] for row in self.key))
+    # the weighted covector rows w v, lists of floats with the bits of
+    # weights[:, None] * covectors, which the forms and the state read
+    weighted_rows = property(lambda self: [[row[9] * x for x in row[:4]] for row in self.key])
 
     @property
     def terms(self):
@@ -176,7 +187,7 @@ class VectorSmearing:
         return VectorSmearing._from_rows([[*row[:9], row[9] * c] for row in self.key])
 
     def is_zero(self):
-        return not len(self.rows)
+        return not self.key
 
     def map_covectors(self, matrix):
         """Apply a mixed-index 4x4 matrix to every covector, profiles untouched.
@@ -232,12 +243,14 @@ def moment1(f):
     """First moment integral of x^mu f_mu(x), evaluated analytically.
 
     The first moment of a normalized Gaussian is its center, so each term
-    contributes weight * (v_mu center^mu) with the plain index contraction;
-    the moment is the exactly rounded sum of those products, so it does
-    not depend on the term order, and the moment of -f is exactly minus
-    that of f.
+    contributes weight * (v_mu center^mu) with the plain index contraction,
+    read from ``key``: the contraction is 0.0 + v_0 c^0 + v_1 c^1 + v_2 c^2
+    + v_3 c^3 summed left to right, the order in which numpy sums a row of
+    four, signed zeros included.  The moment is the exactly rounded sum of
+    the terms' products, so it does not depend on the term order, and the
+    moment of -f is exactly minus that of f.
     """
-    return math.fsum((f.weights * (f.covectors * f.centers).sum(axis=1)).tolist())
+    return math.fsum(row[9] * (0.0 + row[0] * row[4] + row[1] * row[5] + row[2] * row[6] + row[3] * row[7]) for row in f.key)
 
 
 def project_psi(f, psi):

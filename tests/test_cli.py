@@ -331,6 +331,18 @@ def test_verify_suite_exit_codes(capsys):
     assert "FAIL" in out
 
 
+def test_verify_fourier_fails_on_unconverged_results(capsys, tmp_path):
+    """One eval and tolerances of 1e-300 stop every momentum quadrature
+    unconverged; each value is still within 1%, but no row may pass."""
+    path = tmp_path / "starved.json"
+    path.write_text(json.dumps({"quadrature": {"max_evals": 1, "rel_tol": 1e-300, "abs_tol": 1e-300}}))
+    code, out, _ = run_cli(capsys, "--config", str(path), "--format", "json", "verify", "fourier")
+    assert code == 1
+    checks = json.loads(out)["report"]["checks"]
+    assert len(checks) == 6 and not any(check["passed"] for check in checks)
+    assert all(abs(c["computed"] - c["expected"]) <= c["tolerance"] * abs(c["expected"]) for c in checks)
+
+
 def test_verify_json_report_is_machine_readable(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "verify", "fourier")
     assert code == 0

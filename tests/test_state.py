@@ -265,6 +265,61 @@ def test_gram_report_rejects_a_non_hermitian_matrix():
         GramReport.from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]), "N")
 
 
+def _allclose_verdict(matrix):
+    """np.allclose as GramReport.from_matrix once called it: the reference for its spelled-out check."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        herm = 0.5 * matrix + 0.5 * matrix.conj().T
+        return np.allclose(matrix, herm, atol=1e-12 * max(1.0, np.abs(matrix).max(initial=0.0)))
+
+
+def _tolerance_edge(offset):
+    """The largest d at which offset(d) passes np.allclose, and the next float, by bisection."""
+    inside, outside = 0.0, 1e-3
+    assert _allclose_verdict(offset(inside)) and not _allclose_verdict(offset(outside))
+    while np.nextafter(inside, outside) != outside:
+        middle = 0.5 * (inside + outside)
+        if middle in (inside, outside):
+            middle = np.nextafter(inside, outside)
+        if _allclose_verdict(offset(middle)):
+            inside = middle
+        else:
+            outside = middle
+    return offset(inside), offset(outside)
+
+
+def _hermiticity_table():
+    inf, nan = math.inf, math.nan
+    table = [np.array([[2.0, 1 + 0.5j], [1 - 0.5j, 3.0]]), np.zeros((3, 3)), np.zeros((0, 0)), np.zeros((0, 0), complex)]
+    table += _tolerance_edge(lambda d: np.array([[1.0, 1.0 + d], [1.0, 1.0]]))
+    table += _tolerance_edge(lambda d: np.array([[1.0, 1.0 + 1.0j], [1.0 - (1.0 + d) * 1j, 1.0]]))
+    for dtype in (float, complex):
+        for upper, lower in ((inf, inf), (-inf, -inf), (inf, -inf), (inf, 2.0), (nan, 1.0), (nan, nan)):
+            table.append(np.array([[1.0, upper], [lower, 3.0]], dtype=dtype))
+        table.append(np.array([[nan, 0.0], [0.0, 1.0]], dtype=dtype))
+    table.append(np.array([[1.0, complex(inf, inf)], [complex(inf, -inf), 1.0]]))
+    return table
+
+
+@pytest.mark.parametrize("matrix", _hermiticity_table(), ids=lambda m: repr(m.tolist()))
+def test_gram_report_gives_the_allclose_verdict(matrix):
+    """The Hermiticity check is np.allclose's verdict, also at +-inf and NaN
+    entries, and raises no floating-point warning.  A matrix that passes
+    with an inf or NaN entry is then refused by eigvalsh."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            GramReport.from_matrix(matrix, "N")
+            hermitian = True
+        except np.linalg.LinAlgError as exc:
+            assert "infs or NaNs" in str(exc) and not np.isfinite(matrix).all()
+            hermitian = True
+        except ValueError as exc:
+            assert str(exc) == "N matrix is not Hermitian"
+            hermitian = False
+    assert hermitian == _allclose_verdict(matrix)
+
+
 def test_params_validation(constants):
     psi = GaussianBump((0, 0, 0, 0), 2.0)
     with pytest.raises(ValueError):
@@ -323,6 +378,22 @@ def composed_magnitude(f, g, params):
     return log_part + mean_part + reg_part + 0.5 * scale * total(KernelKind.LIGHTCONE, f, g)
 
 
+def edge_families(rng, pool, psi):
+    """Three families: one holding the zero smearing, one with a member
+    that has a term on psi's bump, and one with a twin that differs from
+    its member only in the sign of its zero entries."""
+    f, g = table_smearing(rng, pool), table_smearing(rng, pool)
+    on_psi = table_smearing(rng, pool[:-1]) + single_term(tuple(rng.normal(size=4)), psi, 1.5)
+    zeros = single_term((0.0, 1.0, 0.5, 0.0), GaussianBump((0.0, 0.3, 0.0, 0.1), 20.0)) + g
+
+    def flipped(values):
+        return tuple(-0.0 if x == 0.0 else x for x in values)
+
+    twin = VectorSmearing([(flipped(v), GaussianBump(flipped(b.center.components), b.width), w) for v, b, w in zeros.terms])
+    assert twin == zeros and twin.rows.tobytes() != zeros.rows.tobytes()
+    return [[ZERO_SMEARING, f, g], [on_psi, g], [zeros, twin, f]]
+
+
 def test_one_table_matches_composition_bit_for_bit(cfg, params):
     assert params.u == (1.0, 0.0, 0.0, 0.0)
     rng = np.random.default_rng(71)
@@ -337,6 +408,11 @@ def test_one_table_matches_composition_bit_for_bit(cfg, params):
         assert mu2(f, g, params, cfg) == composed_dm_bilinear(f, krein_J(g, params.u), params, cfg)
     # the draw exercises merged terms and zero time components
     assert shared_terms >= 10 and zero_time >= 10
+    for family in edge_families(rng, pool, params.psi):
+        for f in family:
+            for g in family:
+                assert dm_bilinear(f, g, params, cfg) == composed_dm_bilinear(f, g, params, cfg)
+                assert mu2(f, g, params, cfg) == composed_dm_bilinear(f, krein_J(g, params.u), params, cfg)
 
 
 def test_sums_of_the_form_are_exactly_rounded(cfg, params):
@@ -393,6 +469,14 @@ def test_one_table_matches_composition_in_a_boosted_frame(cfg, boosted_params):
         assert abs(mu2(f, g, params, cfg) - composed_dm_bilinear(f, jg, params, cfg)) <= bound
         bound = 8.0 * eps * composed_magnitude(f, g, params)
         assert abs(dm_bilinear(f, g, params, cfg) - composed_dm_bilinear(f, g, params, cfg)) <= bound
+    for family in edge_families(rng, pool, params.psi):
+        for f in family:
+            for g in family:
+                jg = krein_J(g, params.u)
+                bound = 8.0 * eps * composed_magnitude(f, jg, params)
+                assert abs(mu2(f, g, params, cfg) - composed_dm_bilinear(f, jg, params, cfg)) <= bound
+                bound = 8.0 * eps * composed_magnitude(f, g, params)
+                assert abs(dm_bilinear(f, g, params, cfg) - composed_dm_bilinear(f, g, params, cfg)) <= bound
 
 
 def test_gram_matrix_entries_are_mu2(cfg, params, boosted_params):

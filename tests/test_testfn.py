@@ -50,6 +50,59 @@ def test_moment1_examples():
     assert moment1(f) == pytest.approx(2.0)
 
 
+def test_moment1_is_the_numpy_row_sum_exactly_rounded():
+    """moment1 reads ``key`` on floats and keeps the bits of the array formula it replaced.
+
+    Each term's contraction v_mu c^mu is summed in the order numpy sums a
+    row of four, and the weighted terms are then summed exactly rounded.
+    Entries span sixteen decades, so a different order shows in the last
+    bits, and a quarter of them are +-0.0.
+    """
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        terms = []
+        for _ in range(int(rng.integers(1, 6))):
+            v, c = (rng.normal(size=4) * 10.0 ** rng.uniform(-8.0, 8.0, size=4) for _ in range(2))
+            for x in (v, c):
+                x[rng.uniform(size=4) < 0.25] = rng.choice([0.0, -0.0])
+            if not v.any():
+                v[0] = 1.0
+            terms.append((tuple(v), GaussianBump(tuple(c), float(rng.uniform(1.0, 50.0))), float(rng.normal())))
+        f = VectorSmearing(terms)
+        expected = math.fsum((f.weights * (f.covectors * f.centers).sum(axis=1)).tolist())
+        assert repr(moment1(f)) == repr(expected)
+
+
+def test_sums_and_scalings_build_no_array_until_rows_is_read(monkeypatch):
+    """A smearing made by +, - or scaled is canonicalized on floats and read
+    through ``key`` (equality, hashing, is_zero, moment1) without numpy;
+    ``rows`` is built on its first read, read-only, and is np.array(key)."""
+    rng = np.random.default_rng(41)
+    f, g = (
+        VectorSmearing([(tuple(rng.normal(size=4)), GaussianBump(tuple(rng.normal(size=4)), 10.0 + k), 1.0 + k) for k in range(3)])
+        for _ in range(2)
+    )
+    array, built = np.array, []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return array(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array", counted)
+    made = [f + g, f - g, -f, f.scaled(2.5), f + (-f)]
+    assert [h.is_zero() for h in made] == [False] * 4 + [True]
+    assert made[2] == f.scaled(-1.0) and hash(made[2]) == hash(f.scaled(-1.0))
+    assert all(math.isfinite(moment1(h)) for h in made)
+    assert built == []
+    monkeypatch.undo()
+    for h in made:
+        rows = h.rows
+        assert rows is h.rows and not rows.flags.writeable
+        assert rows.shape == (len(h.key), 10)
+        assert rows.tobytes() == np.array(h.key, dtype=float).tobytes()
+    assert np.array_equal(made[0].rows, np.array(made[0].key))
+
+
 def test_moment1_linearity():
     rng = np.random.default_rng(5)
     bumps = [GaussianBump(tuple(rng.normal(size=4)), 2.0 + k) for k in range(3)]
