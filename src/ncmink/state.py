@@ -294,7 +294,7 @@ class GramReport:
 
         The check is np.allclose(matrix, herm, atol=1e-12 max(1, max |entry|))
         spelled out, herm the Hermitian part: an entry passes when
-        |x - h| <= atol + 1e-5 |h| with h finite, or when x == h.  So ±inf
+        |x - h| <= atol + 1e-5 |h| with h finite, or when x == h.  So +-inf
         and NaN entries get allclose's verdict, and the arithmetic on them
         raises no floating-point warning.
         """
@@ -317,7 +317,7 @@ def gram_check(family, params, cfg):
     N_kl is mu2(f_k, f_l), which already carries the (i/2) sigma part in its
     imaginary component.  ``_moments`` builds each member's block once on
     one kernel table of the family and psi and evaluates the upper triangle
-    from one product pass per table, with mu2's positivity guard wherever
+    from one product pass over both tables, with mu2's positivity guard wherever
     f_k == f_l.
     The lower triangle is its conjugate (Hermiticity is an identity of the
     form, not a numerical accident); a diagonal entry keeps mu2's own
