@@ -34,7 +34,10 @@ clone.  The digest holds
   lacks either workload);
 * the stdout and exit code of every CLI command of ``bench/collect.py``,
   in text and in JSON format;
-* the public API, the sorted ``ncmink.__all__``, under the key ``api``.
+* the public API under the key ``api``: the names of ``ncmink.__all__``
+  and ``Class.attr`` for every public attribute and dataclass field of
+  each public class, sorted, so a removed method, property or field shows
+  as well as a removed name.
 
 Without ``--against`` the digest goes to stdout as JSON.  With ``--against
 FILE`` the checkout's digest is compared with the one in FILE: the script
@@ -113,6 +116,23 @@ def workload_digest():
         if "oracle" in workloads.WORKLOADS:
             ops["oracle (mixtures)"] = mixtures_digest()
     return ops
+
+
+def public_api():
+    """The sorted public names of ``ncmink`` (see the module docstring).
+
+    Runs inside the subprocess, where ``ncmink`` is the checkout's.  A
+    name of ``__all__`` that the package does not bind is listed alone.
+    """
+    import ncmink
+
+    names = set(ncmink.__all__)
+    for name in ncmink.__all__:
+        value = getattr(ncmink, name, None)
+        if isinstance(value, type):
+            fields = [field.name for field in dataclasses.fields(value)] if dataclasses.is_dataclass(value) else []
+            names.update(f"{name}.{attr}" for attr in [*dir(value), *fields] if not attr.startswith("_"))
+    return sorted(names)
 
 
 def _state_digest(evaluate):
@@ -224,7 +244,7 @@ def digest(root):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), str(root / "perfbench"), str(HERE), env.get("PYTHONPATH")])
     )
-    code = "import json, ncmink, parity; print(json.dumps([parity.workload_digest(), sorted(ncmink.__all__)]))"
+    code = "import json, parity; print(json.dumps([parity.workload_digest(), parity.public_api()]))"
     done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"workload digest of {root} failed:\n{done.stderr[-2000:]}")

@@ -122,14 +122,15 @@ def _term_pairs(f, g, contraction):
 
     The term table of the momentum route, and the per-pair statement of
     what ``_forms`` reads from a kernel table; pairs come in row-major
-    (f term, g term) order.  Each coefficient is f's row contracted with c,
-    then with g's row, both ``contract`` sums in index order, so it does
-    not depend on the other rows of the table.  Each pair's (b, delta, R)
-    is ``_geometry`` of its two bump rows on Python floats, as in a kernel
-    table.
+    (f term, g term) order.  Each coefficient is f's weighted row, read
+    from ``weighted_rows``, contracted with c, then with g's, both
+    ``contract`` sums in index order, so it does not depend on the other
+    rows of the table.  Each pair's (b, delta, R) is ``_geometry`` of its
+    two bump rows on Python floats, as in a kernel table.
     """
     c = _check_contraction(contraction)
-    coef = contract(contract(f.weights[:, None] * f.covectors, c), (g.weights[:, None] * g.covectors).T)
+    left, right = (np.array(h.weighted_rows, dtype=float).reshape(-1, 4) for h in (f, g))
+    coef = contract(contract(left, c), right.T)
     i, j = np.nonzero(coef)
     p, q = f.bump_rows, g.bump_rows
     b, delta, R = np.array([_geometry(p[k], q[l]) for k, l in zip(i.tolist(), j.tolist())]).reshape(-1, 3).T
@@ -226,23 +227,26 @@ def bilinear_form(kind, f, g, contraction, cfg):
 def _pair_table(f, g, contraction):
     """Flat tables over the component pairs (i, j) of f and g, row-major.
 
-    Returns the importance weight of a pair's samples, the CDF of drawing
-    the pair with p_ij = |w_i| |w'_j| / (sum |w| sum |w'|), and the mean
-    c_i - c'_j and per-axis standard deviation sqrt(1/(2a_i) + 1/(2a'_j))
-    of y = x - x' for that pair.  The CDF is divided by its own last entry,
+    Each smearing's ``key`` becomes one (n, 10) array, whose columns are
+    the covectors, centers, widths and weights.  Returns the importance
+    weight of a pair's samples, the CDF of drawing the pair with
+    p_ij = |w_i| |w'_j| / (sum |w| sum |w'|), and the mean c_i - c'_j and
+    per-axis standard deviation sqrt(1/(2a_i) + 1/(2a'_j)) of y = x - x'
+    for that pair.  The CDF is divided by its own last entry,
     so it ends at exactly 1.0 and every uniform draw maps to a pair.
     """
+    a, b = (np.array(h.key, dtype=float).reshape(-1, 10) for h in (f, g))
     coeff = (
-        np.sign(f.weights)[:, None]
-        * np.sign(g.weights)[None, :]
-        * contract(contract(f.covectors, contraction), g.covectors.T)
-        * np.abs(f.weights).sum()
-        * np.abs(g.weights).sum()
+        np.sign(a[:, 9])[:, None]
+        * np.sign(b[:, 9])[None, :]
+        * contract(contract(a[:, :4], contraction), b[:, :4].T)
+        * np.abs(a[:, 9]).sum()
+        * np.abs(b[:, 9]).sum()
     )
-    cdf = np.cumsum(np.outer(np.abs(f.weights), np.abs(g.weights)))
+    cdf = np.cumsum(np.outer(np.abs(a[:, 9]), np.abs(b[:, 9])))
     cdf /= cdf[-1]
-    shift = (f.centers[:, None] - g.centers[None]).reshape(-1, 4)
-    scale = np.sqrt(0.5 / f.widths[:, None] + 0.5 / g.widths[None]).ravel()
+    shift = (a[:, None, 4:8] - b[None, :, 4:8]).reshape(-1, 4)
+    scale = np.sqrt(0.5 / a[:, None, 8] + 0.5 / b[None, :, 8]).ravel()
     return coeff.ravel(), cdf, shift, scale
 
 
@@ -441,7 +445,7 @@ def momentum_form(f, g, cfg):
     """
     coef, b, dt, sep = _term_pairs(f, g, np.eye(4))
     for name, h in (("f", f), ("g", g)):
-        scale = np.abs(h.weights).sum()
+        scale = np.abs([row[9] for row in h.key]).sum()
         if np.max(np.abs(mean(h)), initial=0.0) > 1e-12 * max(scale, 1.0):
             raise ValueError(f"momentum_form requires mean({name}) = 0")
     if not coef.size:

@@ -221,13 +221,8 @@ def _lightcone_pair(b, delta, R):
     return step - slope
 
 
-def _quotient(h, x, direct, f_minus, f_plus, f_mid):
-    """Dawson's difference quotient [F(x + h) - F(x - h)] / 2h of one pair, on floats.
-
-    The direct difference reads F(x -+ h), the Taylor series only F(x).
-    """
-    if direct:
-        return (f_plus - f_minus) / (2.0 * h)
+def _taylor_quotient(h, x, f_mid):
+    """Dawson's difference quotient [F(x + h) - F(x - h)] / 2h as its Taylor series, from F(x) alone, on floats."""
     # g = F^(n)(x) h^(n-1) and lower = F^(n-1)(x) h^n stay bounded
     lower, g = h * f_mid, 1.0 - 2.0 * x * f_mid
     slope = 0.0
@@ -255,9 +250,9 @@ def _logabs_pair(b, delta, R):
     h, x = R * s, delta * s
     # the recurrence amplifies rounding by about (2 x h)^2j in term j
     direct = h > _TAYLOR_CUT or x * h > 1.0
-    mus = (delta - R, delta + R) if direct else (delta - R, delta + R, delta)
-    (l_minus, f_minus), (l_plus, f_plus), *mid = (_lambda_f(mu, s, b) for mu in mus)
-    return math.fsum((l_minus, l_plus, _quotient(h, x, direct, f_minus, f_plus, mid[0][1] if mid else None)))
+    (l_minus, f_minus), (l_plus, f_plus) = _lambda_f(delta - R, s, b), _lambda_f(delta + R, s, b)
+    quotient = (f_plus - f_minus) / (2.0 * h) if direct else _taylor_quotient(h, x, _lambda_f(delta, s, b)[1])
+    return math.fsum((l_minus, l_plus, quotient))
 
 
 def _reduce_2d(kind, b, delta, R):

@@ -68,13 +68,12 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .integrate import _kernel_table, _products, _stack, bilinear_form
 from .pair import KernelKind, _bump_geometry, _bump_row, _pair_integral
-from .testfn import ETA, _fsum_columns, contract, krein_covector_map, krein_matrix
+from .testfn import ETA, contract, krein_covector_map, krein_matrix
 
 
 class PositivityError(ArithmeticError):
@@ -97,8 +96,9 @@ def sigma_indexed(f, psi, constants, cfg):
     table.  Each component is an exactly rounded sum.
     """
     scale = constants.kappa_sq / (8.0 * math.pi)
-    values = np.array([_pair_integral(KernelKind.LIGHTCONE, *_bump_geometry(t.bump, psi)) for t in f.terms])
-    return -scale * _fsum_columns(values[:, None] * (f.weights[:, None] * f.covectors))
+    values = [_pair_integral(KernelKind.LIGHTCONE, *_bump_geometry(t.bump, psi)) for t in f.terms]
+    columns = list(zip(*f.weighted_rows)) or [()] * 4
+    return np.array([-scale * math.fsum(map(operator.mul, values, column)) for column in columns])
 
 
 def krein_J(f, u=(1.0, 0.0, 0.0, 0.0)):
@@ -117,27 +117,21 @@ def log_minus_form(f, g, contraction, cfg):
     return 0.25 * min(plus.value, 0.0) - 0.25 * min(minus.value, 0.0)
 
 
-class _Block(NamedTuple):
-    """The per-smearing parts of a value of the form (see the module doc)."""
-
-    mean: list  # -mean(f), the row psi carries
-    own: list  # LOGABS products of f's rows and psi's with themselves under eta
-
-
-def _two_point(f, g, tables, params):
+def _two_point(f_own, g_own, tables, params):
     """Delta_{alpha,psi} of the blocks f and g paired through the contraction c (see module doc).
 
-    tables holds the entry's slices of its call's product pass, the
-    LOGABS products of f's rows (psi's last) with g's under c and the
-    LIGHTCONE products of their terms, and its two dot products
-    mean(f) c mean(g) and sigma(f, psi) c sigma(g, psi).  The rest is
-    exactly rounded sums.
+    f_own and g_own are each block's LOGABS products of its rows (psi's
+    last) with themselves under eta.  tables holds the entry's slices of
+    its call's product pass, the LOGABS products of f's rows (psi's last)
+    with g's under c and the LIGHTCONE products of their terms, and its
+    two dot products mean(f) c mean(g) and sigma(f, psi) c sigma(g, psi).
+    The rest is exactly rounded sums.
     """
     kappa_sq = params.constants.kappa_sq
     if kappa_sq == 0.0:
         return 0.0 + 0.0j
     cross, fg, means, sigmas = tables
-    own = f.own + g.own
+    own = f_own + g_own
     plus = math.fsum(own + [2.0 * x for x in cross])
     minus = math.fsum(own + [-2.0 * x for x in cross])
     log_term = 0.25 * min(plus, 0.0) - 0.25 * min(minus, 0.0)
@@ -208,7 +202,6 @@ def _moments(smearings, params, twisted, entries):
     light = np.zeros((slot + 1, slot + 1))
     light[:slot, :slot] = lightcone
     logs, fgs = _products((logabs.take(ext, 0).take(ext, 1), light), left, right, own_and_cross, per_row)
-    blocks = list(map(_Block, means, logs))
     # every entry's mean(f) c mean(g), the signs of -mean(f) and -mean(g)
     # cancelling exactly, and sigma(f, psi) c sigma(g, psi)
     ends = np.array(means + sigmas, dtype=float).reshape(-1, 4)
@@ -219,7 +212,7 @@ def _moments(smearings, params, twisted, entries):
         dots = contract(contract(ends, contraction)[left], ends[right][..., None]).reshape(2, -1).tolist()
     values = []
     for (k, l), *tables in zip(entries, logs[n:], fgs[n:], *dots):
-        values.append(_two_point(blocks[k], blocks[l], tables, params))
+        values.append(_two_point(logs[k], logs[l], tables, params))
         if not cmath.isfinite(values[-1]):
             raise ValueError(f"{'mu2' if twisted else 'Delta'}(f_{k}, f_{l}) is not finite: {values[-1]!r}")
         if twisted and smearings[k] == smearings[l]:
@@ -290,21 +283,27 @@ class GramReport:
 
     @classmethod
     def from_matrix(cls, matrix, which):
-        """The report of a square matrix; ValueError when it is not Hermitian.
+        """The report of a square matrix; ValueError when it is not Hermitian, or not finite.
 
         The check is np.allclose(matrix, herm, atol=1e-12 max(1, max |entry|))
         spelled out, herm the Hermitian part: an entry passes when
         |x - h| <= atol + 1e-5 |h| with h finite, or when x == h.  So +-inf
         and NaN entries get allclose's verdict, and the arithmetic on them
-        raises no floating-point warning.
+        raises no floating-point warning.  A matrix that passes with an
+        inf entry is then refused before eigvalsh, whose verdict on it
+        depends on the LAPACK build; herm is finite exactly where the
+        matrix is.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             atol = 1e-12 * max(1.0, np.abs(matrix).max(initial=0.0))
             # halved before the sum, as in gram_check, so a finite matrix stays finite
             herm = 0.5 * matrix + 0.5 * matrix.conj().T
-            close = (np.abs(matrix - herm) <= atol + 1e-5 * np.abs(herm)) & np.isfinite(herm) | (matrix == herm)
+            finite = np.isfinite(herm)
+            close = (np.abs(matrix - herm) <= atol + 1e-5 * np.abs(herm)) & finite | (matrix == herm)
         if not close.all():
             raise ValueError(f"{which} matrix is not Hermitian")
+        if not finite.all():
+            raise ValueError(f"{which} matrix is not finite")
         eigs = np.linalg.eigvalsh(herm)
         norm = float(np.max(np.abs(eigs))) if len(eigs) else 0.0
         min_eig = float(eigs[0]) if len(eigs) else 0.0

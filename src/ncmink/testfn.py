@@ -9,13 +9,13 @@ pair integrals), so no profile is ever evaluated pointwise.  A
 bumps in one canonical form, ``key``: a tuple with a row (covector, center,
 width, weight) of Python floats per term.  Sums and scaling order, merge
 and scale those rows as floats, and the forms, the state and the Weyl
-calculus read them from ``key``; ``rows``, the same rows as one read-only
-array built on first read, is what the Monte Carlo and momentum routes
-read through column views, so no per-term object is built on their paths.  All
-zeroth and first moments are evaluated analytically so that the
-classical-limit identities hold exactly.  This is the lowest module that needs numpy, so the metric
-``ETA``, ``IDENTITY``, the one covector contraction ``contract`` and the
-Krein matrices live here.
+calculus read them from ``key``.  ``key`` is the one form of a smearing:
+the few readers that want arrays, the Monte Carlo and momentum routes,
+build them from its floats, so no per-term object is built on their
+paths.  All zeroth and first moments are evaluated analytically so that
+the classical-limit identities hold exactly.  This is the lowest module
+that needs numpy, so the metric ``ETA``, ``IDENTITY``, the one covector
+contraction ``contract`` and the Krein matrices live here.
 """
 
 from __future__ import annotations
@@ -94,15 +94,12 @@ class VectorSmearing:
     zero covectors, and sorts the rows by (center, width, covector) with a
     stable sort.  Equality, hashing and the term order of Weyl elements read
     ``key``, so equal smearings compare and hash equal (a -0.0 entry equals
-    0.0).  ``rows`` is ``key`` as one read-only (n, 10) array, built on
-    first read, that the vectorized passes read; the zero smearing's has
-    shape (0, 10).  Sums, scaling and covector maps build the new rows as
-    lists of floats, and a smearing that is only read through ``key``, as
-    most sums the Weyl product makes are, builds no array; only ``terms``
-    builds per-term objects.
+    0.0).  Sums, scaling and covector maps build the new rows as lists
+    of floats, so a smearing holds no array; only ``terms`` builds
+    per-term objects.
     """
 
-    __slots__ = ("_rows", "key")
+    __slots__ = ("key",)
 
     def __init__(self, terms):
         rows = []
@@ -112,7 +109,7 @@ class VectorSmearing:
         self._canonicalize(rows)
 
     def _canonicalize(self, rows):
-        """Set key and rows from a list of row lists in input order (see the class docstring)."""
+        """Set key from a list of row lists in input order (see the class docstring)."""
         # a stable sort on (center, width, covector); -0.0 sorts as 0.0, and
         # no NaN gets here, because centers, widths and covectors are finite
         listed = sorted(rows, key=lambda row: (row[4:9], row[:4]))
@@ -145,26 +142,13 @@ class VectorSmearing:
         return hash(self.key)
 
     def __repr__(self):
-        return f"VectorSmearing(rows={self.rows.tolist()!r})"
+        return f"VectorSmearing(rows={list(map(list, self.key))!r})"
 
-    @property
-    def rows(self):
-        """``key`` as one read-only (n, 10) array, built on first read."""
-        if not hasattr(self, "_rows"):
-            object.__setattr__(self, "_rows", np.array(self.key, dtype=float).reshape(-1, 10))
-            self._rows.setflags(write=False)
-        return self._rows
-
-    # read-only column views of the rows
-    covectors = property(lambda self: self.rows[:, :4])
-    centers = property(lambda self: self.rows[:, 4:8])
-    widths = property(lambda self: self.rows[:, 8])
-    weights = property(lambda self: self.rows[:, 9])
     # a bump row is the tuple (t, x, y, z, width) of Python floats, the one
     # shape in which the pair layer reads bumps
     bump_rows = property(lambda self: tuple(row[4:9] for row in self.key))
-    # the weighted covector rows w v, lists of floats with the bits of
-    # weights[:, None] * covectors, which the forms and the state read
+    # the weighted covector rows w v, lists of floats, which the forms, the
+    # state, the means and the momentum route read
     weighted_rows = property(lambda self: [[row[9] * x for x in row[:4]] for row in self.key])
 
     @property
@@ -196,13 +180,13 @@ class VectorSmearing:
         does not depend on the other terms.  An image that overflows raises
         ValueError naming its covector.
         """
-        rows = self.rows.copy()
+        covectors = np.array([row[:4] for row in self.key], dtype=float).reshape(-1, 4)
         with np.errstate(over="ignore", invalid="ignore"):
-            rows[:, :4] = contract(self.covectors, np.asarray(matrix, dtype=float).T)
-        bad = ~np.isfinite(rows[:, :4]).all(axis=1)
-        if bad.any():
-            raise ValueError(f"covector {self.covectors[bad][0].tolist()} maps to non-finite entries: {rows[bad][0, :4].tolist()}")
-        return VectorSmearing._from_rows(rows.tolist())
+            images = contract(covectors, np.asarray(matrix, dtype=float).T).tolist()
+        for row, image in zip(self.key, images):
+            if not all(map(math.isfinite, image)):
+                raise ValueError(f"covector {list(row[:4])} maps to non-finite entries: {image}")
+        return VectorSmearing._from_rows([[*image, *row[4:]] for row, image in zip(self.key, images)])
 
 
 ZERO_SMEARING = VectorSmearing(())
@@ -221,22 +205,16 @@ def scalar_smearing(bump, weight=1.0):
     return single_term((1.0, 0.0, 0.0, 0.0), bump, weight)
 
 
-def _fsum_columns(rows):
-    """Exactly rounded sum of each column of an (n, 4) array, as a (4,) array.
-
-    The sum does not depend on the row order, so every route that sums the
-    same products gives the same bits.
-    """
-    return np.array([math.fsum(column) for column in rows.T.tolist()])
-
-
 def mean(f):
     """Mean vector integral of f_mu over spacetime, evaluated analytically.
 
     Each normalized bump integrates to 1, so the mean is the weight-covector
-    sum, exactly rounded per component.
+    sum, exactly rounded per component, as a (4,) array.  The sum does not
+    depend on the term order, so every route that sums the same weighted
+    rows gives the same bits.
     """
-    return _fsum_columns(f.weights[:, None] * f.covectors)
+    columns = list(zip(*f.weighted_rows)) or [()] * 4
+    return np.array([math.fsum(column) for column in columns])
 
 
 def moment1(f):
@@ -271,7 +249,7 @@ def frame_smearings(chi):
 
 def smearing_to_json(f):
     """Serialize to the documented list-of-terms JSON schema."""
-    return [{"v": row[:4], "center": row[4:8], "width": row[8], "weight": row[9]} for row in f.rows.tolist()]
+    return [{"v": list(row[:4]), "center": list(row[4:8]), "width": row[8], "weight": row[9]} for row in f.key]
 
 
 def _is_number(value):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from ncmink import (
     momentum_form,
     scalar_smearing,
 )
+from ncmink import weyl
 from ncmink.integrate import _kernel_table
 from ncmink.verify import FAMILY_C_CORRECTED
 
@@ -286,6 +288,19 @@ def test_causal_via_weyl_coincident_is_zero(cfg, params):
     assert causal_via_weyl(bump, bump, params, cfg).value == 0.0
 
 
+def test_causal_via_weyl_guards_the_unit_and_the_phase_modulus(cfg, params, monkeypatch):
+    """A triple product that is not a multiple of the unit, or a tau off the
+    unit circle, raises ArithmeticError."""
+    bump = GaussianBump((0.5, 0, 0, 0), 50.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(weyl.WeylCalculus, "mul", lambda self, a, b: a)
+        with pytest.raises(ArithmeticError, match="^triple product did not collapse to the unit$"):
+            causal_via_weyl(bump, bump, params, cfg)
+    monkeypatch.setattr(weyl.WeylCalculus, "eval_tau", lambda self, a, params: SimpleNamespace(value=1.5 + 0.0j))
+    with pytest.raises(ArithmeticError, match=r"^phase modulus 1\.5 off the unit circle beyond budget$"):
+        causal_via_weyl(bump, bump, params, cfg)
+
+
 @pytest.mark.parametrize("width", [1e-150, 1e150])
 def test_observables_are_finite_at_the_width_range_ends(cfg, constants, width):
     """At both ends of the accepted width range the combined width of a pair is finite."""
@@ -465,7 +480,7 @@ def _forms_and_state_digest():
     for f, g in zip(smearings[::2], smearings[1::2]):
         for kind in (KernelKind.LOGABS, KernelKind.LIGHTCONE):
             values += [bilinear_form(kind, f, g, c, cfg).value for c in (ETA, krein_matrix(u))]
-        values += krein_J(f, u).rows.ravel().tolist()
+        values += [x for row in krein_J(f, u).key for x in row]
     for k, kind in enumerate(KernelKind):
         mc_cfg = QuadratureConfig(mc_samples=10_000, seed=90 + k)
         result = mc_oracle(kind, smearings[k], smearings[k + 1], IDENTITY, mc_cfg)

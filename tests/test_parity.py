@@ -236,6 +236,54 @@ def test_digest_of_monte_carlo_mixtures(tmp_path):
     assert sorted(ops) == ["oracle", "oracle (mixtures)", "state", "state (boosted)", "state (untwisted)"]
 
 
+# A package whose public classes are a dataclass, one field without a
+# default, and a slotted class with a property, a method and a private
+# method; one name of __all__ is not bound.
+API_PACKAGE = '''
+from dataclasses import dataclass
+
+__all__ = ["Report", "Smearing", "distance", "unbound"]
+
+
+@dataclass(frozen=True)
+class Report:
+    matrix: object
+    which: str = "N"
+    _cached: int = 0
+
+
+class Smearing:
+    __slots__ = ("key",)
+    rows = property(lambda self: self.key)
+
+    def scaled(self, c):
+        return self
+
+    def _canonicalize(self):
+        pass
+
+
+def distance():
+    pass
+'''
+
+
+def test_the_api_lists_the_public_attributes_of_public_classes(tmp_path):
+    """``api`` holds ``Class.attr`` for every public attribute and dataclass
+    field of a public class next to ``__all__``, so a removed property shows."""
+    root = _checkout(tmp_path)
+    init = root / "src" / "ncmink" / "__init__.py"
+    init.write_text(API_PACKAGE)
+    old = parity.digest(root)
+    assert old["api"] == [
+        "Report", "Report.matrix", "Report.which", "Smearing", "Smearing.key", "Smearing.rows", "Smearing.scaled", "distance", "unbound"
+    ]
+    init.write_text(API_PACKAGE.replace("    rows = property(lambda self: self.key)\n", ""))
+    lines, moved = parity.compare(parity.digest(root), old)
+    assert moved == 1
+    assert lines[-2:] == ["api: 1 names removed, 0 added", "  removed: Smearing.rows"]
+
+
 def _digest(*ops):
     return {"ops": {"state": {"101": list(ops)}}, "cli": {"distance (text)": {"exit": 0, "stdout": "1\n"}}, "api": []}
 

@@ -23,6 +23,11 @@ from ncmink.minkowski import as_components
 from ncmink.testfn import VectorSmearing, ZERO_SMEARING, project_psi, single_term
 
 
+def _rows(f):
+    """f's key as one (n, 10) array."""
+    return np.array(f.key, dtype=float).reshape(-1, 10)
+
+
 def test_bump_rejects_bad_width():
     # outside [1e-150, 1e150] a product a a' of two widths can overflow or
     # leave the normal range
@@ -69,14 +74,14 @@ def test_moment1_is_the_numpy_row_sum_exactly_rounded():
                 v[0] = 1.0
             terms.append((tuple(v), GaussianBump(tuple(c), float(rng.uniform(1.0, 50.0))), float(rng.normal())))
         f = VectorSmearing(terms)
-        expected = math.fsum((f.weights * (f.covectors * f.centers).sum(axis=1)).tolist())
+        rows = _rows(f)
+        expected = math.fsum((rows[:, 9] * (rows[:, :4] * rows[:, 4:8]).sum(axis=1)).tolist())
         assert repr(moment1(f)) == repr(expected)
 
 
-def test_sums_and_scalings_build_no_array_until_rows_is_read(monkeypatch):
+def test_sums_and_scalings_build_no_array(monkeypatch):
     """A smearing made by +, - or scaled is canonicalized on floats and read
-    through ``key`` (equality, hashing, is_zero, moment1) without numpy;
-    ``rows`` is built on its first read, read-only, and is np.array(key)."""
+    through ``key`` (equality, hashing, is_zero, moment1) without numpy."""
     rng = np.random.default_rng(41)
     f, g = (
         VectorSmearing([(tuple(rng.normal(size=4)), GaussianBump(tuple(rng.normal(size=4)), 10.0 + k), 1.0 + k) for k in range(3)])
@@ -94,13 +99,6 @@ def test_sums_and_scalings_build_no_array_until_rows_is_read(monkeypatch):
     assert made[2] == f.scaled(-1.0) and hash(made[2]) == hash(f.scaled(-1.0))
     assert all(math.isfinite(moment1(h)) for h in made)
     assert built == []
-    monkeypatch.undo()
-    for h in made:
-        rows = h.rows
-        assert rows is h.rows and not rows.flags.writeable
-        assert rows.shape == (len(h.key), 10)
-        assert rows.tobytes() == np.array(h.key, dtype=float).tobytes()
-    assert np.array_equal(made[0].rows, np.array(made[0].key))
 
 
 def test_moment1_linearity():
@@ -168,7 +166,7 @@ def test_frame_smearings():
         expected = np.eye(4)[a]
         assert np.array_equal(mean(f), expected)
         # one term: covector e^(a) on chi with weight 1
-        assert f.rows.tolist() == [[*expected, *chi.center.components, chi.width, 1.0]]
+        assert list(map(list, f.key)) == [[*expected, *chi.center.components, chi.width, 1.0]]
 
 
 def test_canonicalization_merges_and_sorts():
@@ -179,10 +177,9 @@ def test_canonicalization_merges_and_sorts():
     assert g.is_zero()
     assert hash(f) == hash(VectorSmearing(f.terms))
     # one read-only row per term: (covector, center, width, weight)
-    assert f.rows.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 3.0]]
-    for view in (f.rows, f.covectors, f.centers, f.widths, f.weights):
-        with pytest.raises(ValueError, match="read-only"):
-            view[...] = 0.0
+    assert list(map(list, f.key)) == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 3.0]]
+    with pytest.raises(TypeError):
+        f.key[0][9] = 0.0
     with pytest.raises(TypeError):
         f.bump_rows[0] = (0.0, 0.0, 0.0, 0.0, 1.0)
     # terms sort by (center, width, covector), whatever the input order
@@ -198,10 +195,18 @@ def test_canonicalization_merges_and_sorts():
     # smearings that differ only in the sign of a zero are equal
     first = VectorSmearing((((-0.0, 1, 0, 0), GaussianBump((0.0, -0.0, 0, 0), 2.0), 1.0), ((0.0, 1, 0, 0), bump, 2.0)))
     second = VectorSmearing((((0.0, 1, 0, 0), bump, 1.0), ((-0.0, 1, 0, 0), GaussianBump((0.0, -0.0, 0, 0), 2.0), 2.0)))
-    signs = [math.copysign(1.0, x) for x in first.rows[0, :6]]
-    assert first.rows.shape == (1, 10) and first.weights[0] == 3.0 and signs == [-1, 1, 1, 1, 1, -1]
-    assert math.copysign(1.0, second.rows[0, 0]) == 1.0
+    signs = [math.copysign(1.0, x) for x in first.key[0][:6]]
+    assert np.array(first.key).shape == (1, 10) and first.key[0][9] == 3.0 and signs == [-1, 1, 1, 1, 1, -1]
+    assert math.copysign(1.0, second.key[0][0]) == 1.0
     assert first == second and hash(first) == hash(second)
+
+
+def test_a_smearing_is_immutable_and_its_repr_lists_its_rows():
+    f = single_term((1, 0, 0, 0), GaussianBump((0, 0, 0, 0), 2.0), 3.0)
+    with pytest.raises(AttributeError, match="^VectorSmearing is immutable$"):
+        f.key = ()
+    assert repr(f) == "VectorSmearing(rows=[[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 3.0]])"
+    assert repr(ZERO_SMEARING) == "VectorSmearing(rows=[])"
 
 
 def test_duplicate_terms_merge_in_input_order():
@@ -224,7 +229,7 @@ def test_duplicate_terms_merge_in_input_order():
         terms = [((1, 2, 0, 0), bump, w) for w in weights]
         # a term on another bump between the duplicates
         f = VectorSmearing(terms[:5] + [((1, 2, 0, 0), other, 1.0)] + terms[5:])
-        assert f.rows.shape == (2, 10) and f.weights[1] == running
+        assert np.array(f.key).shape == (2, 10) and f.key[1][9] == running
     assert sums[0] == 1.0 and sums[1] > 1.0
     assert np.add.reduce(np.array(orders[0])) > 1.0
 
@@ -250,7 +255,7 @@ def _lexsort_canonical(rows):
 
 def _assert_canonical(f, expected):
     """f's rows are expected bit for bit, and its key is the same floats, the sign of a zero included."""
-    assert f.rows.tobytes() == expected.tobytes()
+    assert _rows(f).tobytes() == expected.tobytes()
     assert repr(f.key) == repr(tuple(map(tuple, expected.tolist())))
     assert all(type(x) is float for row in f.key for x in row)
 
@@ -276,11 +281,11 @@ def test_canonical_form_matches_the_lexsort_reference():
         f, g = VectorSmearing(f_terms), VectorSmearing(g_terms)
         _assert_canonical(f, reference(f_terms))
         _assert_canonical(g, reference(g_terms))
-        _assert_canonical(f + g, _lexsort_canonical(np.concatenate((f.rows, g.rows))))
+        _assert_canonical(f + g, _lexsort_canonical(np.concatenate((_rows(f), _rows(g)))))
         for c in (2.0, -1.0, 0.0, -0.0, 0.1, 1e-300):
-            scaled = f.rows * np.array([1.0] * 9 + [c])
+            scaled = _rows(f) * np.array([1.0] * 9 + [c])
             _assert_canonical(f.scaled(c), _lexsort_canonical(scaled))
-        _assert_canonical(-f, _lexsort_canonical(f.rows * np.array([1.0] * 9 + [-1.0])))
+        _assert_canonical(-f, _lexsort_canonical(_rows(f) * np.array([1.0] * 9 + [-1.0])))
 
 
 def test_scaling_that_overflows_raises_without_a_warning():
@@ -291,7 +296,7 @@ def test_scaling_that_overflows_raises_without_a_warning():
 
 
 def test_zero_smearing_is_an_empty_array(params, cfg):
-    assert ZERO_SMEARING.rows.shape == (0, 10) and ZERO_SMEARING.is_zero()
+    assert ZERO_SMEARING.key == () and ZERO_SMEARING.is_zero()
     assert VectorSmearing(()) == ZERO_SMEARING and ZERO_SMEARING.scaled(2.0) == ZERO_SMEARING
     assert np.array_equal(mean(ZERO_SMEARING), np.zeros(4)) and moment1(ZERO_SMEARING) == 0.0
     f = single_term((1, 0.5, 0, 0), GaussianBump((0.2, 0, 0, 0), 10.0), 1.0)

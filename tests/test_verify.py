@@ -1,4 +1,8 @@
-from ncmink import QuadratureConfig
+import itertools
+import math
+
+from ncmink import GaussianBump, QuadratureConfig, verify
+from ncmink.testfn import single_term
 from ncmink.verify import verify_gram
 
 
@@ -21,3 +25,18 @@ def test_verify_gram_reports_its_margins():
     assert n_row["computed"] > 0.0 and n_row["passed"]
     assert m_row["computed"] > 0.0 and m_row["passed"]
     assert re_row["computed"] > 0.0 and re_row["passed"]
+
+
+def test_verify_weyl_fails_when_a_triple_regroups_to_another_smearing(monkeypatch):
+    """Duplicate terms sum their weights in input order, so on one bump and
+    covector (1 + 2^-53) + 2^-53 and 1 + (2^-53 + 2^-53) are two smearings:
+    both associativity rows report inf and fail, and so does the suite."""
+    bump = GaussianBump((0, 0, 0, 0), 20.0)
+    weights = itertools.cycle([1.0, 2.0**-53, 2.0**-53])
+    monkeypatch.setattr(verify, "_random_smearing", lambda rng: single_term((1, 0, 0, 0), bump, next(weights)))
+    report = verify.verify_weyl(QuadratureConfig())
+    rows = report["checks"]
+    assert [row["name"] for row in rows[4:6]] == [f"cocycle associativity, {p} pairing (50 triples)" for p in ("plain", "krein")]
+    assert [row["computed"] for row in rows[4:6]] == [math.inf, math.inf]
+    assert [row["passed"] for row in rows] == [True] * 4 + [False, False, True]
+    assert not report["passed"]
