@@ -25,6 +25,13 @@ clone.  The digest holds
   ``state.diagonal_moments`` of each family with its negations, so the
   digest also covers the state without the Krein twist (skipped with
   the boosted frame);
+* the same inputs under the key ``state (zero coefficients)``, each family
+  with three members whose products have exact-zero coefficients: a
+  mean-free member, whose psi row is zeros, and members on e0 and on e1,
+  orthogonal under eta and the Krein matrix of the rest frame, on psi's
+  bump and on ``ZERO_BUMP``; each record holds ``eval_omega(a* a)`` of
+  the element with their generators added and the sha256 of the
+  ``gram_check`` N and M bytes (skipped with the boosted frame);
 * Monte Carlo estimates on both branches of its sampler, under the key
   ``oracle (mixtures)``: ``mc_oracle`` with ``MIXTURE_SAMPLES`` samples,
   whose last block is partial, on the first two members of the first
@@ -72,6 +79,8 @@ BOOST = (0.4, -0.2, 0.1)
 #: One full Monte Carlo block of 8192 samples and a last block of 1809.
 MIXTURE_SAMPLES = 10_001
 MIXTURE_FAMILIES = 20
+#: The second bump of the zero-coefficient members, next to psi's.
+ZERO_BUMP = ((0.3, -0.2, 0.1, 0.0), 15.0)
 FORMATS = {"text": [], "json": ["--format", "json"]}
 # one BLAS thread, as perfbench/run.py pins it, so eigenvalues do not
 # depend on how the host splits the work
@@ -113,6 +122,7 @@ def workload_digest():
     if "state" in workloads.WORKLOADS:
         ops["state (boosted)"] = boosted_digest()
         ops["state (untwisted)"] = untwisted_digest()
+        ops["state (zero coefficients)"] = zero_coefficient_digest()
         if "oracle" in workloads.WORKLOADS:
             ops["oracle (mixtures)"] = mixtures_digest()
     return ops
@@ -198,6 +208,41 @@ def untwisted_digest():
         family = list(case.family)
         moments = ncmink.state.diagonal_moments(family + [-f for f in family], params, twisted=False)
         return {"result": [_numbers(tau.value), *map(_numbers, moments)], "sha256": []}
+
+    return _state_digest(evaluate)
+
+
+def zero_coefficient_digest():
+    """The ``state`` inputs of every seed with three members of exact-zero coefficients added.
+
+    The members are e0 on psi's bump, e1 on ``ZERO_BUMP`` and the mean-free
+    (1, 0.5, 0, 0) on psi's bump minus the same on ``ZERO_BUMP``, so psi
+    also shares its bump with terms, and the element gains their
+    generators with coefficients 1, i and -0.5.  Each record holds
+    omega(a* a) and the sha256 of the N and M matrices.
+    """
+    import ncmink
+    import workloads
+
+    params = workloads.STATE_PARAMS
+    calc = ncmink.WeylCalculus(params.constants, workloads.CFG, u=params.u, pairing="krein")
+    psi, bump = params.psi, ncmink.GaussianBump(*ZERO_BUMP)
+    covector = (1.0, 0.5, 0.0, 0.0)
+    members = [
+        ncmink.single_term((1.0, 0.0, 0.0, 0.0), psi),
+        ncmink.single_term((0.0, 1.0, 0.0, 0.0), bump),
+        ncmink.single_term(covector, psi) - ncmink.single_term(covector, bump),
+    ]
+    added = ncmink.WeylElement.from_dict(dict(zip(members, (1.0, 1j, -0.5))))
+
+    def evaluate(case):
+        reports = ncmink.gram_check([*case.family, *members], params, workloads.CFG)
+        element = case.element + added
+        omega = calc.eval_omega(calc.mul(calc.star(element), element), params)
+        return {
+            "result": [_numbers(omega.value)],
+            "sha256": [hashlib.sha256(report.matrix.tobytes()).hexdigest() for report in reports],
+        }
 
     return _state_digest(evaluate)
 

@@ -255,7 +255,7 @@ def cmd_sweep(args, config, constants, params, cfg):
             "distance_error": dist.error,
             "causal": caus.value,
             "causal_error": caus.error_estimate,
-            "converged": True,  # both are closed forms
+            "converged": dist.converged and caus.converged,
         })
     fields = list(rows[0])
     doc = {"command": "sweep", "config": config, "rows": rows}

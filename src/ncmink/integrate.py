@@ -121,8 +121,9 @@ def _term_pairs(f, g, contraction):
     """Nonzero term-pair coefficients (w v) . c . (w' v') with their (b, delta, R).
 
     The term table of the momentum route, and the per-pair statement of
-    what ``_forms`` reads from a kernel table; pairs come in row-major
-    (f term, g term) order.  Each coefficient is f's weighted row, read
+    what ``_forms`` reads from a kernel table, whose zero-coefficient
+    pairs add only signed zeros; pairs come in row-major (f term, g term)
+    order.  Each coefficient is f's weighted row, read
     from ``weighted_rows``, contracted with c, then with g's, both
     ``contract`` sums in index order, so it does not depend on the other
     rows of the table.  Each pair's (b, delta, R) is ``_geometry`` of its
@@ -151,17 +152,19 @@ def _stack(indices, blocks):
 
 
 def _products(tables, left, right, entries, contraction):
-    """Nonzero coefficient times table products of each entry (k, l), for each table, as lists of floats.
+    """Coefficient times table products of each entry (k, l), for each table, as lists of floats.
 
     left and right are stacks of blocks (``_stack``).  The left rows are
-    contracted in one ``contract`` call with the contraction, a 4x4 matrix
-    or one per left row.  Entry (k, l) holds row i of left block k . c .
-    row j of right block l times table[index_i, index_j] in row-major
-    (i, j) order, with the zero-coefficient pairs left out.  The pairs of
-    all entries are one array pass, each coefficient is computed once for
-    all the tables, and each entry's coefficients come out as
-    ``_term_pairs`` computes those of two smearings, whatever the other
-    entries of the call.  Returns one list of entries per table.
+    contracted in one ``contract`` call with the 4x4 contraction c.  Entry
+    (k, l) holds row i of left block k . c . row j of right block l times
+    table[index_i, index_j] for every pair (i, j), in row-major order.  A
+    zero coefficient gives a product that is a signed zero wherever its
+    table entry is finite, which an exactly rounded sum leaves as it is
+    (``math.fsum`` of zeros is +0.0).  The pairs of all entries are one
+    array pass, each coefficient is computed once for all the tables, and
+    each entry's coefficients come out as ``_term_pairs`` computes those
+    of two smearings, whatever the other entries of the call.  Returns one
+    list of entries per table.
     """
     (a_index, a_rows, a_start), (b_index, b_rows, b_start) = left, right
     # each entry's first pair, column count and first rows of its two blocks
@@ -176,11 +179,9 @@ def _products(tables, left, right, entries, contraction):
     i, j = a0 + row, b0 + column
     # take gathers faster than indexing
     coef = contract(contract(a_rows, contraction).take(i, axis=0), b_rows.take(j, axis=0)[..., None])[..., 0]
-    pairs = np.flatnonzero(coef)
-    coef, i, j = coef.take(pairs), a_index.take(i.take(pairs)), b_index.take(j.take(pairs))
-    bounds = np.searchsorted(pairs, ends).tolist()
+    i, j = a_index.take(i), b_index.take(j)
     values = [(coef * table[i, j]).tolist() for table in tables]
-    return [[products[start:end] for start, end in zip(bounds, bounds[1:])] for products in values]
+    return [[products[start:end] for start, end in zip(ends, ends[1:])] for products in values]
 
 
 def _forms(kind, fs, gs, contraction):
@@ -189,9 +190,9 @@ def _forms(kind, fs, gs, contraction):
     One kernel table over the bumps of fs and gs serves all of them, and
     one ``_products`` pass over it, on rows read from ``key``, gives the
     products of every (f, g).  Each value is the exactly rounded sum of
-    its products; zero-coefficient pairs are left out of the sum, although
-    their table entries are evaluated.  A sum that is not finite, where a
-    center separation or a product overflowed, raises ValueError.
+    its products, a zero-coefficient pair's signed zero among them.  A sum
+    that is not finite, where a center separation or a product
+    overflowed, raises ValueError.
     """
     c = _check_contraction(contraction)
     smearings = (*fs, *gs)

@@ -20,7 +20,7 @@ The building blocks assembled here:
 ``dm_bilinear``, ``mu2``, ``gram_check`` and ``diagonal_moments`` (the
 second moments the Weyl calculus evaluates the state with) do not compose
 the functions above; each is a few lines around ``_moments``, which
-evaluates the form with one product pass.  A pair integral depends only
+evaluates the form with two product passes.  A pair integral depends only
 on its two bumps, never on the covectors, so ``_moments`` first builds
 one kernel table: the LOGABS and the LIGHTCONE matrix over the distinct
 bumps of all its smearings and psi (``integrate._kernel_table``, read
@@ -33,12 +33,13 @@ sigma(f, psi) are exactly rounded float sums of those rows.  All blocks
 are stacked once.  A value of the form reads two blocks and a
 contraction c between them: eta for Delta, and for mu2 the Krein matrix
 eta J, so that Delta(f, J g) needs no twisted rows of g; since
-J^T eta J = eta, g's own products serve both.  One
-``integrate._products`` pass gives each block's LOGABS products with
-itself under eta and every entry's f x g coefficients under c, and
-multiplies the latter by both tables: the LOGABS products of all rows,
-and the LIGHTCONE products, of which an entry reads its term x term
-subset (psi's rows read zeros there).  Every covector product is
+J^T eta J = eta, g's own products serve both.  Two
+``integrate._products`` passes over that one stack give every product:
+the own pass each block's products with itself under eta, on the
+LOGABS table alone, and the cross pass every entry's f x g
+coefficients under c, each times both tables, the LOGABS products of
+all rows and the LIGHTCONE products of their terms (psi's rows read
+zeros there).  Every covector product is
 ``testfn.contract``, elementwise sums in index order with no BLAS, so
 a value is the same bits on any BLAS kernel and does not depend on the
 other smearings of its call.  An entry (``_two_point``) is then slices
@@ -48,7 +49,7 @@ products, the mean term is mean(f) c mean(g), the regulator term
 sigma(f, psi) c sigma(g, psi), both from one ``contract`` pass over the
 call's entries, and sigma(f, g) the exactly rounded sum of the LIGHTCONE
 products.  mu2's positivity guard runs on every entry with f_k == g_l.
-A family's Gram matrix reads one table and one pass for all its
+A family's Gram matrix reads one table and the two passes for all its
 entries, and an element's second moments one table for all its terms,
 with one moment for a smearing and its negation: the rows of -f are
 those of f with the weights negated, so mu2(-f, -f) is mu2(f, f) bit
@@ -121,11 +122,11 @@ def _two_point(f_own, g_own, tables, params):
     """Delta_{alpha,psi} of the blocks f and g paired through the contraction c (see module doc).
 
     f_own and g_own are each block's LOGABS products of its rows (psi's
-    last) with themselves under eta.  tables holds the entry's slices of
-    its call's product pass, the LOGABS products of f's rows (psi's last)
-    with g's under c and the LIGHTCONE products of their terms, and its
-    two dot products mean(f) c mean(g) and sigma(f, psi) c sigma(g, psi).
-    The rest is exactly rounded sums.
+    last) with themselves under eta, from the own pass.  tables holds the
+    entry's slices of the cross pass, the LOGABS products of f's rows
+    (psi's last) with g's under c and the LIGHTCONE products of their
+    terms, and its two dot products mean(f) c mean(g) and
+    sigma(f, psi) c sigma(g, psi).  The rest is exactly rounded sums.
     """
     kappa_sq = params.constants.kappa_sq
     if kappa_sq == 0.0:
@@ -160,17 +161,18 @@ def _moments(smearings, params, twisted, entries):
     Every smearing and psi share one kernel table.  Each smearing's block,
     its weighted covector rows read from ``key`` and psi's row carrying
     -mean(f), is stacked once, with -mean(f) and sigma(f, psi) formed as
-    exactly rounded float sums.  One ``_products`` pass gives all the
-    products: each block's own LOGABS products under eta, and each entry's
-    cross products under the contraction c, both LOGABS and LIGHTCONE from
-    the same coefficients.  psi's rows read a slot of their own in both
-    tables, psi's LOGABS values and LIGHTCONE zeros, so an entry's
-    LIGHTCONE products are those of its terms and a signed zero for each
-    nonzero coefficient of a psi row, which leaves an exactly rounded sum
-    as it is (``math.fsum`` of zeros is +0.0).  An entry is then slices of
-    that pass, exactly rounded sums and its mean and sigma(., psi) dot
-    products under c, which one ``contract`` pass gives for all entries,
-    in the order of entries.  An entry that is not finite, where a center
+    exactly rounded float sums.  Two ``_products`` passes over that stack
+    give all the products: the own pass, each block with itself under eta
+    on the LOGABS table alone, and the cross pass, each entry under the
+    contraction c on the LOGABS and the LIGHTCONE table, both from the
+    same coefficients.  psi's rows read a slot of their own in both
+    tables, psi's LOGABS values and LIGHTCONE zeros, since psi may share
+    its bump with a term, so an entry's LIGHTCONE products are those of
+    its terms and a signed zero for each coefficient of a psi row, which
+    leaves an exactly rounded sum as it is (``math.fsum`` of zeros is
+    +0.0).  An entry is then slices of the two passes, exactly rounded
+    sums and its mean and sigma(., psi) dot products under c, which one
+    ``contract`` pass gives for all entries, in the order of entries.  An entry that is not finite, where a center
     separation or a product overflowed or 4 alpha kappa^2 underflowed,
     raises ValueError; mu2's positivity guard runs on every twisted entry
     with f_k == f_l.
@@ -190,29 +192,26 @@ def _moments(smearings, params, twisted, entries):
         sigmas.append([-scale * math.fsum(map(operator.mul, values, column)) for column in columns])
         index_blocks.append(index + [slot])
         row_blocks.append(terms + [means[-1]])
-    index, rows, starts = right = _stack(index_blocks, row_blocks)
-    # the own products under eta, the cross products under c: one matrix per row
-    contraction = krein_matrix(params.u) if twisted else ETA
-    per_row = np.repeat(np.array([ETA, contraction]), len(rows), axis=0)
-    left = (np.concatenate([index, index]), np.concatenate([rows, rows]), starts + [starts[-1] + start for start in starts[1:]])
-    n = len(smearings)
-    own_and_cross = [(k, k) for k in range(n)] + [(n + k, l) for k, l in entries]
+    stack = _stack(index_blocks, row_blocks)
     # psi's own slot: its LOGABS row and column, and LIGHTCONE zeros
     ext = [*range(slot), psi]
+    logabs = logabs.take(ext, 0).take(ext, 1)
     light = np.zeros((slot + 1, slot + 1))
     light[:slot, :slot] = lightcone
-    logs, fgs = _products((logabs.take(ext, 0).take(ext, 1), light), left, right, own_and_cross, per_row)
+    contraction = krein_matrix(params.u) if twisted else ETA
+    (own,) = _products((logabs,), stack, stack, [(k, k) for k in range(len(smearings))], ETA)
+    logs, fgs = _products((logabs, light), stack, stack, entries, contraction)
     # every entry's mean(f) c mean(g), the signs of -mean(f) and -mean(g)
     # cancelling exactly, and sigma(f, psi) c sigma(g, psi)
-    ends = np.array(means + sigmas, dtype=float).reshape(-1, 4)
-    left, right = np.array(entries + [(n + k, n + l) for k, l in entries], dtype=np.intp).reshape(-1, 2).T
+    left, right = np.array(entries, dtype=np.intp).reshape(-1, 2).T
+    ends = np.array([means, sigmas], dtype=float).reshape(2, -1, 4)
     # a dot product that overflows is inf or nan, and its entry is rejected
     # as not finite below
     with np.errstate(over="ignore", invalid="ignore"):
-        dots = contract(contract(ends, contraction)[left], ends[right][..., None]).reshape(2, -1).tolist()
+        dots = contract(contract(ends, contraction)[:, left], ends[:, right, :, None])[..., 0].tolist()
     values = []
-    for (k, l), *tables in zip(entries, logs[n:], fgs[n:], *dots):
-        values.append(_two_point(logs[k], logs[l], tables, params))
+    for (k, l), *tables in zip(entries, logs, fgs, *dots):
+        values.append(_two_point(own[k], own[l], tables, params))
         if not cmath.isfinite(values[-1]):
             raise ValueError(f"{'mu2' if twisted else 'Delta'}(f_{k}, f_{l}) is not finite: {values[-1]!r}")
         if twisted and smearings[k] == smearings[l]:
@@ -316,7 +315,7 @@ def gram_check(family, params, cfg):
     N_kl is mu2(f_k, f_l), which already carries the (i/2) sigma part in its
     imaginary component.  ``_moments`` builds each member's block once on
     one kernel table of the family and psi and evaluates the upper triangle
-    from one product pass over both tables, with mu2's positivity guard wherever
+    from its two product passes, with mu2's positivity guard wherever
     f_k == f_l.
     The lower triangle is its conjugate (Hermiticity is an identity of the
     form, not a numerical accident); a diagonal entry keeps mu2's own

@@ -167,6 +167,29 @@ def verify_gram(cfg, families=50, elements=100):
     return _report("gram", checks)
 
 
+def _cocycle_gap(calc, *factors):
+    """|c - c'| of the coefficients of (W(f) W(g)) W(h) and W(f) (W(g) W(h)), or inf when they differ.
+
+    The cocycle asserts the phase, so the coefficients are compared once
+    both products are single-term elements whose key rows agree in
+    covector, center and width.  Their weights may differ by the rounding
+    of the merge: a weight is the sum of the factors' weights on its row,
+    at most one per factor, added in the order of its grouping, two
+    additions that each round by at most eps/2 of a partial sum bounded by
+    S, the sum of the magnitudes of all the factors' weights.  So the two
+    weights differ by at most (2 eps + eps^2 / 2) S, and 4 eps S allows
+    for that and for the rounding of the bound itself.
+    """
+    wf, wg, wh = map(WeylElement.generator, factors)
+    left, right = calc.mul(calc.mul(wf, wg), wh), calc.mul(wf, calc.mul(wg, wh))
+    if len(left.terms) != 1 or len(right.terms) != 1:
+        return math.inf
+    (x, a), (y, b) = left.terms[0], right.terms[0]
+    bound = 4.0 * math.ulp(1.0) * sum(abs(row[9]) for f in factors for row in f.key)
+    same = len(x.key) == len(y.key) and all(p[:9] == q[:9] and abs(p[9] - q[9]) <= bound for p, q in zip(x.key, y.key))
+    return abs(a - b) if same else math.inf
+
+
 def verify_weyl(cfg):
     """Algebraic exactness: involutions, cocycle associativity, sigma identities.
 
@@ -196,16 +219,7 @@ def verify_weyl(cfg):
 
     for pairing in ("plain", "krein"):
         calc = WeylCalculus(constants, cfg, pairing=pairing)
-        worst = 0.0
-        for _ in range(50):
-            f, g, h = (_random_smearing(rng) for _ in range(3))
-            wf, wg, wh = (WeylElement.generator(x) for x in (f, g, h))
-            left = calc.mul(calc.mul(wf, wg), wh)
-            right = calc.mul(wf, calc.mul(wg, wh))
-            if tuple(x for x, _ in left.terms) != tuple(x for x, _ in right.terms):
-                worst = np.inf
-                continue
-            worst = max(worst, abs(left.terms[0][1] - right.terms[0][1]))
+        worst = max(_cocycle_gap(calc, *(_random_smearing(rng) for _ in range(3))) for _ in range(50))
         checks.append(_check(f"cocycle associativity, {pairing} pairing (50 triples)", 0.0, worst, 1e-12, relative=False))
 
     f = _random_smearing(rng)

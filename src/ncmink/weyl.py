@@ -14,7 +14,7 @@ functional.  :class:`WeylCalculus` fixes that choice once.  A product
 reads the sigma of every term pair of its two factors from one product
 pass over one LIGHTCONE table over their bumps (``integrate._forms``),
 and a state evaluation reads the second moment of every term of the
-element from one product pass over its kernel table (``state.diagonal_moments``), so
+element from the product passes over its one kernel table (``state.diagonal_moments``), so
 neither evaluates a bump pair twice.  An element such as a* a holds
 terms -f and f in pairs; their second moments are equal bit for bit,
 and each pair is evaluated once.  Sigma and the second moments are
@@ -96,7 +96,7 @@ class WeylCalculus:
     product pass over one LIGHTCONE table over the bumps of both factors
     (``_sigmas``, the one pairing table; a single pair is its 1 x 1 case),
     and a state evaluation the second moments of all of an element's terms
-    from one product pass over their kernel table (``state.diagonal_moments``), one moment
+    from the product passes over their one kernel table (``state.diagonal_moments``), one moment
     for a term and its negation.  The one process-wide pair memo,
     ``pair._pair_cached``, serves the pairs of either kernel that repeat across
     tables, such as those of a family's Gram matrix and of the element

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -408,6 +409,20 @@ def test_sweep_space_direction(capsys):
     for row in json.loads(out)["rows"]:
         assert row["classical"] == row["value"] ** 2
         assert abs(row["causal"]) <= 3.0 * row["causal_error"]
+
+
+def test_sweep_reports_the_convergence_of_its_results(capsys, monkeypatch):
+    """A sweep row is converged only when its distance and its causal value
+    are: a distance that reports converged=False shows in every row."""
+    def unconverged(chi_p, chi_q, constants, cfg):
+        return dataclasses.replace(distance(chi_p, chi_q, constants, cfg), converged=False)
+
+    args = ("--format", "json", "sweep", "--axis", "separation", "--range", "0.5:2:2")
+    assert [row["converged"] for row in json.loads(run_cli(capsys, *args)[1])["rows"]] == [True, True]
+    monkeypatch.setattr(cli, "distance", unconverged)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert [row["converged"] for row in json.loads(out)["rows"]] == [False, False]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])

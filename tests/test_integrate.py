@@ -237,6 +237,18 @@ def test_a_pair_integral_that_is_not_finite_raises(kind, cfg):
         bilinear_form(kind, scalar_smearing(bp), scalar_smearing(bq), ETA, cfg)
 
 
+@pytest.mark.parametrize("kind", [KernelKind.LOGABS, KernelKind.LIGHTCONE])
+def test_a_zero_coefficient_reads_its_pair_integral_too(kind, cfg):
+    """Every pair of a form is a product, so a pair of e0 and e1, whose
+    coefficient under eta is 0, at time centers -+1e308 is 0 times nan: the
+    form is not finite and raises, as it does for a nonzero coefficient and
+    as the table does for a spatial separation that overflows."""
+    f = single_term((1, 0, 0, 0), GaussianBump((1e308, 0, 0, 0), 1.0))
+    g = single_term((0, 1, 0, 0), GaussianBump((-1e308, 0, 0, 0), 1.0))
+    with pytest.raises(ValueError, match=f"the {kind.value} form is not finite: nan"):
+        bilinear_form(kind, f, g, ETA, cfg)
+
+
 def test_logabs_swap_symmetry_is_exact():
     rng = np.random.default_rng(18)
     for _ in range(10):

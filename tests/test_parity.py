@@ -83,7 +83,9 @@ def test_digest_of_a_checkout(tmp_path):
 
 # A state workload in miniature, on a package whose Gram matrices are u and
 # 2 u, whose product is the element squared, whose omega(x) is x + i u_1
-# and tau(x) is x - i, and whose diagonal moment of f is f + i twisted.
+# and tau(x) is x - i, and whose diagonal moment of f is f + i twisted.  A
+# bump is its width, psi's is 2, a single term is its covector's sum times
+# its bump, and an element is the sum of its coefficients times smearings.
 STATE_WORKLOADS = '''
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -93,6 +95,7 @@ from types import SimpleNamespace
 class Params:
     constants: object = None
     u: tuple = (1.0, 0.0, 0.0, 0.0)
+    psi: float = 2.0
 
 
 STATE_PARAMS = Params()
@@ -119,8 +122,22 @@ from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["gram_check", "WeylCalculus"]
+__all__ = ["GaussianBump", "WeylCalculus", "WeylElement", "gram_check", "single_term"]
 state = SimpleNamespace(diagonal_moments=lambda smearings, params, twisted: [complex(f, twisted) for f in smearings])
+
+
+def GaussianBump(center, width):
+    return width
+
+
+def single_term(covector, bump, weight=1.0):
+    return sum(covector) * bump * weight
+
+
+class WeylElement:
+    @staticmethod
+    def from_dict(coeffs):
+        return sum(f * c for f, c in coeffs.items())
 
 
 def gram_check(family, params, cfg):
@@ -178,6 +195,22 @@ def test_digest_of_the_untwisted_state(tmp_path):
         assert ops["state (untwisted)"][str(seed)] == expected
 
 
+def test_digest_of_the_state_with_zero_coefficients(tmp_path):
+    """A checkout with a state workload is digested again with three members
+    added to each family: e0 on psi's bump, e1 on ZERO_BUMP and the mean-free
+    (1, 0.5, 0, 0) on psi's bump minus the same on ZERO_BUMP, whose
+    generators join the element with coefficients 1, i and -0.5."""
+    root = _checkout(tmp_path)
+    (root / "perfbench" / "workloads.py").write_text(STATE_WORKLOADS)
+    (root / "src" / "ncmink" / "__init__.py").write_text(STATE_PACKAGE)
+    width = parity.ZERO_BUMP[1]
+    added = 2.0 + 1j * width - 0.5 * 1.5 * (2.0 - width)
+    hashes = [hashlib.sha256(np.array([k, 0.0, 0.0, 0.0]).tobytes()).hexdigest() for k in (1.0, 2.0)]
+    expected = [{"result": [parity._numbers((index - 1 + added) ** 2)], "sha256": hashes} for index in range(2)]
+    ops = parity.digest(root)["ops"]
+    assert ops["state (zero coefficients)"] == {str(seed): expected for seed in (101, 102, 105)}
+
+
 # The state workload with an oracle workload beside it, whose op 1 is the
 # momentum route, on a package whose mc_oracle reports its arguments and
 # raises when f is g.
@@ -233,7 +266,9 @@ def test_digest_of_monte_carlo_mixtures(tmp_path):
         ]
         expected += [{"result": [f"LOGABS {-seed} 0", 7], "sha256": []}, {"raised": "ArithmeticError('one bump')"}]
         assert ops["oracle (mixtures)"][str(seed)] == expected
-    assert sorted(ops) == ["oracle", "oracle (mixtures)", "state", "state (boosted)", "state (untwisted)"]
+    assert sorted(ops) == [
+        "oracle", "oracle (mixtures)", "state", "state (boosted)", "state (untwisted)", "state (zero coefficients)"
+    ]
 
 
 # A package whose public classes are a dataclass, one field without a

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -632,3 +633,37 @@ def test_a_smearing_and_its_negation_share_one_moment(cfg, params, boosted_param
             diagonal_moments([first, -first], params)
         assert len(blocks) == 1 and evaluated == [[first]] and first != -first
 
+
+def test_no_lightcone_product_is_formed_for_an_own_entry(cfg, params, monkeypatch):
+    """Each block's own products under eta read the LOGABS table alone, so the
+    LIGHTCONE products that a gram_check and a diagonal_moments call form are
+    their entries' cross products: one per row pair of f_k and f_l, psi's row
+    included, and no more."""
+    products = state._products
+    formed = []
+
+    def counted(tables, *args):
+        out = products(tables, *args)
+        formed.append(sum(map(len, out[1])) if len(tables) == 2 else 0)
+        return out
+
+    monkeypatch.setattr(state, "_products", counted)
+    rng = np.random.default_rng(113)
+    pool = bump_pool(rng, params.psi)
+    family = [table_smearing(rng, pool) for _ in range(3)]
+    rows = [len(f.key) + 1 for f in family]
+    gram_check(family, params, cfg)
+    assert sum(formed) == sum(rows[k] * rows[l] for k in range(3) for l in range(k, 3))
+    formed.clear()
+    diagonal_moments(family, params)
+    assert sum(formed) == sum(r * r for r in rows)
+
+
+def test_an_exactly_rounded_sum_of_signed_zeros_is_positive_zero():
+    """The product passes keep the signed-zero products of zero coefficients,
+    which leaves every sum as it is only because ``math.fsum`` of any list
+    of +-0.0, the empty list included, is +0.0."""
+    for n in range(5):
+        for signs in itertools.product((0.0, -0.0), repeat=n):
+            assert math.copysign(1.0, math.fsum(signs)) == 1.0
+            assert math.copysign(1.0, math.fsum([1.0, *signs, -1.0])) == 1.0
