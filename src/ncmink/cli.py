@@ -2,7 +2,11 @@
 
 Config precedence is flags > config file > built-in defaults, and the
 effective configuration is echoed into every JSON output so a run can be
-reproduced from its own artifact.  The config schema is :data:`DEFAULTS`:
+reproduced from its own artifact.  ``distance``, ``causal`` and ``sweep``
+read it; the ``verify`` suites fix their own constants, psi and alpha and
+read only ``quadrature.seed`` (gram, weyl) and the tolerances and
+``max_evals`` (fourier), so their echoed ``constants`` and ``state``
+change no report.  The config schema is :data:`DEFAULTS`:
 a config file may set only its keys, nested the same way, and anything
 else is a usage error.  Data goes to stdout, logs to stderr.
 

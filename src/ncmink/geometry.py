@@ -154,7 +154,9 @@ def classify_causal(value):
 
     :func:`causal` is a closed form exact up to rounding, so the band is
     fixed: a value within 3e-12 of 0, +1 or -1 is spacelike, future or
-    past; anything else is fuzzy.
+    past; anything else is fuzzy.  The band is absolute, so any |value|
+    below 3e-12 is spacelike whatever its sign, such as the 2.8e-76 of a
+    future-pointing timelike pair of bumps of width 1e-150.
     """
     for label, target in (("spacelike", 0.0), ("future", 1.0), ("past", -1.0)):
         if abs(value - target) < 3e-12:

@@ -78,16 +78,16 @@ def _kernel_table(blocks, kinds):
 
     Each block is the bump rows, (t, x, y, z, width) tuples of Python
     floats, of one smearing's terms (or of one bump), and bumps match on
-    the value of their row in a dict.  Returns each block's index array
-    into the distinct bumps and, for each kind, the matrix K[i, j] of the
-    pair integrals of distinct bumps i and j.  Each pair of the upper
-    triangle (diagonal included) is one ``_geometry`` call on Python floats
-    and one ``_pair_integral`` call per kind.  The swapped pair has the same
-    b and R and delta negated, so its entry is the one-pair path's fold of
-    the same value: LOGABS as is, LIGHTCONE negated unless delta = 0, where
-    it is +0.0.  So K[index[p], index[q]] is the pair integral of bumps p
-    and q bit for bit, the sign of a zero included, however the bumps are
-    grouped.  That holds also for a bump and its twin that differs only in
+    the value of their row in a dict.  Returns each block's list of
+    indices into the distinct bumps and, for each kind, the matrix K[i, j]
+    of the pair integrals of distinct bumps i and j.  Each pair of the
+    upper triangle (diagonal included) is one ``_geometry`` call on Python
+    floats and one ``_pair_integral`` call per kind.  The swapped pair has
+    the same b and R and delta negated, so its entry is the one-pair
+    path's fold of the same value: LOGABS as is, LIGHTCONE negated unless
+    delta = 0, where it is +0.0.  So K[index[p], index[q]] is the pair
+    integral of bumps p and q bit for bit, the sign of a zero included,
+    however the bumps are grouped.  That holds also for a bump and its twin that differs only in
     the sign of a zero coordinate, which match on value and share a slot:
     paired with any bump, the twins give the same b and R and the same
     delta or a delta that is +-0.0, LOGABS reads |delta|, and a LIGHTCONE
@@ -95,7 +95,7 @@ def _kernel_table(blocks, kinds):
     ones, give empty matrices.
     """
     slots = {}
-    indices = [np.array([slots.setdefault(row, len(slots)) for row in block], dtype=np.intp) for block in blocks]
+    indices = [[slots.setdefault(row, len(slots)) for row in block] for block in blocks]
     distinct = list(slots)
     n = len(distinct)
     pairs = [(i, j, *_geometry(distinct[i], distinct[j])) for i in range(n) for j in range(i, n)]
@@ -110,8 +110,9 @@ def _kernel_table(blocks, kinds):
 
 
 def _check_contraction(contraction):
+    """A contraction from outside the package as a float array; ValueError unless symmetric 4x4."""
     c = np.asarray(contraction, dtype=float)
-    # np.allclose(c, c.T, atol=1e-12) spelled out: this runs on every form
+    # np.allclose(c, c.T, atol=1e-12) spelled out
     if c.shape != (4, 4) or not (np.abs(c - c.T) <= 1e-12 + 1e-5 * np.abs(c.T)).all():
         raise ValueError("contraction must be a symmetric 4x4 matrix")
     return c
@@ -127,11 +128,12 @@ def _term_pairs(f, g, contraction):
     from ``weighted_rows``, contracted with c, then with g's, both
     ``contract`` sums in index order, so it does not depend on the other
     rows of the table.  Each pair's (b, delta, R) is ``_geometry`` of its
-    two bump rows on Python floats, as in a kernel table.
+    two bump rows on Python floats, as in a kernel table.  The contraction
+    is a 4x4 float array that is not checked here: the caller,
+    ``momentum_form``, passes the identity.
     """
-    c = _check_contraction(contraction)
     left, right = (np.array(h.weighted_rows, dtype=float).reshape(-1, 4) for h in (f, g))
-    coef = contract(contract(left, c), right.T)
+    coef = contract(contract(left, contraction), right.T)
     i, j = np.nonzero(coef)
     p, q = f.bump_rows, g.bump_rows
     b, delta, R = np.array([_geometry(p[k], q[l]) for k, l in zip(i.tolist(), j.tolist())]).reshape(-1, 3).T
@@ -141,45 +143,45 @@ def _term_pairs(f, g, contraction):
 def _stack(indices, blocks):
     """Blocks stacked for ``_products``: (index, rows, starts).
 
-    indices holds each block's bump indices into the kernel tables (an
-    array or a list) and blocks its weighted covector rows (lists of
-    floats); starts is the first stacked row of each block, with the row
-    count last.
+    indices holds each block's list of bump indices into the kernel
+    tables and blocks its weighted covector rows (lists of floats); starts
+    is the first stacked row of each block, with the row count last.
     """
-    index = np.concatenate([*indices, np.empty(0, np.intp)])
+    index = np.array([i for block in indices for i in block], dtype=np.intp)
     rows = np.array([row for block in blocks for row in block], dtype=float).reshape(-1, 4)
     return index, rows, [0, *accumulate(map(len, blocks))]
 
 
-def _products(tables, left, right, entries, contraction):
+def _products(tables, stack, entries, contraction):
     """Coefficient times table products of each entry (k, l), for each table, as lists of floats.
 
-    left and right are stacks of blocks (``_stack``).  The left rows are
-    contracted in one ``contract`` call with the 4x4 contraction c.  Entry
-    (k, l) holds row i of left block k . c . row j of right block l times
-    table[index_i, index_j] for every pair (i, j), in row-major order.  A
-    zero coefficient gives a product that is a signed zero wherever its
-    table entry is finite, which an exactly rounded sum leaves as it is
-    (``math.fsum`` of zeros is +0.0).  The pairs of all entries are one
-    array pass, each coefficient is computed once for all the tables, and
-    each entry's coefficients come out as ``_term_pairs`` computes those
-    of two smearings, whatever the other entries of the call.  Returns one
-    list of entries per table.
+    stack is a stack of blocks (``_stack``), and both blocks of an entry
+    are read from it.  Its rows are contracted in one ``contract`` call
+    with the 4x4 contraction c.  Entry (k, l) holds row i of block k . c .
+    row j of block l times table[index_i, index_j] for every pair (i, j),
+    in row-major order.  A zero coefficient gives a product that is a
+    signed zero wherever its table entry is finite, which an exactly
+    rounded sum leaves as it is (``math.fsum`` of zeros is +0.0).  The
+    pairs of all entries are one array pass, each coefficient is computed
+    once for all the tables, and each entry's coefficients come out as
+    ``_term_pairs`` computes those of two smearings, whatever the other
+    rows of the stack and entries of the call.  Returns one list of
+    entries per table.
     """
-    (a_index, a_rows, a_start), (b_index, b_rows, b_start) = left, right
+    index, rows, starts = stack
     # each entry's first pair, column count and first rows of its two blocks
     spec, ends = [], [0]
     for k, l in entries:
-        m = b_start[l + 1] - b_start[l]
-        spec.append((ends[-1], m, a_start[k], b_start[l]))
-        ends.append(ends[-1] + (a_start[k + 1] - a_start[k]) * m)
+        m = starts[l + 1] - starts[l]
+        spec.append((ends[-1], m, starts[k], starts[l]))
+        ends.append(ends[-1] + (starts[k + 1] - starts[k]) * m)
     counts = [end - start for start, end in zip(ends, ends[1:])]
     first, m, a0, b0 = np.repeat(np.array(spec, dtype=np.intp).reshape(-1, 4), counts, axis=0).T
     row, column = np.divmod(np.arange(ends[-1]) - first, m)
     i, j = a0 + row, b0 + column
     # take gathers faster than indexing
-    coef = contract(contract(a_rows, contraction).take(i, axis=0), b_rows.take(j, axis=0)[..., None])[..., 0]
-    i, j = a_index.take(i), b_index.take(j)
+    coef = contract(contract(rows, contraction).take(i, axis=0), rows.take(j, axis=0)[..., None])[..., 0]
+    i, j = index.take(i), index.take(j)
     values = [(coef * table[i, j]).tolist() for table in tables]
     return [[products[start:end] for start, end in zip(ends, ends[1:])] for products in values]
 
@@ -188,19 +190,20 @@ def _forms(kind, fs, gs, contraction):
     """Forms of every f in fs (rows) against every g in gs (columns), as lists of floats.
 
     One kernel table over the bumps of fs and gs serves all of them, and
-    one ``_products`` pass over it, on rows read from ``key``, gives the
-    products of every (f, g).  Each value is the exactly rounded sum of
-    its products, a zero-coefficient pair's signed zero among them.  A sum
-    that is not finite, where a center separation or a product
-    overflowed, raises ValueError.
+    one ``_products`` pass over it, on one stack of the blocks of fs and
+    then gs read from ``key``, gives the products of every (f, g).  Each
+    value is the exactly rounded sum of its products, a zero-coefficient
+    pair's signed zero among them.  A sum that is not finite, where a
+    center separation or a product overflowed, raises ValueError.  The
+    contraction is a symmetric 4x4 float array that is not checked here:
+    ``bilinear_form`` checks its caller's, and ``WeylCalculus`` passes eta
+    or a Krein matrix.
     """
-    c = _check_contraction(contraction)
     smearings = (*fs, *gs)
     indices, tables = _kernel_table([h.bump_rows for h in smearings], (kind,))
-    blocks = [h.weighted_rows for h in smearings]
+    stack = _stack(indices, [h.weighted_rows for h in smearings])
     n, m = len(fs), len(gs)
-    left, right = _stack(indices[:n], blocks[:n]), _stack(indices[n:], blocks[n:])
-    (products,) = _products(tables, left, right, [(k, l) for k in range(n) for l in range(m)], c)
+    (products,) = _products(tables, stack, [(k, n + l) for k in range(n) for l in range(m)], contraction)
     sums = [math.fsum(p) for p in products]
     for value in sums:
         if not math.isfinite(value):
@@ -212,13 +215,13 @@ def bilinear_form(kind, f, g, contraction, cfg):
     """Sum of (w v . contraction . w' v')-weighted scalar pair integrals.
 
     The contraction is passed explicitly because the same scalar integrals
-    serve the Minkowski, Krein and frame-summed pairings.  This is the
-    one-pair case of ``_forms``.  The sum is exactly rounded, so it does not
-    depend on the term order: for the diagonal contractions (eta, identity)
-    swapping f and g negates a LIGHTCONE form and keeps a LOGABS form bit
-    for bit.
+    serve the Minkowski, Krein and frame-summed pairings; one that is not
+    a symmetric 4x4 matrix raises ValueError.  This is the one-pair case
+    of ``_forms``.  The sum is exactly rounded, so it does not depend on
+    the term order: for the diagonal contractions (eta, identity) swapping
+    f and g negates a LIGHTCONE form and keeps a LOGABS form bit for bit.
     """
-    return _analytic(_forms(kind, [f], [g], contraction)[0][0])
+    return _analytic(_forms(kind, [f], [g], _check_contraction(contraction))[0][0])
 
 
 # ---------------------------------------------------------------------------

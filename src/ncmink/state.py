@@ -180,12 +180,12 @@ def _moments(smearings, params, twisted, entries):
     indices, (logabs, lightcone) = _kernel_table(
         [f.bump_rows for f in smearings] + [(_bump_row(params.psi),)], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
     )
-    psi, slot = int(indices[-1][0]), len(logabs)
+    (psi,), slot = indices[-1], len(logabs)
     scale = params.constants.kappa_sq / (8.0 * math.pi)
     against_psi = lightcone[:, psi].tolist()
     index_blocks, row_blocks, means, sigmas = [], [], [], []
     for f, index in zip(smearings, indices):
-        index, terms = index.tolist(), f.weighted_rows
+        terms = f.weighted_rows
         columns = list(zip(*terms)) or [()] * 4
         values = [against_psi[i] for i in index]
         means.append([-math.fsum(column) for column in columns])
@@ -199,8 +199,8 @@ def _moments(smearings, params, twisted, entries):
     light = np.zeros((slot + 1, slot + 1))
     light[:slot, :slot] = lightcone
     contraction = krein_matrix(params.u) if twisted else ETA
-    (own,) = _products((logabs,), stack, stack, [(k, k) for k in range(len(smearings))], ETA)
-    logs, fgs = _products((logabs, light), stack, stack, entries, contraction)
+    (own,) = _products((logabs,), stack, [(k, k) for k in range(len(smearings))], ETA)
+    logs, fgs = _products((logabs, light), stack, entries, contraction)
     # every entry's mean(f) c mean(g), the signs of -mean(f) and -mean(g)
     # cancelling exactly, and sigma(f, psi) c sigma(g, psi)
     left, right = np.array(entries, dtype=np.intp).reshape(-1, 2).T

@@ -332,6 +332,21 @@ def test_verify_suite_exit_codes(capsys):
     assert "FAIL" in out
 
 
+def test_verify_echoes_constants_and_state_it_does_not_read(capsys):
+    """Every verify suite fixes its own constants, psi and alpha, so
+    --planck-length and --state-alpha are echoed in the config but leave
+    the report and the exit code as they are."""
+    code, out, _ = run_cli(capsys, "verify", "alpha-limit", "--format", "json")
+    flagged_code, flagged_out, _ = run_cli(
+        capsys, "verify", "alpha-limit", "--planck-length", "5", "--state-alpha", "3", "--format", "json"
+    )
+    doc, flagged = json.loads(out), json.loads(flagged_out)
+    assert flagged["config"]["constants"]["planck_length"] == 5.0 and flagged["config"]["state"]["alpha"] == 3.0
+    assert doc["config"]["constants"]["planck_length"] == 1.0 and doc["config"]["state"]["alpha"] == 1e6
+    assert flagged_code == code == 0
+    assert json.dumps(flagged["report"]) == json.dumps(doc["report"])
+
+
 def test_verify_fourier_fails_on_unconverged_results(capsys, tmp_path):
     """One eval and tolerances of 1e-300 stop every momentum quadrature
     unconverged; each value is still within 1%, but no row may pass."""

@@ -1,6 +1,8 @@
 import itertools
 import math
 
+import pytest
+
 from ncmink import GaussianBump, PhysicalConstants, QuadratureConfig, WeylCalculus, WeylElement, verify
 from ncmink.testfn import single_term
 from ncmink.verify import verify_gram
@@ -49,16 +51,26 @@ def test_verify_weyl_passes_when_a_triple_regroups_by_merge_rounding(monkeypatch
     assert report["passed"]
 
 
-def test_verify_weyl_fails_when_the_groupings_are_different_smearings(monkeypatch):
+_MUL = WeylCalculus.mul
+
+
+def _scaled_mul(self, a, b):
+    return WeylElement.from_dict({f.scaled(1.0 + 1e-9): c for f, c in _MUL(self, a, b).terms})
+
+
+def _two_term_mul(self, a, b):
+    terms = _MUL(self, a, b).terms
+    return WeylElement.from_dict({**dict(terms), **{f.scaled(2.0): 1e-9 * c for f, c in terms if not f.is_zero()}})
+
+
+@pytest.mark.parametrize("mul", [_scaled_mul, _two_term_mul], ids=["scaled", "two-term"])
+def test_verify_weyl_fails_when_the_groupings_are_different_smearings(mul, monkeypatch):
     """A product that scales its smearing by 1 + 1e-9 makes (f g) h and
-    f (g h) weigh f's and h's terms differently, far beyond merge rounding:
-    both associativity rows report inf and fail, and so does the suite."""
-    mul = WeylCalculus.mul
-
-    def scaled_mul(self, a, b):
-        return WeylElement.from_dict({f.scaled(1.0 + 1e-9): c for f, c in mul(self, a, b).terms})
-
-    monkeypatch.setattr(WeylCalculus, "mul", scaled_mul)
+    f (g h) weigh f's and h's terms differently, far beyond merge rounding,
+    and one that adds a second term, W(2 (f + g)), makes neither grouping
+    a single-term element: either way both associativity rows report inf
+    and fail, and so does the suite.  W(f) W(-f) is still the unit."""
+    monkeypatch.setattr(WeylCalculus, "mul", mul)
     report = verify.verify_weyl(QuadratureConfig())
     rows = report["checks"]
     assert [row["computed"] for row in rows[4:6]] == [math.inf, math.inf]
