@@ -7,7 +7,12 @@ Run from the repository root:
 
 Each PATH is a ``.py`` file or a directory searched recursively for them
 (default: ``src/ncmink``).  The script prints one ``count  path`` line per
-file, sorted by path, and a last ``count  total`` line.
+hand-written file, sorted by path, and a ``count  total`` line.  A
+script-generated module, whose first line is a comment that starts with
+``# Code generated`` and ends with ``DO NOT EDIT.``, is listed apart, after
+that total, as ``count  path  (generated)`` lines and a last
+``count  generated total`` line, so the growth of generated code does not
+hide in the hand-written total.
 
 A line counts when a token other than a comment, an indent or a line end
 starts or continues on it, unless it belongs to a docstring: the string
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -34,6 +40,9 @@ _LAYOUT = {
     tokenize.ENCODING,
     tokenize.ENDMARKER,
 }
+
+# the first-line marker of a script-generated source
+_GENERATED = re.compile(r"# Code generated .* DO NOT EDIT\.")
 
 
 def _docstring_lines(tree):
@@ -69,12 +78,18 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", default=["src/ncmink"])
     args = parser.parse_args(argv)
-    total = 0
+    written, generated = [], []
     for path in _sources(args.paths):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
+        source = path.read_text(encoding="utf-8")
+        marked = _GENERATED.fullmatch(source.partition("\n")[0])
+        (generated if marked else written).append((code_lines(source), path))
+    for count, path in written:
         print(f"{count:6d}  {path}")
-    print(f"{total:6d}  total")
+    print(f"{sum(count for count, _ in written):6d}  total")
+    for count, path in generated:
+        print(f"{count:6d}  {path}  (generated)")
+    if generated:
+        print(f"{sum(count for count, _ in generated):6d}  generated total")
     return 0
 
 

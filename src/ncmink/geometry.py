@@ -56,15 +56,15 @@ def classical_term(chi_p, chi_q):
 def _log_quadratic(chi_p, chi_q):
     """Scalar LOGABS quadratic form of the difference profile chi_p - chi_q.
 
-    Three one-pair integrals on floats: the two self pairs, each the closed
-    form 1 - gamma - ln(2b) at its combined width b = a a / (a + a), and
-    the cross pair.
+    Three one-pair integrals on floats: the cross pair, and the two self
+    pairs, each taken at its combined width b = a a / (a + a) with
+    delta = R = 0, the bits ``_geometry`` gives a bump paired with itself
+    (centers are finite), so it is the closed form 1 - gamma - ln(2b).
     """
-    self_p, self_q, cross = (
-        _pair_integral(KernelKind.LOGABS, *_bump_geometry(p, q))
-        for p, q in ((chi_p, chi_p), (chi_q, chi_q), (chi_p, chi_q))
-    )
-    return self_p + self_q - 2.0 * cross
+    a_p, a_q = chi_p.width, chi_q.width
+    self_p = _pair_integral(KernelKind.LOGABS, a_p * a_p / (a_p + a_p), 0.0, 0.0)
+    self_q = _pair_integral(KernelKind.LOGABS, a_q * a_q / (a_q + a_q), 0.0, 0.0)
+    return self_p + self_q - 2.0 * _pair_integral(KernelKind.LOGABS, *_bump_geometry(chi_p, chi_q))
 
 
 def _finite_correction(quantum):

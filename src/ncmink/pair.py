@@ -13,14 +13,15 @@ t - r and t + r, so their average over the relative time is closed-form,
 and Stein's identity reduces the remaining radial average to erf or erfc
 and Gaussian terms for the light cone, and to the Gaussian log moment
 plus a Dawson difference quotient for the log kernel.  The log moment and
-Dawson's integral come from one function (``_lambda_f``): a Clenshaw sum
-over a generated piecewise Chebyshev table near the origin, the
-asymptotic series far from it, and math.log, so they do not depend on
-numpy's SIMD loops.  A log pair's quotient branch is chosen first and
-only the log moments it reads are evaluated.  Every pair, in a kernel
-table or alone, is one Python-float evaluation (``_pair_integral``)
-through the process-wide memo ``_pair_cached``, so a value depends only
-on its own pair.  Bumps enter as (center, width) rows, and two rows meet
+Dawson's integral come from one function (``_lambda_f``): near the origin
+the Clenshaw sum of the Chebyshev piece that holds |y|, far from it the
+asymptotic series by Horner, both generated as straight-line float code
+(``_lambda_table``), and math.log, so they do not depend on numpy's SIMD
+loops.  A log pair's quotient branch is chosen first and only the log
+moments it reads are evaluated.  Every pair, in a kernel table or alone,
+is one Python-float evaluation (``_pair_integral``) through the
+process-wide memo ``_pair_cached``, so a value depends only on its own
+pair.  Bumps enter as (center, width) rows, and two rows meet
 in ``_geometry``, the one geometry arithmetic (no BLAS), which the
 observables' one pair (``_bump_geometry``), every kernel table and the
 momentum route's term pairs share: a pair's value is the same bits on
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from ._lambda_table import CUT, DAWSON, LOG_MOMENT
+from ._lambda_table import CUT, PIECES, asymptotic
 
 
 class KernelKind(Enum):
@@ -123,20 +124,18 @@ def _analytic(value):
 
 EULER_GAMMA = 0.5772156649015329
 
-# E ln|1 + eps Z| = -sum_k (2k-1)!! eps^{2k} / (2k), k = 1..30: asymptotic,
-# with its smallest omitted term below 1e-18 once |mu|/sigma >= 9, the cut
-# of the far branch.  Each coefficient c_k carries mu dL/dmu of its term,
-# (2k-1)!! (1 for k = 0, from ln|mu|), as its imaginary part, so that one
-# complex Horner sums the series and its slope; highest order first.
-_ASYMPTOTIC = (*(complex(-math.prod(range(1, 2 * k, 2)) / (2.0 * k), math.prod(range(1, 2 * k, 2))) for k in range(30, 0, -1)), 1j)
-# the Clenshaw rows of each near piece, c_DEGREE first: M's coefficient plus
-# i times F's, so that one complex recurrence sums both
-_CLENSHAW = tuple(tuple(map(complex, m[::-1], f[::-1])) for m, f in zip(LOG_MOMENT, DAWSON))
+# pieces of the near branch per unit of |y|
+_SCALE = len(PIECES) / CUT
+
 # Below this half-width h of the Dawson difference quotient, and while
 # x h <= 1 about its midpoint x, the Taylor series in h replaces the
 # cancelling direct difference; 10 odd terms leave a remainder below 1e-17.
 _TAYLOR_CUT = 0.3
 _TAYLOR_TERMS = 10
+# (2n, 2n + 2, n!) for the odd n < 2 _TAYLOR_TERMS - 1, and the last odd n!,
+# as floats: n! rounded as it was when the int divided a float
+_TAYLOR_STEPS = tuple((2.0 * n, 2.0 * n + 2.0, float(math.factorial(n))) for n in range(1, 2 * _TAYLOR_TERMS - 1, 2))
+_LAST_FACTORIAL = float(math.factorial(2 * _TAYLOR_TERMS - 1))
 # Below this s(R + delta), which bounds |s(R - delta)| too, the light-cone
 # step is an erf difference: erf(x) < erfc(x) for x < 0.477, so it rounds
 # less, and erfc of two tiny arguments rounds to 1 and the step to 0.
@@ -150,37 +149,29 @@ def _lambda_f(mu, s, b):
     |mu| / sigma < 9) L = ln sigma + M(y), with ln sigma
     = -ln(b)/2 from the exact b, and M(y) = E ln|sqrt(2) y + Z| =
     Lambda(y) - (gamma + ln 2)/2, Lambda(y) = y^2 2F2(1, 1; 3/2, 2; -y^2),
-    even, F odd and M' = 2F: M and F come from one Clenshaw recurrence over
-    the coefficients of the piece of the generated Chebyshev table
-    (``_lambda_table``) that holds |y|.  Far, L = ln|mu| plus the
-    asymptotic series in z = (sigma / mu)^2 and F = 1/(2y) times its slope,
-    by Horner.  Only the branch that is returned runs.  The code is +, -,
-    *, /, comparisons and math.log, each one correctly rounded step on
-    Python floats, so a moment is the same bits on any host.  Returns
-    (L, F).
+    even, F odd and M' = 2F: M and F come from ``PIECES[k]``, the Clenshaw
+    recurrence over row k of the Chebyshev table, with k the piece that
+    holds |y|.  Far, L = ln|mu| plus the asymptotic series in
+    z = (sigma / mu)^2 and F = 1/(2y) times its slope, from
+    ``asymptotic``, its Horner sum.  Both are generated straight-line code
+    (``_lambda_table``, written by ``bench/chebyshev.py``) that keeps M and
+    F, or the series and its slope, in separate floats.  Only the branch
+    that is returned runs.  The code is +, -, *, /, comparisons and
+    math.log, each one correctly rounded step on Python floats, so a
+    moment is the same bits on any host.  Returns (L, F).
     """
     y = mu * s
     if abs(y) < CUT:
         # piece k of |y|, and t in [-1, 1]
-        u = abs(mu) * s * (len(_CLENSHAW) / CUT)
-        k = min(int(u), len(_CLENSHAW) - 1)
-        t = 2.0 * (u - k) - 1.0
-        t2 = t + t
-        # a complex times a real is exact per part, so M and F recur apart
-        *cs, c_0 = _CLENSHAW[k]
-        b1 = b2 = 0j
-        for c in cs:
-            b1, b2 = c + (b1 * t2 - b2), b1
-        total = c_0 + (b1 * t - b2)
-        L, F = -0.5 * math.log(b) + total.real, total.imag
+        u = abs(mu) * s * _SCALE
+        k = min(int(u), len(PIECES) - 1)
+        M, F = PIECES[k](2.0 * (u - k) - 1.0)
+        L = -0.5 * math.log(b) + M
     else:
         # w = 1/(2|y|) and z = (sigma / mu)^2 = 2 w^2, which does not overflow
         w = 1.0 / (2.0 * abs(y))
-        z = 2.0 * (w * w)
-        total = 0j
-        for c in _ASYMPTOTIC:
-            total = total * z + c
-        L, F = math.log(abs(mu)) + total.real, w * total.imag
+        series, slope = asymptotic(2.0 * (w * w))
+        L, F = math.log(abs(mu)) + series, w * slope
     # F is odd: the sign of y, 0 at y = 0, times F(|y|)
     return L, ((y > 0.0) - (y < 0.0)) * F
 
@@ -222,15 +213,21 @@ def _lightcone_pair(b, delta, R):
 
 
 def _taylor_quotient(h, x, f_mid):
-    """Dawson's difference quotient [F(x + h) - F(x - h)] / 2h as its Taylor series, from F(x) alone, on floats."""
+    """Dawson's difference quotient [F(x + h) - F(x - h)] / 2h as its Taylor series, from F(x) alone, on floats.
+
+    sum_j F^(2j+1)(x) h^2j / (2j+1)!, j < ``_TAYLOR_TERMS``, with the
+    derivatives from F' = 1 - 2xF and F^(n+1) = -2x F^(n) - 2n F^(n-1),
+    two recurrence steps per term, each term divided by the float n!.
+    """
     # g = F^(n)(x) h^(n-1) and lower = F^(n-1)(x) h^n stay bounded
     lower, g = h * f_mid, 1.0 - 2.0 * x * f_mid
+    hh, c = h * h, -2.0 * x * h
     slope = 0.0
-    for n in range(1, 2 * _TAYLOR_TERMS):
-        if n % 2:
-            slope += g / math.factorial(n)
-        lower, g = h * h * g, -2.0 * x * h * g - 2.0 * n * lower
-    return slope
+    for two_n, two_n_next, factorial in _TAYLOR_STEPS:
+        slope += g / factorial
+        lower, g = hh * g, c * g - two_n * lower
+        lower, g = hh * g, c * g - two_n_next * lower
+    return slope + g / _LAST_FACTORIAL
 
 
 def _logabs_pair(b, delta, R):

@@ -59,3 +59,19 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
         ["2", str(tmp_path / "pkg" / "b.py")],
         ["14", "total"],
     ]
+
+
+def test_main_lists_generated_modules_apart_from_the_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(FIXTURE)
+    (tmp_path / "b_table.py").write_text("# Code generated by make_table.py. DO NOT EDIT.\nx = 1\ny = 2\n")
+    # the marker counts only as the whole first line
+    (tmp_path / "c.py").write_text("z = 3\n# Code generated by make_table.py. DO NOT EDIT.\n")
+    assert loc.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["12", str(tmp_path / "a.py")],
+        ["1", str(tmp_path / "c.py")],
+        ["13", "total"],
+        ["2", str(tmp_path / "b_table.py"), "(generated)"],
+        ["2", "generated", "total"],
+    ]
