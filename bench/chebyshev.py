@@ -29,8 +29,8 @@ t b_1 - b_2 + c_0 for M and for F, unrolled with the coefficients as
 literals, and ``asymptotic(z)``, the far branch's series
 sum_k c_k z^k of E ln|1 + eps Z| (z = eps^2), k = 0..TERMS, with
 c_k = -(2k-1)!!/(2k) and its slope's (2k-1)!!, by Horner, unrolled in the
-same way.  Every step is the one rounded float operation that the earlier
-complex recurrence and complex Horner performed on each part.  The
+same way.  Every step is the one rounded float operation that a complex
+recurrence and a complex Horner perform on each part.  The
 output is deterministic: the fit depends on these constants and mpmath
 only, the emitted code on the tables alone, and ``--check`` re-emits the
 committed module from its own tuples and header and exits 1 on any
@@ -135,8 +135,8 @@ def _piece(k, m_row, f_row):
 def _asymptotic():
     """``asymptotic(z)``: the far series and its slope's series, by Horner, highest order first."""
     double_factorials = [math.prod(range(1, 2 * k, 2)) for k in range(TERMS, 0, -1)]
-    # the real parts as the complex coefficients held them: the odd double
-    # factorial converted to a float, then divided by 2k
+    # -(2k-1)!!/(2k) with the int double factorial rounded to a float first,
+    # then divided by 2k, which the test's complex reference does as well
     pairs = [(-n / (2.0 * k), float(n)) for n, k in zip(double_factorials, range(TERMS, 0, -1))]
     lines = ["def asymptotic(z):", f"    m, f = {pairs[0][0]!r}, {pairs[0][1]!r}"]
     lines += [f"    m, f = m * z{_plus(cm)}, f * z{_plus(cf)}" for cm, cf in pairs[1:]]

@@ -133,7 +133,8 @@ _SCALE = len(PIECES) / CUT
 _TAYLOR_CUT = 0.3
 _TAYLOR_TERMS = 10
 # (2n, 2n + 2, n!) for the odd n < 2 _TAYLOR_TERMS - 1, and the last odd n!,
-# as floats: n! rounded as it was when the int divided a float
+# as floats: a float divided by the int n! divides by n! rounded to a
+# float, so these constants keep the quotient's bits
 _TAYLOR_STEPS = tuple((2.0 * n, 2.0 * n + 2.0, float(math.factorial(n))) for n in range(1, 2 * _TAYLOR_TERMS - 1, 2))
 _LAST_FACTORIAL = float(math.factorial(2 * _TAYLOR_TERMS - 1))
 # Below this s(R + delta), which bounds |s(R - delta)| too, the light-cone
