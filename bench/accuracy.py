@@ -18,6 +18,13 @@ relative, the sign flips (computed value and reference of opposite signs)
 and the worst pair; then the same for the named ``PROBES``.  With
 ``--json`` it writes ``ACCURACY_<label>.json`` into the current directory.
 
+In a regime whose values cross zero, such as LOGABS small s(R + delta),
+the worst relative error compares rounding luck, not accuracy: a value
+near zero formed from terms near 1 carries an absolute error of a few
+roundings, which is a large relative one.  There the measure is
+|delta| / max(1, |v|), which moves with the mean and the 99th percentile
+of the errors.
+
 The regimes, with b the combined width and scale = 1/sqrt(b):
 
 * wide: b log-uniform on [1e-4, 1], delta = scale |N| 10^U(-1, 1),

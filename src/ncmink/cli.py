@@ -203,7 +203,12 @@ def cmd_pair(args, config, constants, params, cfg):
 
 
 def cmd_verify(args, config, constants, params, cfg):
-    from .verify import SUITES
+    # without numpy the suites cannot run: a usage error, not a failed check
+    try:
+        from .verify import SUITES
+    except ImportError as exc:
+        print(f"error: verify needs numpy ({exc})", file=sys.stderr)
+        return EXIT_USAGE
 
     report = SUITES[args.suite](cfg)
     rows = [

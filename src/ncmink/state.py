@@ -28,7 +28,7 @@ from the smearings' bump rows and a block of psi's one bump row, all
 (t, x, y, z, width) tuples of floats), each entry the one-pair value on
 Python floats.  Each smearing becomes one block on that table, read
 from its ``key`` on floats: its weighted covector rows with their bump
-indices, and psi carrying -mean(f) as a last row; -mean(f) and
+indices, and a last row -mean(f) on psi's index; -mean(f) and
 sigma(f, psi) are exactly rounded float sums of those rows.  All blocks
 are stacked once.  A value of the form reads two blocks and a
 contraction c between them: eta for Delta, and for mu2 the Krein matrix
@@ -37,9 +37,8 @@ J^T eta J = eta, g's own products serve both.  Two
 ``integrate._products`` passes over that one stack give every product:
 the own pass each block's products with itself under eta, on the
 LOGABS table alone, and the cross pass every entry's f x g
-coefficients under c, each times both tables, the LOGABS products of
-all rows and the LIGHTCONE products of their terms (psi's rows read
-zeros there).  Every covector product is
+coefficients under c, each times both tables as ``_kernel_table``
+built them.  Every covector product is
 ``testfn.contract``, elementwise sums in index order with no BLAS, so
 a value is the same bits on any BLAS kernel and does not depend on the
 other smearings of its call.  An entry (``_two_point``) is then slices
@@ -48,7 +47,8 @@ of both blocks' own products and plus or minus twice the f x g
 products, the mean term is mean(f) c mean(g), the regulator term
 sigma(f, psi) c sigma(g, psi), both from one ``contract`` pass over the
 call's entries, and sigma(f, g) the exactly rounded sum of the LIGHTCONE
-products.  mu2's positivity guard runs on every entry with f_k == g_l.
+products of the terms, all but psi's row and column.  mu2's positivity
+guard runs on every entry with f_k == g_l.
 A family's Gram matrix reads one table and the two passes for all its
 entries, and an element's second moments one table for all its terms,
 with one moment for a smearing and its negation: the rows of -f are
@@ -159,20 +159,19 @@ def _moments(smearings, params, twisted, entries):
     """Delta_{alpha,psi}(f_k, f_l), or mu2 when twisted, for each (k, l) in entries.
 
     Every smearing and psi share one kernel table.  Each smearing's block,
-    its weighted covector rows read from ``key`` and psi's row carrying
-    -mean(f), is stacked once, with -mean(f) and sigma(f, psi) formed as
-    exactly rounded float sums.  Two ``_products`` passes over that stack
-    give all the products: the own pass, each block with itself under eta
-    on the LOGABS table alone, and the cross pass, each entry under the
-    contraction c on the LOGABS and the LIGHTCONE table, both from the
-    same coefficients.  psi's rows read a slot of their own in both
-    tables, psi's LOGABS values and LIGHTCONE zeros, since psi may share
-    its bump with a term, so an entry's LIGHTCONE products are those of
-    its terms and a signed zero for each coefficient of a psi row, which
-    leaves an exactly rounded sum as it is (``math.fsum`` of zeros is
-    +0.0).  An entry is then slices of the two passes, exactly rounded
-    sums and its mean and sigma(., psi) dot products under c, which one
-    ``contract`` pass gives for all entries, in the order of entries.  An entry that is not finite, where a center
+    its weighted covector rows read from ``key`` and a last row -mean(f)
+    on psi's own bump index, is stacked once, with -mean(f) and
+    sigma(f, psi) formed as exactly rounded float sums.  Two ``_products``
+    passes over that stack give all the products: the own pass, each
+    block with itself under eta on the LOGABS table alone, and the cross
+    pass, each entry under the contraction c on the LOGABS and the
+    LIGHTCONE table, both from the same coefficients.  sigma(f, g) sums
+    the LIGHTCONE products of the terms alone: the products are row-major
+    with psi's row last in each block, so those are all but the last row
+    and the last column.  An entry is then slices of the two passes,
+    exactly rounded sums and its mean and sigma(., psi) dot products
+    under c, which one ``contract`` pass gives for all entries, in the
+    order of entries.  An entry that is not finite, where a center
     separation or a product overflowed or 4 alpha kappa^2 underflowed,
     raises ValueError; mu2's positivity guard runs on every twisted entry
     with f_k == f_l.
@@ -180,7 +179,7 @@ def _moments(smearings, params, twisted, entries):
     indices, (logabs, lightcone) = _kernel_table(
         [f.bump_rows for f in smearings] + [(_bump_row(params.psi),)], (KernelKind.LOGABS, KernelKind.LIGHTCONE)
     )
-    (psi,), slot = indices[-1], len(logabs)
+    (psi,) = indices[-1]
     scale = params.constants.kappa_sq / (8.0 * math.pi)
     against_psi = lightcone[:, psi].tolist()
     index_blocks, row_blocks, means, sigmas = [], [], [], []
@@ -190,17 +189,12 @@ def _moments(smearings, params, twisted, entries):
         values = [against_psi[i] for i in index]
         means.append([-math.fsum(column) for column in columns])
         sigmas.append([-scale * math.fsum(map(operator.mul, values, column)) for column in columns])
-        index_blocks.append(index + [slot])
+        index_blocks.append(index + [psi])
         row_blocks.append(terms + [means[-1]])
     stack = _stack(index_blocks, row_blocks)
-    # psi's own slot: its LOGABS row and column, and LIGHTCONE zeros
-    ext = [*range(slot), psi]
-    logabs = logabs.take(ext, 0).take(ext, 1)
-    light = np.zeros((slot + 1, slot + 1))
-    light[:slot, :slot] = lightcone
     contraction = krein_matrix(params.u) if twisted else ETA
     (own,) = _products((logabs,), stack, [(k, k) for k in range(len(smearings))], ETA)
-    logs, fgs = _products((logabs, light), stack, entries, contraction)
+    logs, fgs = _products((logabs, lightcone), stack, entries, contraction)
     # every entry's mean(f) c mean(g), the signs of -mean(f) and -mean(g)
     # cancelling exactly, and sigma(f, psi) c sigma(g, psi)
     left, right = np.array(entries, dtype=np.intp).reshape(-1, 2).T
@@ -211,6 +205,10 @@ def _moments(smearings, params, twisted, entries):
         dots = contract(contract(ends, contraction)[:, left], ends[:, right, :, None])[..., 0].tolist()
     values = []
     for (k, l), *tables in zip(entries, logs, fgs, *dots):
+        # sigma(f, g) reads the terms alone: psi's row is the last m LIGHTCONE
+        # products, m the rows of g's block, and psi's column every m-th
+        m = len(index_blocks[l])
+        del tables[1][-m:], tables[1][m - 1 :: m]
         values.append(_two_point(own[k], own[l], tables, params))
         if not cmath.isfinite(values[-1]):
             raise ValueError(f"{'mu2' if twisted else 'Delta'}(f_{k}, f_{l}) is not finite: {values[-1]!r}")

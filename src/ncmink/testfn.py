@@ -87,44 +87,43 @@ class SmearingTerm(NamedTuple):
 class VectorSmearing:
     """Finite sum f_mu(x) = sum_k weight_k v_mu^(k) bump_k(x), in canonical form.
 
-    The canonical form is ``key``, a tuple with one row of Python floats
-    (covector, center, width, weight) per term.  Canonicalization merges
-    terms with identical (covector, center, width) into their first
-    occurrence, summing the weights in input order, prunes zero weights and
-    zero covectors, and sorts the rows by (center, width, covector) with a
-    stable sort.  Equality, hashing and the term order of Weyl elements read
-    ``key``, so equal smearings compare and hash equal (a -0.0 entry equals
-    0.0).  Sums, scaling and covector maps build the new rows as lists
-    of floats, so a smearing holds no array; only ``terms`` builds
-    per-term objects.
+    It is built from (covector, bump, weight) terms, each bump a
+    :class:`GaussianBump`.  The canonical form is ``key``, a tuple with one
+    row of Python floats (covector, center, width, weight) per term.
+    Canonicalization merges terms with equal (covector, center, width), a
+    -0.0 entry equal to 0.0, into their first occurrence in one dict pass,
+    summing the weights in input order, checks that the weights are finite,
+    prunes zero weights and zero covectors, and sorts the rows once by
+    (center, width, covector).  Equality, hashing and the term order of
+    Weyl elements read ``key``, so equal smearings compare and hash equal.
+    Sums, scaling and covector maps pass the new rows on as tuples of
+    floats, so a smearing holds no array; only ``terms`` builds per-term
+    objects.
     """
 
     __slots__ = ("key",)
 
     def __init__(self, terms):
-        rows = []
-        for v, bump, w in terms:
-            bump = bump if isinstance(bump, GaussianBump) else GaussianBump(*bump)
-            rows.append([*as_components(v, "covector"), *bump.center.components, bump.width, float(w)])
-        self._canonicalize(rows)
+        self._canonicalize(
+            (*as_components(v, "covector"), *bump.center.components, bump.width, float(w)) for v, bump, w in terms
+        )
 
     def _canonicalize(self, rows):
-        """Set key from a list of row lists in input order (see the class docstring)."""
-        # a stable sort on (center, width, covector); -0.0 sorts as 0.0, and
-        # no NaN gets here, because centers, widths and covectors are finite
-        listed = sorted(rows, key=lambda row: (row[4:9], row[:4]))
-        # equal terms are adjacent now, in input order: each group keeps its
-        # first row and sums its weights one by one
-        merged = listed[:1]
-        for row in listed[1:]:
-            if row[:9] == merged[-1][:9]:
-                merged[-1][9] += row[9]
-            else:
+        """Set key from row tuples in input order (see the class docstring)."""
+        # equal terms match on value, -0.0 as 0.0: each keeps its first row's
+        # floats and sums its weights in input order
+        slots, merged = {}, []
+        for row in rows:
+            k = slots.setdefault(row[:9], len(merged))
+            if k == len(merged):
                 merged.append(row)
+            else:
+                merged[k] = (*merged[k][:9], merged[k][9] + row[9])
         if not all(math.isfinite(row[9]) for row in merged):
             raise ValueError("smearing weights must be finite")
+        # no NaN gets here, because centers, widths and covectors are finite
         kept = [row for row in merged if row[9] != 0.0 and any(row[:4])]
-        object.__setattr__(self, "key", tuple(map(tuple, kept)))
+        object.__setattr__(self, "key", tuple(sorted(kept, key=lambda row: (row[4:9], row[:4]))))
 
     @classmethod
     def _from_rows(cls, rows):
@@ -157,7 +156,7 @@ class VectorSmearing:
         return tuple(SmearingTerm(row[:4], GaussianBump(row[4:8], row[8]), row[9]) for row in self.key)
 
     def __add__(self, other):
-        return VectorSmearing._from_rows(list(map(list, self.key + other.key)))
+        return VectorSmearing._from_rows(self.key + other.key)
 
     def __neg__(self):
         return self.scaled(-1.0)
@@ -168,7 +167,7 @@ class VectorSmearing:
     def scaled(self, c):
         # a float product that overflows is inf, rejected as a non-finite weight
         c = float(c)
-        return VectorSmearing._from_rows([[*row[:9], row[9] * c] for row in self.key])
+        return VectorSmearing._from_rows([(*row[:9], row[9] * c) for row in self.key])
 
     def is_zero(self):
         return not self.key
@@ -186,7 +185,7 @@ class VectorSmearing:
         for row, image in zip(self.key, images):
             if not all(map(math.isfinite, image)):
                 raise ValueError(f"covector {list(row[:4])} maps to non-finite entries: {image}")
-        return VectorSmearing._from_rows([[*image, *row[4:]] for row, image in zip(self.key, images)])
+        return VectorSmearing._from_rows([(*image, *row[4:]) for row, image in zip(self.key, images)])
 
 
 ZERO_SMEARING = VectorSmearing(())
@@ -234,10 +233,9 @@ def moment1(f):
 def project_psi(f, psi):
     """Mean-subtraction projector: f_mu(x) - fbar_mu psi(x).
 
-    psi must have mean 1 (any GaussianBump does); the result has mean
+    psi is a :class:`GaussianBump`, so it has mean 1; the result has mean
     vector exactly zero and the projector is idempotent.
     """
-    psi = psi if isinstance(psi, GaussianBump) else GaussianBump(*psi)
     fbar = mean(f)
     return f + single_term(tuple(fbar), psi, -1.0)
 

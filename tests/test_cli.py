@@ -531,6 +531,17 @@ def test_the_float_commands_start_without_numpy(argv):
     assert "numpy" not in modules
 
 
+def test_verify_without_numpy_is_a_usage_error():
+    """Without numpy, verify exits 2, not the 1 of a failed check, while
+    the float commands still run."""
+    code = (
+        "import sys\nsys.modules['numpy'] = None\nfrom ncmink.cli import main\n"
+        "assert main(['verify', 'gram']) == 2\n"
+        "assert main(['distance', '--p', '1,0,0,0', '--q', '0,0,0,0', '--width', '1e4']) == 0"
+    )
+    assert "ncmink.verify" not in _run_fresh(code)
+
+
 def test_the_benchmark_setup_imports_no_numpy():
     modules = _run_fresh(BENCHMARK_SETUP)
     assert "ncmink.cli" in modules
